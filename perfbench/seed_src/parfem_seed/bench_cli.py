@@ -1,0 +1,509 @@
+"""Benchmark harness: solver comparisons on scalar convection-diffusion runs.
+
+Problems are desk-scale 2D versions of standard benchmarks: the steady
+rectangle-minus-cylinder transport problem, a time-dependent inflow/outflow
+transport on the unit square, and a manufactured Poisson solution.  The
+harness hosts all logical ranks as threads over the in-process transport;
+timing wraps the linear solve only.  With five repeats the reported time
+drops the fastest and slowest run and averages the remaining three.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import dataclasses
+import logging
+import math
+import os
+import sys
+import time
+
+import numpy as np
+
+from .assembly import (
+    CdrCoefficients,
+    DirichletPart,
+    apply_dirichlet,
+    assemble_cdr,
+    assemble_mass,
+    crank_nicolson_step,
+    enforce_dirichlet_values,
+    merge_master_values,
+    write_merged_solution,
+    write_solution_vtk,
+)
+from .comm import ConsistencyLevel, spmd_run
+from .dlinalg import fgmres, new_vector
+from .mesh import CIRCLE_FLAG, build_hemker_mesh, build_rect_mesh
+from .multigrid import (
+    CoarseSolver,
+    MgPreconditioner,
+    SsorPreconditioner,
+    build_hierarchy,
+)
+
+logger = logging.getLogger(__name__)
+
+PROBLEMS = ("hemker2d", "timedep2d", "poisson_mms")
+SOLVERS = ("mg_fgmres", "ssor_fgmres", "coarse_direct")
+
+
+@dataclasses.dataclass
+class RunConfig:
+    problem: str = "poisson_mms"
+    element: str = "q1"
+    levels: int = 3
+    ranks: int = 1
+    solver: str = "mg_fgmres"
+    nu1: int = 2
+    nu2: int = 2
+    omega: float = 1.0
+    restart: int = 50
+    tol: float = 1e-10
+    maxit: int = 500
+    dt: float = 1e-2
+    t_end: float = 3.0
+    repeats: int = 1
+    seed: int = 0
+    out_dir: str | None = None
+    snapshot_times: tuple = ()
+
+    def __post_init__(self):
+        if self.problem not in PROBLEMS:
+            raise ValueError(f"unknown problem {self.problem!r}")
+        if self.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {self.solver!r}")
+        if not self.tol > 0.0:
+            raise ValueError("tolerance must be positive")
+        if self.repeats < 1:
+            raise ValueError("need at least one repeat")
+
+
+@dataclasses.dataclass
+class RunReport:
+    config: RunConfig
+    repeats: list  # (iterations, seconds) per repeat
+    iterations: int
+    time: float
+    converged: bool
+    merged: dict
+    residuals: list  # (step, [residual history])
+    snapshots: dict  # time -> merged solution
+
+    @property
+    def exit_code(self) -> int:
+        return 0 if self.converged else 2
+
+
+def aggregate_time(times) -> float:
+    """Mean of the middle three when there are five repeats, else plain mean."""
+    times = sorted(times)
+    if len(times) == 5:
+        times = times[1:4]
+    return float(np.mean(times))
+
+
+def _inflow_schedule(t: float) -> float:
+    if t <= 1.0:
+        return math.sin(math.pi * t / 2.0)
+    if t <= 2.0:
+        return 1.0
+    return math.sin(math.pi * (t - 1.0) / 2.0)
+
+
+def hemker_problem():
+    coeffs = CdrCoefficients(
+        eps=1e-6,
+        b=(1.0, 0.0),
+        c=0.0,
+        f=0.0,
+        dirichlet=[
+            DirichletPart(value=0.0, where=lambda x, y: abs(x + 3.0) < 1e-9,
+                          name="inlet"),
+            DirichletPart(value=1.0, flag=CIRCLE_FLAG, name="cylinder"),
+        ],
+    )
+    return build_hemker_mesh(), coeffs, True
+
+
+def timedep_problem():
+    # inlet strip on x=0, outlet strip on x=1 kept Neumann, walls zero;
+    # reaction in a tube of radius 0.1 around the inlet-outlet center line
+    a = np.array([0.0, 11.0 / 16.0])
+    d = np.array([1.0, 7.0 / 16.0]) - a
+    d = d / np.linalg.norm(d)
+
+    def reaction(p):
+        rel = p - a
+        dist = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])
+        return np.where(dist <= 0.1, 1.0, 0.0)
+
+    def on_inlet(x, y):
+        return abs(x) < 1e-9 and 5.0 / 8.0 - 1e-9 <= y <= 6.0 / 8.0 + 1e-9
+
+    def strictly_inside_outlet(x, y):
+        return abs(x - 1.0) < 1e-9 and 3.0 / 8.0 + 1e-9 < y < 4.0 / 8.0 - 1e-9
+
+    def strictly_inside_inlet(x, y):
+        return abs(x) < 1e-9 and 5.0 / 8.0 + 1e-9 < y < 6.0 / 8.0 - 1e-9
+
+    def on_wall(x, y):
+        boundary = (
+            abs(x) < 1e-9 or abs(x - 1.0) < 1e-9 or abs(y) < 1e-9 or abs(y - 1.0) < 1e-9
+        )
+        # the open outlet strip stays Neumann; the open inlet strip keeps its
+        # own value; junction vertices belong to the homogeneous wall
+        return (
+            boundary
+            and not strictly_inside_outlet(x, y)
+            and not strictly_inside_inlet(x, y)
+        )
+
+    coeffs = CdrCoefficients(
+        eps=1e-6,
+        b=(1.0, -0.25),
+        c=reaction,
+        f=0.0,
+        dirichlet=[
+            DirichletPart(
+                value=lambda p, t: _inflow_schedule(t), where=on_inlet, name="inlet"
+            ),
+            DirichletPart(value=0.0, where=on_wall, name="walls"),
+        ],
+    )
+    return build_rect_mesh(0.0, 1.0, 0.0, 1.0, 4, 4), coeffs, True
+
+
+def poisson_mms_problem():
+    pi = math.pi
+
+    def forcing(p):
+        return 2.0 * pi**2 * np.sin(pi * p[:, 0]) * np.sin(pi * p[:, 1])
+
+    coeffs = CdrCoefficients(
+        eps=1.0,
+        b=(0.0, 0.0),
+        c=0.0,
+        f=forcing,
+        dirichlet=[DirichletPart(value=0.0, where=lambda x, y: True, name="walls")],
+    )
+    return build_rect_mesh(0.0, 1.0, 0.0, 1.0, 4, 4), coeffs, False
+
+
+def mms_exact(p):
+    return np.sin(math.pi * p[:, 0]) * np.sin(math.pi * p[:, 1])
+
+
+_PROBLEM_BUILDERS = {
+    "hemker2d": hemker_problem,
+    "timedep2d": timedep_problem,
+    "poisson_mms": poisson_mms_problem,
+}
+
+
+def _make_preconditioner(config, hier):
+    if config.solver == "mg_fgmres":
+        return MgPreconditioner(hier)
+    if config.solver == "ssor_fgmres":
+        fin = hier.finest
+        return SsorPreconditioner(fin.ctx, fin.matrix, omega=config.omega)
+    fin = hier.finest
+    return CoarseSolver(fin.ctx, fin.matrix).solve
+
+
+def _steady_body(rank, transport, config, coarse, coeffs, supg):
+    def discretize(ctx):
+        A, b = assemble_cdr(ctx, coeffs, supg=supg)
+        apply_dirichlet(A, b, ctx, coeffs.dirichlet)
+        return A, b
+
+    hier = build_hierarchy(
+        coarse,
+        config.levels,
+        config.element,
+        discretize,
+        transport,
+        rank,
+        nu1=config.nu1,
+        nu2=config.nu2,
+        omega=config.omega,
+    )
+    precond = _make_preconditioner(config, hier)
+    A, b = hier.finest.matrix, hier.finest.rhs
+    repeats = []
+    res = None
+    csv_path = None
+    if config.out_dir is not None:
+        csv_path = os.path.join(config.out_dir, "fgmres_trace.csv")
+    for _ in range(config.repeats):
+        t0 = time.perf_counter()
+        res = fgmres(
+            A,
+            b,
+            precond=precond,
+            restart=config.restart,
+            tol=config.tol,
+            maxit=config.maxit,
+            csv_path=csv_path,
+        )
+        repeats.append((res.iterations, time.perf_counter() - t0))
+    sol = res.x
+    enforce_dirichlet_values(sol, hier.finest.ctx, coeffs.dirichlet)
+    sol.restore(ConsistencyLevel.L3)
+    ctx = hier.finest.ctx
+    if config.out_dir is not None:
+        write_solution_vtk(
+            ctx, sol, os.path.join(config.out_dir, f"solution_rank{rank}.vtk")
+        )
+    return {
+        "repeats": repeats,
+        "converged": res.converged,
+        "residuals": [(0, res.residuals)],
+        "solution": (ctx.true_keys, sol.values, ctx.master_mask),
+        "snapshots": {},
+    }
+
+
+def _timedep_body(rank, transport, config, coarse, coeffs, supg):
+    def discretize(ctx):
+        A, _ = assemble_cdr(ctx, coeffs, supg=supg)
+        M = assemble_mass(ctx)
+        S = M.combine(1.0, 0.5 * config.dt, A)
+        apply_dirichlet(S, new_vector(ctx), ctx, coeffs.dirichlet)
+        return S, None
+
+    hier = build_hierarchy(
+        coarse,
+        config.levels,
+        config.element,
+        discretize,
+        transport,
+        rank,
+        nu1=config.nu1,
+        nu2=config.nu2,
+        omega=config.omega,
+    )
+    ctx = hier.finest.ctx
+    precond = _make_preconditioner(config, hier)
+    A, _ = assemble_cdr(ctx, coeffs, supg=supg)
+    M = assemble_mass(ctx)
+    zero = new_vector(ctx)
+    n_steps = int(round(config.t_end / config.dt))
+    want = {round(t / config.dt) for t in config.snapshot_times}
+
+    repeats = []
+    for _ in range(config.repeats):
+        u = new_vector(ctx)  # initial condition, matches the t=0 inflow of zero
+        solve_time = 0.0
+        iterations = 0
+        converged = True
+        residuals = []
+        snapshots = {}
+        for n in range(n_steps):
+            t1 = (n + 1) * config.dt
+            S, b, x0 = crank_nicolson_step(
+                M, A, zero, zero, u, config.dt, coeffs.dirichlet, t_next=t1
+            )
+            t0 = time.perf_counter()
+            res = fgmres(
+                S,
+                b,
+                precond=precond,
+                x0=x0,
+                restart=config.restart,
+                tol=config.tol,
+                maxit=config.maxit,
+            )
+            solve_time += time.perf_counter() - t0
+            iterations += res.iterations
+            converged = converged and res.converged
+            residuals.append((n + 1, res.residuals))
+            u = res.x
+            enforce_dirichlet_values(u, ctx, coeffs.dirichlet, t=t1)
+            if n + 1 in want:
+                u.restore(ConsistencyLevel.L3)
+                snapshots[round(t1, 10)] = (
+                    ctx.true_keys.copy(),
+                    u.values.copy(),
+                    ctx.master_mask.copy(),
+                )
+        repeats.append((iterations, solve_time))
+    u.restore(ConsistencyLevel.L3)
+    if config.out_dir is not None:
+        write_solution_vtk(
+            ctx, u, os.path.join(config.out_dir, f"solution_rank{rank}.vtk")
+        )
+    return {
+        "repeats": repeats,
+        "converged": converged,
+        "residuals": residuals,
+        "solution": (ctx.true_keys, u.values, ctx.master_mask),
+        "snapshots": snapshots,
+    }
+
+
+def run(config: RunConfig) -> RunReport:
+    """Build the problem, launch the logical ranks, solve, write artifacts."""
+    if config.solver != "mg_fgmres" and (config.nu1, config.nu2) != (2, 2):
+        logger.warning(
+            "smoothing counts nu1/nu2 are ignored by solver %s", config.solver
+        )
+    if config.out_dir is not None:
+        os.makedirs(config.out_dir, exist_ok=True)
+    coarse, coeffs, supg = _PROBLEM_BUILDERS[config.problem]()
+    body = _timedep_body if config.problem == "timedep2d" else _steady_body
+    results = spmd_run(
+        config.ranks, body, config, coarse, coeffs, supg, timeout=600.0
+    )
+    merged = merge_master_values([r["solution"] for r in results])
+    snapshots = {}
+    for t in results[0]["snapshots"]:
+        snapshots[t] = merge_master_values([r["snapshots"][t] for r in results])
+    per_repeat = []
+    for i in range(config.repeats):
+        its = results[0]["repeats"][i][0]
+        secs = max(r["repeats"][i][1] for r in results)
+        per_repeat.append((its, secs))
+    report = RunReport(
+        config=config,
+        repeats=per_repeat,
+        iterations=per_repeat[-1][0],
+        time=aggregate_time([t for _, t in per_repeat]),
+        converged=all(r["converged"] for r in results),
+        merged=merged,
+        residuals=results[0]["residuals"],
+        snapshots=snapshots,
+    )
+    if config.out_dir is not None:
+        _write_run_artifacts(report)
+    return report
+
+
+def _write_run_artifacts(report: RunReport):
+    out = report.config.out_dir
+    with open(os.path.join(out, "report.csv"), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(
+            ["problem", "element", "solver", "levels", "ranks", "repeat",
+             "iterations", "time_s", "converged", "seed"]
+        )
+        c = report.config
+        for i, (its, secs) in enumerate(report.repeats):
+            w.writerow(
+                [c.problem, c.element, c.solver, c.levels, c.ranks, i, its,
+                 f"{secs:.6f}", report.converged, c.seed]
+            )
+        w.writerow(
+            [c.problem, c.element, c.solver, c.levels, c.ranks, "aggregate",
+             report.iterations, f"{report.time:.6f}", report.converged, c.seed]
+        )
+    with open(os.path.join(out, "residuals.csv"), "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["step", "iteration", "residual"])
+        for step, hist in report.residuals:
+            for i, r in enumerate(hist):
+                w.writerow([step, i, f"{r:.16e}"])
+    write_merged_solution(os.path.join(out, "solution_merged.txt"), report.merged)
+
+
+def report_table(reports, csv_path=None):
+    """Tabulate runs with the scaling column r_min*t_min / (r*t_r)."""
+    if not reports:
+        raise ValueError("need at least one report")
+    rows = []
+    groups = {}
+    for rep in reports:
+        c = rep.config
+        groups.setdefault((c.problem, c.solver, c.levels, c.element), []).append(rep)
+    for key, members in groups.items():
+        members = sorted(members, key=lambda r: r.config.ranks)
+        r_min = members[0].config.ranks
+        t_min = members[0].time
+        for rep in members:
+            scaling = (r_min * t_min) / (rep.config.ranks * rep.time)
+            rows.append(
+                {
+                    "problem": key[0],
+                    "solver": key[1],
+                    "levels": key[2],
+                    "ranks": rep.config.ranks,
+                    "iterations": rep.iterations,
+                    "time_s": rep.time,
+                    "scaling": scaling,
+                }
+            )
+    header = f"{'problem':<12}{'solver':<14}{'levels':>7}{'ranks':>6}" \
+             f"{'iters':>7}{'time_s':>11}{'scaling':>9}"
+    lines = [header, "-" * len(header)]
+    for r in rows:
+        lines.append(
+            f"{r['problem']:<12}{r['solver']:<14}{r['levels']:>7}{r['ranks']:>6}"
+            f"{r['iterations']:>7}{r['time_s']:>11.4f}{r['scaling']:>9.3f}"
+        )
+    table = "\n".join(lines)
+    if csv_path is not None:
+        with open(csv_path, "w", newline="") as fh:
+            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            w.writeheader()
+            w.writerows(rows)
+    return table, rows
+
+
+def scaling_value(r_min, t_min, r, t):
+    """Scaling formula used in the table, e.g. 2*t_2/(8*t_8) for r_min=2."""
+    return (r_min * t_min) / (r * t)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="parfem-bench",
+        description="scalar convection-diffusion solver benchmarks",
+    )
+    parser.add_argument("--problem", choices=PROBLEMS, default="poisson_mms")
+    parser.add_argument("--element", choices=("q1", "q2"), default="q1")
+    parser.add_argument("--levels", type=int, default=3)
+    parser.add_argument("--ranks", type=int, default=1)
+    parser.add_argument("--solver", choices=SOLVERS, default="mg_fgmres")
+    parser.add_argument("--nu1", type=int, default=2)
+    parser.add_argument("--nu2", type=int, default=2)
+    parser.add_argument("--omega", type=float, default=1.0)
+    parser.add_argument("--restart", type=int, default=50)
+    parser.add_argument("--tol", type=float, default=1e-10)
+    parser.add_argument("--maxit", type=int, default=500)
+    parser.add_argument("--dt", type=float, default=1e-2)
+    parser.add_argument("--t-end", type=float, default=3.0)
+    parser.add_argument("--repeats", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--out-dir", default="bench_out")
+    args = parser.parse_args(argv)
+    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
+
+    config = RunConfig(
+        problem=args.problem,
+        element=args.element,
+        levels=args.levels,
+        ranks=args.ranks,
+        solver=args.solver,
+        nu1=args.nu1,
+        nu2=args.nu2,
+        omega=args.omega,
+        restart=args.restart,
+        tol=args.tol,
+        maxit=args.maxit,
+        dt=args.dt,
+        t_end=args.t_end,
+        repeats=args.repeats,
+        seed=args.seed,
+        out_dir=args.out_dir,
+    )
+    report = run(config)
+    table, _ = report_table([report])
+    print(table)
+    print(f"converged: {report.converged}  iterations: {report.iterations}  "
+          f"solve time: {report.time:.4f}s")
+    return report.exit_code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,478 @@
+"""Simulated SPMD transport and master-to-slave update schedules.
+
+Logical ranks run the same program body on separate threads; the transport
+is the only shared object.  Its `all_to_all` mirrors MPI_Alltoallv: every
+rank deposits one chunk per destination, a barrier makes all deposits
+visible, every rank picks up its column.  A second barrier closes the
+collective; a timeout on either barrier reports a deadlock (some rank did
+not enter the collective).
+
+Three master->slave relations restore the consistency of distributed
+vectors.  A relation is named after the receiving d.o.f. class; the sender
+is whichever rank holds the unique master of that d.o.f.:
+
+    IMS      -> interface slaves        (level 1)
+    DHalpha  -> halo(alpha) d.o.f.s     (level 2)
+    DHbeta   -> halo(beta) d.o.f.s      (level 3)
+
+The schedules are negotiated once per finite element space by exchanging
+(cell id, local index) keys and are reused for every later update.
+"""
+
+from __future__ import annotations
+
+import enum
+import threading
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from .dof_manager import DofMap, build_dof_map
+from .partition import (
+    DofClass,
+    DofClassification,
+    RankCells,
+    build_rank_cells,
+    classify_dofs,
+)
+
+
+class DeadlockError(RuntimeError):
+    pass
+
+
+class CollectiveMismatch(RuntimeError):
+    pass
+
+
+class ConsistencyLevel(enum.IntEnum):
+    L0 = 0  # masters hold sequential values
+    L1 = 1  # + interface slaves
+    L2 = 2  # + halo(alpha)
+    L3 = 3  # + halo(beta): real consistent storage
+
+
+class Relation(enum.Enum):
+    IMS = "IMS"
+    DH_ALPHA = "DHalpha"
+    DH_BETA = "DHbeta"
+
+
+RELATION_SLAVE_CLASS = {
+    Relation.IMS: DofClass.INTERFACE_SLAVE,
+    Relation.DH_ALPHA: DofClass.HALO_ALPHA,
+    Relation.DH_BETA: DofClass.HALO_BETA,
+}
+
+# relation that lifts a vector to each level from the level below
+LEVEL_RELATION = {
+    ConsistencyLevel.L1: Relation.IMS,
+    ConsistencyLevel.L2: Relation.DH_ALPHA,
+    ConsistencyLevel.L3: Relation.DH_BETA,
+}
+
+
+class Transport:
+    """In-process collective exchange between logical ranks."""
+
+    def __init__(self, n_ranks: int, timeout: float = 60.0):
+        self.n_ranks = n_ranks
+        self.timeout = timeout
+        self._barrier = threading.Barrier(n_ranks)
+        self._slots = [[None] * n_ranks for _ in range(n_ranks)]
+        self._labels = [None] * n_ranks
+        self._reduce_in = [0.0] * n_ranks
+        self._reduce_out = 0.0
+        self._lock = threading.Lock()
+        self.trace: list[tuple[str, int, tuple[int, ...]]] = []
+
+    def clear_trace(self):
+        with self._lock:
+            self.trace.clear()
+
+    def abort(self):
+        self._barrier.abort()
+
+    def _wait(self):
+        try:
+            self._barrier.wait(self.timeout)
+        except threading.BrokenBarrierError:
+            raise DeadlockError(
+                "collective was not entered by all ranks (aborted or timed out)"
+            ) from None
+
+    def _check_label(self, label):
+        if any(lbl != label for lbl in self._labels):
+            self._barrier.abort()
+            raise CollectiveMismatch(
+                f"ranks entered different collectives: {self._labels}"
+            )
+
+    @staticmethod
+    def _size(chunk):
+        try:
+            return len(chunk)
+        except TypeError:
+            return 0 if chunk is None else 1
+
+    def all_to_all(self, rank: int, chunks: list, label: str = "a2a") -> list:
+        """Deliver chunks[dst] to each destination; returns chunks per source."""
+        if len(chunks) != self.n_ranks:
+            raise ValueError("need one chunk per destination rank")
+        self._labels[rank] = label
+        for dst, chunk in enumerate(chunks):
+            self._slots[rank][dst] = chunk
+        with self._lock:
+            self.trace.append((label, rank, tuple(self._size(c) for c in chunks)))
+        self._wait()
+        self._check_label(label)
+        received = [self._slots[src][rank] for src in range(self.n_ranks)]
+        self._wait()
+        return received
+
+    def allreduce_sum(self, rank: int, value: float) -> float:
+        """Globally additive reduction; summed in rank order for determinism."""
+        self._labels[rank] = "reduce"
+        self._reduce_in[rank] = value
+        self._wait()
+        self._check_label("reduce")
+        if rank == 0:
+            total = 0.0
+            for v in self._reduce_in:
+                total += v
+            self._reduce_out = total
+        self._wait()
+        return self._reduce_out
+
+
+def spmd_run(n_ranks, body, *args, timeout: float = 60.0, transport=None) -> list:
+    """Run `body(rank, transport, *args)` on n_ranks threads, collect results."""
+    transport = transport or Transport(n_ranks, timeout=timeout)
+    results = [None] * n_ranks
+    errors: list[BaseException] = []
+
+    def work(rank):
+        try:
+            results[rank] = body(rank, transport, *args)
+        except BaseException as exc:  # noqa: BLE001 - reraised below
+            errors.append(exc)
+            transport.abort()
+
+    threads = [
+        threading.Thread(target=work, args=(r,), name=f"rank{r}", daemon=True)
+        for r in range(n_ranks)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    if errors:
+        for exc in errors:
+            if not isinstance(exc, DeadlockError):
+                raise exc
+        raise errors[0]
+    return results
+
+
+@dataclass
+class Schedule:
+    """Alltoallv bookkeeping for one relation (counts, displacements, maps)."""
+
+    send_counts: np.ndarray
+    send_displ: np.ndarray
+    sent_dof: np.ndarray  # local dof filling each send-buffer slot
+    recv_counts: np.ndarray
+    recv_displ: np.ndarray
+    rcvd_dof: np.ndarray  # local dof updated by each receive-buffer slot
+
+
+@dataclass
+class FeMapper:
+    """Reusable communication schedules for all three relations."""
+
+    schedules: dict[Relation, Schedule]
+    true_keys: np.ndarray  # globally minimal (cell, index) key per local dof
+
+
+def _displ(counts):
+    d = np.zeros_like(counts)
+    np.cumsum(counts[:-1], out=d[1:])
+    return d
+
+
+def build_fe_mapper(
+    classification: DofClassification,
+    dof_map: DofMap,
+    transport: Transport,
+    rank: int,
+) -> FeMapper:
+    """Negotiate the update schedules (collective over all ranks).
+
+    Each rank broadcasts, per relation, the canonical keys of its slave
+    d.o.f.s.  A key names a (cell, local index) pair the slave's rank knows;
+    the master rank knows every cell containing its master d.o.f.s, so it can
+    answer any such key.  The master replies with the matched keys (and the
+    globally minimal key of the d.o.f.), fixing both send and receive
+    orderings deterministically.
+    """
+    n_ranks = transport.n_ranks
+    local_keys = dof_map.keys
+
+    requests = {}
+    for rel, slave_class in RELATION_SLAVE_CLASS.items():
+        idx = classification.of_class(slave_class)
+        order = np.argsort(local_keys[idx], kind="stable")
+        idx = idx[order]
+        requests[rel] = (local_keys[idx], idx)
+
+    payload = {rel.value: requests[rel][0].tolist() for rel in Relation}
+    incoming = transport.all_to_all(
+        rank, [payload] * n_ranks, label="mapper-request"
+    )
+
+    key_to_local = dof_map.local_of_key()
+    is_master = classification.is_master
+    replies = [{rel.value: [] for rel in Relation} for _ in range(n_ranks)]
+    sent_lists = {rel: [[] for _ in range(n_ranks)] for rel in Relation}
+    for src in range(n_ranks):
+        if src == rank:
+            continue
+        for rel in Relation:
+            for key in incoming[src][rel.value]:
+                d = key_to_local.get(key)
+                if d is not None and is_master[d]:
+                    replies[src][rel.value].append((key, int(local_keys[d])))
+                    sent_lists[rel][src].append(d)
+
+    answered = transport.all_to_all(rank, replies, label="mapper-reply")
+
+    true_keys = local_keys.copy()
+    schedules = {}
+    for rel in Relation:
+        req_keys, req_idx = requests[rel]
+        key_to_slave = {int(k): int(i) for k, i in zip(req_keys, req_idx)}
+        matched = np.zeros(dof_map.n_dofs, dtype=np.int64)
+        recv_counts = np.zeros(n_ranks, dtype=np.int64)
+        rcvd = []
+        for src in range(n_ranks):
+            got = answered[src][rel.value]
+            recv_counts[src] = len(got)
+            for key, tkey in got:
+                d = key_to_slave[key]
+                rcvd.append(d)
+                matched[d] += 1
+                true_keys[d] = tkey
+        for i in req_idx:
+            if matched[i] != 1:
+                raise RuntimeError(
+                    f"rank {rank}: slave dof {int(i)} in {rel.value} matched "
+                    f"{int(matched[i])} masters"
+                )
+        send_counts = np.array(
+            [len(sent_lists[rel][q]) for q in range(n_ranks)], dtype=np.int64
+        )
+        sent_dof = np.array(
+            [d for q in range(n_ranks) for d in sent_lists[rel][q]], dtype=np.int64
+        )
+        schedules[rel] = Schedule(
+            send_counts=send_counts,
+            send_displ=_displ(send_counts),
+            sent_dof=sent_dof,
+            recv_counts=recv_counts,
+            recv_displ=_displ(recv_counts),
+            rcvd_dof=np.array(rcvd, dtype=np.int64),
+        )
+    return FeMapper(schedules=schedules, true_keys=true_keys)
+
+
+class Communicator:
+    """Performs the updates described by a FeMapper."""
+
+    def __init__(self, transport: Transport, rank: int, mapper: FeMapper):
+        self.transport = transport
+        self.rank = rank
+        self.mapper = mapper
+
+    def update(self, values: np.ndarray, relation: Relation):
+        """Overwrite every slave of the relation with its master's value."""
+        s = self.mapper.schedules[relation]
+        n = self.transport.n_ranks
+        chunks = [
+            values[s.sent_dof[s.send_displ[q] : s.send_displ[q] + s.send_counts[q]]]
+            for q in range(n)
+        ]
+        received = self.transport.all_to_all(self.rank, chunks, label=relation.value)
+        if s.rcvd_dof.size:
+            buf = np.empty(s.rcvd_dof.size)
+            for q in range(n):
+                lo = s.recv_displ[q]
+                buf[lo : lo + s.recv_counts[q]] = received[q]
+            values[s.rcvd_dof] = buf
+
+    def restore(
+        self,
+        values: np.ndarray,
+        current: ConsistencyLevel,
+        target: ConsistencyLevel,
+    ) -> ConsistencyLevel:
+        """Run exactly the relation updates needed to lift current to target."""
+        for level in (ConsistencyLevel.L1, ConsistencyLevel.L2, ConsistencyLevel.L3):
+            if current < level <= target:
+                self.update(values, LEVEL_RELATION[level])
+        return max(current, target)
+
+
+def update(vector, relation: Relation):
+    """Overwrite the relation's slaves on a distributed vector (collective)."""
+    vector.ctx.comm.update(vector.values, relation)
+
+
+def restore(vector, target: ConsistencyLevel):
+    """Lift a distributed vector to `target` consistency (collective)."""
+    return vector.restore(target)
+
+
+class InterfaceExchange:
+    """Symmetric value exchange over the interface d.o.f.s.
+
+    Used by the multigrid smoother (arithmetic averaging after block sweeps)
+    and by defect restriction (additive accumulation onto masters).  Both
+    sides of every rank pair derive the same key-sorted d.o.f. list locally,
+    so no negotiation is needed; sums run in ascending contributor-rank
+    order, making the result bitwise identical on every sharing rank.
+    """
+
+    def __init__(self, transport, rank, classification, dof_map, ownership):
+        self.transport = transport
+        self.rank = rank
+        n = transport.n_ranks
+        if_dofs = classification.of_class(
+            DofClass.INTERFACE_MASTER, DofClass.INTERFACE_SLAVE
+        )
+        keys = dof_map.keys[if_dofs]
+        order = np.argsort(keys, kind="stable")
+        self.if_dofs = if_dofs[order]
+        slot = {int(g): i for i, g in enumerate(self.if_dofs)}
+        self.counts = np.zeros(len(self.if_dofs))
+        self.shared_with = [np.empty(0, dtype=np.int64) for _ in range(n)]
+        by_rank: list[list[int]] = [[] for _ in range(n)]
+        for g in self.if_dofs:
+            sharing = sorted(
+                {int(ownership[c]) for c in dof_map.cells_of_dof[g]}
+            )
+            self.counts[slot[int(g)]] = len(sharing)
+            for q in sharing:
+                by_rank[q].append(int(g))
+        for q in range(n):
+            self.shared_with[q] = np.array(by_rank[q], dtype=np.int64)
+        self.slot_with = [
+            np.array([slot[int(g)] for g in self.shared_with[q]], dtype=np.int64)
+            for q in range(n)
+        ]
+        self.is_if_master = classification.classes[self.if_dofs] == int(
+            DofClass.INTERFACE_MASTER
+        )
+
+    def _totals(self, values, label):
+        n = self.transport.n_ranks
+        chunks = [
+            values[self.shared_with[q]] if q != self.rank else np.empty(0)
+            for q in range(n)
+        ]
+        received = self.transport.all_to_all(self.rank, chunks, label=label)
+        totals = np.zeros(len(self.if_dofs))
+        for q in range(n):
+            if q == self.rank:
+                contrib = values[self.shared_with[q]]
+            else:
+                contrib = np.asarray(received[q])
+            if contrib.size:
+                totals[self.slot_with[q]] += contrib
+        return totals
+
+    def average(self, values: np.ndarray):
+        """Replace interface values by the mean over all sharing ranks."""
+        totals = self._totals(values, "if-average")
+        values[self.if_dofs] = totals / self.counts
+
+    def add_to_masters(self, values: np.ndarray):
+        """Accumulate partial sums; only interface masters receive the total."""
+        totals = self._totals(values, "if-accumulate")
+        masters = self.if_dofs[self.is_if_master]
+        values[masters] = totals[self.is_if_master]
+
+
+@dataclass
+class RankContext:
+    """Everything one rank needs to operate on a finite element space."""
+
+    transport: Transport
+    rank: int
+    mesh: object
+    ownership: np.ndarray
+    rank_cells: RankCells
+    elem_kind: str
+    dof_map: DofMap
+    classification: DofClassification
+    mapper: FeMapper
+    comm: Communicator
+    exchange: InterfaceExchange
+    _cache: dict = field(default_factory=dict)
+
+    @property
+    def n_local(self) -> int:
+        return self.dof_map.n_dofs
+
+    @property
+    def n_ranks(self) -> int:
+        return self.transport.n_ranks
+
+    @property
+    def master_mask(self) -> np.ndarray:
+        return self.classification.is_master
+
+    @property
+    def block_mask(self) -> np.ndarray:
+        """Masters plus interface slaves: the rows a rank smooths/owns."""
+        if "block_mask" not in self._cache:
+            mask = self.classification.is_master.copy()
+            mask[self.classification.of_class(DofClass.INTERFACE_SLAVE)] = True
+            self._cache["block_mask"] = mask
+        return self._cache["block_mask"]
+
+    @property
+    def true_keys(self) -> np.ndarray:
+        return self.mapper.true_keys
+
+    @property
+    def dof_coords(self) -> np.ndarray:
+        if "coords" not in self._cache:
+            from .dof_manager import dof_coordinates
+
+            self._cache["coords"] = dof_coordinates(self.dof_map, self.mesh)
+        return self._cache["coords"]
+
+
+def build_rank_context(
+    mesh, ownership, elem_kind: str, transport: Transport, rank: int
+) -> RankContext:
+    """Build per-rank space, classification and schedules (collective)."""
+    rank_cells = build_rank_cells(mesh, ownership, rank)
+    dof_map = build_dof_map(mesh, rank_cells.known, elem_kind)
+    classification = classify_dofs(rank_cells, dof_map, ownership)
+    mapper = build_fe_mapper(classification, dof_map, transport, rank)
+    comm = Communicator(transport, rank, mapper)
+    exchange = InterfaceExchange(transport, rank, classification, dof_map, ownership)
+    return RankContext(
+        transport=transport,
+        rank=rank,
+        mesh=mesh,
+        ownership=ownership,
+        rank_cells=rank_cells,
+        elem_kind=elem_kind if isinstance(elem_kind, str) else elem_kind.kind,
+        dof_map=dof_map,
+        classification=classification,
+        mapper=mapper,
+        comm=comm,
+        exchange=exchange,
+    )

@@ -1,0 +1,279 @@
+"""Consistency-tagged distributed vectors, CSR matrices, and restarted FGMRES.
+
+Operation rules for the consistency tags:
+
+  * matvec needs the input at level 2 (restored on the fly if below); the
+    result is level 0, or level 1 when the input was level 3.
+  * scaling keeps the level; adding vectors takes the lower level.
+  * scalar products skip all slaves and are reduced in fixed rank order, so
+    every rank receives the identical scalar.
+
+Inputs below the level an operation needs are restored implicitly and the
+restore is logged, which keeps solver code free of explicit communication.
+"""
+
+from __future__ import annotations
+
+import logging
+import time
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.sparse as sp
+
+from .comm import ConsistencyLevel, RankContext
+
+logger = logging.getLogger(__name__)
+
+L0, L1, L2, L3 = (
+    ConsistencyLevel.L0,
+    ConsistencyLevel.L1,
+    ConsistencyLevel.L2,
+    ConsistencyLevel.L3,
+)
+
+
+class DistVector:
+    """Rank-local values over the known d.o.f.s plus a consistency tag.
+
+    Entries not covered by the tag hold stale-but-deterministic data (vectors
+    start from zeros), never uninitialized memory.
+    """
+
+    def __init__(self, ctx: RankContext, values=None, level=L3):
+        self.ctx = ctx
+        if values is None:
+            values = np.zeros(ctx.n_local)
+        self.values = np.asarray(values, dtype=float)
+        if self.values.shape != (ctx.n_local,):
+            raise ValueError("value array does not match the space")
+        self.level = ConsistencyLevel(level)
+
+    def copy(self) -> "DistVector":
+        return DistVector(self.ctx, self.values.copy(), self.level)
+
+    def restore(self, target: ConsistencyLevel) -> "DistVector":
+        """Lift the vector to `target`, sending only the missing relations."""
+        target = ConsistencyLevel(target)
+        if self.level < target:
+            self.level = self.ctx.comm.restore(self.values, self.level, target)
+        return self
+
+    def _ensure(self, required: ConsistencyLevel, op: str):
+        if self.level < required:
+            logger.debug(
+                "rank %d: implicit restore to %s for %s",
+                self.ctx.rank,
+                required.name,
+                op,
+            )
+            self.restore(required)
+
+
+def new_vector(ctx: RankContext, level=L3) -> DistVector:
+    return DistVector(ctx, None, level)
+
+
+def from_keys(ctx: RankContext, fn, level=L3) -> DistVector:
+    """Vector with values given by a function of the global key (test helper)."""
+    vals = np.array([fn(int(k)) for k in ctx.true_keys], dtype=float)
+    return DistVector(ctx, vals, level)
+
+
+def axpy(a: float, x: DistVector, y: DistVector) -> DistVector:
+    """y <- a*x + y; the result tag is the lower of the two input tags."""
+    if x.ctx is not y.ctx:
+        raise ValueError("vectors live in different spaces")
+    y.values += a * x.values
+    y.level = min(x.level, y.level)
+    return y
+
+
+def scale(a: float, x: DistVector) -> DistVector:
+    x.values *= a
+    return x
+
+
+def dot(x: DistVector, y: DistVector) -> float:
+    """Global scalar product over masters only, identical on every rank."""
+    if x.ctx is not y.ctx:
+        raise ValueError("vectors live in different spaces")
+    mask = x.ctx.master_mask
+    part = float(np.dot(x.values[mask], y.values[mask]))
+    return x.ctx.transport.allreduce_sum(x.ctx.rank, part)
+
+
+def norm2(x: DistVector) -> float:
+    return float(np.sqrt(dot(x, x)))
+
+
+class DistMatrix:
+    """CSR matrix over the rank-local known d.o.f.s.
+
+    Rows of masters and interface slaves are sequentially correct by
+    construction (level-1-consistent); halo rows may be incomplete.  Column
+    entries are stored in ascending global-key order so that master rows
+    accumulate in exactly the sequential order.
+    """
+
+    def __init__(self, ctx: RankContext, csr: sp.csr_matrix, level=L1):
+        self.ctx = ctx
+        self.csr = csr
+        self.level = ConsistencyLevel(level)
+
+    @property
+    def shape(self):
+        return self.csr.shape
+
+    def diagonal(self) -> np.ndarray:
+        return self.csr.diagonal()
+
+    def copy(self) -> "DistMatrix":
+        return DistMatrix(self.ctx, self.csr.copy(), self.level)
+
+    def combine(self, alpha: float, beta: float, other: "DistMatrix") -> "DistMatrix":
+        """alpha*self + beta*other on the union sparsity."""
+        if other.ctx is not self.ctx:
+            raise ValueError("matrices live in different spaces")
+        return DistMatrix(
+            self.ctx,
+            (alpha * self.csr + beta * other.csr).tocsr(),
+            min(self.level, other.level),
+        )
+
+    def set_dirichlet_rows(self, rows, values, rhs: DistVector | None = None):
+        """Replace rows by identity rows; sparsity is kept (entries zeroed)."""
+        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
+        for r, v in zip(rows, values):
+            lo, hi = indptr[r], indptr[r + 1]
+            data[lo:hi] = 0.0
+            cols = indices[lo:hi]
+            (where,) = np.nonzero(cols == r)
+            if where.size != 1:
+                raise RuntimeError(f"no diagonal entry in row {r}")
+            data[lo + where[0]] = 1.0
+            if rhs is not None:
+                rhs.values[r] = v
+
+
+def matvec(A: DistMatrix, x: DistVector) -> DistVector:
+    """y = A x, correct on masters (and interface slaves for level-3 input)."""
+    if A.ctx is not x.ctx:
+        raise ValueError("operands live in different spaces")
+    if A.shape[1] != x.values.shape[0]:
+        raise ValueError("dimension mismatch")
+    x._ensure(L2, "matvec")
+    y = A.csr @ x.values
+    out_level = L1 if (x.level == L3 and A.level >= L1) else L0
+    return DistVector(A.ctx, y, out_level)
+
+
+@dataclass
+class SolveResult:
+    x: DistVector
+    iterations: int
+    residuals: list[float]
+    converged: bool
+
+
+def _identity_precond(r: DistVector) -> DistVector:
+    z = r.copy()
+    z.restore(L2)
+    return z
+
+
+def fgmres(
+    A: DistMatrix,
+    b: DistVector,
+    precond=None,
+    x0: DistVector | None = None,
+    restart: int = 50,
+    tol: float = 1e-10,
+    maxit: int = 1000,
+    csv_path=None,
+) -> SolveResult:
+    """Flexible restarted GMRES with one preconditioned direction per step.
+
+    Modified Gram-Schmidt, Givens rotations for the least squares problem,
+    absolute Euclidean residual stopping test.  The true residual is
+    re-evaluated at every restart.  Returns instead of raising when maxit is
+    exceeded.
+    """
+    ctx = A.ctx
+    if precond is None:
+        precond = _identity_precond
+    x = x0.copy() if x0 is not None else new_vector(ctx)
+    x.restore(L2)
+
+    csv = None
+    if csv_path is not None and ctx.rank == 0:
+        csv = open(csv_path, "w")
+        csv.write("iteration,residual,wall_time_s\n")
+    t0 = time.perf_counter()
+
+    def log_row(it, res):
+        if csv is not None:
+            csv.write(f"{it},{res:.16e},{time.perf_counter() - t0:.6f}\n")
+
+    r = b.copy()
+    axpy(-1.0, matvec(A, x), r)
+    beta = norm2(r)
+    residuals = [beta]
+    log_row(0, beta)
+    total = 0
+    converged = beta < tol
+
+    while not converged and total < maxit:
+        m = restart
+        V = [scale(1.0 / beta, r.copy())]
+        Z = []
+        H = np.zeros((m + 1, m))
+        cs = np.zeros(m)
+        sn = np.zeros(m)
+        g = np.zeros(m + 1)
+        g[0] = beta
+        j = -1
+        while j + 1 < m and total < maxit:
+            j += 1
+            z = precond(V[j])
+            Z.append(z)
+            w = matvec(A, z)
+            for i in range(j + 1):
+                H[i, j] = dot(V[i], w)
+                axpy(-H[i, j], V[i], w)
+            H[j + 1, j] = norm2(w)
+            for i in range(j):
+                hi = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
+                H[i, j] = hi
+            denom = np.hypot(H[j, j], H[j + 1, j])
+            cs[j] = H[j, j] / denom
+            sn[j] = H[j + 1, j] / denom
+            H[j, j] = denom
+            g[j + 1] = -sn[j] * g[j]
+            g[j] = cs[j] * g[j]
+            total += 1
+            est = abs(g[j + 1])
+            residuals.append(est)
+            log_row(total, est)
+            lucky = H[j + 1, j] < 1e-14 * max(beta, 1.0)
+            if lucky or est < tol:
+                break
+            scale(1.0 / H[j + 1, j], w)
+            V.append(w)
+        k = j + 1
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
+        for i in range(k):
+            axpy(y[i], Z[i], x)
+        r = b.copy()
+        axpy(-1.0, matvec(A, x), r)
+        beta = norm2(r)
+        residuals[-1] = beta  # replace the estimate by the true residual
+        converged = beta < tol
+
+    if csv is not None:
+        log_row(total, beta if residuals else 0.0)
+        csv.close()
+    return SolveResult(x=x, iterations=total, residuals=residuals, converged=converged)

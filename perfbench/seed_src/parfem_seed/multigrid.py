@@ -1,0 +1,376 @@
+"""Parallel geometric multigrid preconditioner.
+
+The level hierarchy starts from the decomposed coarse mesh and refines
+uniformly, so child cells inherit their parent's owner and all parent-child
+information is rank-local.  Grid transfer is a local operator on own cells;
+its input vectors are restored to level-1 consistency first.  Smoothing is
+block-Jacobi over the rank blocks (masters plus interface slaves) with SSOR
+inside the block, followed by arithmetic averaging of the interface values.
+The coarsest system is gathered to rank 0 and solved by dense LU with
+partial pivoting.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+import scipy.linalg as sla
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
+
+from .comm import ConsistencyLevel, RankContext, build_rank_context
+from .dlinalg import DistMatrix, DistVector, axpy, matvec, new_vector, norm2
+from .mapped_fe import get_element
+from .mesh import refine_uniform
+from .partition import decompose, ownership_on_level
+
+L0, L1, L2, L3 = ConsistencyLevel
+
+
+_QUADRANT_OFFSETS = np.array([[-0.5, -0.5], [0.5, -0.5], [0.5, 0.5], [-0.5, 0.5]])
+
+
+def transfer_matrices(elem) -> np.ndarray:
+    """T[c][i, j] = coarse basis j at the fine node i of child quadrant c."""
+    out = np.empty((4, elem.n_dofs, elem.n_dofs))
+    for c in range(4):
+        pts = 0.5 * elem.nodes + _QUADRANT_OFFSETS[c]
+        vals, _ = elem.eval(pts)
+        out[c] = vals
+    return out
+
+
+def injection_table(elem):
+    """(child, fine node) holding each coarse node; coarse nodes are fine nodes."""
+    table = []
+    for node in elem.nodes:
+        found = None
+        for c in range(4):
+            pts = 0.5 * elem.nodes + _QUADRANT_OFFSETS[c]
+            hits = np.flatnonzero(np.all(np.abs(pts - node) < 1e-12, axis=1))
+            if hits.size:
+                found = (c, int(hits[0]))
+                break
+        if found is None:
+            raise RuntimeError("coarse node is not a fine node")
+        table.append(found)
+    return table
+
+
+class BlockSsor:
+    """SSOR sweeps on the rank-local block (masters + interface slaves).
+
+    Couplings to halo columns enter as frozen data; the triangular factors
+    are pre-factorized once per level.
+    """
+
+    def __init__(self, ctx: RankContext, matrix: DistMatrix, omega: float = 1.0):
+        self.ctx = ctx
+        self.omega = omega
+        block = np.flatnonzero(ctx.block_mask)
+        outside = np.flatnonzero(~ctx.block_mask)
+        self.block = block
+        self.outside = outside
+        csr = matrix.csr.tocsr()
+        self.A_bb = csr[block][:, block].tocsr()
+        self.A_out = csr[block][:, outside].tocsr()
+        diag = self.A_bb.diagonal()
+        if np.any(diag == 0.0):
+            raise ValueError("zero diagonal entry in smoother block")
+        dscale = sp.diags(diag / omega)
+        lower = (sp.tril(self.A_bb, k=-1) + dscale).tocsc()
+        upper = (sp.triu(self.A_bb, k=1) + dscale).tocsc()
+        self._low = splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        self._up = splu(upper, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+
+    def _sweep(self, x: np.ndarray, b: np.ndarray):
+        xb = x[self.block]
+        rhs = b[self.block]
+        if self.outside.size:
+            rhs = rhs - self.A_out @ x[self.outside]
+        xb = xb + self._low.solve(rhs - self.A_bb @ xb)
+        xb = xb + self._up.solve(rhs - self.A_bb @ xb)
+        x[self.block] = xb
+
+    def smooth(self, x: DistVector, b: DistVector, sweeps: int) -> DistVector:
+        """Sweeps with interface averaging and halo refresh after each one."""
+        b.restore(L1)  # interface-slave rows read the right-hand side
+        x.restore(L2)  # halo(alpha) columns act as frozen data
+        for _ in range(sweeps):
+            self._sweep(x.values, b.values)
+            self.ctx.exchange.average(x.values)
+            x.level = L1
+            x.restore(L2)
+        return x
+
+
+class CoarseSolver:
+    """Gather the coarse system to rank 0, dense LU, scatter (collective)."""
+
+    def __init__(self, ctx: RankContext, matrix: DistMatrix):
+        self.ctx = ctx
+        t = ctx.transport
+        rank = ctx.rank
+        keys = ctx.true_keys
+        masters = np.flatnonzero(ctx.master_mask)
+        self.master_dofs = masters
+        self.master_keys = keys[masters]
+        csr = matrix.csr
+        rows = []
+        for d in masters:
+            lo, hi = csr.indptr[d], csr.indptr[d + 1]
+            cols = keys[csr.indices[lo:hi]]
+            rows.append((int(keys[d]), cols.tolist(), csr.data[lo:hi].tolist()))
+        payload = {"rows": rows, "keys": keys.tolist()}
+        chunks = [payload if q == 0 else None for q in range(t.n_ranks)]
+        gathered = t.all_to_all(rank, chunks, label="coarse-build")
+        self._lu = None
+        self._scatter = None
+        self._rhs_ix = None
+        if rank == 0:
+            all_keys = sorted(
+                {row[0] for g in gathered for row in g["rows"]}
+            )
+            index = {k: i for i, k in enumerate(all_keys)}
+            n = len(all_keys)
+            dense = np.zeros((n, n))
+            for g in gathered:
+                for rkey, cols, vals in g["rows"]:
+                    i = index[rkey]
+                    for ckey, v in zip(cols, vals):
+                        dense[i, index[ckey]] = v
+            with np.errstate(all="ignore"):
+                lu, piv = sla.lu_factor(dense)
+            pivot_floor = n * np.finfo(float).eps * max(1.0, np.abs(dense).max())
+            if not np.all(np.isfinite(lu)) or np.any(
+                np.abs(np.diag(lu)) < pivot_floor
+            ):
+                raise RuntimeError("coarse matrix is singular")
+            self._lu = (lu, piv)
+            self._scatter = [
+                np.array([index[k] for k in g["keys"]], dtype=np.int64)
+                for g in gathered
+            ]
+            # rhs gather positions: master keys per rank, in their row order
+            self._rhs_ix = [
+                np.array([index[row[0]] for row in g["rows"]], dtype=np.int64)
+                for g in gathered
+            ]
+            self.n_global = n
+
+    def solve(self, b: DistVector) -> DistVector:
+        t = self.ctx.transport
+        rank = self.ctx.rank
+        vals = b.values[self.master_dofs]
+        chunks = [vals if q == 0 else np.empty(0) for q in range(t.n_ranks)]
+        gathered = t.all_to_all(rank, chunks, label="coarse-rhs")
+        reply = [np.empty(0)] * t.n_ranks
+        if rank == 0:
+            rhs = np.zeros(self.n_global)
+            for q in range(t.n_ranks):
+                rhs[self._rhs_ix[q]] = gathered[q]
+            x = sla.lu_solve(self._lu, rhs)
+            reply = [x[self._scatter[q]] for q in range(t.n_ranks)]
+        mine = t.all_to_all(rank, reply, label="coarse-scatter")[0]
+        return DistVector(self.ctx, np.asarray(mine), L3)
+
+
+@dataclass
+class MgLevel:
+    index: int
+    ctx: RankContext
+    matrix: DistMatrix
+    rhs: DistVector | None
+    smoother: BlockSsor | None
+
+
+@dataclass
+class MgHierarchy:
+    levels: list[MgLevel]  # coarse to fine
+    coarse: CoarseSolver
+    nu1: int = 2
+    nu2: int = 2
+    diagnostics: list | None = None
+    _transfer: np.ndarray = None
+    _injection: list = None
+
+    @property
+    def finest(self) -> MgLevel:
+        return self.levels[-1]
+
+    @property
+    def n_levels(self) -> int:
+        return len(self.levels)
+
+
+def build_hierarchy(
+    coarse_mesh,
+    n_levels: int,
+    elem_kind: str,
+    discretize,
+    transport,
+    rank: int,
+    ownership=None,
+    nu1: int = 2,
+    nu2: int = 2,
+    omega: float = 1.0,
+) -> MgHierarchy:
+    """Refine, build spaces and operators per level, factorize the coarse LU.
+
+    `discretize(ctx) -> (DistMatrix, DistVector | None)` runs on every level
+    (rediscretization rather than Galerkin products).  Collective.
+    """
+    if n_levels < 1:
+        raise ValueError("need at least one level")
+    if ownership is None:
+        ownership = decompose(coarse_mesh, transport.n_ranks)
+    levels = []
+    mesh = coarse_mesh
+    for l in range(n_levels):
+        own_l = ownership_on_level(ownership, l)
+        ctx = build_rank_context(mesh, own_l, elem_kind, transport, rank)
+        matrix, rhs = discretize(ctx)
+        smoother = BlockSsor(ctx, matrix, omega) if l > 0 else None
+        levels.append(MgLevel(l, ctx, matrix, rhs, smoother))
+        if l + 1 < n_levels:
+            mesh = refine_uniform(mesh)
+    coarse = CoarseSolver(levels[0].ctx, levels[0].matrix)
+    elem = get_element(elem_kind)
+    return MgHierarchy(
+        levels=levels,
+        coarse=coarse,
+        nu1=nu1,
+        nu2=nu2,
+        _transfer=transfer_matrices(elem),
+        _injection=injection_table(elem),
+    )
+
+
+def prolongate(hier: MgHierarchy, level: int, v_coarse: DistVector) -> DistVector:
+    """Evaluate the coarse function at the fine nodes of own cells' children."""
+    if not 0 <= level < hier.n_levels - 1:
+        raise IndexError(f"no fine level above {level}")
+    coarse = hier.levels[level]
+    fine = hier.levels[level + 1]
+    v_coarse.restore(L1)
+    out = np.zeros(fine.ctx.n_local)
+    T = hier._transfer
+    for gid in sorted(coarse.ctx.rank_cells.own):
+        vc = v_coarse.values[coarse.ctx.dof_map.cell_dofs[gid]]
+        for c in range(4):
+            out[fine.ctx.dof_map.cell_dofs[4 * gid + c]] = T[c] @ vc
+    v = DistVector(fine.ctx, out, L0)
+    v.restore(L1)
+    return v
+
+
+def restrict_defect(hier: MgHierarchy, level: int, d_fine: DistVector) -> DistVector:
+    """Cellwise transpose of prolongation on own cells.
+
+    Each fine master is processed exactly once globally; the per-rank partial
+    sums at the interface are then accumulated onto the coarse masters.
+    """
+    if not 0 <= level < hier.n_levels - 1:
+        raise IndexError(f"no fine level above {level}")
+    coarse = hier.levels[level]
+    fine = hier.levels[level + 1]
+    d_fine.restore(L1)
+    out = np.zeros(coarse.ctx.n_local)
+    T = hier._transfer
+    fine_master = fine.ctx.master_mask
+    visited = np.zeros(fine.ctx.n_local, dtype=bool)
+    for gid in sorted(coarse.ctx.rank_cells.own):
+        cdofs = coarse.ctx.dof_map.cell_dofs[gid]
+        for c in range(4):
+            fdofs = fine.ctx.dof_map.cell_dofs[4 * gid + c]
+            take = fine_master[fdofs] & ~visited[fdofs]
+            if np.any(take):
+                visited[fdofs[take]] = True
+                out[cdofs] += T[c][take].T @ d_fine.values[fdofs[take]]
+    d = DistVector(coarse.ctx, out, L0)
+    coarse.ctx.exchange.add_to_masters(d.values)
+    return d
+
+
+def restrict_function(hier: MgHierarchy, level: int, v_fine: DistVector) -> DistVector:
+    """Nodal injection at coincident nodes (diagnostic/nonlinear use)."""
+    if not 0 <= level < hier.n_levels - 1:
+        raise IndexError(f"no fine level above {level}")
+    coarse = hier.levels[level]
+    fine = hier.levels[level + 1]
+    v_fine.restore(L1)
+    out = np.zeros(coarse.ctx.n_local)
+    for gid in sorted(coarse.ctx.rank_cells.own):
+        cdofs = coarse.ctx.dof_map.cell_dofs[gid]
+        for j, (c, i) in enumerate(hier._injection):
+            out[cdofs[j]] = v_fine.values[fine.ctx.dof_map.cell_dofs[4 * gid + c][i]]
+    return DistVector(coarse.ctx, out, L1)
+
+
+def smooth(hier: MgHierarchy, level: int, x: DistVector, b: DistVector, sweeps: int):
+    return hier.levels[level].smoother.smooth(x, b, sweeps)
+
+
+def _residual_norm(lvl: MgLevel, x: DistVector, b: DistVector) -> float:
+    r = b.copy()
+    axpy(-1.0, matvec(lvl.matrix, x), r)
+    return norm2(r)
+
+
+def _cycle(hier: MgHierarchy, level: int, b: DistVector, x: DistVector) -> DistVector:
+    if level == 0:
+        return hier.coarse.solve(b)
+    lvl = hier.levels[level]
+    if hier.diagnostics is not None:
+        pre = _residual_norm(lvl, x, b)
+    lvl.smoother.smooth(x, b, hier.nu1)
+    r = b.copy()
+    axpy(-1.0, matvec(lvl.matrix, x), r)
+    d = restrict_defect(hier, level - 1, r)
+    e = _cycle(hier, level - 1, d, new_vector(hier.levels[level - 1].ctx))
+    axpy(1.0, prolongate(hier, level - 1, e), x)
+    lvl.smoother.smooth(x, b, hier.nu2)
+    if hier.diagnostics is not None:
+        hier.diagnostics.append(
+            (level, pre, _residual_norm(lvl, x, b))
+        )
+    return x
+
+
+def v_cycle(hier: MgHierarchy, b: DistVector, x0: DistVector | None = None):
+    """One V(nu1, nu2) cycle; the result is level-2-consistent."""
+    x = x0 if x0 is not None else new_vector(hier.finest.ctx)
+    return _cycle(hier, hier.n_levels - 1, b, x)
+
+
+class MgPreconditioner:
+    """One V-cycle per application, started from zero."""
+
+    def __init__(self, hier: MgHierarchy):
+        self.hier = hier
+
+    def __call__(self, r: DistVector) -> DistVector:
+        return v_cycle(self.hier, r)
+
+
+class SsorPreconditioner:
+    """Block-Jacobi SSOR application (the non-multigrid baseline)."""
+
+    def __init__(self, ctx: RankContext, matrix: DistMatrix, omega: float = 1.0,
+                 sweeps: int = 1):
+        self.smoother = BlockSsor(ctx, matrix, omega)
+        self.ctx = ctx
+        self.sweeps = sweeps
+
+    def __call__(self, r: DistVector) -> DistVector:
+        z = new_vector(self.ctx)
+        return self.smoother.smooth(z, r, self.sweeps)
+
+
+def write_diagnostics(hier: MgHierarchy, path):
+    """Per-cycle CSV with level and pre/post smoothing residual norms."""
+    with open(path, "w") as fh:
+        fh.write("entry,level,pre_residual,post_residual\n")
+        for i, (level, pre, post) in enumerate(hier.diagnostics or []):
+            fh.write(f"{i},{level},{pre:.16e},{post:.16e}\n")
