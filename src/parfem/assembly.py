@@ -11,19 +11,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .comm import ConsistencyLevel, RankContext
 from .dlinalg import DistMatrix, DistVector, matvec, axpy
-from .mapped_fe import (
-    gauss_rule,
-    get_element,
-    make_reference_map,
-    physical_gradients,
-    physical_hessians,
-)
+from .mapped_fe import CellGeometry, cell_geometry, gauss_rule, get_element
 
 DEFAULT_QUAD = {"q1": 2, "q2": 3}
 
@@ -72,7 +67,8 @@ class SupgParams:
     tau_K = h_K/(2|b|) * (coth(Pe_K) - 1/Pe_K), Pe_K = |b| h_K / (2 eps),
     with h_K the cell diameter standing in for the streamwise width;
     tau_K = 0 in cells without convection.  Subclass and override
-    `cell_size` or `tau` to substitute a different parameter choice.
+    `cell_size` or `tau` to substitute a different parameter choice; both
+    see one cell at a time through `.verts` and `.diameter`.
     """
 
     eps: float
@@ -95,70 +91,66 @@ class SupgParams:
         return h / (2.0 * bnorm) * zeta
 
 
-def _as_scalar(coeff, points):
-    if callable(coeff):
-        return np.broadcast_to(
-            np.asarray(coeff(points), dtype=float), (len(points),)
-        )
-    return np.full(len(points), float(coeff))
-
-
-def _as_vector(coeff, points):
-    if callable(coeff):
-        return np.broadcast_to(
-            np.asarray(coeff(points), dtype=float), (len(points), 2)
-        )
-    return np.broadcast_to(np.asarray(coeff, dtype=float), (len(points), 2))
+def _at_points(coeff, points, shape=()):
+    """A constant or callable(points) coefficient as (len(points),) + shape."""
+    value = coeff(points) if callable(coeff) else coeff
+    return np.broadcast_to(np.asarray(value, dtype=float), (len(points),) + shape)
 
 
 def matrix_graph(ctx: RankContext):
-    """CSR sparsity from the couplings, columns in ascending global-key order.
+    """CSR sparsity of the cell-to-d.o.f. incidence, columns by global key.
 
-    Cached per context; also caches, per cell, the flat positions of its
-    element-matrix entries for bitwise-reproducible accumulation.
+    Two d.o.f.s couple when a known cell contains both.  Cached per context
+    as (indptr, indices, cell_pos, diag): cell_pos holds, per known cell, the
+    flat positions of its element-matrix entries for bitwise-reproducible
+    accumulation, diag the position of every row's diagonal entry.
     """
     if "graph" in ctx._cache:
         return ctx._cache["graph"]
     n = ctx.n_local
-    keys = ctx.true_keys
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    cols_per_row = []
-    for row in range(n):
-        coupled = ctx.classification.couplings[row]
-        order = np.argsort(keys[coupled], kind="stable")
-        cols = coupled[order]
-        cols_per_row.append(cols)
-        indptr[row + 1] = indptr[row] + len(cols)
-    indices = np.concatenate(cols_per_row) if n else np.empty(0, dtype=np.int64)
-    pos_of = [
-        {int(c): int(indptr[row] + k) for k, c in enumerate(cols_per_row[row])}
-        for row in range(n)
-    ]
-    cell_pos = {}
-    for gid, dofs in ctx.dof_map.cell_dofs.items():
-        nd = len(dofs)
-        flat = np.empty(nd * nd, dtype=np.int64)
-        for i, di in enumerate(dofs):
-            for j, dj in enumerate(dofs):
-                flat[i * nd + j] = pos_of[int(di)][int(dj)]
-        cell_pos[gid] = flat
-    graph = (indptr, indices, cell_pos)
-    ctx._cache["graph"] = graph
+    dofs = ctx.known_dofs
+    by_key = np.argsort(ctx.true_keys, kind="stable")
+    key_rank = np.empty(n, dtype=np.int64)
+    key_rank[by_key] = np.arange(n)
+    # entry (i, j) of an element matrix is coded as row * n + key rank of the
+    # column, so the sorted distinct codes are the CSR order
+    nd = dofs.shape[1]
+    codes = np.repeat(dofs, nd, axis=1) * n + key_rank[np.tile(dofs, nd)]
+    pattern = np.unique(codes)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pattern // n, minlength=n))])
+    cell_pos = np.searchsorted(pattern, codes)
+    diag = np.searchsorted(pattern, np.arange(n) * n + key_rank)
+    graph = ctx._cache["graph"] = (indptr, by_key[pattern % n], cell_pos, diag)
     return graph
 
 
-def _new_matrix(ctx) -> tuple[sp.csr_matrix, dict]:
-    indptr, indices, cell_pos = matrix_graph(ctx)
+def _matrix(ctx, element_matrices) -> DistMatrix:
+    """Sum element matrices, in ascending cell order, on the space's sparsity."""
+    indptr, indices, cell_pos, diag = matrix_graph(ctx)
     data = np.zeros(len(indices))
+    np.add.at(data, cell_pos.ravel(), element_matrices.ravel())
     csr = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(ctx.n_local,) * 2)
-    return csr, cell_pos
+    return DistMatrix(ctx, csr, ConsistencyLevel.L1, diag=diag)
 
 
-def _wind_field(wind, dofs, vals):
-    wx, wy = wind
-    ux = vals @ wx.values[dofs]
-    uy = vals @ wy.values[dofs]
-    return np.stack([ux, uy], axis=1)
+# Quadrature sums run over q in a fixed loop, never as a contraction over the
+# cell axis, so a cell's numbers do not depend on the rest of its batch.
+def _qsum(w, test, trial):
+    """sum_q w[c,q] test[c,q,i] trial[c,q,j] -> (cells, i, j)."""
+    return sum(
+        (w[:, q, None] * test[:, q])[:, :, None] * trial[:, q, None, :]
+        for q in range(w.shape[1])
+    )
+
+
+def _qload(w, test):
+    """sum_q w[c,q] test[c,q,i] -> (cells, i)."""
+    return sum(w[:, q, None] * test[:, q] for q in range(w.shape[1]))
+
+
+def _interpolate(nodal, vals):
+    """Values at the points of functions with nodal values (cells, n_dofs)."""
+    return sum(nodal[:, i, None] * vals[:, i] for i in range(vals.shape[1]))
 
 
 def assemble_cdr(
@@ -171,115 +163,113 @@ def assemble_cdr(
 ):
     """Assemble the (optionally SUPG-stabilized) operator and right-hand side.
 
-    `wind`, if given, is a pair of finite element functions replacing the
-    analytic convection field; it is restored to full consistency first since
-    assembly reads it on halo cells too.
+    All known cells form one batch.  `wind`, if given, is a pair of finite
+    element functions replacing the analytic convection field; it is restored
+    to full consistency first since assembly reads it on halo cells too.
     """
     elem = get_element(ctx.elem_kind)
-    order = quad_order or DEFAULT_QUAD[ctx.elem_kind]
-    rule = gauss_rule(order)
+    rule = gauss_rule(quad_order or DEFAULT_QUAD[ctx.elem_kind])
     vals, grads = elem.eval(rule.points)
-    hess = elem.eval_hessians(rule.points) if supg else None
-    if wind is not None:
-        for comp in wind:
-            comp.restore(ConsistencyLevel.L3)
 
-    csr, cell_pos = _new_matrix(ctx)
-    data = csr.data
-    rhs = np.zeros(ctx.n_local)
-    if supg and supg_params is None:
-        supg_params = SupgParams(coeffs.eps)
+    geo = ctx.geometry
+    n_cells, n_q = len(geo.verts), len(rule.weights)
+    w = geo.quadrature_weights(rule)
+    pg = geo.physical_gradients(rule.points, grads)  # (cells, q, dofs, 2)
+    xq = geo.map(rule.points).reshape(-1, 2)
+    if wind is not None:  # read on halo cells too, hence restored to level 3
+        nodal = [c.restore(ConsistencyLevel.L3).values[ctx.known_dofs] for c in wind]
+        bq = np.stack([_interpolate(u, vals) for u in nodal], axis=-1)
+    else:
+        bq = _at_points(coeffs.b, xq, (2,)).reshape(n_cells, n_q, 2)
+    cq = _at_points(coeffs.c, xq).reshape(n_cells, n_q)
+    fq = _at_points(coeffs.f, xq).reshape(n_cells, n_q)
+    phi = np.broadcast_to(vals, (n_cells,) + vals.shape)
 
-    for gid in ctx.rank_cells.known:
-        dofs = ctx.dof_map.cell_dofs[gid]
-        rmap = make_reference_map(ctx.mesh.cell(gid), ctx.mesh)
-        J = rmap.jacobians(rule.points)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        pg = physical_gradients(rmap, rule.points, grads)
-        xq = rmap.map(rule.points)
-        bq = _wind_field(wind, dofs, vals) if wind is not None else _as_vector(
-            coeffs.b, xq
+    bgrad = bq[..., None, 0] * pg[..., 0] + bq[..., None, 1] * pg[..., 1]
+    pg_by_dir = pg.transpose(0, 1, 3, 2).reshape(n_cells, 2 * n_q, -1)
+    Ae = coeffs.eps * _qsum(np.repeat(w, 2, axis=1), pg_by_dir, pg_by_dir)
+    Ae += _qsum(w, phi, bgrad)
+    Ae += _qsum(w * cq, phi, phi)
+    be = _qload(w * fq, phi)
+
+    if supg:
+        params = supg_params or SupgParams(coeffs.eps)
+        b_mean = sum(bq[:, q] for q in range(n_q)) / n_q
+        cells = zip(geo.verts, geo.diameter, b_mean)
+        tau = np.array(
+            [params.tau(SimpleNamespace(verts=v, diameter=h), b) for v, h, b in cells]
         )
-        cq = _as_scalar(coeffs.c, xq)
-        fq = _as_scalar(coeffs.f, xq)
-        w = rule.weights * det
+        (on,) = np.nonzero(tau > 0.0)
+        if on.size:
+            hess = elem.eval_hessians(rule.points)
+            ph = CellGeometry(geo.verts[on]).physical_hessians(rule.points, grads, hess)
+            lap = ph[..., 0, 0] + ph[..., 1, 1]
+            resid = -coeffs.eps * lap + bgrad[on] + cq[on, :, None] * vals
+            Ae[on] += tau[on, None, None] * _qsum(w[on], bgrad[on], resid)
+            be[on] += tau[on, None] * _qload(w[on] * fq[on], bgrad[on])
 
-        bgrad = np.einsum("qd,qjd->qj", bq, pg)  # b . grad(phi_j)
-        Ae = coeffs.eps * np.einsum("q,qid,qjd->ij", w, pg, pg)
-        Ae += np.einsum("q,qj,qi->ij", w, bgrad, vals)
-        Ae += np.einsum("q,q,qj,qi->ij", w, cq, vals, vals)
-        be = np.einsum("q,q,qi->i", w, fq, vals)
-
-        if supg:
-            tau = supg_params.tau(rmap, bq.mean(axis=0))
-            if tau > 0.0:
-                ph = physical_hessians(rmap, rule.points, grads, hess)
-                lap = ph[:, :, 0, 0] + ph[:, :, 1, 1]
-                resid = -coeffs.eps * lap + bgrad + cq[:, None] * vals
-                Ae += tau * np.einsum("q,qj,qi->ij", w, resid, bgrad)
-                be += tau * np.einsum("q,q,qi->i", w, fq, bgrad)
-
-        np.add.at(data, cell_pos[gid], Ae.ravel())
-        np.add.at(rhs, dofs, be)
-
-    A = DistMatrix(ctx, csr, ConsistencyLevel.L1)
-    b = DistVector(ctx, rhs, ConsistencyLevel.L1)
-    return A, b
+    rhs = np.zeros(ctx.n_local)
+    np.add.at(rhs, ctx.known_dofs.ravel(), be.ravel())
+    return _matrix(ctx, Ae), DistVector(ctx, rhs, ConsistencyLevel.L1)
 
 
 def assemble_mass(ctx: RankContext, quad_order: int | None = None) -> DistMatrix:
-    elem = get_element(ctx.elem_kind)
-    order = quad_order or DEFAULT_QUAD[ctx.elem_kind]
-    rule = gauss_rule(order)
-    vals, _ = elem.eval(rule.points)
-    csr, cell_pos = _new_matrix(ctx)
-    data = csr.data
-    for gid in ctx.rank_cells.known:
-        rmap = make_reference_map(ctx.mesh.cell(gid), ctx.mesh)
-        J = rmap.jacobians(rule.points)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        w = rule.weights * det
-        Me = np.einsum("q,qi,qj->ij", w, vals, vals)
-        np.add.at(data, cell_pos[gid], Me.ravel())
-    return DistMatrix(ctx, csr, ConsistencyLevel.L1)
+    rule = gauss_rule(quad_order or DEFAULT_QUAD[ctx.elem_kind])
+    vals, _ = get_element(ctx.elem_kind).eval(rule.points)
+    w = ctx.geometry.quadrature_weights(rule)
+    phi = np.broadcast_to(vals, (len(w),) + vals.shape)
+    return _matrix(ctx, _qsum(w, phi, phi))
+
+
+def _dirichlet_rows(ctx: RankContext, parts):
+    """Rows of each part and of their union, derived once per space and parts.
+
+    Only the known cells' boundary edges are visited, and a part's `where` is
+    evaluated only at their end vertices.  The cache holds the parts object
+    itself, which it recognises by identity.
+    """
+    cached = ctx._cache.get("dirichlet")
+    if cached is not None and cached[0] is parts:
+        return cached[1:]
+    mesh, elem = ctx.mesh, get_element(ctx.elem_kind)
+    verts = mesh.cell_vertices[ctx.rank_cells.known]
+    ends = np.sort(np.stack([verts, np.roll(verts, -1, axis=1)], axis=-1), axis=-1)
+    # an edge seen once among the known cells is on the boundary unless an
+    # unknown cell lies across it; the mesh's edge table decides those few
+    codes = ends[..., 0] * mesh.n_vertices + ends[..., 1]
+    _, inverse, seen = np.unique(codes, return_inverse=True, return_counts=True)
+    cell, edge = np.nonzero(seen[inverse.reshape(verts.shape)] == 1)
+    ends = ends[cell, edge]
+    outer = [len(mesh.edge_table[k]) == 1 for k in map(tuple, ends.tolist())]
+    outer = np.array(outer, dtype=bool)
+    local = [
+        [elem.vertex_dof[e], elem.vertex_dof[(e + 1) % 4]]
+        + [i for i, _ in elem.edge_dofs[e]]
+        for e in range(4)
+    ]
+    dofs = ctx.known_dofs[cell[outer, None], np.array(local)[edge[outer]]]
+    ids, inverse = np.unique(ends[outer], return_inverse=True)
+    part_rows = []
+    for part in parts:
+        if part.flag is not None:
+            sel = np.isin(ids, list(mesh.vertex_flags.get(part.flag, ())))
+        else:
+            sel = np.array([bool(part.where(x, y)) for x, y in mesh.vertices[ids]])
+        part_rows.append(np.unique(dofs[sel[inverse.reshape(-1, 2)].all(axis=1)]))
+    rows = np.unique(np.concatenate([np.empty(0, np.int64), *part_rows]))
+    plan = [(part, r, np.searchsorted(rows, r)) for part, r in zip(parts, part_rows)]
+    ctx._cache["dirichlet"] = (parts, rows, plan)
+    return rows, plan
 
 
 def dirichlet_dofs(ctx: RankContext, parts, t: float = 0.0):
     """Local Dirichlet rows and their boundary values, parts applied in order."""
-    mesh = ctx.mesh
-    elem = get_element(ctx.elem_kind)
-    known = set(ctx.rank_cells.known)
-    chosen: dict[int, float] = {}
-    for part in parts:
-        if part.flag is not None:
-            flagged = mesh.vertex_flags.get(part.flag, set())
-            sel = np.zeros(mesh.n_vertices, dtype=bool)
-            sel[list(flagged)] = True
-        else:
-            sel = np.array([part.where(x, y) for x, y in mesh.vertices])
-        part_dofs = set()
-        for (a, b), inc in mesh.edge_table.items():
-            if len(inc) != 1 or inc[0] not in known:
-                continue
-            if not (sel[a] and sel[b]):
-                continue
-            cell = mesh.cell(inc[0])
-            dofs = ctx.dof_map.cell_dofs[inc[0]]
-            for pos, v in enumerate(cell.vertex_ids):
-                if v in (a, b):
-                    part_dofs.add(int(dofs[elem.vertex_dof[pos]]))
-            e = cell.local_edges().index(
-                (a, b) if (a, b) in cell.local_edges() else (b, a)
-            )
-            for li, _t in elem.edge_dofs[e]:
-                part_dofs.add(int(dofs[li]))
-        if part_dofs:
-            rows = sorted(part_dofs)
-            vals = part.values_at(ctx.dof_coords[rows], t)
-            for r, v in zip(rows, vals):
-                chosen[r] = float(v)
-    rows = sorted(chosen)
-    return np.array(rows, dtype=np.int64), np.array([chosen[r] for r in rows])
+    rows, plan = _dirichlet_rows(ctx, parts)
+    values = np.empty(len(rows))
+    for part, part_rows, pos in plan:
+        if part_rows.size:
+            values[pos] = part.values_at(ctx.dof_coords[part_rows], t)
+    return rows, values
 
 
 def apply_dirichlet(
@@ -339,32 +329,23 @@ def crank_nicolson_step(
 def l2_error(ctx: RankContext, u: DistVector, exact, quad_order: int = 4) -> float:
     """Global L2 distance between a finite element function and `exact`."""
     u.restore(ConsistencyLevel.L1)
-    elem = get_element(ctx.elem_kind)
     rule = gauss_rule(quad_order)
-    vals, _ = elem.eval(rule.points)
-    part = 0.0
-    for gid in sorted(ctx.rank_cells.own):
-        dofs = ctx.dof_map.cell_dofs[gid]
-        rmap = make_reference_map(ctx.mesh.cell(gid), ctx.mesh)
-        J = rmap.jacobians(rule.points)
-        det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-        xq = rmap.map(rule.points)
-        uh = vals @ u.values[dofs]
-        diff = uh - np.asarray(exact(xq), dtype=float)
-        part += float(np.sum(rule.weights * det * diff**2))
-    total = ctx.transport.allreduce_sum(ctx.rank, part)
-    return math.sqrt(total)
+    vals, _ = get_element(ctx.elem_kind).eval(rule.points)
+    own = sorted(ctx.rank_cells.own)
+    geo = cell_geometry(ctx.mesh, own)
+    uh = _interpolate(u.values[ctx.dof_map.table(own)], vals)
+    diff = uh - _at_points(exact, geo.map(rule.points).reshape(-1, 2)).reshape(uh.shape)
+    part = float(np.sum(geo.quadrature_weights(rule) * diff**2))
+    return math.sqrt(ctx.transport.allreduce_sum(ctx.rank, part))
 
 
 def vertex_values(ctx: RankContext, u: DistVector) -> np.ndarray:
     """Solution samples at mesh vertices of the rank's own cells."""
     elem = get_element(ctx.elem_kind)
+    own = sorted(ctx.rank_cells.own)
+    corners = [elem.vertex_dof[k] for k in range(4)]
     out = np.zeros(ctx.mesh.n_vertices)
-    for gid in sorted(ctx.rank_cells.own):
-        cell = ctx.mesh.cell(gid)
-        dofs = ctx.dof_map.cell_dofs[gid]
-        for pos, v in enumerate(cell.vertex_ids):
-            out[v] = u.values[dofs[elem.vertex_dof[pos]]]
+    out[ctx.mesh.cell_vertices[own]] = u.values[ctx.dof_map.table(own)[:, corners]]
     return out
 
 
@@ -385,9 +366,7 @@ def merge_master_values(per_rank) -> dict[int, float]:
     """Combine (true_keys, values, master_mask) triples into key -> value."""
     merged: dict[int, float] = {}
     for keys, values, mask in per_rank:
-        for k, v, m in zip(keys, values, mask):
-            if m:
-                merged[int(k)] = float(v)
+        merged.update(zip(keys[mask].tolist(), values[mask].tolist()))
     return merged
 
 

@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dof_manager import DofMap, build_dof_map
+from .dof_manager import DofMap, build_dof_map, dof_coordinates
+from .mapped_fe import CellGeometry, cell_geometry
 from .partition import (
     DofClass,
     DofClassification,
@@ -322,16 +323,6 @@ class Communicator:
         return max(current, target)
 
 
-def update(vector, relation: Relation):
-    """Overwrite the relation's slaves on a distributed vector (collective)."""
-    vector.ctx.comm.update(vector.values, relation)
-
-
-def restore(vector, target: ConsistencyLevel):
-    """Lift a distributed vector to `target` consistency (collective)."""
-    return vector.restore(target)
-
-
 class InterfaceExchange:
     """Symmetric value exchange over the interface d.o.f.s.
 
@@ -445,10 +436,22 @@ class RankContext:
         return self.mapper.true_keys
 
     @property
+    def geometry(self) -> CellGeometry:
+        """Reference maps of the known cells, in ascending cell order."""
+        if "geometry" not in self._cache:
+            self._cache["geometry"] = cell_geometry(self.mesh, self.rank_cells.known)
+        return self._cache["geometry"]
+
+    @property
+    def known_dofs(self) -> np.ndarray:
+        """Global d.o.f.s of the known cells, one row per cell, ascending."""
+        if "known_dofs" not in self._cache:
+            self._cache["known_dofs"] = self.dof_map.table(self.rank_cells.known)
+        return self._cache["known_dofs"]
+
+    @property
     def dof_coords(self) -> np.ndarray:
         if "coords" not in self._cache:
-            from .dof_manager import dof_coordinates
-
             self._cache["coords"] = dof_coordinates(self.dof_map, self.mesh)
         return self._cache["coords"]
 

@@ -14,6 +14,7 @@ restore is logged, which keeps solver code free of explicit communication.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import time
 from dataclasses import dataclass
@@ -113,13 +114,15 @@ class DistMatrix:
     Rows of masters and interface slaves are sequentially correct by
     construction (level-1-consistent); halo rows may be incomplete.  Column
     entries are stored in ascending global-key order so that master rows
-    accumulate in exactly the sequential order.
+    accumulate in exactly the sequential order.  `diag`, when known, holds
+    the CSR position of every row's diagonal entry.
     """
 
-    def __init__(self, ctx: RankContext, csr: sp.csr_matrix, level=L1):
+    def __init__(self, ctx: RankContext, csr: sp.csr_matrix, level=L1, diag=None):
         self.ctx = ctx
         self.csr = csr
         self.level = ConsistencyLevel(level)
+        self.diag = diag
 
     @property
     def shape(self):
@@ -129,7 +132,7 @@ class DistMatrix:
         return self.csr.diagonal()
 
     def copy(self) -> "DistMatrix":
-        return DistMatrix(self.ctx, self.csr.copy(), self.level)
+        return DistMatrix(self.ctx, self.csr.copy(), self.level, self.diag)
 
     def combine(self, alpha: float, beta: float, other: "DistMatrix") -> "DistMatrix":
         """alpha*self + beta*other on the union sparsity."""
@@ -143,17 +146,19 @@ class DistMatrix:
 
     def set_dirichlet_rows(self, rows, values, rhs: DistVector | None = None):
         """Replace rows by identity rows; sparsity is kept (entries zeroed)."""
-        indptr, indices, data = self.csr.indptr, self.csr.indices, self.csr.data
-        for r, v in zip(rows, values):
-            lo, hi = indptr[r], indptr[r + 1]
-            data[lo:hi] = 0.0
-            cols = indices[lo:hi]
-            (where,) = np.nonzero(cols == r)
-            if where.size != 1:
-                raise RuntimeError(f"no diagonal entry in row {r}")
-            data[lo + where[0]] = 1.0
-            if rhs is not None:
-                rhs.values[r] = v
+        rows = np.asarray(rows, dtype=np.int64)
+        row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.csr.indptr))
+        diag = self.diag
+        if diag is None:  # CSR position of each row's diagonal, -1 if absent
+            (hit,) = np.nonzero(self.csr.indices == row_of)
+            diag = np.full(self.shape[0], -1, dtype=np.int64)
+            diag[row_of[hit]] = hit
+        if np.any(diag[rows] < 0):
+            raise RuntimeError(f"no diagonal entry in row {rows[diag[rows] < 0][0]}")
+        self.csr.data[np.isin(row_of, rows)] = 0.0
+        self.csr.data[diag[rows]] = 1.0
+        if rhs is not None:
+            rhs.values[rows] = values
 
 
 def matvec(A: DistMatrix, x: DistVector) -> DistVector:
@@ -205,75 +210,74 @@ def fgmres(
     x = x0.copy() if x0 is not None else new_vector(ctx)
     x.restore(L2)
 
-    csv = None
-    if csv_path is not None and ctx.rank == 0:
-        csv = open(csv_path, "w")
-        csv.write("iteration,residual,wall_time_s\n")
-    t0 = time.perf_counter()
-
-    def log_row(it, res):
+    log = csv_path is not None and ctx.rank == 0
+    with open(csv_path, "w") if log else contextlib.nullcontext() as csv:
         if csv is not None:
-            csv.write(f"{it},{res:.16e},{time.perf_counter() - t0:.6f}\n")
+            csv.write("iteration,residual,wall_time_s\n")
+        t0 = time.perf_counter()
 
-    r = b.copy()
-    axpy(-1.0, matvec(A, x), r)
-    beta = norm2(r)
-    residuals = [beta]
-    log_row(0, beta)
-    total = 0
-    converged = beta < tol
+        def log_row(it, res):
+            if csv is not None:
+                csv.write(f"{it},{res:.16e},{time.perf_counter() - t0:.6f}\n")
 
-    while not converged and total < maxit:
-        m = restart
-        V = [scale(1.0 / beta, r.copy())]
-        Z = []
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        j = -1
-        while j + 1 < m and total < maxit:
-            j += 1
-            z = precond(V[j])
-            Z.append(z)
-            w = matvec(A, z)
-            for i in range(j + 1):
-                H[i, j] = dot(V[i], w)
-                axpy(-H[i, j], V[i], w)
-            H[j + 1, j] = norm2(w)
-            for i in range(j):
-                hi = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = hi
-            denom = np.hypot(H[j, j], H[j + 1, j])
-            cs[j] = H[j, j] / denom
-            sn[j] = H[j + 1, j] / denom
-            H[j, j] = denom
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            total += 1
-            est = abs(g[j + 1])
-            residuals.append(est)
-            log_row(total, est)
-            lucky = H[j + 1, j] < 1e-14 * max(beta, 1.0)
-            if lucky or est < tol:
-                break
-            scale(1.0 / H[j + 1, j], w)
-            V.append(w)
-        k = j + 1
-        y = np.zeros(k)
-        for i in range(k - 1, -1, -1):
-            y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
-        for i in range(k):
-            axpy(y[i], Z[i], x)
         r = b.copy()
         axpy(-1.0, matvec(A, x), r)
         beta = norm2(r)
-        residuals[-1] = beta  # replace the estimate by the true residual
+        residuals = [beta]
+        log_row(0, beta)
+        total = 0
         converged = beta < tol
 
-    if csv is not None:
-        log_row(total, beta if residuals else 0.0)
-        csv.close()
+        while not converged and total < maxit:
+            m = restart
+            V = [scale(1.0 / beta, r.copy())]
+            Z = []
+            H = np.zeros((m + 1, m))
+            cs = np.zeros(m)
+            sn = np.zeros(m)
+            g = np.zeros(m + 1)
+            g[0] = beta
+            j = -1
+            while j + 1 < m and total < maxit:
+                j += 1
+                z = precond(V[j])
+                Z.append(z)
+                w = matvec(A, z)
+                for i in range(j + 1):
+                    H[i, j] = dot(V[i], w)
+                    axpy(-H[i, j], V[i], w)
+                H[j + 1, j] = norm2(w)
+                for i in range(j):
+                    hi = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
+                    H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
+                    H[i, j] = hi
+                denom = np.hypot(H[j, j], H[j + 1, j])
+                cs[j] = H[j, j] / denom
+                sn[j] = H[j + 1, j] / denom
+                H[j, j] = denom
+                g[j + 1] = -sn[j] * g[j]
+                g[j] = cs[j] * g[j]
+                total += 1
+                est = abs(g[j + 1])
+                residuals.append(est)
+                log_row(total, est)
+                lucky = H[j + 1, j] < 1e-14 * max(beta, 1.0)
+                if lucky or est < tol:
+                    break
+                scale(1.0 / H[j + 1, j], w)
+                V.append(w)
+            k = j + 1
+            y = np.zeros(k)
+            for i in range(k - 1, -1, -1):
+                y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
+            for i in range(k):
+                axpy(y[i], Z[i], x)
+            r = b.copy()
+            axpy(-1.0, matvec(A, x), r)
+            beta = norm2(r)
+            residuals[-1] = beta  # replace the estimate by the true residual
+            converged = beta < tol
+
+        if csv is not None:
+            log_row(total, beta if residuals else 0.0)
     return SolveResult(x=x, iterations=total, residuals=residuals, converged=converged)

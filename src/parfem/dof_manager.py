@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mapped_fe import LocalElement, get_element, make_reference_map
+from .mapped_fe import LocalElement, cell_geometry, get_element
 
 # canonical key encoding: cell id in the high bits, local index in the low 6
 KEY_SHIFT = 64
@@ -60,6 +60,11 @@ class DofMap:
     cell_dofs: dict[int, np.ndarray]  # cell gid -> global index per local dof
     keys: np.ndarray  # canonical (smallest) key per global dof, int64
     cells_of_dof: list[tuple[int, ...]]  # containing cell gids per global dof
+
+    def table(self, cells) -> np.ndarray:
+        """Global d.o.f.s of the given cells, one row per cell."""
+        rows = [self.cell_dofs[g] for g in cells]
+        return np.array(rows, dtype=np.int64).reshape(-1, self.elem.n_dofs)
 
     def local_of_key(self):
         """Lookup table key -> global dof over every known (cell, i) pair."""
@@ -159,17 +164,18 @@ def dof_coordinates(dof_map: DofMap, mesh, tol=1e-12) -> np.ndarray:
     The coordinate is taken from the smallest containing cell; every other
     containing cell must agree within `tol` or the numbering is miswired.
     """
+    cells = sorted(dof_map.cell_dofs)
+    geometry = cell_geometry(mesh, cells)
+    flat = dof_map.table(cells).ravel()
+    pts = geometry.map(dof_map.elem.nodes).reshape(-1, 2)
     coords = np.full((dof_map.n_dofs, 2), np.nan)
-    elem = dof_map.elem
-    for gid in sorted(dof_map.cell_dofs):
-        rmap = make_reference_map(mesh.cell(gid), mesh)
-        pts = rmap.map(elem.nodes)
-        for li, g in enumerate(dof_map.cell_dofs[gid]):
-            if np.isnan(coords[g, 0]):
-                coords[g] = pts[li]
-            elif np.linalg.norm(coords[g] - pts[li]) > tol * max(1.0, rmap.diameter):
-                raise RuntimeError(
-                    f"dof {g}: cells disagree on its position "
-                    f"({coords[g]} vs {pts[li]})"
-                )
+    dofs, first = np.unique(flat, return_index=True)
+    coords[dofs] = pts[first]
+    scale = np.maximum(1.0, np.repeat(geometry.diameter, dof_map.elem.n_dofs))
+    (bad,) = np.nonzero(np.linalg.norm(coords[flat] - pts, axis=1) > tol * scale)
+    if bad.size:
+        k, g = bad[0], flat[bad[0]]
+        raise RuntimeError(
+            f"dof {g}: cells disagree on its position ({coords[g]} vs {pts[k]})"
+        )
     return coords

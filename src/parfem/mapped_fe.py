@@ -2,7 +2,8 @@
 
 Everything is defined on the reference square [-1,1]^2 and transported to
 physical cells by an affine or bilinear map, so that basis evaluation and
-quadrature live on the reference cell only.
+quadrature live on the reference cell only.  The maps are evaluated in
+batches: one `CellGeometry` holds every cell a rank knows on a level.
 """
 
 from __future__ import annotations
@@ -11,11 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-
-# reference cell kinds; the simplex tag is declared for forward compatibility
-# but carries no elements
-UNIT_QUAD = "unit_quad"
-UNIT_SIMPLEX = "unit_simplex"
 
 # reference vertices of the unit quad in counterclockwise order
 REF_VERTICES = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
@@ -124,34 +120,26 @@ class LocalElement:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         vx, dx, _ = _lagrange_1d(self.nodes_1d, pts[:, 0])
         vy, dy, _ = _lagrange_1d(self.nodes_1d, pts[:, 1])
-        n = len(self.nodes_1d)
-        m = len(pts)
-        vals = np.empty((m, self.n_dofs))
-        grads = np.empty((m, self.n_dofs, 2))
-        for iy in range(n):
-            for ix in range(n):
-                k = iy * n + ix
-                vals[:, k] = vx[:, ix] * vy[:, iy]
-                grads[:, k, 0] = dx[:, ix] * vy[:, iy]
-                grads[:, k, 1] = vx[:, ix] * dy[:, iy]
-        return vals, grads
+        return _tensor(vx, vy), np.stack([_tensor(dx, vy), _tensor(vx, dy)], axis=-1)
 
     def eval_hessians(self, points):
         """Reference-space second derivatives, shape (m, n_dofs, 2, 2)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         vx, dx, hx = _lagrange_1d(self.nodes_1d, pts[:, 0])
         vy, dy, hy = _lagrange_1d(self.nodes_1d, pts[:, 1])
-        n = len(self.nodes_1d)
-        out = np.empty((len(pts), self.n_dofs, 2, 2))
-        for iy in range(n):
-            for ix in range(n):
-                k = iy * n + ix
-                out[:, k, 0, 0] = hx[:, ix] * vy[:, iy]
-                out[:, k, 1, 1] = vx[:, ix] * hy[:, iy]
-                mixed = dx[:, ix] * dy[:, iy]
-                out[:, k, 0, 1] = mixed
-                out[:, k, 1, 0] = mixed
-        return out
+        mixed = _tensor(dx, dy)
+        return np.stack(
+            [
+                np.stack([_tensor(hx, vy), mixed], axis=-1),
+                np.stack([mixed, _tensor(vx, hy)], axis=-1),
+            ],
+            axis=-2,
+        )
+
+
+def _tensor(fx, fy):
+    """Tensor-product basis from 1D factors, node k = iy * n + ix."""
+    return (fy[:, :, None] * fx[:, None, :]).reshape(len(fx), -1)
 
 
 _ELEMENTS: dict[str, LocalElement] = {}
@@ -163,50 +151,109 @@ def get_element(kind: str) -> LocalElement:
     return _ELEMENTS[kind]
 
 
-def eval_basis(elem: LocalElement, points):
-    return elem.eval(points)
+class CellGeometry:
+    """Reference maps of a batch of physical quadrilaterals.
 
-
-class ReferenceMap:
-    """Map from the reference square onto one physical quadrilateral.
-
-    x(xi) = a0 + a1*xi + a2*eta + a3*xi*eta; a3 vanishes for parallelograms,
-    in which case the map is affine with a constant Jacobian.
+    Cell c is the image of x_c(xi) = a0 + a1*xi + a2*eta + a3*xi*eta; a3
+    vanishes for parallelograms, whose map is affine with a constant
+    Jacobian.  Evaluations carry a leading cell axis and use elementwise
+    operations only, so a cell's numbers do not depend on the rest of the
+    batch.
     """
 
     def __init__(self, verts):
-        verts = np.asarray(verts, dtype=float)
-        v0, v1, v2, v3 = verts
+        verts = np.asarray(verts, dtype=float)  # (cells, 4, 2), ccw
+        v0, v1, v2, v3 = (verts[:, k] for k in range(4))
         self.verts = verts
         self.a0 = 0.25 * (v0 + v1 + v2 + v3)
         self.a1 = 0.25 * (-v0 + v1 + v2 - v3)
         self.a2 = 0.25 * (-v0 - v1 + v2 + v3)
         self.a3 = 0.25 * (v0 - v1 + v2 - v3)
-        diam = max(
-            np.linalg.norm(v2 - v0), np.linalg.norm(v3 - v1)
-        )
-        self.diameter = diam
-        self.kind = (
-            "affine" if np.linalg.norm(self.a3) <= 1e-14 * diam else "bilinear"
-        )
+        diagonals = verts[:, 2:] - verts[:, :2]
+        self.diameter = np.hypot(diagonals[..., 0], diagonals[..., 1]).max(axis=1)
+        self.affine = np.hypot(self.a3[:, 0], self.a3[:, 1]) <= 1e-14 * self.diameter
         check = np.vstack([REF_VERTICES, [[0.0, 0.0]]])
-        if np.any(np.linalg.det(self.jacobians(check)) <= 0.0):
-            raise ValueError("degenerate or inverted cell")
+        (bad,) = np.nonzero(np.any(_det2(self.jacobians(check)) <= 0.0, axis=1))
+        if bad.size:
+            raise ValueError(f"degenerate or inverted cell at batch position {bad[0]}")
 
     def map(self, points):
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        xi = pts[:, 0:1]
-        eta = pts[:, 1:2]
-        return self.a0 + xi * self.a1 + eta * self.a2 + (xi * eta) * self.a3
+        """Physical images of reference points, shape (cells, m, 2)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))[None]
+        xi, eta = pts[..., 0:1], pts[..., 1:2]
+        a0, a1, a2, a3 = (a[:, None] for a in (self.a0, self.a1, self.a2, self.a3))
+        return a0 + xi * a1 + eta * a2 + (xi * eta) * a3
+
+    def jacobians(self, points):
+        """J[c, m, i, j] = d x_i / d xi_j at each reference point."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))[None]
+        a1, a2, a3 = (a[:, None] for a in (self.a1, self.a2, self.a3))
+        return np.stack([a1 + pts[..., 1:2] * a3, a2 + pts[..., 0:1] * a3], axis=-1)
+
+    def quadrature_weights(self, rule):
+        """Physical quadrature weights per cell, shape (cells, n)."""
+        return rule.weights * _det2(self.jacobians(rule.points))
+
+    def _inverse_jacobians(self, points):
+        """G[c, m, k, i] = d xi_k / d x_i; raises if a Jacobian is singular."""
+        J = self.jacobians(points)
+        det = _det2(J)
+        if np.any(det <= 0.0):
+            raise ValueError("singular Jacobian")
+        G = np.empty_like(J)
+        G[..., 0, 0], G[..., 0, 1] = J[..., 1, 1], -J[..., 0, 1]
+        G[..., 1, 0], G[..., 1, 1] = -J[..., 1, 0], J[..., 0, 0]
+        return G / det[..., None, None]
+
+    def physical_gradients(self, points, ref_grads):
+        """J^{-T} grad: reference (m, n_dofs, 2) -> physical (cells, m, n_dofs, 2)."""
+        G = self._inverse_jacobians(points)[:, :, None]
+        g0, g1 = ref_grads[..., 0, None], ref_grads[..., 1, None]
+        return G[..., 0, :] * g0 + G[..., 1, :] * g1
+
+    def physical_hessians(self, points, ref_grads, ref_hess):
+        """Exact physical second derivatives, shape (cells, m, n_dofs, 2, 2).
+
+        Includes the curvature term of the bilinear map: with G = J^{-1},
+        d^2 xi_k / dx_i dx_j = -(G a3)_k (G_0i G_1j + G_1i G_0j), which
+        vanishes on affine cells.
+        """
+        G = self._inverse_jacobians(points)[:, :, None]
+        out = sum(
+            ref_hess[..., k, l, None, None] * (G[..., k, :, None] * G[..., l, None, :])
+            for k, l in np.ndindex(2, 2)
+        )
+        # grad(phi) . a3 equals ref_grad . (G a3)
+        a3 = np.where(self.affine[:, None], 0.0, self.a3)[:, None, None]
+        pg = self.physical_gradients(points, ref_grads)
+        pg_a3 = pg[..., 0] * a3[..., 0] + pg[..., 1] * a3[..., 1]
+        S = G[..., 0, :, None] * G[..., 1, None, :]
+        return out - pg_a3[..., None, None] * (S + np.swapaxes(S, -1, -2))
+
+
+def cell_geometry(mesh, cell_ids) -> CellGeometry:
+    """Batched reference maps of the given cells, in the given order."""
+    return CellGeometry(mesh.vertices[mesh.cell_vertices[list(cell_ids)]])
+
+
+class ReferenceMap:
+    """Map from the reference square onto one physical quadrilateral.
+
+    The one-cell case of `CellGeometry`, with the cell axis dropped.
+    """
+
+    def __init__(self, verts):
+        self.batch = CellGeometry(np.asarray(verts, dtype=float)[None])
+        self.verts = self.batch.verts[0]
+        self.diameter = float(self.batch.diameter[0])
+        self.kind = "affine" if self.batch.affine[0] else "bilinear"
+
+    def map(self, points):
+        return self.batch.map(points)[0]
 
     def jacobians(self, points):
         """J[m, i, j] = d x_i / d xi_j at each reference point."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        m = len(pts)
-        J = np.empty((m, 2, 2))
-        J[:, :, 0] = self.a1[None, :] + pts[:, 1:2] * self.a3[None, :]
-        J[:, :, 1] = self.a2[None, :] + pts[:, 0:1] * self.a3[None, :]
-        return J
+        return self.batch.jacobians(points)[0]
 
 
 def make_reference_map(cell, mesh) -> ReferenceMap:
@@ -214,54 +261,15 @@ def make_reference_map(cell, mesh) -> ReferenceMap:
     return ReferenceMap(mesh.vertices[list(cell.vertex_ids)])
 
 
-def _inv2(J):
-    det = J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
-    inv = np.empty_like(J)
-    inv[..., 0, 0] = J[..., 1, 1]
-    inv[..., 1, 1] = J[..., 0, 0]
-    inv[..., 0, 1] = -J[..., 0, 1]
-    inv[..., 1, 0] = -J[..., 1, 0]
-    return inv / det[..., None, None], det
+def _det2(J):
+    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
 
 def physical_gradients(rmap: ReferenceMap, points, ref_grads):
     """Transform reference gradients to physical ones: J^{-T} grad."""
-    J = rmap.jacobians(points)
-    Jinv, det = _inv2(J)
-    if np.any(det <= 0.0):
-        raise ValueError("singular Jacobian")
-    # phys[m, k, i] = sum_j Jinv[m, j, i] * ref[m, k, j]
-    return np.einsum("mji,mkj->mki", Jinv, ref_grads)
+    return rmap.batch.physical_gradients(points, ref_grads)[0]
 
 
 def physical_hessians(rmap: ReferenceMap, points, ref_grads, ref_hess):
-    """Exact physical second derivatives of mapped basis functions.
-
-    Includes the curvature correction of the bilinear map (a3 term); for
-    affine cells the correction vanishes.
-    """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    J = rmap.jacobians(pts)
-    G, det = _inv2(J)  # G[m, k, i] = d xi_k / d x_i
-    if np.any(det <= 0.0):
-        raise ValueError("singular Jacobian")
-    m, nd = ref_grads.shape[:2]
-    out = np.empty((m, nd, 2, 2))
-    d = rmap.a3
-    Txi = np.zeros((2, 2))
-    Teta = np.zeros((2, 2))
-    Txi[:, 1] = d  # d J / d xi  (columns are derivatives of J's columns)
-    Teta[:, 0] = d  # d J / d eta
-    for q in range(m):
-        g = G[q]
-        # xi_sec[k, i, j] = d^2 xi_k / d x_i d x_j
-        xi_sec = np.zeros((2, 2, 2))
-        if rmap.kind != "affine":
-            for j in range(2):
-                dJ = Txi * g[0, j] + Teta * g[1, j]
-                dG = -g @ dJ @ g
-                xi_sec[:, :, j] = dG
-        first = np.einsum("nkl,ki,lj->nij", ref_hess[q], g, g)
-        second = np.einsum("nk,kij->nij", ref_grads[q], xi_sec)
-        out[q] = first + second
-    return out
+    """Exact physical second derivatives of mapped basis functions."""
+    return rmap.batch.physical_hessians(points, ref_grads, ref_hess)[0]

@@ -45,14 +45,12 @@ class Mesh:
         edge_table: sorted vertex-id pair -> tuple of incident cell ids.
         vertex_flags: flag name -> set of vertex ids (e.g. circle boundary).
         vertex_cells: per vertex, tuple of incident cell ids.
+        cell_vertices: (n_cells, 4) int array, vertex ids of each cell.
     """
-
-    # third spatial coordinate is reserved in the data model but not built
-    dim = 2
 
     def __init__(self, vertices, cells, level=0, vertex_flags=None):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != self.dim:
+        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("vertex coordinates must be finite")
@@ -90,6 +88,7 @@ class Mesh:
                 vertex_cells[v].append(cell.global_id)
         self.edge_table = {k: tuple(v) for k, v in sorted(edge_table.items())}
         self.vertex_cells = [tuple(v) for v in vertex_cells]
+        self.cell_vertices = np.array([c.vertex_ids for c in self.cells]).reshape(-1, 4)
 
     def _validate(self):
         for cell in self.cells:

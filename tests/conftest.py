@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from parfem.assembly import SupgParams
 from parfem.comm import Transport, build_rank_context
-from parfem.mapped_fe import get_element, make_reference_map
+from parfem.mapped_fe import gauss_rule, get_element, make_reference_map
 
 
 def seq_context(mesh, elem="q1"):
@@ -95,6 +96,127 @@ def eval_fe_function(ctx, values, points, tol=1e-9):
                 vals, _ = elem.eval([xi])
                 out[k] = vals[0] @ values[dofs]
     return out
+
+
+def loop_physical_gradients(rmap, points, ref_grads):
+    """Per-point oracle: J^{-T} grad with a general matrix inverse."""
+    Jinv = np.linalg.inv(rmap.jacobians(points))
+    return np.einsum("mji,mkj->mki", Jinv, ref_grads)
+
+
+def loop_physical_hessians(rmap, points, ref_grads, ref_hess):
+    """Per-point oracle: second derivatives of xi(x) built from dJ/dxi."""
+    v0, v1, v2, v3 = rmap.verts
+    a3 = 0.25 * (v0 - v1 + v2 - v3)
+    Txi = np.zeros((2, 2))
+    Teta = np.zeros((2, 2))
+    Txi[:, 1] = a3  # d J / d xi
+    Teta[:, 0] = a3  # d J / d eta
+    out = np.empty(ref_hess.shape)
+    for q, J in enumerate(rmap.jacobians(points)):
+        g = np.linalg.inv(J)
+        xi_sec = np.zeros((2, 2, 2))  # d^2 xi_k / d x_i d x_j
+        if rmap.kind != "affine":
+            for j in range(2):
+                xi_sec[:, :, j] = -g @ (Txi * g[0, j] + Teta * g[1, j]) @ g
+        out[q] = np.einsum("nkl,ki,lj->nij", ref_hess[q], g, g)
+        out[q] += np.einsum("nk,kij->nij", ref_grads[q], xi_sec)
+    return out
+
+
+def _field(coeff, points, shape):
+    value = coeff(points) if callable(coeff) else coeff
+    return np.broadcast_to(np.asarray(value, dtype=float), shape)
+
+
+def loop_assemble_cdr(ctx, coeffs, supg=False, quad_order=None):
+    """Per-cell oracle: dense operator and right-hand side, one map per cell."""
+    elem = get_element(ctx.elem_kind)
+    rule = gauss_rule(quad_order or {"q1": 2, "q2": 3}[ctx.elem_kind])
+    vals, grads = elem.eval(rule.points)
+    hess = elem.eval_hessians(rule.points)
+    params = SupgParams(coeffs.eps)
+    n_q = len(rule.weights)
+    A = np.zeros((ctx.n_local, ctx.n_local))
+    rhs = np.zeros(ctx.n_local)
+    for gid in ctx.rank_cells.known:
+        dofs = ctx.dof_map.cell_dofs[gid]
+        rmap = make_reference_map(ctx.mesh.cell(gid), ctx.mesh)
+        w = rule.weights * np.linalg.det(rmap.jacobians(rule.points))
+        pg = loop_physical_gradients(rmap, rule.points, grads)
+        xq = rmap.map(rule.points)
+        bq = _field(coeffs.b, xq, (n_q, 2))
+        cq = _field(coeffs.c, xq, (n_q,))
+        fq = _field(coeffs.f, xq, (n_q,))
+        bgrad = np.einsum("qd,qjd->qj", bq, pg)
+        Ae = coeffs.eps * np.einsum("q,qid,qjd->ij", w, pg, pg)
+        Ae += np.einsum("q,qj,qi->ij", w, bgrad, vals)
+        Ae += np.einsum("q,q,qj,qi->ij", w, cq, vals, vals)
+        be = np.einsum("q,q,qi->i", w, fq, vals)
+        tau = params.tau(rmap, bq.mean(axis=0)) if supg else 0.0
+        if tau > 0.0:
+            ph = loop_physical_hessians(rmap, rule.points, grads, hess)
+            lap = ph[:, :, 0, 0] + ph[:, :, 1, 1]
+            resid = -coeffs.eps * lap + bgrad + cq[:, None] * vals
+            Ae += tau * np.einsum("q,qj,qi->ij", w, resid, bgrad)
+            be += tau * np.einsum("q,q,qi->i", w, fq, bgrad)
+        A[np.ix_(dofs, dofs)] += Ae
+        rhs[dofs] += be
+    return A, rhs
+
+
+def loop_assemble_mass(ctx, quad_order=None):
+    """Per-cell oracle: dense mass matrix, one map per cell."""
+    elem = get_element(ctx.elem_kind)
+    rule = gauss_rule(quad_order or {"q1": 2, "q2": 3}[ctx.elem_kind])
+    vals, _ = elem.eval(rule.points)
+    M = np.zeros((ctx.n_local, ctx.n_local))
+    for gid in ctx.rank_cells.known:
+        dofs = ctx.dof_map.cell_dofs[gid]
+        rmap = make_reference_map(ctx.mesh.cell(gid), ctx.mesh)
+        w = rule.weights * np.linalg.det(rmap.jacobians(rule.points))
+        M[np.ix_(dofs, dofs)] += np.einsum("q,qi,qj->ij", w, vals, vals)
+    return M
+
+
+def loop_dof_coordinates(dof_map, mesh):
+    """Per-cell oracle: each d.o.f. placed by its smallest containing cell."""
+    coords = np.full((dof_map.n_dofs, 2), np.nan)
+    for gid in sorted(dof_map.cell_dofs):
+        pts = make_reference_map(mesh.cell(gid), mesh).map(dof_map.elem.nodes)
+        for li, g in enumerate(dof_map.cell_dofs[gid]):
+            if np.isnan(coords[g, 0]):
+                coords[g] = pts[li]
+    return coords
+
+
+def loop_dirichlet_dofs(ctx, parts, t=0.0):
+    """Per-edge oracle: scan every mesh edge, later parts win."""
+    mesh = ctx.mesh
+    elem = get_element(ctx.elem_kind)
+    known = set(ctx.rank_cells.known)
+    chosen = {}
+    for part in parts:
+        if part.flag is not None:
+            flagged = mesh.vertex_flags.get(part.flag, set())
+            sel = [v in flagged for v in range(mesh.n_vertices)]
+        else:
+            sel = [bool(part.where(x, y)) for x, y in mesh.vertices]
+        part_dofs = set()
+        for (a, b), inc in mesh.edge_table.items():
+            if len(inc) != 1 or inc[0] not in known or not (sel[a] and sel[b]):
+                continue
+            cell = mesh.cell(inc[0])
+            dofs = ctx.dof_map.cell_dofs[inc[0]]
+            e = [tuple(sorted(edge)) for edge in cell.local_edges()].index((a, b))
+            part_dofs.add(int(dofs[elem.vertex_dof[e]]))
+            part_dofs.add(int(dofs[elem.vertex_dof[(e + 1) % 4]]))
+            part_dofs.update(int(dofs[li]) for li, _ in elem.edge_dofs[e])
+        rows = sorted(part_dofs)
+        if rows:
+            chosen.update(zip(rows, part.values_at(ctx.dof_coords[rows], t)))
+    rows = sorted(chosen)
+    return np.array(rows, dtype=np.int64), np.array([chosen[r] for r in rows])
 
 
 @pytest.fixture

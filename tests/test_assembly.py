@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import seq_context
+from conftest import (
+    loop_assemble_cdr,
+    loop_assemble_mass,
+    loop_dirichlet_dofs,
+    loop_dof_coordinates,
+    seq_context,
+)
 from parfem.assembly import (
     CdrCoefficients,
     DirichletPart,
@@ -19,7 +25,7 @@ from parfem.assembly import (
 from parfem.bench_cli import hemker_problem, timedep_problem, _inflow_schedule
 from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
 from parfem.dlinalg import DistVector, fgmres, from_keys, matvec, new_vector
-from parfem.mesh import build_rect_mesh
+from parfem.mesh import build_hemker_mesh, build_rect_mesh, refine_uniform
 from parfem.partition import decompose
 
 L0, L1, L2, L3 = ConsistencyLevel
@@ -281,3 +287,69 @@ def test_solution_writers(tmp_path):
     lines = (tmp_path / "merged.txt").read_text().strip().splitlines()
     assert len(lines) == ctx.n_local
     assert all(":" in line for line in lines)
+
+
+def _variable_wind(p):
+    # no convection left of x = -2, so SUPG is off in some cells
+    b = np.stack([1.0 + 0.5 * p[:, 1], -0.25 + 0.1 * p[:, 0]], axis=1)
+    return np.where(p[:, 0:1] < -2.0, 0.0, b)
+
+
+VARIABLE_CDR = CdrCoefficients(
+    eps=1e-3,
+    b=_variable_wind,
+    c=lambda p: 1.0 + p[:, 0] ** 2,
+    f=lambda p: np.sin(p[:, 0]) * np.cos(p[:, 1]),
+)
+
+
+def _rel_err(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+@pytest.mark.parametrize("n_ranks", [1, 2])
+def test_batched_assembly_matches_per_cell_oracle(elem, n_ranks):
+    mesh = refine_uniform(build_hemker_mesh())  # O-grid ring of bilinear cells
+
+    def body(ctx):
+        A, b = assemble_cdr(ctx, VARIABLE_CDR, supg=True)
+        A_ref, b_ref = loop_assemble_cdr(ctx, VARIABLE_CDR, supg=True)
+        M_ref = loop_assemble_mass(ctx)
+        coords_ref = loop_dof_coordinates(ctx.dof_map, ctx.mesh)
+        return (
+            _rel_err(A.csr.toarray(), A_ref),
+            _rel_err(b.values, b_ref),
+            _rel_err(assemble_mass(ctx).csr.toarray(), M_ref),
+            np.max(np.abs(ctx.dof_coords - coords_ref)),
+        )
+
+    for errs in run_ranks(mesh, n_ranks, body, elem):
+        assert max(errs[:3]) < 1e-12
+        assert errs[3] <= 1e-12
+
+
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+@pytest.mark.parametrize("n_ranks", [1, 3])
+def test_dirichlet_rows_match_per_edge_oracle(elem, n_ranks):
+    coarse, hemker, _ = hemker_problem()
+    _, timedep, _ = timedep_problem()
+    cases = [
+        (refine_uniform(coarse), hemker.dirichlet, 0.0),
+        (refine_uniform(refine_uniform(build_rect_mesh(0, 1, 0, 1, 4, 4))),
+         timedep.dirichlet, 0.5),
+    ]
+    for mesh, parts, t in cases:
+
+        def body(ctx):
+            ok = True
+            # values follow t while rows are cached; another list of parts
+            # (here reversed, so a different part wins at junctions) is new
+            for ps, when in ((parts, t), (parts, 2 * t), (parts[::-1], t), (parts, t)):
+                rows, values = dirichlet_dofs(ctx, ps, when)
+                rows_ref, values_ref = loop_dirichlet_dofs(ctx, ps, when)
+                ok = ok and np.array_equal(rows, rows_ref)
+                ok = ok and np.array_equal(values, values_ref)
+            return ok
+
+        assert all(run_ranks(mesh, n_ranks, body, elem))

@@ -11,7 +11,7 @@ from parfem.dof_manager import (
     dof_coordinates,
     encode_key,
 )
-from parfem.mapped_fe import eval_basis, get_element, make_reference_map
+from parfem.mapped_fe import get_element, make_reference_map
 from parfem.mesh import build_rect_mesh, refine_uniform
 
 
@@ -83,7 +83,7 @@ def test_continuity_across_shared_edges(kind, rng):
             for gid in inc:
                 rmap = make_reference_map(m.cell(gid), m)
                 xi = invert_reference_map(rmap, x)
-                bas, _ = eval_basis(elem, [xi])
+                bas, _ = elem.eval([xi])
                 vals.append(bas[0] @ w[dm.cell_dofs[gid]])
             assert abs(vals[0] - vals[1]) < 1e-12
 

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parfem.mapped_fe import (
+    CellGeometry,
     ReferenceMap,
-    eval_basis,
+    cell_geometry,
     gauss_rule,
     get_element,
     make_reference_map,
@@ -63,15 +64,15 @@ def test_make_reference_map_from_mesh():
 
 def test_q1_nodal_values():
     q1 = get_element("q1")
-    vals, _ = eval_basis(q1, [[-1, -1]])
+    vals, _ = q1.eval([[-1, -1]])
     assert np.allclose(vals[0], [1, 0, 0, 0])
-    vals, _ = eval_basis(q1, [[0, 0]])
+    vals, _ = q1.eval([[0, 0]])
     assert np.allclose(vals[0], [0.25] * 4)
 
 
 def test_q2_center_node():
     q2 = get_element("q2")
-    vals, _ = eval_basis(q2, [[0, 0]])
+    vals, _ = q2.eval([[0, 0]])
     expected = np.zeros(9)
     expected[4] = 1.0
     assert np.allclose(vals[0], expected)
@@ -80,7 +81,7 @@ def test_q2_center_node():
 @pytest.mark.parametrize("kind", ["q1", "q2"])
 def test_nodal_basis_property(kind):
     elem = get_element(kind)
-    vals, _ = eval_basis(elem, elem.nodes)
+    vals, _ = elem.eval(elem.nodes)
     assert np.max(np.abs(vals - np.eye(elem.n_dofs))) < 1e-12
 
 
@@ -88,7 +89,7 @@ def test_nodal_basis_property(kind):
 def test_partition_of_unity_many_points(kind, rng):
     elem = get_element(kind)
     pts = rng.uniform(-1, 1, size=(1000, 2))
-    vals, grads = eval_basis(elem, pts)
+    vals, grads = elem.eval(pts)
     assert np.max(np.abs(vals.sum(axis=1) - 1.0)) < 1e-12
     assert np.max(np.abs(grads.sum(axis=1))) < 1e-12
 
@@ -100,7 +101,7 @@ def test_partition_of_unity_many_points(kind, rng):
     kind=st.sampled_from(["q1", "q2"]),
 )
 def test_partition_of_unity_property(x, y, kind):
-    vals, _ = eval_basis(get_element(kind), [[x, y]])
+    vals, _ = get_element(kind).eval([[x, y]])
     assert abs(vals.sum() - 1.0) < 1e-12
 
 
@@ -109,7 +110,7 @@ def test_physical_gradients_affine_halving():
     elem = get_element("q1")
     rmap = ReferenceMap(UNIT_SQUARE)
     pts = np.array([[0.3, -0.2]])
-    _, ref = eval_basis(elem, pts)
+    _, ref = elem.eval(pts)
     phys = physical_gradients(rmap, pts, ref)
     assert np.allclose(phys, 2.0 * ref)
 
@@ -118,7 +119,7 @@ def test_physical_gradients_identity_map():
     elem = get_element("q2")
     rmap = ReferenceMap(np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], float))
     pts = np.array([[0.1, 0.7]])
-    _, ref = eval_basis(elem, pts)
+    _, ref = elem.eval(pts)
     assert np.allclose(physical_gradients(rmap, pts, ref), ref)
 
 
@@ -126,7 +127,7 @@ def _composed_basis(rmap, elem, k, x):
     from conftest import invert_reference_map
 
     xi = invert_reference_map(rmap, x)
-    vals, _ = eval_basis(elem, [xi])
+    vals, _ = elem.eval([xi])
     return vals[0, k]
 
 
@@ -135,7 +136,7 @@ def test_physical_gradients_fd_oracle(kind):
     elem = get_element(kind)
     rmap = ReferenceMap(TRAPEZOID)
     pts = np.array([[0.0, 0.0]])
-    _, ref = eval_basis(elem, pts)
+    _, ref = elem.eval(pts)
     phys = physical_gradients(rmap, pts, ref)[0]
     x0 = rmap.map(pts)[0]
     h = 1e-6
@@ -155,7 +156,7 @@ def test_physical_hessians_fd_oracle(kind):
     elem = get_element(kind)
     rmap = ReferenceMap(TRAPEZOID)
     pts = np.array([[0.1, -0.3]])
-    _, ref = eval_basis(elem, pts)
+    _, ref = elem.eval(pts)
     hess_ref = elem.eval_hessians(pts)
     hess = physical_hessians(rmap, pts, ref, hess_ref)[0]
     x0 = rmap.map(pts)[0]
@@ -238,6 +239,85 @@ def test_affine_cell_reproduces_linears(rng):
     f = lambda p: 1.5 - 2.0 * p[..., 0] + 0.75 * p[..., 1]
     nodal = f(rmap.map(elem.nodes))
     pts = rng.uniform(-1, 1, size=(50, 2))
-    vals, _ = eval_basis(elem, pts)
+    vals, _ = elem.eval(pts)
     interp = vals @ nodal
     assert np.max(np.abs(interp - f(rmap.map(pts)))) < 1e-13
+
+
+def hemker_ring_mesh():
+    from parfem.mesh import build_hemker_mesh, refine_uniform
+
+    return refine_uniform(build_hemker_mesh())
+
+
+def test_batched_geometry_has_bilinear_cells():
+    mesh = hemker_ring_mesh()
+    geo = cell_geometry(mesh, range(mesh.n_cells))
+    assert len(geo.verts) == mesh.n_cells
+    assert 0 < np.count_nonzero(~geo.affine) < mesh.n_cells
+
+
+@pytest.mark.parametrize("kind", ["q1", "q2"])
+def test_batched_geometry_equals_reference_maps(kind, rng):
+    mesh = hemker_ring_mesh()
+    elem = get_element(kind)
+    pts = np.vstack([elem.nodes, rng.uniform(-1, 1, size=(5, 2))])
+    _, grads = elem.eval(pts)
+    hess = elem.eval_hessians(pts)
+    cells = rng.permutation(mesh.n_cells)  # batch order must not matter
+    geo = cell_geometry(mesh, cells)
+    batched = (
+        geo.map(pts),
+        geo.jacobians(pts),
+        geo.physical_gradients(pts, grads),
+        geo.physical_hessians(pts, grads, hess),
+    )
+    for c, gid in enumerate(cells):
+        rmap = make_reference_map(mesh.cell(gid), mesh)
+        single = (
+            rmap.map(pts),
+            rmap.jacobians(pts),
+            physical_gradients(rmap, pts, grads),
+            physical_hessians(rmap, pts, grads, hess),
+        )
+        for got, want in zip(batched, single):
+            assert np.max(np.abs(got[c] - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
+        assert geo.diameter[c] == rmap.diameter
+        assert geo.affine[c] == (rmap.kind == "affine")
+
+
+@pytest.mark.parametrize("kind", ["q1", "q2"])
+def test_batched_derivatives_match_per_point_oracle(kind, rng):
+    from conftest import loop_physical_gradients, loop_physical_hessians
+
+    mesh = hemker_ring_mesh()
+    elem = get_element(kind)
+    pts = rng.uniform(-1, 1, size=(6, 2))
+    _, grads = elem.eval(pts)
+    hess = elem.eval_hessians(pts)
+    geo = cell_geometry(mesh, range(mesh.n_cells))
+    pg = geo.physical_gradients(pts, grads)
+    ph = geo.physical_hessians(pts, grads, hess)
+    for gid in range(mesh.n_cells):
+        rmap = make_reference_map(mesh.cell(gid), mesh)
+        want_g = loop_physical_gradients(rmap, pts, grads)
+        want_h = loop_physical_hessians(rmap, pts, grads, hess)
+        assert np.max(np.abs(pg[gid] - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+        assert np.max(np.abs(ph[gid] - want_h)) <= 1e-12 * np.max(np.abs(want_h))
+
+
+def test_batched_geometry_rejects_a_degenerate_cell():
+    good = TRAPEZOID
+    degenerate = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="batch position 1"):
+        CellGeometry(np.stack([good, degenerate, good]))
+
+
+def test_batched_gradients_reject_singular_jacobian():
+    # the bilinear map of this cell folds over outside the reference square
+    geo = CellGeometry(TRAPEZOID[None])
+    far = np.array([[0.0, 9.0]])
+    assert np.linalg.det(geo.jacobians(far))[0, 0] <= 0.0
+    _, grads = get_element("q1").eval(far)
+    with pytest.raises(ValueError, match="singular"):
+        geo.physical_gradients(far, grads)

@@ -10,7 +10,7 @@ from parfem.assembly import (
 )
 from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
 from parfem.dlinalg import DistVector, axpy, dot, fgmres, matvec, new_vector, norm2
-from parfem.mapped_fe import eval_basis, get_element, make_reference_map
+from parfem.mapped_fe import get_element, make_reference_map
 from parfem.mesh import build_rect_mesh, refine_uniform
 from parfem.multigrid import (
     BlockSsor,
@@ -152,7 +152,7 @@ def _geometric_prolongation(hier):
         parent = fc.mesh.cell(fine_cell).parent_id
         rmap = make_reference_map(cc.mesh.cell(parent), cc.mesh)
         xi = invert_reference_map(rmap, x)
-        vals, _ = eval_basis(elem, [xi])
+        vals, _ = elem.eval([xi])
         P[g, cc.dof_map.cell_dofs[parent]] = vals[0]
     return P
 
@@ -334,7 +334,7 @@ def test_prolongation_reproduces_coarse_space(rng):
             for k, p in enumerate(pts):
                 xi = invert_reference_map(rmap, p)
                 if np.all(np.abs(xi) <= 1 + 1e-12):
-                    vals, _ = eval_basis(elem, [xi])
+                    vals, _ = elem.eval([xi])
                     B[k, dofs] = vals[0]
         return B
 
