@@ -101,9 +101,9 @@ def matrix_graph(ctx: RankContext):
     """CSR sparsity of the cell-to-d.o.f. incidence, columns by global key.
 
     Two d.o.f.s couple when a known cell contains both.  Cached per context
-    as (indptr, indices, cell_pos, diag): cell_pos holds, per known cell, the
-    flat positions of its element-matrix entries for bitwise-reproducible
-    accumulation, diag the position of every row's diagonal entry.
+    as (indptr, indices, cell_pos): cell_pos holds, per known cell, the flat
+    positions of its element-matrix entries for bitwise-reproducible
+    accumulation.
     """
     if "graph" in ctx._cache:
         return ctx._cache["graph"]
@@ -119,18 +119,17 @@ def matrix_graph(ctx: RankContext):
     pattern = np.unique(codes)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(pattern // n, minlength=n))])
     cell_pos = np.searchsorted(pattern, codes)
-    diag = np.searchsorted(pattern, np.arange(n) * n + key_rank)
-    graph = ctx._cache["graph"] = (indptr, by_key[pattern % n], cell_pos, diag)
+    graph = ctx._cache["graph"] = (indptr, by_key[pattern % n], cell_pos)
     return graph
 
 
 def _matrix(ctx, element_matrices) -> DistMatrix:
     """Sum element matrices, in ascending cell order, on the space's sparsity."""
-    indptr, indices, cell_pos, diag = matrix_graph(ctx)
+    indptr, indices, cell_pos = matrix_graph(ctx)
     data = np.zeros(len(indices))
     np.add.at(data, cell_pos.ravel(), element_matrices.ravel())
     csr = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(ctx.n_local,) * 2)
-    return DistMatrix(ctx, csr, ConsistencyLevel.L1, diag=diag)
+    return DistMatrix(ctx, csr, ConsistencyLevel.L1)
 
 
 # Quadrature sums run over q in a fixed loop, never as a contraction over the

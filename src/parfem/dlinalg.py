@@ -114,15 +114,13 @@ class DistMatrix:
     Rows of masters and interface slaves are sequentially correct by
     construction (level-1-consistent); halo rows may be incomplete.  Column
     entries are stored in ascending global-key order so that master rows
-    accumulate in exactly the sequential order.  `diag`, when known, holds
-    the CSR position of every row's diagonal entry.
+    accumulate in exactly the sequential order.
     """
 
-    def __init__(self, ctx: RankContext, csr: sp.csr_matrix, level=L1, diag=None):
+    def __init__(self, ctx: RankContext, csr: sp.csr_matrix, level=L1):
         self.ctx = ctx
         self.csr = csr
         self.level = ConsistencyLevel(level)
-        self.diag = diag
 
     @property
     def shape(self):
@@ -132,7 +130,7 @@ class DistMatrix:
         return self.csr.diagonal()
 
     def copy(self) -> "DistMatrix":
-        return DistMatrix(self.ctx, self.csr.copy(), self.level, self.diag)
+        return DistMatrix(self.ctx, self.csr.copy(), self.level)
 
     def combine(self, alpha: float, beta: float, other: "DistMatrix") -> "DistMatrix":
         """alpha*self + beta*other on the union sparsity."""
@@ -148,11 +146,9 @@ class DistMatrix:
         """Replace rows by identity rows; sparsity is kept (entries zeroed)."""
         rows = np.asarray(rows, dtype=np.int64)
         row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.csr.indptr))
-        diag = self.diag
-        if diag is None:  # CSR position of each row's diagonal, -1 if absent
-            (hit,) = np.nonzero(self.csr.indices == row_of)
-            diag = np.full(self.shape[0], -1, dtype=np.int64)
-            diag[row_of[hit]] = hit
+        (hit,) = np.nonzero(self.csr.indices == row_of)
+        diag = np.full(self.shape[0], -1, dtype=np.int64)  # CSR position, -1 if absent
+        diag[row_of[hit]] = hit
         if np.any(diag[rows] < 0):
             raise RuntimeError(f"no diagonal entry in row {rows[diag[rows] < 0][0]}")
         self.csr.data[np.isin(row_of, rows)] = 0.0

@@ -239,7 +239,8 @@ def cell_geometry(mesh, cell_ids) -> CellGeometry:
 class ReferenceMap:
     """Map from the reference square onto one physical quadrilateral.
 
-    The one-cell case of `CellGeometry`, with the cell axis dropped.
+    The one-cell case of `CellGeometry`, with the cell axis dropped; derived
+    quantities (gradients, hessians, weights) come from `self.batch`.
     """
 
     def __init__(self, verts):
@@ -264,12 +265,3 @@ def make_reference_map(cell, mesh) -> ReferenceMap:
 def _det2(J):
     return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
 
-
-def physical_gradients(rmap: ReferenceMap, points, ref_grads):
-    """Transform reference gradients to physical ones: J^{-T} grad."""
-    return rmap.batch.physical_gradients(points, ref_grads)[0]
-
-
-def physical_hessians(rmap: ReferenceMap, points, ref_grads, ref_hess):
-    """Exact physical second derivatives of mapped basis functions."""
-    return rmap.batch.physical_hessians(points, ref_grads, ref_hess)[0]

@@ -10,8 +10,6 @@ from parfem.mapped_fe import (
     gauss_rule,
     get_element,
     make_reference_map,
-    physical_gradients,
-    physical_hessians,
 )
 from parfem.mesh import Cell, Mesh
 
@@ -108,19 +106,18 @@ def test_partition_of_unity_property(x, y, kind):
 def test_physical_gradients_affine_halving():
     # [-1,1]^2 -> [0,1]^2 halves lengths, so gradients double
     elem = get_element("q1")
-    rmap = ReferenceMap(UNIT_SQUARE)
     pts = np.array([[0.3, -0.2]])
     _, ref = elem.eval(pts)
-    phys = physical_gradients(rmap, pts, ref)
+    phys = CellGeometry(UNIT_SQUARE[None]).physical_gradients(pts, ref)[0]
     assert np.allclose(phys, 2.0 * ref)
 
 
 def test_physical_gradients_identity_map():
     elem = get_element("q2")
-    rmap = ReferenceMap(np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], float))
+    geo = CellGeometry(np.array([[[-1, -1], [1, -1], [1, 1], [-1, 1]]], float))
     pts = np.array([[0.1, 0.7]])
     _, ref = elem.eval(pts)
-    assert np.allclose(physical_gradients(rmap, pts, ref), ref)
+    assert np.allclose(geo.physical_gradients(pts, ref)[0], ref)
 
 
 def _composed_basis(rmap, elem, k, x):
@@ -137,7 +134,7 @@ def test_physical_gradients_fd_oracle(kind):
     rmap = ReferenceMap(TRAPEZOID)
     pts = np.array([[0.0, 0.0]])
     _, ref = elem.eval(pts)
-    phys = physical_gradients(rmap, pts, ref)[0]
+    phys = rmap.batch.physical_gradients(pts, ref)[0, 0]
     x0 = rmap.map(pts)[0]
     h = 1e-6
     for k in range(elem.n_dofs):
@@ -158,7 +155,7 @@ def test_physical_hessians_fd_oracle(kind):
     pts = np.array([[0.1, -0.3]])
     _, ref = elem.eval(pts)
     hess_ref = elem.eval_hessians(pts)
-    hess = physical_hessians(rmap, pts, ref, hess_ref)[0]
+    hess = rmap.batch.physical_hessians(pts, ref, hess_ref)[0, 0]
     x0 = rmap.map(pts)[0]
     h = 1e-5
 
@@ -258,32 +255,29 @@ def test_batched_geometry_has_bilinear_cells():
 
 
 @pytest.mark.parametrize("kind", ["q1", "q2"])
-def test_batched_geometry_equals_reference_maps(kind, rng):
+def test_batched_geometry_independent_of_batch(kind, rng):
     mesh = hemker_ring_mesh()
     elem = get_element(kind)
     pts = np.vstack([elem.nodes, rng.uniform(-1, 1, size=(5, 2))])
     _, grads = elem.eval(pts)
     hess = elem.eval_hessians(pts)
-    cells = rng.permutation(mesh.n_cells)  # batch order must not matter
-    geo = cell_geometry(mesh, cells)
-    batched = (
-        geo.map(pts),
-        geo.jacobians(pts),
-        geo.physical_gradients(pts, grads),
-        geo.physical_hessians(pts, grads, hess),
-    )
-    for c, gid in enumerate(cells):
-        rmap = make_reference_map(mesh.cell(gid), mesh)
-        single = (
-            rmap.map(pts),
-            rmap.jacobians(pts),
-            physical_gradients(rmap, pts, grads),
-            physical_hessians(rmap, pts, grads, hess),
+
+    def evaluate(geo):
+        return (
+            geo.map(pts),
+            geo.jacobians(pts),
+            geo.physical_gradients(pts, grads),
+            geo.physical_hessians(pts, grads, hess),
+            geo.diameter,
+            geo.affine,
         )
+
+    cells = rng.permutation(mesh.n_cells)
+    batched = evaluate(cell_geometry(mesh, cells))
+    for c, gid in enumerate(cells):
+        single = evaluate(cell_geometry(mesh, [gid]))
         for got, want in zip(batched, single):
-            assert np.max(np.abs(got[c] - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
-        assert geo.diameter[c] == rmap.diameter
-        assert geo.affine[c] == (rmap.kind == "affine")
+            assert np.array_equal(got[c], want[0])
 
 
 @pytest.mark.parametrize("kind", ["q1", "q2"])
