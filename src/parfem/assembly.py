@@ -272,7 +272,7 @@ def dirichlet_dofs(ctx: RankContext, parts, t: float = 0.0):
 
 
 def apply_dirichlet(
-    A: DistMatrix, rhs: DistVector, ctx: RankContext, parts, t: float = 0.0
+    A: DistMatrix, rhs: DistVector | None, ctx: RankContext, parts, t: float = 0.0
 ):
     """Replace Dirichlet rows by identity rows with the boundary value.
 
@@ -297,9 +297,23 @@ def enforce_dirichlet_values(u: DistVector, ctx: RankContext, parts, t: float = 
     return u
 
 
+def crank_nicolson_system(
+    M: DistMatrix, A: DistMatrix, dt: float, dirichlet=None
+) -> tuple[DistMatrix, DistMatrix]:
+    """S = M + dt/2 A with identity Dirichlet rows, and B = M - dt/2 A.
+
+    Neither depends on the time, so a run forms them once per space.
+    """
+    if dt <= 0.0:
+        raise ValueError("time step must be positive")
+    S = M.combine(1.0, 0.5 * dt, A)
+    if dirichlet:
+        apply_dirichlet(S, None, M.ctx, dirichlet)
+    return S, M.combine(1.0, -0.5 * dt, A)
+
+
 def crank_nicolson_step(
-    M: DistMatrix,
-    A: DistMatrix,
+    B: DistMatrix,
     f_n: DistVector,
     f_np1: DistVector,
     u_n: DistVector,
@@ -307,22 +321,19 @@ def crank_nicolson_step(
     dirichlet=None,
     t_next: float = 0.0,
 ):
-    """One Crank-Nicolson step: (M + dt/2 A) u+ = (M - dt/2 A) u + dt/2 (f + f+).
+    """Right-hand side of one Crank-Nicolson step S u+ = B u + dt/2 (f + f+).
 
-    Returns the assembled system, right-hand side, and the previous solution
-    as the iterative solver's initial guess.
+    `S` and `B` come from `crank_nicolson_system`.  Returns the right-hand
+    side, with the boundary values at `t_next` in the Dirichlet rows, and
+    the previous solution as the iterative solver's initial guess.
     """
-    if dt <= 0.0:
-        raise ValueError("time step must be positive")
-    S = M.combine(1.0, 0.5 * dt, A)
-    B = M.combine(1.0, -0.5 * dt, A)
     u_n.restore(ConsistencyLevel.L3)
     b = matvec(B, u_n)
     axpy(0.5 * dt, f_n, b)
     axpy(0.5 * dt, f_np1, b)
     if dirichlet:
-        apply_dirichlet(S, b, M.ctx, dirichlet, t=t_next)
-    return S, b, u_n.copy()
+        enforce_dirichlet_values(b, B.ctx, dirichlet, t_next)
+    return b, u_n.copy()
 
 
 def l2_error(ctx: RankContext, u: DistVector, exact, quad_order: int = 4) -> float:

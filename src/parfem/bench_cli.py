@@ -28,6 +28,7 @@ from .assembly import (
     assemble_cdr,
     assemble_mass,
     crank_nicolson_step,
+    crank_nicolson_system,
     enforce_dirichlet_values,
     merge_master_values,
     write_merged_solution,
@@ -207,7 +208,7 @@ def _make_preconditioner(config, hier):
         return MgPreconditioner(hier)
     if config.solver == "ssor_fgmres":
         fin = hier.finest
-        return SsorPreconditioner(fin.ctx, fin.matrix, omega=config.omega)
+        return SsorPreconditioner(fin.smoother)
     fin = hier.finest
     return CoarseSolver(fin.ctx, fin.matrix).solve
 
@@ -266,11 +267,13 @@ def _steady_body(rank, transport, config, coarse, coeffs, supg):
 
 
 def _timedep_body(rank, transport, config, coarse, coeffs, supg):
+    explicit = {}  # B = M - dt/2 A of the latest level, the finest at the end
+
     def discretize(ctx):
         A, _ = assemble_cdr(ctx, coeffs, supg=supg)
-        M = assemble_mass(ctx)
-        S = M.combine(1.0, 0.5 * config.dt, A)
-        apply_dirichlet(S, new_vector(ctx), ctx, coeffs.dirichlet)
+        S, explicit["B"] = crank_nicolson_system(
+            assemble_mass(ctx), A, config.dt, coeffs.dirichlet
+        )
         return S, None
 
     hier = build_hierarchy(
@@ -286,8 +289,7 @@ def _timedep_body(rank, transport, config, coarse, coeffs, supg):
     )
     ctx = hier.finest.ctx
     precond = _make_preconditioner(config, hier)
-    A, _ = assemble_cdr(ctx, coeffs, supg=supg)
-    M = assemble_mass(ctx)
+    S, B = hier.finest.matrix, explicit["B"]
     zero = new_vector(ctx)
     n_steps = int(round(config.t_end / config.dt))
     want = {round(t / config.dt) for t in config.snapshot_times}
@@ -302,8 +304,8 @@ def _timedep_body(rank, transport, config, coarse, coeffs, supg):
         snapshots = {}
         for n in range(n_steps):
             t1 = (n + 1) * config.dt
-            S, b, x0 = crank_nicolson_step(
-                M, A, zero, zero, u, config.dt, coeffs.dirichlet, t_next=t1
+            b, x0 = crank_nicolson_step(
+                B, zero, zero, u, config.dt, coeffs.dirichlet, t_next=t1
             )
             t0 = time.perf_counter()
             res = fgmres(

@@ -2,8 +2,12 @@
 
 The level hierarchy starts from the decomposed coarse mesh and refines
 uniformly, so child cells inherit their parent's owner and all parent-child
-information is rank-local.  Grid transfer is a local operator on own cells;
-its input vectors are restored to level-1 consistency first.  Smoothing is
+information is rank-local.  Grid transfers are sparse matrices built once per
+level pair from the cellwise definition on own cells: the prolongation
+evaluates the coarse function at the fine nodes of the children, and the
+restriction is its transpose over the fine masters, so each fine master
+counts once.  Their input vectors are restored to level-1 consistency first.
+Smoothing is
 block-Jacobi over the rank blocks (masters plus interface slaves) with SSOR
 inside the block, followed by arithmetic averaging of the interface values.
 The coarsest system is gathered to rank 0 and solved by dense LU with
@@ -41,21 +45,29 @@ def transfer_matrices(elem) -> np.ndarray:
     return out
 
 
-def injection_table(elem):
-    """(child, fine node) holding each coarse node; coarse nodes are fine nodes."""
-    table = []
-    for node in elem.nodes:
-        found = None
-        for c in range(4):
-            pts = 0.5 * elem.nodes + _QUADRANT_OFFSETS[c]
-            hits = np.flatnonzero(np.all(np.abs(pts - node) < 1e-12, axis=1))
-            if hits.size:
-                found = (c, int(hits[0]))
-                break
-        if found is None:
-            raise RuntimeError("coarse node is not a fine node")
-        table.append(found)
-    return table
+def transfer_operators(coarse: RankContext, fine: RankContext, T: np.ndarray):
+    """CSR prolongation P (fine x coarse) and restriction R (coarse x fine).
+
+    Row g of P is T[c][i] on the coarse cell's d.o.f.s, taken at the first
+    (own cell, child c, node i) holding fine d.o.f. g in ascending order; the
+    coarse function is continuous, so any other source agrees up to rounding.
+    R is the transpose of P's fine-master rows.
+    """
+    own = np.array(sorted(coarse.rank_cells.own), dtype=np.int64)
+    children = (4 * own[:, None] + np.arange(4)).ravel()
+    cdofs = coarse.known_dofs[np.searchsorted(coarse.rank_cells.known, own)]
+    fdofs = fine.known_dofs[np.searchsorted(fine.rank_cells.known, children)]
+    fine_dofs, first = np.unique(fdofs, return_index=True)
+    cell, child, node = np.unravel_index(first, (len(own), 4, T.shape[1]))
+    vals = T[child, node]
+    cols = cdofs[cell]
+    rows = np.broadcast_to(fine_dofs[:, None], cols.shape)
+    nz = vals != 0.0
+    shape = (fine.n_local, coarse.n_local)
+    P = sp.csr_matrix((vals[nz], (rows[nz], cols[nz])), shape=shape)
+    nz &= fine.master_mask[rows]
+    R = sp.csr_matrix((vals[nz], (cols[nz], rows[nz])), shape=shape[::-1])
+    return P, R
 
 
 class BlockSsor:
@@ -182,7 +194,9 @@ class MgLevel:
     ctx: RankContext
     matrix: DistMatrix
     rhs: DistVector | None
-    smoother: BlockSsor | None
+    smoother: BlockSsor
+    prolongation: sp.csr_matrix | None = None  # from the level below
+    restriction: sp.csr_matrix | None = None  # to the level below
 
 
 @dataclass
@@ -192,8 +206,6 @@ class MgHierarchy:
     nu1: int = 2
     nu2: int = 2
     diagnostics: list | None = None
-    _transfer: np.ndarray = None
-    _injection: list = None
 
     @property
     def finest(self) -> MgLevel:
@@ -225,87 +237,49 @@ def build_hierarchy(
         raise ValueError("need at least one level")
     if ownership is None:
         ownership = decompose(coarse_mesh, transport.n_ranks)
+    T = transfer_matrices(get_element(elem_kind))
     levels = []
     mesh = coarse_mesh
     for l in range(n_levels):
         own_l = ownership_on_level(ownership, l)
         ctx = build_rank_context(mesh, own_l, elem_kind, transport, rank)
         matrix, rhs = discretize(ctx)
-        smoother = BlockSsor(ctx, matrix, omega) if l > 0 else None
-        levels.append(MgLevel(l, ctx, matrix, rhs, smoother))
+        level = MgLevel(l, ctx, matrix, rhs, BlockSsor(ctx, matrix, omega))
+        if l > 0:
+            level.prolongation, level.restriction = transfer_operators(
+                levels[-1].ctx, ctx, T
+            )
+        levels.append(level)
         if l + 1 < n_levels:
             mesh = refine_uniform(mesh)
     coarse = CoarseSolver(levels[0].ctx, levels[0].matrix)
-    elem = get_element(elem_kind)
-    return MgHierarchy(
-        levels=levels,
-        coarse=coarse,
-        nu1=nu1,
-        nu2=nu2,
-        _transfer=transfer_matrices(elem),
-        _injection=injection_table(elem),
-    )
+    return MgHierarchy(levels=levels, coarse=coarse, nu1=nu1, nu2=nu2)
 
 
 def prolongate(hier: MgHierarchy, level: int, v_coarse: DistVector) -> DistVector:
     """Evaluate the coarse function at the fine nodes of own cells' children."""
     if not 0 <= level < hier.n_levels - 1:
         raise IndexError(f"no fine level above {level}")
-    coarse = hier.levels[level]
     fine = hier.levels[level + 1]
     v_coarse.restore(L1)
-    out = np.zeros(fine.ctx.n_local)
-    T = hier._transfer
-    for gid in sorted(coarse.ctx.rank_cells.own):
-        vc = v_coarse.values[coarse.ctx.dof_map.cell_dofs[gid]]
-        for c in range(4):
-            out[fine.ctx.dof_map.cell_dofs[4 * gid + c]] = T[c] @ vc
-    v = DistVector(fine.ctx, out, L0)
+    v = DistVector(fine.ctx, fine.prolongation @ v_coarse.values, L0)
     v.restore(L1)
     return v
 
 
 def restrict_defect(hier: MgHierarchy, level: int, d_fine: DistVector) -> DistVector:
-    """Cellwise transpose of prolongation on own cells.
+    """Transpose of prolongation over the fine masters.
 
-    Each fine master is processed exactly once globally; the per-rank partial
+    Each fine master is counted exactly once globally; the per-rank partial
     sums at the interface are then accumulated onto the coarse masters.
     """
     if not 0 <= level < hier.n_levels - 1:
         raise IndexError(f"no fine level above {level}")
-    coarse = hier.levels[level]
-    fine = hier.levels[level + 1]
+    coarse, fine = hier.levels[level], hier.levels[level + 1]
     d_fine.restore(L1)
-    out = np.zeros(coarse.ctx.n_local)
-    T = hier._transfer
-    fine_master = fine.ctx.master_mask
-    visited = np.zeros(fine.ctx.n_local, dtype=bool)
-    for gid in sorted(coarse.ctx.rank_cells.own):
-        cdofs = coarse.ctx.dof_map.cell_dofs[gid]
-        for c in range(4):
-            fdofs = fine.ctx.dof_map.cell_dofs[4 * gid + c]
-            take = fine_master[fdofs] & ~visited[fdofs]
-            if np.any(take):
-                visited[fdofs[take]] = True
-                out[cdofs] += T[c][take].T @ d_fine.values[fdofs[take]]
-    d = DistVector(coarse.ctx, out, L0)
+    d = DistVector(coarse.ctx, fine.restriction @ d_fine.values, L0)
     coarse.ctx.exchange.add_to_masters(d.values)
     return d
-
-
-def restrict_function(hier: MgHierarchy, level: int, v_fine: DistVector) -> DistVector:
-    """Nodal injection at coincident nodes (diagnostic/nonlinear use)."""
-    if not 0 <= level < hier.n_levels - 1:
-        raise IndexError(f"no fine level above {level}")
-    coarse = hier.levels[level]
-    fine = hier.levels[level + 1]
-    v_fine.restore(L1)
-    out = np.zeros(coarse.ctx.n_local)
-    for gid in sorted(coarse.ctx.rank_cells.own):
-        cdofs = coarse.ctx.dof_map.cell_dofs[gid]
-        for j, (c, i) in enumerate(hier._injection):
-            out[cdofs[j]] = v_fine.values[fine.ctx.dof_map.cell_dofs[4 * gid + c][i]]
-    return DistVector(coarse.ctx, out, L1)
 
 
 def smooth(hier: MgHierarchy, level: int, x: DistVector, b: DistVector, sweeps: int):
@@ -357,14 +331,12 @@ class MgPreconditioner:
 class SsorPreconditioner:
     """Block-Jacobi SSOR application (the non-multigrid baseline)."""
 
-    def __init__(self, ctx: RankContext, matrix: DistMatrix, omega: float = 1.0,
-                 sweeps: int = 1):
-        self.smoother = BlockSsor(ctx, matrix, omega)
-        self.ctx = ctx
+    def __init__(self, smoother: BlockSsor, sweeps: int = 1):
+        self.smoother = smoother
         self.sweeps = sweeps
 
     def __call__(self, r: DistVector) -> DistVector:
-        z = new_vector(self.ctx)
+        z = new_vector(self.smoother.ctx)
         return self.smoother.smooth(z, r, self.sweeps)
 
 

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from parfem.assembly import SupgParams
-from parfem.comm import Transport, build_rank_context
+from parfem.comm import ConsistencyLevel, Transport, build_rank_context
+from parfem.dlinalg import DistVector
 from parfem.mapped_fe import gauss_rule, get_element, make_reference_map
+from parfem.multigrid import _QUADRANT_OFFSETS, transfer_matrices
 
 
 def seq_context(mesh, elem="q1"):
@@ -217,6 +219,76 @@ def loop_dirichlet_dofs(ctx, parts, t=0.0):
             chosen.update(zip(rows, part.values_at(ctx.dof_coords[rows], t)))
     rows = sorted(chosen)
     return np.array(rows, dtype=np.int64), np.array([chosen[r] for r in rows])
+
+
+def _level_pair(hier, level):
+    if not 0 <= level < hier.n_levels - 1:
+        raise IndexError(f"no fine level above {level}")
+    coarse, fine = hier.levels[level], hier.levels[level + 1]
+    return coarse.ctx, fine.ctx, transfer_matrices(get_element(coarse.ctx.elem_kind))
+
+
+def loop_prolongate(hier, level, v_coarse):
+    """Per-cell oracle: coarse function at the fine nodes, later cells win."""
+    cc, fc, T = _level_pair(hier, level)
+    v_coarse.restore(ConsistencyLevel.L1)
+    out = np.zeros(fc.n_local)
+    for gid in sorted(cc.rank_cells.own):
+        vc = v_coarse.values[cc.dof_map.cell_dofs[gid]]
+        for c in range(4):
+            out[fc.dof_map.cell_dofs[4 * gid + c]] = T[c] @ vc
+    v = DistVector(fc, out, ConsistencyLevel.L0)
+    v.restore(ConsistencyLevel.L1)
+    return v
+
+
+def loop_restrict_defect(hier, level, d_fine):
+    """Per-cell oracle: transpose of prolongation, a visited mask per master."""
+    cc, fc, T = _level_pair(hier, level)
+    d_fine.restore(ConsistencyLevel.L1)
+    out = np.zeros(cc.n_local)
+    visited = np.zeros(fc.n_local, dtype=bool)
+    for gid in sorted(cc.rank_cells.own):
+        cdofs = cc.dof_map.cell_dofs[gid]
+        for c in range(4):
+            fdofs = fc.dof_map.cell_dofs[4 * gid + c]
+            take = fc.master_mask[fdofs] & ~visited[fdofs]
+            if np.any(take):
+                visited[fdofs[take]] = True
+                out[cdofs] += T[c][take].T @ d_fine.values[fdofs[take]]
+    d = DistVector(cc, out, ConsistencyLevel.L0)
+    cc.exchange.add_to_masters(d.values)
+    return d
+
+
+def injection_table(elem):
+    """(child, fine node) holding each coarse node; coarse nodes are fine nodes."""
+    table = []
+    for node in elem.nodes:
+        found = None
+        for c in range(4):
+            pts = 0.5 * elem.nodes + _QUADRANT_OFFSETS[c]
+            hits = np.flatnonzero(np.all(np.abs(pts - node) < 1e-12, axis=1))
+            if hits.size:
+                found = (c, int(hits[0]))
+                break
+        if found is None:
+            raise RuntimeError("coarse node is not a fine node")
+        table.append(found)
+    return table
+
+
+def restrict_function(hier, level, v_fine):
+    """Nodal injection at coincident nodes."""
+    cc, fc, _ = _level_pair(hier, level)
+    injection = injection_table(get_element(cc.elem_kind))
+    v_fine.restore(ConsistencyLevel.L1)
+    out = np.zeros(cc.n_local)
+    for gid in sorted(cc.rank_cells.own):
+        cdofs = cc.dof_map.cell_dofs[gid]
+        for j, (c, i) in enumerate(injection):
+            out[cdofs[j]] = v_fine.values[fc.dof_map.cell_dofs[4 * gid + c][i]]
+    return DistVector(cc, out, ConsistencyLevel.L1)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from parfem.assembly import (
     assemble_cdr,
     assemble_mass,
     crank_nicolson_step,
+    crank_nicolson_system,
     dirichlet_dofs,
     l2_error,
     merge_master_values,
@@ -176,7 +177,8 @@ def test_crank_nicolson_zero_stiffness_keeps_state():
     Z = M.combine(0.0, 0.0, M)  # zero matrix on the mass sparsity
     u0 = from_keys(ctx, lambda k: 1.0 + 0.25 * (k % 5))
     zero = new_vector(ctx)
-    S, b, x0 = crank_nicolson_step(M, Z, zero, zero, u0, 0.01)
+    S, B = crank_nicolson_system(M, Z, 0.01)
+    b, x0 = crank_nicolson_step(B, zero, zero, u0, 0.01)
     u1 = np.linalg.solve(S.csr.toarray(), b.values)
     assert np.allclose(u1, u0.values, atol=1e-13)
     assert np.array_equal(x0.values, u0.values)
@@ -189,7 +191,8 @@ def test_crank_nicolson_scalar_decay():
     dt = 0.1
     u0 = DistVector(ctx, np.ones(ctx.n_local), L3)
     zero = new_vector(ctx)
-    S, b, _ = crank_nicolson_step(M, M, zero, zero, u0, dt)
+    S, B = crank_nicolson_system(M, M, dt)
+    b, _ = crank_nicolson_step(B, zero, zero, u0, dt)
     u1 = np.linalg.solve(S.csr.toarray(), b.values)
     assert np.allclose(u1, (1 - dt / 2) / (1 + dt / 2), atol=1e-14)
 
@@ -197,9 +200,38 @@ def test_crank_nicolson_scalar_decay():
 def test_crank_nicolson_rejects_bad_dt():
     ctx = seq_context(build_rect_mesh(0, 1, 0, 1, 1, 1))
     M = assemble_mass(ctx)
-    zero = new_vector(ctx)
     with pytest.raises(ValueError):
-        crank_nicolson_step(M, M, zero, zero, zero, 0.0)
+        crank_nicolson_system(M, M, 0.0)
+
+
+def test_crank_nicolson_system_built_once_matches_per_step_formula():
+    # the per-step formula: S and B summed and S's Dirichlet rows set anew
+    # in every step; the system built once must give the same steps bitwise
+    coarse, coeffs, supg = timedep_problem()
+    ctx = seq_context(refine_uniform(coarse))
+    A, _ = assemble_cdr(ctx, coeffs, supg=supg)
+    M = assemble_mass(ctx)
+    dt = 0.05
+    S, B = crank_nicolson_system(M, A, dt, coeffs.dirichlet)
+    u_old = u_new = new_vector(ctx)
+    for n in range(4):
+        t1 = (n + 1) * dt
+        f0 = from_keys(ctx, lambda k: np.sin(0.1 * (k % 97) + n))
+        f1 = from_keys(ctx, lambda k: np.cos(0.1 * (k % 89) + n))
+        S_old = M.combine(1.0, 0.5 * dt, A)
+        u_old.restore(L3)
+        b_old = matvec(M.combine(1.0, -0.5 * dt, A), u_old)
+        b_old.values += 0.5 * dt * f0.values
+        b_old.values += 0.5 * dt * f1.values
+        apply_dirichlet(S_old, b_old, ctx, coeffs.dirichlet, t=t1)
+        b, x0 = crank_nicolson_step(B, f0, f1, u_new, dt, coeffs.dirichlet, t1)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(S.csr, part), getattr(S_old.csr, part))
+        assert np.array_equal(b.values, b_old.values)
+        assert np.array_equal(x0.values, u_new.values)
+        u_old = DistVector(ctx, np.linalg.solve(S_old.csr.toarray(), b_old.values), L3)
+        u_new = DistVector(ctx, np.linalg.solve(S.csr.toarray(), b.values), L3)
+    assert np.any(u_new.values != 0.0)
 
 
 class StreamwiseWidth(SupgParams):

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import dense_ssor_sweep, invert_reference_map, seq_context
+from conftest import (
+    dense_ssor_sweep,
+    invert_reference_map,
+    loop_prolongate,
+    loop_restrict_defect,
+    restrict_function,
+    seq_context,
+)
 from parfem.assembly import (
     CdrCoefficients,
     DirichletPart,
@@ -11,7 +18,7 @@ from parfem.assembly import (
 from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
 from parfem.dlinalg import DistVector, axpy, dot, fgmres, matvec, new_vector, norm2
 from parfem.mapped_fe import get_element, make_reference_map
-from parfem.mesh import build_rect_mesh, refine_uniform
+from parfem.mesh import build_hemker_mesh, build_rect_mesh, refine_uniform
 from parfem.multigrid import (
     BlockSsor,
     MgPreconditioner,
@@ -19,7 +26,6 @@ from parfem.multigrid import (
     build_hierarchy,
     prolongate,
     restrict_defect,
-    restrict_function,
     v_cycle,
     write_diagnostics,
 )
@@ -173,6 +179,37 @@ def test_transfer_matches_geometric_oracle(elem, rng):
         return up_ok and down_ok and w.level == L1 and r.level == L0
 
     assert all(build_on_ranks(coarse, 2, 1, body, elem=elem))
+
+
+def _key_values(ctx, shift):
+    """Consistent values: the same function of the global key on every rank."""
+    return np.cos(0.37 * (ctx.true_keys % 1009) + shift)
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2, 3])
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+def test_csr_transfers_match_cellwise_oracles(elem, n_ranks):
+    # curved bilinear O-grid cells; level pairs 0-1 and 1-2
+    coarse = build_hemker_mesh()
+
+    def close(got, want):
+        return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def body(hier):
+        ok = True
+        for level in (0, 1):
+            cc, fc = hier.levels[level].ctx, hier.levels[level + 1].ctx
+            v = DistVector(cc, _key_values(cc, level), L3)
+            w = prolongate(hier, level, v.copy())
+            w_loop = loop_prolongate(hier, level, v.copy())
+            d = DistVector(fc, _key_values(fc, 0.5 + level), L3)
+            r = restrict_defect(hier, level, d.copy())
+            r_loop = loop_restrict_defect(hier, level, d.copy())
+            ok = ok and close(w.values, w_loop.values) and w.level == L1
+            ok = ok and close(r.values, r_loop.values) and r.level == L0
+        return ok
+
+    assert all(build_on_ranks(coarse, 3, n_ranks, body, elem=elem))
 
 
 def test_restrict_prolongate_diagonal_positive():
@@ -375,7 +412,7 @@ def test_ssor_preconditioner_reduces_iterations():
         ssor = fgmres(
             fin.matrix,
             fin.rhs,
-            precond=SsorPreconditioner(fin.ctx, fin.matrix),
+            precond=SsorPreconditioner(fin.smoother),
             tol=1e-10,
             maxit=500,
         )
