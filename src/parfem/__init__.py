@@ -1,6 +1,6 @@
 """Desk-scale parallel finite element core.
 
-Mapped Q1/Q2 elements on hierarchical quadrilateral meshes, a union-find
+Mapped Q1/Q2 elements on hierarchical quadrilateral meshes, a topological
 d.o.f. manager, simulated SPMD domain decomposition with consistency-tagged
 distributed linear algebra, and a flexible GMRES solver preconditioned by a
 parallel geometric multigrid V-cycle.

@@ -108,7 +108,7 @@ def matrix_graph(ctx: RankContext):
     if "graph" in ctx._cache:
         return ctx._cache["graph"]
     n = ctx.n_local
-    dofs = ctx.known_dofs
+    dofs = ctx.dof_map.table
     by_key = np.argsort(ctx.true_keys, kind="stable")
     key_rank = np.empty(n, dtype=np.int64)
     key_rank[by_key] = np.arange(n)
@@ -176,7 +176,7 @@ def assemble_cdr(
     pg = geo.physical_gradients(rule.points, grads)  # (cells, q, dofs, 2)
     xq = geo.map(rule.points).reshape(-1, 2)
     if wind is not None:  # read on halo cells too, hence restored to level 3
-        nodal = [c.restore(ConsistencyLevel.L3).values[ctx.known_dofs] for c in wind]
+        nodal = [c.restore(ConsistencyLevel.L3).values[ctx.dof_map.table] for c in wind]
         bq = np.stack([_interpolate(u, vals) for u in nodal], axis=-1)
     else:
         bq = _at_points(coeffs.b, xq, (2,)).reshape(n_cells, n_q, 2)
@@ -208,7 +208,7 @@ def assemble_cdr(
             be[on] += tau[on, None] * _qload(w[on] * fq[on], bgrad[on])
 
     rhs = np.zeros(ctx.n_local)
-    np.add.at(rhs, ctx.known_dofs.ravel(), be.ravel())
+    np.add.at(rhs, ctx.dof_map.table.ravel(), be.ravel())
     return _matrix(ctx, Ae), DistVector(ctx, rhs, ConsistencyLevel.L1)
 
 
@@ -231,23 +231,16 @@ def _dirichlet_rows(ctx: RankContext, parts):
     if cached is not None and cached[0] is parts:
         return cached[1:]
     mesh, elem = ctx.mesh, get_element(ctx.elem_kind)
-    verts = mesh.cell_vertices[ctx.rank_cells.known]
-    ends = np.sort(np.stack([verts, np.roll(verts, -1, axis=1)], axis=-1), axis=-1)
-    # an edge seen once among the known cells is on the boundary unless an
-    # unknown cell lies across it; the mesh's edge table decides those few
-    codes = ends[..., 0] * mesh.n_vertices + ends[..., 1]
-    _, inverse, seen = np.unique(codes, return_inverse=True, return_counts=True)
-    cell, edge = np.nonzero(seen[inverse.reshape(verts.shape)] == 1)
-    ends = ends[cell, edge]
-    outer = [len(mesh.edge_table[k]) == 1 for k in map(tuple, ends.tolist())]
-    outer = np.array(outer, dtype=bool)
+    edges = mesh.cell_edges[ctx.rank_cells.known]
+    cell, edge = np.nonzero(mesh.edge_counts[edges] == 1)
+    ends = mesh.edges[edges[cell, edge]]
     local = [
         [elem.vertex_dof[e], elem.vertex_dof[(e + 1) % 4]]
         + [i for i, _ in elem.edge_dofs[e]]
         for e in range(4)
     ]
-    dofs = ctx.known_dofs[cell[outer, None], np.array(local)[edge[outer]]]
-    ids, inverse = np.unique(ends[outer], return_inverse=True)
+    dofs = ctx.dof_map.table[cell[:, None], np.array(local)[edge]]
+    ids, inverse = np.unique(ends, return_inverse=True)
     part_rows = []
     for part in parts:
         if part.flag is not None:
@@ -343,7 +336,7 @@ def l2_error(ctx: RankContext, u: DistVector, exact, quad_order: int = 4) -> flo
     vals, _ = get_element(ctx.elem_kind).eval(rule.points)
     own = sorted(ctx.rank_cells.own)
     geo = cell_geometry(ctx.mesh, own)
-    uh = _interpolate(u.values[ctx.dof_map.table(own)], vals)
+    uh = _interpolate(u.values[ctx.dof_map.rows(own)], vals)
     diff = uh - _at_points(exact, geo.map(rule.points).reshape(-1, 2)).reshape(uh.shape)
     part = float(np.sum(geo.quadrature_weights(rule) * diff**2))
     return math.sqrt(ctx.transport.allreduce_sum(ctx.rank, part))
@@ -355,7 +348,7 @@ def vertex_values(ctx: RankContext, u: DistVector) -> np.ndarray:
     own = sorted(ctx.rank_cells.own)
     corners = [elem.vertex_dof[k] for k in range(4)]
     out = np.zeros(ctx.mesh.n_vertices)
-    out[ctx.mesh.cell_vertices[own]] = u.values[ctx.dof_map.table(own)[:, corners]]
+    out[ctx.mesh.cell_vertices[own]] = u.values[ctx.dof_map.rows(own)[:, corners]]
     return out
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import enum
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,7 +75,13 @@ LEVEL_RELATION = {
 
 
 class Transport:
-    """In-process collective exchange between logical ranks."""
+    """In-process collective exchange between logical ranks.
+
+    `trace` keeps (label, rank, chunk sizes) of the latest `TRACE_LENGTH`
+    all-to-alls, newest last.
+    """
+
+    TRACE_LENGTH = 4096
 
     def __init__(self, n_ranks: int, timeout: float = 60.0):
         self.n_ranks = n_ranks
@@ -85,7 +92,9 @@ class Transport:
         self._reduce_in = [0.0] * n_ranks
         self._reduce_out = 0.0
         self._lock = threading.Lock()
-        self.trace: list[tuple[str, int, tuple[int, ...]]] = []
+        self.trace: deque[tuple[str, int, tuple[int, ...]]] = deque(
+            maxlen=self.TRACE_LENGTH
+        )
 
     def clear_trace(self):
         with self._lock:
@@ -222,28 +231,28 @@ def build_fe_mapper(
     requests = {}
     for rel, slave_class in RELATION_SLAVE_CLASS.items():
         idx = classification.of_class(slave_class)
-        order = np.argsort(local_keys[idx], kind="stable")
-        idx = idx[order]
+        idx = idx[np.argsort(local_keys[idx], kind="stable")]
         requests[rel] = (local_keys[idx], idx)
 
-    payload = {rel.value: requests[rel][0].tolist() for rel in Relation}
+    payload = {rel.value: requests[rel][0] for rel in Relation}
     incoming = transport.all_to_all(
         rank, [payload] * n_ranks, label="mapper-request"
     )
 
-    key_to_local = dof_map.local_of_key()
     is_master = classification.is_master
-    replies = [{rel.value: [] for rel in Relation} for _ in range(n_ranks)]
-    sent_lists = {rel: [[] for _ in range(n_ranks)] for rel in Relation}
+    no_reply = np.empty((0, 2), dtype=np.int64)
+    replies = [{rel.value: no_reply for rel in Relation} for _ in range(n_ranks)]
+    sent_lists = {rel: [np.empty(0, dtype=np.int64)] * n_ranks for rel in Relation}
     for src in range(n_ranks):
         if src == rank:
             continue
         for rel in Relation:
-            for key in incoming[src][rel.value]:
-                d = key_to_local.get(key)
-                if d is not None and is_master[d]:
-                    replies[src][rel.value].append((key, int(local_keys[d])))
-                    sent_lists[rel][src].append(d)
+            keys = incoming[src][rel.value]
+            d = dof_map.dofs_of_keys(keys)
+            hit = d >= 0
+            hit[hit] = is_master[d[hit]]
+            replies[src][rel.value] = np.stack([keys[hit], local_keys[d[hit]]], axis=1)
+            sent_lists[rel][src] = d[hit]
 
     answered = transport.all_to_all(rank, replies, label="mapper-reply")
 
@@ -251,37 +260,27 @@ def build_fe_mapper(
     schedules = {}
     for rel in Relation:
         req_keys, req_idx = requests[rel]
-        key_to_slave = {int(k): int(i) for k, i in zip(req_keys, req_idx)}
-        matched = np.zeros(dof_map.n_dofs, dtype=np.int64)
-        recv_counts = np.zeros(n_ranks, dtype=np.int64)
-        rcvd = []
-        for src in range(n_ranks):
-            got = answered[src][rel.value]
-            recv_counts[src] = len(got)
-            for key, tkey in got:
-                d = key_to_slave[key]
-                rcvd.append(d)
-                matched[d] += 1
-                true_keys[d] = tkey
-        for i in req_idx:
-            if matched[i] != 1:
-                raise RuntimeError(
-                    f"rank {rank}: slave dof {int(i)} in {rel.value} matched "
-                    f"{int(matched[i])} masters"
-                )
-        send_counts = np.array(
-            [len(sent_lists[rel][q]) for q in range(n_ranks)], dtype=np.int64
-        )
-        sent_dof = np.array(
-            [d for q in range(n_ranks) for d in sent_lists[rel][q]], dtype=np.int64
+        got = np.concatenate([answered[src][rel.value] for src in range(n_ranks)])
+        rcvd = req_idx[np.searchsorted(req_keys, got[:, 0])]
+        true_keys[rcvd] = got[:, 1]
+        matched = np.bincount(rcvd, minlength=dof_map.n_dofs)[req_idx]
+        bad = np.flatnonzero(matched != 1)
+        if bad.size:
+            raise RuntimeError(
+                f"rank {rank}: slave dof {int(req_idx[bad[0]])} in {rel.value} "
+                f"matched {int(matched[bad[0]])} masters"
+            )
+        send_counts = np.array([len(d) for d in sent_lists[rel]], dtype=np.int64)
+        recv_counts = np.array(
+            [len(answered[src][rel.value]) for src in range(n_ranks)], dtype=np.int64
         )
         schedules[rel] = Schedule(
             send_counts=send_counts,
             send_displ=_displ(send_counts),
-            sent_dof=sent_dof,
+            sent_dof=np.concatenate(sent_lists[rel]),
             recv_counts=recv_counts,
             recv_displ=_displ(recv_counts),
-            rcvd_dof=np.array(rcvd, dtype=np.int64),
+            rcvd_dof=rcvd,
         )
     return FeMapper(schedules=schedules, true_keys=true_keys)
 
@@ -340,26 +339,17 @@ class InterfaceExchange:
         if_dofs = classification.of_class(
             DofClass.INTERFACE_MASTER, DofClass.INTERFACE_SLAVE
         )
-        keys = dof_map.keys[if_dofs]
-        order = np.argsort(keys, kind="stable")
-        self.if_dofs = if_dofs[order]
-        slot = {int(g): i for i, g in enumerate(self.if_dofs)}
-        self.counts = np.zeros(len(self.if_dofs))
-        self.shared_with = [np.empty(0, dtype=np.int64) for _ in range(n)]
-        by_rank: list[list[int]] = [[] for _ in range(n)]
-        for g in self.if_dofs:
-            sharing = sorted(
-                {int(ownership[c]) for c in dof_map.cells_of_dof[g]}
-            )
-            self.counts[slot[int(g)]] = len(sharing)
-            for q in sharing:
-                by_rank[q].append(int(g))
-        for q in range(n):
-            self.shared_with[q] = np.array(by_rank[q], dtype=np.int64)
-        self.slot_with = [
-            np.array([slot[int(g)] for g in self.shared_with[q]], dtype=np.int64)
-            for q in range(n)
-        ]
+        self.if_dofs = if_dofs[np.argsort(dof_map.keys[if_dofs], kind="stable")]
+        # sharing ranks: owners of the known cells holding each interface dof
+        slot = np.full(dof_map.n_dofs, -1)
+        slot[self.if_dofs] = np.arange(len(self.if_dofs))
+        slots = slot[dof_map.table]
+        sharing = np.zeros((len(self.if_dofs), n), dtype=bool)
+        owners = np.broadcast_to(ownership[dof_map.cells][:, None], slots.shape)
+        sharing[slots[slots >= 0], owners[slots >= 0]] = True
+        self.counts = sharing.sum(axis=1).astype(float)
+        self.slot_with = [np.flatnonzero(sharing[:, q]) for q in range(n)]
+        self.shared_with = [self.if_dofs[s] for s in self.slot_with]
         self.is_if_master = classification.classes[self.if_dofs] == int(
             DofClass.INTERFACE_MASTER
         )
@@ -441,13 +431,6 @@ class RankContext:
         if "geometry" not in self._cache:
             self._cache["geometry"] = cell_geometry(self.mesh, self.rank_cells.known)
         return self._cache["geometry"]
-
-    @property
-    def known_dofs(self) -> np.ndarray:
-        """Global d.o.f.s of the known cells, one row per cell, ascending."""
-        if "known_dofs" not in self._cache:
-            self._cache["known_dofs"] = self.dof_map.table(self.rank_cells.known)
-        return self._cache["known_dofs"]
 
     @property
     def dof_coords(self) -> np.ndarray:

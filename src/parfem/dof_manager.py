@@ -1,9 +1,12 @@
-"""Local-to-global d.o.f. numbering via partition refinement.
+"""Local-to-global d.o.f. numbering by topological entity.
 
-All local d.o.f.s (cell, i) start as singleton classes; for every pair of
-adjacent cells the d.o.f.s sitting on the shared vertex or edge are unified.
-The surviving classes, numbered in ascending order of their smallest
-(cell_id, local_index) member, are the global degrees of freedom.
+Every local d.o.f. (cell, i) of the known cells sits on one entity of the
+mesh: a vertex, a position along an edge (oriented by ascending vertex id,
+so both cells of the edge agree), or the cell's interior.  Local d.o.f.s on
+the same entity form one global d.o.f.; these are exactly the classes that
+unifying the d.o.f.s on shared vertices and edges of adjacent cells yields.
+The classes are numbered in ascending order of their smallest
+(cell_id, local_index) member.
 
 Identification is purely symbolic (vertex ids, edge orientation); coordinate
 hashing appears only as a test oracle.
@@ -12,6 +15,7 @@ hashing appears only as a test oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,132 +33,84 @@ def decode_key(key: int) -> tuple[int, int]:
     return divmod(int(key), KEY_SHIFT)
 
 
-class UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            # keep the smaller slot as representative so results are
-            # independent of the union order
-            if ra > rb:
-                ra, rb = rb, ra
-            self.parent[rb] = ra
-
-
 @dataclass
 class DofMap:
     """Surjection from local (cell, index) pairs onto 0..n_dofs-1."""
 
     n_dofs: int
     elem: LocalElement
-    cell_dofs: dict[int, np.ndarray]  # cell gid -> global index per local dof
+    cells: np.ndarray  # known cell ids, ascending
+    table: np.ndarray  # (cells, elem.n_dofs) global d.o.f. of each local one
     keys: np.ndarray  # canonical (smallest) key per global dof, int64
-    cells_of_dof: list[tuple[int, ...]]  # containing cell gids per global dof
 
-    def table(self, cells) -> np.ndarray:
-        """Global d.o.f.s of the given cells, one row per cell."""
-        rows = [self.cell_dofs[g] for g in cells]
-        return np.array(rows, dtype=np.int64).reshape(-1, self.elem.n_dofs)
+    @cached_property
+    def cell_dofs(self) -> dict[int, np.ndarray]:
+        """Cell gid -> its row of `table` (a view)."""
+        return dict(zip(self.cells.tolist(), self.table))
 
-    def local_of_key(self):
-        """Lookup table key -> global dof over every known (cell, i) pair."""
-        table = {}
-        for gid, dofs in self.cell_dofs.items():
-            for li, g in enumerate(dofs):
-                table[encode_key(gid, li)] = int(g)
-        return table
+    def _find(self, cells):
+        pos = np.minimum(np.searchsorted(self.cells, cells), len(self.cells) - 1)
+        return pos, self.cells[pos] == cells
+
+    def rows(self, cells) -> np.ndarray:
+        """Global d.o.f.s of the given known cells, one row per cell."""
+        pos, known = self._find(np.asarray(cells, dtype=np.int64))
+        if not np.all(known):
+            raise KeyError("not every cell is known to this d.o.f. map")
+        return self.table[pos]
+
+    def dofs_of_keys(self, keys) -> np.ndarray:
+        """Global d.o.f. of each (cell, index) key; -1 where the cell is unknown."""
+        cells, local = np.divmod(np.asarray(keys, dtype=np.int64), KEY_SHIFT)
+        pos, known = self._find(cells)
+        return np.where(known, self.table[pos, local], -1)
 
 
-def _edge_index(cell, a, b):
-    for e, (p, q) in enumerate(cell.local_edges()):
-        if (p, q) == (a, b) or (q, p) == (a, b):
-            return e
-    raise ValueError(f"vertices {(a, b)} are not an edge of cell {cell.global_id}")
+def _entity_codes(mesh, cells, elem: LocalElement) -> np.ndarray:
+    """(cells, n_dofs) integer code of the entity each local d.o.f. sits on.
+
+    Vertex d.o.f.s are coded by vertex id, edge d.o.f.s by (edge id, position
+    oriented by ascending vertex id) and interior d.o.f.s by (cell row, local
+    index), each kind in its own code range.
+    """
+    cv = mesh.cell_vertices[cells]
+    on_edge = [(e, i, t) for e, dofs in elem.edge_dofs.items() for i, t in dofs]
+    ts = [t for *_, t in on_edge]
+    positions = np.unique(np.round(ts + [1.0 - t for t in ts], 9))
+    edge_base = mesh.n_vertices
+    interior_base = edge_base + len(mesh.edges) * len(positions)
+    codes = interior_base + np.arange(len(cv) * elem.n_dofs).reshape(len(cv), -1)
+    for k, i in elem.vertex_dof.items():
+        codes[:, i] = cv[:, k]
+    for e, i, t in on_edge:
+        forward = cv[:, e] < cv[:, (e + 1) % 4]
+        pos = np.searchsorted(positions, np.round(np.where(forward, t, 1.0 - t), 9))
+        codes[:, i] = edge_base + mesh.cell_edges[cells, e] * len(positions) + pos
+    return codes
 
 
 def build_dof_map(mesh, cells, elem_kind: str) -> DofMap:
-    """Run the partition refinement over the given set of known cells.
+    """Number the d.o.f.s of the given set of known cells.
 
     `cells` is any iterable of cell ids forming an admissible submesh (a
     rank's own+halo cells, or all cells for a sequential run).
     """
     elem = get_element(elem_kind) if isinstance(elem_kind, str) else elem_kind
-    cell_ids = sorted(set(cells))
-    nd = elem.n_dofs
-    slot_of = {g: i for i, g in enumerate(cell_ids)}
-    uf = UnionFind(len(cell_ids) * nd)
-
-    def slot(gid, li):
-        return slot_of[gid] * nd + li
-
-    # adjacent pairs among the known cells, via shared vertices
-    known = set(cell_ids)
-    pairs = set()
-    for gid in cell_ids:
-        for v in mesh.cell(gid).vertex_ids:
-            for other in mesh.vertex_cells[v]:
-                if other in known and other > gid:
-                    pairs.add((gid, other))
-
-    for ka, kb in sorted(pairs):
-        ca, cb = mesh.cell(ka), mesh.cell(kb)
-        shared = set(ca.vertex_ids) & set(cb.vertex_ids)
-        for v in shared:
-            pa = ca.vertex_ids.index(v)
-            pb = cb.vertex_ids.index(v)
-            uf.union(slot(ka, elem.vertex_dof[pa]), slot(kb, elem.vertex_dof[pb]))
-        if len(shared) == 2:
-            a, b = sorted(shared)
-            ea = _edge_index(ca, a, b)
-            eb = _edge_index(cb, a, b)
-            for li, ti in elem.edge_dofs[ea]:
-                # orient along ascending vertex id so both sides agree
-                va, vb_ = ca.local_edges()[ea]
-                ta = ti if va < vb_ else 1.0 - ti
-                for lj, tj in elem.edge_dofs[eb]:
-                    va2, vb2 = cb.local_edges()[eb]
-                    tb = tj if va2 < vb2 else 1.0 - tj
-                    if abs(ta - tb) < 1e-9:
-                        uf.union(slot(ka, li), slot(kb, lj))
-
-    # number the classes by their smallest (cell, local) key
-    class_key: dict[int, int] = {}
-    for gid in cell_ids:
-        for li in range(nd):
-            root = uf.find(slot(gid, li))
-            key = encode_key(gid, li)
-            if root not in class_key or key < class_key[root]:
-                class_key[root] = key
-    ordered = sorted(class_key.items(), key=lambda kv: kv[1])
-    number = {root: i for i, (root, _) in enumerate(ordered)}
-
-    cell_dofs = {}
-    cells_of: list[set[int]] = [set() for _ in ordered]
-    for gid in cell_ids:
-        arr = np.empty(nd, dtype=np.int64)
-        for li in range(nd):
-            g = number[uf.find(slot(gid, li))]
-            arr[li] = g
-            cells_of[g].add(gid)
-        cell_dofs[gid] = arr
-
-    keys = np.array([key for _, key in ordered], dtype=np.int64)
+    cells = np.unique(np.fromiter(cells, dtype=np.int64))
+    codes = _entity_codes(mesh, cells, elem).ravel()
+    # the flattened table runs in ascending key order, so the first
+    # occurrence of an entity is its class's smallest key
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(len(order))
+    smallest = first[order]
     return DofMap(
-        n_dofs=len(ordered),
+        n_dofs=len(order),
         elem=elem,
-        cell_dofs=cell_dofs,
-        keys=keys,
-        cells_of_dof=[tuple(sorted(s)) for s in cells_of],
+        cells=cells,
+        table=number[inverse].reshape(len(cells), elem.n_dofs),
+        keys=encode_key(cells[smallest // elem.n_dofs], smallest % elem.n_dofs),
     )
 
 
@@ -164,9 +120,8 @@ def dof_coordinates(dof_map: DofMap, mesh, tol=1e-12) -> np.ndarray:
     The coordinate is taken from the smallest containing cell; every other
     containing cell must agree within `tol` or the numbering is miswired.
     """
-    cells = sorted(dof_map.cell_dofs)
-    geometry = cell_geometry(mesh, cells)
-    flat = dof_map.table(cells).ravel()
+    geometry = cell_geometry(mesh, dof_map.cells)
+    flat = dof_map.table.ravel()
     pts = geometry.map(dof_map.elem.nodes).reshape(-1, 2)
     coords = np.full((dof_map.n_dofs, 2), np.nan)
     dofs, first = np.unique(flat, return_index=True)

@@ -233,7 +233,7 @@ class CellGeometry:
 
 def cell_geometry(mesh, cell_ids) -> CellGeometry:
     """Batched reference maps of the given cells, in the given order."""
-    return CellGeometry(mesh.vertices[mesh.cell_vertices[list(cell_ids)]])
+    return CellGeometry(mesh.vertices[mesh.cell_vertices[np.asarray(cell_ids)]])
 
 
 class ReferenceMap:

@@ -4,12 +4,18 @@ Cells carry globally unique ids per refinement level.  A child id is a pure
 function of the parent id (``4*parent + child_index``), so every simulated
 rank derives the same numbering without communication.  Meshes are immutable
 after construction and safe to share read-only between ranks.
+
+Topology is held in integer arrays: the cells' vertex ids, the edges as
+sorted vertex pairs with their incidence counts (one ``np.unique`` over pair
+codes) and each cell's edge ids.  Validation and refinement work on these
+arrays; `Mesh.cells` and `Mesh.edge_table` are views built on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +34,10 @@ class Cell:
     vertex_ids: tuple[int, int, int, int]
     level: int = 0
     parent_id: int | None = None
-    child_ids: tuple[int, int, int, int] | None = None
+
+    @property
+    def child_ids(self) -> tuple[int, int, int, int]:
+        return tuple(4 * self.global_id + k for k in range(4))
 
     def local_edges(self):
         v = self.vertex_ids
@@ -38,14 +47,18 @@ class Cell:
 class Mesh:
     """Admissible quadrilateral triangulation.
 
+    `cells` is a list of `Cell`, or an (n_cells, 4) array of vertex ids with
+    the cell id as row; in a refined mesh (level > 0) built from an array,
+    cell ``g`` is a child of cell ``g // 4``.
+
     Attributes:
         vertices: (n, 2) float array of vertex coordinates.
-        cells: list of Cell, indexed by global_id (ids are contiguous).
-        level: refinement level of this mesh.
-        edge_table: sorted vertex-id pair -> tuple of incident cell ids.
-        vertex_flags: flag name -> set of vertex ids (e.g. circle boundary).
-        vertex_cells: per vertex, tuple of incident cell ids.
         cell_vertices: (n_cells, 4) int array, vertex ids of each cell.
+        level: refinement level of this mesh.
+        edges: (n_edges, 2) int array of vertex-id pairs a < b, ascending.
+        edge_counts: number of incident cells per edge.
+        cell_edges: (n_cells, 4) edge id of each local edge (v_k, v_k+1).
+        vertex_flags: flag name -> set of vertex ids (e.g. circle boundary).
     """
 
     def __init__(self, vertices, cells, level=0, vertex_flags=None):
@@ -54,10 +67,13 @@ class Mesh:
             raise MeshError("vertices must be an (n, 2) array")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("vertex coordinates must be finite")
-        self.cells = sorted(cells, key=lambda c: c.global_id)
-        for pos, cell in enumerate(self.cells):
-            if cell.global_id != pos:
-                raise MeshError("cell ids must be contiguous from 0")
+        if not isinstance(cells, np.ndarray):
+            self.cells = sorted(cells, key=lambda c: c.global_id)
+            for pos, cell in enumerate(self.cells):
+                if cell.global_id != pos:
+                    raise MeshError("cell ids must be contiguous from 0")
+            cells = np.array([c.vertex_ids for c in self.cells], dtype=np.int64)
+        self.cell_vertices = cells.astype(np.int64).reshape(-1, 4)
         self.level = level
         self.vertex_flags = {k: set(v) for k, v in (vertex_flags or {}).items()}
         self._build_tables()
@@ -65,11 +81,29 @@ class Mesh:
 
     @property
     def n_cells(self):
-        return len(self.cells)
+        return len(self.cell_vertices)
 
     @property
     def n_vertices(self):
         return len(self.vertices)
+
+    @cached_property
+    def cells(self) -> list[Cell]:
+        parent = (lambda g: g // 4) if self.level > 0 else (lambda g: None)
+        return [
+            Cell(g, tuple(v), self.level, parent(g))
+            for g, v in enumerate(self.cell_vertices.tolist())
+        ]
+
+    @cached_property
+    def edge_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Sorted vertex-id pair -> ascending ids of its incident cells."""
+        cells = self._cells_by_edge().tolist()
+        ends = np.cumsum(self.edge_counts).tolist()
+        return {
+            tuple(e): tuple(cells[end - k : end])
+            for e, k, end in zip(self.edges.tolist(), self.edge_counts.tolist(), ends)
+        }
 
     def cell(self, global_id: int) -> Cell:
         try:
@@ -78,55 +112,72 @@ class Mesh:
             raise KeyError(f"unknown cell id {global_id}") from None
 
     def _build_tables(self):
-        edge_table: dict[tuple[int, int], list[int]] = {}
-        vertex_cells: list[list[int]] = [[] for _ in range(self.n_vertices)]
-        for cell in self.cells:
-            for a, b in cell.local_edges():
-                key = (a, b) if a < b else (b, a)
-                edge_table.setdefault(key, []).append(cell.global_id)
-            for v in cell.vertex_ids:
-                vertex_cells[v].append(cell.global_id)
-        self.edge_table = {k: tuple(v) for k, v in sorted(edge_table.items())}
-        self.vertex_cells = [tuple(v) for v in vertex_cells]
-        self.cell_vertices = np.array([c.vertex_ids for c in self.cells]).reshape(-1, 4)
+        cv = self.cell_vertices
+        ends = np.stack([cv, np.roll(cv, -1, axis=1)], axis=-1)
+        codes = ends.min(axis=-1) * self.n_vertices + ends.max(axis=-1)
+        codes, inverse, self.edge_counts = np.unique(
+            codes, return_inverse=True, return_counts=True
+        )
+        self.edges = np.stack(np.divmod(codes, self.n_vertices), axis=1)
+        self.cell_edges = inverse.reshape(cv.shape)
+
+    def _cells_by_edge(self):
+        """Incident cell ids grouped by edge, ascending within each edge."""
+        return np.argsort(self.cell_edges.ravel(), kind="stable") // 4
 
     def _validate(self):
-        for cell in self.cells:
-            v = self.vertices[list(cell.vertex_ids)]
-            if len(set(cell.vertex_ids)) != 4:
-                raise MeshError(f"cell {cell.global_id} has repeated vertices")
-            # positive cross product at every corner: convex and counterclockwise,
-            # hence positive bilinear Jacobian on the whole reference cell
-            for k in range(4):
-                e0 = v[(k + 1) % 4] - v[k]
-                e1 = v[(k + 2) % 4] - v[(k + 1) % 4]
-                if e0[0] * e1[1] - e0[1] * e1[0] <= 0.0:
-                    raise MeshError(
-                        f"cell {cell.global_id} is not convex counterclockwise"
-                    )
-        for key, inc in self.edge_table.items():
-            if len(inc) > 2:
-                raise MeshError(f"edge {key} has {len(inc)} incident cells")
-        # admissibility: two cells sharing >=2 vertices must share a full edge
-        seen: dict[tuple[int, int], int] = {}
-        for vid, inc in enumerate(self.vertex_cells):
-            for i, ci in enumerate(inc):
-                for cj in inc[i + 1 :]:
-                    pair = (ci, cj)
-                    seen[pair] = seen.get(pair, 0) + 1
-        edge_pairs = {
-            tuple(sorted(inc)) for inc in self.edge_table.values() if len(inc) == 2
-        }
-        for (ci, cj), shared in seen.items():
-            if shared >= 2 and (ci, cj) not in edge_pairs:
-                raise MeshError(
-                    f"cells {ci} and {cj} share {shared} vertices but no edge"
-                )
-            if shared > 2:
-                raise MeshError(f"cells {ci} and {cj} overlap in {shared} vertices")
+        cv, n = self.cell_vertices, self.n_cells
+        ordered = np.sort(cv, axis=1)
+        repeated = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+        # positive cross product at every corner: convex and counterclockwise,
+        # hence positive bilinear Jacobian on the whole reference cell
+        corners = self.vertices[cv]
+        e0 = np.roll(corners, -1, axis=1) - corners
+        e1 = np.roll(e0, -1, axis=1)
+        cross = e0[..., 0] * e1[..., 1] - e0[..., 1] * e1[..., 0]
+        bad = np.flatnonzero(repeated | np.any(cross <= 0.0, axis=1))
+        if bad.size:
+            g = bad[0]
+            if repeated[g]:
+                raise MeshError(f"cell {g} has repeated vertices")
+            raise MeshError(f"cell {g} is not convex counterclockwise")
+        bad = np.flatnonzero(self.edge_counts > 2)
+        if bad.size:
+            key = tuple(self.edges[bad[0]].tolist())
+            raise MeshError(f"edge {key} has {self.edge_counts[bad[0]]} incident cells")
+        # admissibility: two cells sharing >=2 vertices must share a full edge.
+        # (vertex, ci, cj) for every two cells ci < cj on a common vertex
+        order = np.argsort(cv.ravel(), kind="stable")
+        vert, cell = cv.ravel()[order], order // 4
+        triples = []
+        for d in range(1, len(vert)):
+            same = vert[d:] == vert[:-d]
+            if not same.any():
+                break
+            triples.append(np.stack([vert[d:], cell[:-d], cell[d:]])[:, same])
+        if not triples:
+            return
+        v, ci, cj = np.concatenate(triples, axis=1)
+        codes = ci * n + cj
+        pair, shared = np.unique(codes, return_counts=True)
+        two = (np.cumsum(self.edge_counts) - 2)[self.edge_counts == 2]
+        by_edge = self._cells_by_edge()
+        edge_pairs = np.sort(by_edge[two] * n + by_edge[two + 1])
+        if shared.max() <= 2 and np.array_equal(pair[shared >= 2], edge_pairs):
+            return
+        # the first offending pair in ascending (vertex, ci, cj) order
+        no_edge = (shared >= 2) & ~np.isin(pair, edge_pairs)
+        hit = np.isin(codes, pair[no_edge | (shared > 2)])
+        k = np.searchsorted(pair, codes[hit][np.lexsort((codes[hit], v[hit]))[0]])
+        ci, cj = divmod(int(pair[k]), n)
+        if no_edge[k]:
+            raise MeshError(
+                f"cells {ci} and {cj} share {shared[k]} vertices but no edge"
+            )
+        raise MeshError(f"cells {ci} and {cj} overlap in {shared[k]} vertices")
 
     def boundary_edges(self):
-        return [k for k, inc in self.edge_table.items() if len(inc) == 1]
+        return [tuple(e) for e in self.edges[self.edge_counts == 1].tolist()]
 
     def cell_coords(self, global_id: int) -> np.ndarray:
         return self.vertices[list(self.cell(global_id).vertex_ids)]
@@ -222,67 +273,50 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     """Split every cell into 4 children through edge midpoints and barycenter.
 
     Child global_id is ``4*parent + k`` with k enumerating the quadrant at
-    parent vertex k.  Midpoints of edges between two circle-flagged vertices
-    are re-projected onto the unit circle.
+    parent vertex k.  Midpoint vertices are numbered after the parent's
+    vertices in edge order, barycenters after them in cell order.  Midpoints
+    of edges between two circle-flagged vertices are re-projected onto the
+    unit circle.  The input mesh is not modified.
     """
     circle = mesh.vertex_flags.get(CIRCLE_FLAG, set())
-    verts = [mesh.vertices]
-    new_circle = set(circle)
-    nv = mesh.n_vertices
+    nv, ne = mesh.n_vertices, len(mesh.edges)
+    a, b = mesh.edges.T
+    mids = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+    flagged = np.zeros(nv, dtype=bool)
+    flagged[list(circle)] = True
+    (on_circle,) = np.nonzero(flagged[a] & flagged[b])
+    for k in on_circle.tolist():
+        # math.hypot, not np.hypot: they differ in the last bit on some inputs
+        mids[k] = mids[k] / math.hypot(mids[k, 0], mids[k, 1])
+    bary = mesh.vertices[mesh.cell_vertices].mean(axis=1)
 
-    edge_mid = {}
-    mid_coords = []
-    for a, b in mesh.edge_table:  # already sorted
-        m = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        if a in circle and b in circle:
-            m = m / math.hypot(m[0], m[1])
-            new_circle.add(nv + len(mid_coords))
-        edge_mid[(a, b)] = nv + len(mid_coords)
-        mid_coords.append(m)
-    verts.append(np.array(mid_coords).reshape(-1, 2))
-
-    bary_base = nv + len(mid_coords)
-    bary_coords = np.array(
-        [mesh.vertices[list(c.vertex_ids)].mean(axis=0) for c in mesh.cells]
-    )
-    verts.append(bary_coords.reshape(-1, 2))
-
-    def mid(a, b):
-        return edge_mid[(a, b) if a < b else (b, a)]
-
-    children = []
-    for cell in mesh.cells:
-        v0, v1, v2, v3 = cell.vertex_ids
-        m01, m12, m23, m30 = mid(v0, v1), mid(v1, v2), mid(v2, v3), mid(v3, v0)
-        ctr = bary_base + cell.global_id
-        g = cell.global_id
-        quads = (
+    v0, v1, v2, v3 = mesh.cell_vertices.T
+    m01, m12, m23, m30 = (nv + mesh.cell_edges).T
+    ctr = nv + ne + np.arange(mesh.n_cells)
+    quads = np.stack(
+        [
             (v0, m01, ctr, m30),
             (m01, v1, m12, ctr),
             (ctr, m12, v2, m23),
             (m30, ctr, m23, v3),
-        )
-        for k, q in enumerate(quads):
-            children.append(
-                Cell(4 * g + k, q, level=mesh.level + 1, parent_id=g)
-            )
-        cell.child_ids = tuple(4 * g + k for k in range(4))
+        ]
+    )  # (child, corner, parent)
+    children = quads.transpose(2, 0, 1).reshape(-1, 4)
 
     flags = dict(mesh.vertex_flags)
-    flags[CIRCLE_FLAG] = new_circle
-    if not circle:
-        flags.pop(CIRCLE_FLAG, None)
-    return Mesh(np.vstack(verts), children, level=mesh.level + 1, vertex_flags=flags)
+    if circle:
+        flags[CIRCLE_FLAG] = circle | set((nv + on_circle).tolist())
+    verts = np.vstack([mesh.vertices, mids, bary])
+    return Mesh(verts, children, level=mesh.level + 1, vertex_flags=flags)
 
 
 def cell_neighbors_by_vertex(mesh: Mesh, cell_id: int) -> set[int]:
     """All cells sharing at least one vertex with the given cell."""
-    cell = mesh.cell(cell_id)
-    out: set[int] = set()
-    for v in cell.vertex_ids:
-        out.update(mesh.vertex_cells[v])
-    out.discard(cell_id)
-    return out
+    if not 0 <= cell_id < mesh.n_cells:
+        raise KeyError(f"unknown cell id {cell_id}")
+    touch = np.isin(mesh.cell_vertices, mesh.cell_vertices[cell_id]).any(axis=1)
+    touch[cell_id] = False
+    return set(np.flatnonzero(touch).tolist())
 
 
 def write_vtk(mesh: Mesh, path, point_data=None, cell_ids=None):
@@ -292,10 +326,9 @@ def write_vtk(mesh: Mesh, path, point_data=None, cell_ids=None):
     indexing); only vertices referenced by the written cells are emitted.
     """
     if cell_ids is None:
-        cell_ids = [c.global_id for c in mesh.cells]
+        cell_ids = range(mesh.n_cells)
     cell_ids = sorted(cell_ids)
-    used = sorted({v for g in cell_ids for v in mesh.cell(g).vertex_ids})
-    renum = {v: i for i, v in enumerate(used)}
+    used, renum = np.unique(mesh.cell_vertices[cell_ids], return_inverse=True)
     lines = [
         "# vtk DataFile Version 3.0",
         "parfem mesh",
@@ -307,8 +340,7 @@ def write_vtk(mesh: Mesh, path, point_data=None, cell_ids=None):
         x, y = mesh.vertices[v]
         lines.append(f"{x:.16g} {y:.16g} 0")
     lines.append(f"CELLS {len(cell_ids)} {5 * len(cell_ids)}")
-    for g in cell_ids:
-        a, b, c, d = (renum[v] for v in mesh.cell(g).vertex_ids)
+    for a, b, c, d in renum.reshape(-1, 4).tolist():
         lines.append(f"4 {a} {b} {c} {d}")
     lines.append(f"CELL_TYPES {len(cell_ids)}")
     lines.extend("9" for _ in cell_ids)

@@ -55,8 +55,8 @@ def transfer_operators(coarse: RankContext, fine: RankContext, T: np.ndarray):
     """
     own = np.array(sorted(coarse.rank_cells.own), dtype=np.int64)
     children = (4 * own[:, None] + np.arange(4)).ravel()
-    cdofs = coarse.known_dofs[np.searchsorted(coarse.rank_cells.known, own)]
-    fdofs = fine.known_dofs[np.searchsorted(fine.rank_cells.known, children)]
+    cdofs = coarse.dof_map.rows(own)
+    fdofs = fine.dof_map.rows(children)
     fine_dofs, first = np.unique(fdofs, return_index=True)
     cell, child, node = np.unravel_index(first, (len(own), 4, T.shape[1]))
     vals = T[child, node]

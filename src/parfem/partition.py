@@ -9,6 +9,11 @@ Known d.o.f.s are split into masters and slaves: every d.o.f. of the whole
 problem is master on exactly one rank.  Interface mastership goes to the
 lowest owning rank, which every rank can evaluate locally from the
 replicated ownership table.
+
+Both steps are array operations: halo and dependent cells come from vertex
+masks, and the classes from per-d.o.f. flags scattered through the known
+cells' d.o.f. table (in an own, halo or dependent cell; the lowest owning
+rank; in a cell that also holds a master or a slave).
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dof_manager import DofMap
-from .mesh import Mesh, cell_neighbors_by_vertex
+from .mesh import Mesh
 
 
 class DofClass(enum.IntEnum):
@@ -55,9 +60,7 @@ def decompose(mesh: Mesh, n_ranks: int) -> np.ndarray:
         raise ValueError("need at least one rank")
     if n_ranks > mesh.n_cells:
         raise ValueError(f"{n_ranks} ranks for {mesh.n_cells} cells")
-    bary = np.array(
-        [mesh.vertices[list(c.vertex_ids)].mean(axis=0) for c in mesh.cells]
-    )
+    bary = mesh.vertices[mesh.cell_vertices].mean(axis=1)
     m = mesh.n_cells
     base, rem = divmod(m, n_ranks)
     counts = [(r, base + (1 if r < rem else 0)) for r in range(n_ranks)]
@@ -96,41 +99,39 @@ class RankCells:
     halo: set[int]
     dependent: set[int]
     independent: set[int]
-
-    @property
-    def known(self) -> list[int]:
-        return sorted(self.own | self.halo)
+    known: np.ndarray  # own and halo cell ids, ascending
 
 
 def build_rank_cells(mesh: Mesh, ownership: np.ndarray, rank: int) -> RankCells:
-    own = {c.global_id for c in mesh.cells if ownership[c.global_id] == rank}
-    halo = set()
-    for g in own:
-        halo.update(
-            n for n in cell_neighbors_by_vertex(mesh, g) if n not in own
-        )
-    dependent = {
-        g
-        for g in own
-        if any(n in halo for n in cell_neighbors_by_vertex(mesh, g))
-    }
+    cv = mesh.cell_vertices
+    own = ownership == rank
+    near = np.zeros(mesh.n_vertices, dtype=bool)
+    near[cv[own]] = True
+    halo = ~own & near[cv].any(axis=1)
+    near[:] = False
+    near[cv[halo]] = True
+    dependent = own & near[cv].any(axis=1)
+
+    def ids(mask):
+        return set(np.flatnonzero(mask).tolist())
+
     return RankCells(
         rank=rank,
-        own=own,
-        halo=halo,
-        dependent=dependent,
-        independent=own - dependent,
+        own=ids(own),
+        halo=ids(halo),
+        dependent=ids(dependent),
+        independent=ids(own & ~dependent),
+        known=np.flatnonzero(own | halo),
     )
 
 
 @dataclass
 class DofClassification:
-    """Per-rank classes of all known d.o.f.s plus coupling adjacency."""
+    """Per-rank classes of all known d.o.f.s."""
 
     rank: int
     classes: np.ndarray  # DofClass value per local dof
     master_rank: np.ndarray  # responsible rank; filled for interface + own
-    couplings: list[np.ndarray]  # coupled local dofs (includes self)
     is_master: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -144,62 +145,40 @@ def classify_dofs(
     rank_cells: RankCells, dof_map: DofMap, ownership: np.ndarray
 ) -> DofClassification:
     """Assign location classes, interface mastership and the alpha/beta split."""
-    rank = rank_cells.rank
-    n = dof_map.n_dofs
-    classes = np.empty(n, dtype=np.int64)
-    master_rank = np.full(n, -1, dtype=np.int64)
+    rank, n, table = rank_cells.rank, dof_map.n_dofs, dof_map.table
 
-    coupled: list[set[int]] = [set() for _ in range(n)]
-    for gid, dofs in dof_map.cell_dofs.items():
-        for g in dofs:
-            coupled[g].update(int(d) for d in dofs)
+    def touches(cell_mask):
+        """Per d.o.f.: does one of the masked known cells contain it?"""
+        out = np.zeros(n, dtype=bool)
+        out[table[cell_mask]] = True
+        return out
 
-    loc_interface = []
-    for g in range(n):
-        cells = dof_map.cells_of_dof[g]
-        if not cells:
-            raise RuntimeError(f"dof {g} has no containing cell")
-        in_own = any(c in rank_cells.own for c in cells)
-        in_halo = any(c in rank_cells.halo for c in cells)
-        if not in_halo:
-            if any(c in rank_cells.dependent for c in cells):
-                classes[g] = DofClass.DEPENDENT_BETA  # alpha/beta fixed below
-            else:
-                classes[g] = DofClass.INDEPENDENT
-            master_rank[g] = rank
-        elif in_own:
-            # every cell containing an interface d.o.f. is known here, so the
-            # lowest owning rank is computable without negotiation
-            mr = min(int(ownership[c]) for c in cells)
-            master_rank[g] = mr
-            classes[g] = (
-                DofClass.INTERFACE_MASTER if mr == rank else DofClass.INTERFACE_SLAVE
-            )
-            loc_interface.append(g)
-        else:
-            classes[g] = DofClass.HALO_BETA  # alpha/beta fixed below
+    cell_owner = ownership[dof_map.cells]
+    own = cell_owner == rank
+    in_own, in_halo = touches(own), touches(~own)
+    in_dependent = touches(np.isin(dof_map.cells, list(rank_cells.dependent)))
+    # every cell containing an interface d.o.f. is known here, so the lowest
+    # owning rank is computable without negotiation
+    lowest = np.full(n, np.iinfo(np.int64).max)
+    np.minimum.at(lowest, table.ravel(), np.repeat(cell_owner, table.shape[1]))
 
-    slave_set = set(
-        int(g)
-        for g in range(n)
-        if classes[g] in (DofClass.INTERFACE_SLAVE, DofClass.HALO_ALPHA, DofClass.HALO_BETA)
+    interface = in_halo & in_own
+    master_rank = np.where(in_halo, -1, rank)
+    master_rank[interface] = lowest[interface]
+    classes = np.where(in_dependent, DofClass.DEPENDENT_BETA, DofClass.INDEPENDENT)
+    classes[in_halo] = DofClass.HALO_BETA
+    classes[interface] = np.where(
+        lowest[interface] == rank, DofClass.INTERFACE_MASTER, DofClass.INTERFACE_SLAVE
     )
-    master_set = set(int(g) for g in range(n)) - slave_set
-
-    for g in range(n):
-        if classes[g] == DofClass.HALO_BETA and master_rank[g] < 0:
-            if any(d in master_set and d != g for d in coupled[g]):
-                classes[g] = DofClass.HALO_ALPHA
-        elif classes[g] == DofClass.DEPENDENT_BETA:
-            if any(d in slave_set for d in coupled[g]):
-                classes[g] = DofClass.DEPENDENT_ALPHA
-
-    return DofClassification(
-        rank=rank,
-        classes=classes,
-        master_rank=master_rank,
-        couplings=[np.array(sorted(s), dtype=np.int64) for s in coupled],
-    )
+    # alpha/beta split: a halo d.o.f. coupled to a master is halo(alpha), a
+    # dependent d.o.f. coupled to a slave is dependent(alpha)
+    slave = (classes == DofClass.INTERFACE_SLAVE) | (classes == DofClass.HALO_BETA)
+    near_master = touches((~slave)[table].any(axis=1))
+    near_slave = touches(slave[table].any(axis=1))
+    classes[(classes == DofClass.HALO_BETA) & near_master] = DofClass.HALO_ALPHA
+    dependent_alpha = (classes == DofClass.DEPENDENT_BETA) & near_slave
+    classes[dependent_alpha] = DofClass.DEPENDENT_ALPHA
+    return DofClassification(rank=rank, classes=classes, master_rank=master_rank)
 
 
 def global_master_census(rank_results, tol=1e-8):

@@ -1,13 +1,25 @@
 """Shared fixtures and independent oracles for the test suite."""
 
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from parfem.assembly import SupgParams
-from parfem.comm import ConsistencyLevel, Transport, build_rank_context
+from parfem.comm import (
+    RELATION_SLAVE_CLASS,
+    ConsistencyLevel,
+    Relation,
+    Transport,
+    build_rank_context,
+)
 from parfem.dlinalg import DistVector
+from parfem.dof_manager import encode_key
 from parfem.mapped_fe import gauss_rule, get_element, make_reference_map
+from parfem.mesh import CIRCLE_FLAG, Cell, Mesh
 from parfem.multigrid import _QUADRANT_OFFSETS, transfer_matrices
+from parfem.partition import MASTER_CLASSES, DofClass
 
 
 def seq_context(mesh, elem="q1"):
@@ -289,6 +301,304 @@ def restrict_function(hier, level, v_fine):
         for j, (c, i) in enumerate(injection):
             out[cdofs[j]] = v_fine.values[fc.dof_map.cell_dofs[4 * gid + c][i]]
     return DistVector(cc, out, ConsistencyLevel.L1)
+
+
+def loop_refine_uniform(mesh):
+    """Per-cell oracle: midpoints in sorted edge order, then barycenters."""
+    circle = mesh.vertex_flags.get(CIRCLE_FLAG, set())
+    edges = sorted(
+        {(min(a, b), max(a, b)) for c in mesh.cells for a, b in c.local_edges()}
+    )
+    new_circle = set(circle)
+    nv = mesh.n_vertices
+    edge_mid = {}
+    mid_coords = []
+    for a, b in edges:
+        m = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+        if a in circle and b in circle:
+            m = m / math.hypot(m[0], m[1])
+            new_circle.add(nv + len(mid_coords))
+        edge_mid[(a, b)] = nv + len(mid_coords)
+        mid_coords.append(m)
+    bary_base = nv + len(mid_coords)
+    bary = [mesh.vertices[list(c.vertex_ids)].mean(axis=0) for c in mesh.cells]
+
+    def mid(a, b):
+        return edge_mid[(a, b) if a < b else (b, a)]
+
+    children = []
+    for cell in mesh.cells:
+        v0, v1, v2, v3 = cell.vertex_ids
+        m01, m12, m23, m30 = mid(v0, v1), mid(v1, v2), mid(v2, v3), mid(v3, v0)
+        g = cell.global_id
+        ctr = bary_base + g
+        quads = (
+            (v0, m01, ctr, m30),
+            (m01, v1, m12, ctr),
+            (ctr, m12, v2, m23),
+            (m30, ctr, m23, v3),
+        )
+        for k, q in enumerate(quads):
+            children.append(Cell(4 * g + k, q, level=mesh.level + 1, parent_id=g))
+    flags = dict(mesh.vertex_flags)
+    flags[CIRCLE_FLAG] = new_circle
+    if not circle:
+        flags.pop(CIRCLE_FLAG, None)
+    verts = np.vstack([mesh.vertices, np.array(mid_coords), np.array(bary)])
+    return Mesh(verts, children, level=mesh.level + 1, vertex_flags=flags)
+
+
+def _loop_vertex_cells(mesh):
+    out = [[] for _ in range(mesh.n_vertices)]
+    for cell in mesh.cells:
+        for v in cell.vertex_ids:
+            out[v].append(cell.global_id)
+    return out
+
+
+def loop_build_rank_cells(mesh, ownership, rank):
+    """Per-cell oracle: (own, halo, dependent, independent) cell sets."""
+    vertex_cells = _loop_vertex_cells(mesh)
+
+    def neighbors(g):
+        out = {c for v in mesh.cell(g).vertex_ids for c in vertex_cells[v]}
+        return out - {g}
+
+    own = {c.global_id for c in mesh.cells if ownership[c.global_id] == rank}
+    halo = set()
+    for g in own:
+        halo.update(n for n in neighbors(g) if n not in own)
+    dependent = {g for g in own if any(n in halo for n in neighbors(g))}
+    return own, halo, dependent, own - dependent
+
+
+class UnionFind:
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, i):
+        root = i
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[i] != root:
+            self.parent[i], i = root, self.parent[i]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            # keep the smaller slot as representative so results are
+            # independent of the union order
+            if ra > rb:
+                ra, rb = rb, ra
+            self.parent[rb] = ra
+
+
+def _edge_index(cell, a, b):
+    for e, (p, q) in enumerate(cell.local_edges()):
+        if (p, q) == (a, b) or (q, p) == (a, b):
+            return e
+    raise ValueError(f"vertices {(a, b)} are not an edge of cell {cell.global_id}")
+
+
+def loop_build_dof_map(mesh, cells, elem_kind):
+    """Union-find oracle: unify the d.o.f.s on shared vertices and edges of
+    adjacent known cells, number the classes by their smallest key."""
+    elem = get_element(elem_kind)
+    cell_ids = sorted(set(cells))
+    nd = elem.n_dofs
+    slot_of = {g: i for i, g in enumerate(cell_ids)}
+    uf = UnionFind(len(cell_ids) * nd)
+
+    def slot(gid, li):
+        return slot_of[gid] * nd + li
+
+    vertex_cells = _loop_vertex_cells(mesh)
+    known = set(cell_ids)
+    pairs = set()
+    for gid in cell_ids:
+        for v in mesh.cell(gid).vertex_ids:
+            for other in vertex_cells[v]:
+                if other in known and other > gid:
+                    pairs.add((gid, other))
+
+    for ka, kb in sorted(pairs):
+        ca, cb = mesh.cell(ka), mesh.cell(kb)
+        shared = set(ca.vertex_ids) & set(cb.vertex_ids)
+        for v in shared:
+            pa = ca.vertex_ids.index(v)
+            pb = cb.vertex_ids.index(v)
+            uf.union(slot(ka, elem.vertex_dof[pa]), slot(kb, elem.vertex_dof[pb]))
+        if len(shared) == 2:
+            a, b = sorted(shared)
+            ea = _edge_index(ca, a, b)
+            eb = _edge_index(cb, a, b)
+            for li, ti in elem.edge_dofs[ea]:
+                va, vb_ = ca.local_edges()[ea]
+                ta = ti if va < vb_ else 1.0 - ti
+                for lj, tj in elem.edge_dofs[eb]:
+                    va2, vb2 = cb.local_edges()[eb]
+                    tb = tj if va2 < vb2 else 1.0 - tj
+                    if abs(ta - tb) < 1e-9:
+                        uf.union(slot(ka, li), slot(kb, lj))
+
+    class_key = {}
+    for gid in cell_ids:
+        for li in range(nd):
+            root = uf.find(slot(gid, li))
+            key = encode_key(gid, li)
+            if root not in class_key or key < class_key[root]:
+                class_key[root] = key
+    ordered = sorted(class_key.items(), key=lambda kv: kv[1])
+    number = {root: i for i, (root, _) in enumerate(ordered)}
+
+    cell_dofs = {}
+    cells_of = [set() for _ in ordered]
+    for gid in cell_ids:
+        arr = np.empty(nd, dtype=np.int64)
+        for li in range(nd):
+            g = number[uf.find(slot(gid, li))]
+            arr[li] = g
+            cells_of[g].add(gid)
+        cell_dofs[gid] = arr
+    return SimpleNamespace(
+        n_dofs=len(ordered),
+        elem=elem,
+        cell_dofs=cell_dofs,
+        keys=np.array([key for _, key in ordered], dtype=np.int64),
+        cells_of_dof=[tuple(sorted(s)) for s in cells_of],
+    )
+
+
+def cells_of_dof(dof_map):
+    """Ascending known cells containing each d.o.f."""
+    out = [[] for _ in range(dof_map.n_dofs)]
+    for gid, dofs in sorted(dof_map.cell_dofs.items()):
+        for g in dofs:
+            out[g].append(gid)
+    return [tuple(c) for c in out]
+
+
+def couplings(dof_map):
+    """Per d.o.f., the ascending d.o.f.s sharing a known cell with it."""
+    coupled = [set() for _ in range(dof_map.n_dofs)]
+    for dofs in dof_map.cell_dofs.values():
+        for g in dofs:
+            coupled[g].update(int(d) for d in dofs)
+    return [np.array(sorted(c), dtype=np.int64) for c in coupled]
+
+
+def loop_classify_dofs(rank, own, halo, dependent, dof_map, ownership):
+    """Per-d.o.f. oracle of the location classes and interface mastership.
+
+    `dof_map` is a `loop_build_dof_map` result; returns classes, master ranks
+    and the master mask.
+    """
+    n = dof_map.n_dofs
+    classes = np.empty(n, dtype=np.int64)
+    master_rank = np.full(n, -1, dtype=np.int64)
+    coupled = couplings(dof_map)
+    for g in range(n):
+        cells = dof_map.cells_of_dof[g]
+        in_own = any(c in own for c in cells)
+        in_halo = any(c in halo for c in cells)
+        if not in_halo:
+            if any(c in dependent for c in cells):
+                classes[g] = DofClass.DEPENDENT_BETA
+            else:
+                classes[g] = DofClass.INDEPENDENT
+            master_rank[g] = rank
+        elif in_own:
+            mr = min(int(ownership[c]) for c in cells)
+            master_rank[g] = mr
+            classes[g] = (
+                DofClass.INTERFACE_MASTER if mr == rank else DofClass.INTERFACE_SLAVE
+            )
+        else:
+            classes[g] = DofClass.HALO_BETA
+    slaves = {
+        g
+        for g in range(n)
+        if classes[g] in (DofClass.INTERFACE_SLAVE, DofClass.HALO_BETA)
+    }
+    for g in range(n):
+        if classes[g] == DofClass.HALO_BETA:
+            if any(d not in slaves for d in coupled[g] if d != g):
+                classes[g] = DofClass.HALO_ALPHA
+        elif classes[g] == DofClass.DEPENDENT_BETA:
+            if any(d in slaves for d in coupled[g]):
+                classes[g] = DofClass.DEPENDENT_ALPHA
+    is_master = np.isin(classes, [int(c) for c in MASTER_CLASSES])
+    return SimpleNamespace(
+        classes=classes, master_rank=master_rank, is_master=is_master
+    )
+
+
+def loop_fe_schedules(transport, rank, cls, dof_map):
+    """Per-key oracle of the mapper negotiation (collective over all ranks).
+
+    Returns, per relation, (send counts, sent d.o.f.s, receive counts,
+    received d.o.f.s) and the globally minimal key of every local d.o.f.
+    """
+    n_ranks = transport.n_ranks
+    keys = dof_map.keys
+    requests = {}
+    for rel, slave_class in RELATION_SLAVE_CLASS.items():
+        idx = [g for g in range(dof_map.n_dofs) if cls.classes[g] == slave_class]
+        idx.sort(key=lambda g: keys[g])
+        requests[rel] = idx
+    payload = {rel.value: [int(keys[g]) for g in requests[rel]] for rel in Relation}
+    incoming = transport.all_to_all(rank, [payload] * n_ranks, label="mapper-request")
+    local_of_key = {
+        encode_key(gid, li): int(g)
+        for gid, dofs in dof_map.cell_dofs.items()
+        for li, g in enumerate(dofs)
+    }
+    replies = [{rel.value: [] for rel in Relation} for _ in range(n_ranks)]
+    sent = {rel: [[] for _ in range(n_ranks)] for rel in Relation}
+    for src in range(n_ranks):
+        if src == rank:
+            continue
+        for rel in Relation:
+            for key in incoming[src][rel.value]:
+                d = local_of_key.get(key)
+                if d is not None and cls.is_master[d]:
+                    replies[src][rel.value].append((key, int(keys[d])))
+                    sent[rel][src].append(d)
+    answered = transport.all_to_all(rank, replies, label="mapper-reply")
+    true_keys = keys.copy()
+    out = {}
+    for rel in Relation:
+        slave_of_key = {int(keys[g]): g for g in requests[rel]}
+        rcvd, recv_counts = [], []
+        for src in range(n_ranks):
+            recv_counts.append(len(answered[src][rel.value]))
+            for key, tkey in answered[src][rel.value]:
+                rcvd.append(slave_of_key[key])
+                true_keys[slave_of_key[key]] = tkey
+        out[rel] = (
+            [len(s) for s in sent[rel]],
+            [d for s in sent[rel] for d in s],
+            recv_counts,
+            rcvd,
+        )
+    return out, true_keys
+
+
+def loop_interface_lists(cls, dof_map, ownership, n_ranks):
+    """Per-d.o.f. oracle: key-sorted interface d.o.f.s, their sharing-rank
+    counts and, per rank, the interface d.o.f.s shared with it."""
+    if_classes = (DofClass.INTERFACE_MASTER, DofClass.INTERFACE_SLAVE)
+    if_dofs = [g for g in range(dof_map.n_dofs) if cls.classes[g] in if_classes]
+    if_dofs.sort(key=lambda g: dof_map.keys[g])
+    counts = []
+    shared_with = [[] for _ in range(n_ranks)]
+    for g in if_dofs:
+        sharing = sorted({int(ownership[c]) for c in dof_map.cells_of_dof[g]})
+        counts.append(len(sharing))
+        for q in sharing:
+            shared_with[q].append(g)
+    return if_dofs, counts, shared_with
 
 
 @pytest.fixture

@@ -301,6 +301,18 @@ def test_tag_never_overstates_state(target, rng):
     assert tag_views_consistent(spmd_run(3, body))
 
 
+def test_trace_bounded_keeps_newest_collectives():
+    transport = Transport(1)
+    n = Transport.TRACE_LENGTH + 100
+    for i in range(n):
+        transport.all_to_all(0, [np.zeros(i % 3)], label=f"op{i}")
+    assert len(transport.trace) == Transport.TRACE_LENGTH
+    assert transport.trace[0] == ("op100", 0, (100 % 3,))
+    assert transport.trace[-1] == (f"op{n - 1}", 0, ((n - 1) % 3,))
+    transport.clear_trace()
+    assert len(transport.trace) == 0
+
+
 def test_unmatched_slave_detected():
     from parfem.comm import build_fe_mapper
     from parfem.dof_manager import build_dof_map

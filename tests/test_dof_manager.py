@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import geometric_dof_classes, invert_reference_map
+from conftest import UnionFind, geometric_dof_classes, invert_reference_map
 from parfem.dof_manager import (
-    UnionFind,
     build_dof_map,
     decode_key,
     dof_coordinates,

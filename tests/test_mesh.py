@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from parfem.mesh import (
     CIRCLE_FLAG,
+    Cell,
+    Mesh,
     MeshError,
     build_hemker_mesh,
     build_rect_mesh,
@@ -75,6 +79,51 @@ def test_refine_growth_and_ids():
     refine_uniform(mid)
     for cell in mid.cells:
         assert cell.child_ids == tuple(4 * cell.global_id + k for k in range(4))
+
+
+def test_refine_leaves_input_mesh_unchanged():
+    m = refine_uniform(build_hemker_mesh())
+    cells = [dataclasses.astuple(c) for c in m.cells]
+    vertices = m.vertices.copy()
+    flags = {k: set(v) for k, v in m.vertex_flags.items()}
+    edges = dict(m.edge_table)
+    refine_uniform(m)
+    assert [dataclasses.astuple(c) for c in m.cells] == cells
+    assert np.array_equal(m.vertices, vertices)
+    assert m.vertex_flags == flags
+    assert m.edge_table == edges
+
+
+UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+
+
+@pytest.mark.parametrize(
+    "verts, cells, message",
+    [
+        (UNIT_SQUARE, [(0, 1, 1, 2)], "cell 0 has repeated vertices"),
+        (UNIT_SQUARE, [(0, 3, 2, 1)], "cell 0 is not convex counterclockwise"),
+        # a dart: the corner at (0.5, 0.3) turns clockwise
+        ([(0.0, 0.0), (1.0, 0.0), (0.5, 0.3), (0.5, 1.0)], [(0, 1, 2, 3)],
+         "cell 0 is not convex counterclockwise"),
+        # the second cell is fine, the third is clockwise: the lowest bad id
+        (UNIT_SQUARE + [(2.0, 0.0), (2.0, 1.0), (3.0, 0.0), (3.0, 1.0)],
+         [(0, 1, 2, 3), (1, 4, 5, 2), (4, 5, 7, 6)],
+         "cell 2 is not convex counterclockwise"),
+        # three cells on the edge (0, 1): two above it, one below
+        (UNIT_SQUARE + [(0.0, -1.0), (1.0, -1.0), (1.0, 2.0), (0.0, 2.0)],
+         [(0, 1, 2, 3), (1, 0, 4, 5), (0, 1, 6, 7)],
+         r"edge \(0, 1\) has 3 incident cells"),
+        # a diamond whose diagonal is the square's edge (0, 1)
+        (UNIT_SQUARE + [(0.5, -0.5), (0.5, 0.5)],
+         [(0, 1, 2, 3), (0, 4, 1, 5)],
+         "cells 0 and 1 share 2 vertices but no edge"),
+        (UNIT_SQUARE, [(0, 1, 2, 3), (0, 1, 2, 3)],
+         "cells 0 and 1 overlap in 4 vertices"),
+    ],
+)
+def test_mesh_validation_rejects(verts, cells, message):
+    with pytest.raises(MeshError, match=message):
+        Mesh(np.array(verts), [Cell(g, c) for g, c in enumerate(cells)])
 
 
 def test_refine_deterministic_bitwise():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    cells_of_dof,
     dense_ssor_sweep,
     invert_reference_map,
     loop_prolongate,
@@ -152,9 +153,10 @@ def _geometric_prolongation(hier):
     cc, fc = hier.levels[0].ctx, hier.levels[1].ctx
     elem = get_element(cc.elem_kind)
     P = np.zeros((fc.n_local, cc.n_local))
+    containing = cells_of_dof(fc.dof_map)
     for g in range(fc.n_local):
         x = fc.dof_coords[g]
-        fine_cell = fc.dof_map.cells_of_dof[g][0]
+        fine_cell = containing[g][0]
         parent = fc.mesh.cell(fine_cell).parent_id
         rmap = make_reference_map(cc.mesh.cell(parent), cc.mesh)
         xi = invert_reference_map(rmap, x)

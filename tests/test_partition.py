@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import couplings
 from parfem.dof_manager import build_dof_map, dof_coordinates
 from parfem.mesh import build_rect_mesh, refine_uniform
 from parfem.partition import (
@@ -230,7 +231,8 @@ def test_halo_never_master_and_independent_couplings():
         rc = build_rank_cells(m, ownership, rank)
         dm = build_dof_map(m, rc.known, "q1")
         cls = classify_dofs(rc, dm, ownership)
+        coupled = couplings(dm)
         for g in cls.of_class(DofClass.HALO_ALPHA, DofClass.HALO_BETA):
             assert not cls.is_master[g]
         for g in cls.of_class(DofClass.INDEPENDENT):
-            assert all(cls.is_master[d] for d in cls.couplings[g])
+            assert all(cls.is_master[d] for d in coupled[g])
