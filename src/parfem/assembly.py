@@ -129,7 +129,7 @@ def _matrix(ctx, element_matrices) -> DistMatrix:
     data = np.zeros(len(indices))
     np.add.at(data, cell_pos.ravel(), element_matrices.ravel())
     csr = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(ctx.n_local,) * 2)
-    return DistMatrix(ctx, csr, ConsistencyLevel.L1)
+    return DistMatrix(ctx, csr)
 
 
 # Quadrature sums run over q in a fixed loop, never as a contraction over the

@@ -3,9 +3,12 @@
 Problems are desk-scale 2D versions of standard benchmarks: the steady
 rectangle-minus-cylinder transport problem, a time-dependent inflow/outflow
 transport on the unit square, and a manufactured Poisson solution.  The
-harness hosts all logical ranks as threads over the in-process transport;
-timing wraps the linear solve only.  With five repeats the reported time
-drops the fastest and slowest run and averages the remaining three.
+harness hosts all logical ranks as threads over the in-process transport.
+Every rank runs one body: build the multigrid hierarchy, then solve a list
+of steps per repeat (one step for a steady problem, one per Crank-Nicolson
+step for timedep2d).  Timing wraps the linear solves only.  With five
+repeats the reported time drops the fastest and slowest run and averages
+the remaining three.
 """
 
 from __future__ import annotations
@@ -66,7 +69,6 @@ class RunConfig:
     dt: float = 1e-2
     t_end: float = 3.0
     repeats: int = 1
-    seed: int = 0
     out_dir: str | None = None
     snapshot_times: tuple = ()
 
@@ -213,11 +215,40 @@ def _make_preconditioner(config, hier):
     return CoarseSolver(fin.ctx, fin.matrix).solve
 
 
-def _steady_body(rank, transport, config, coarse, coeffs, supg):
-    def discretize(ctx):
-        A, b = assemble_cdr(ctx, coeffs, supg=supg)
-        apply_dirichlet(A, b, ctx, coeffs.dirichlet)
-        return A, b
+def _rank_body(rank, transport, config, coarse, coeffs, supg):
+    """One rank's run: build the hierarchy, then solve every step per repeat.
+
+    A steady problem is one step labelled 0 at t = 0 with the assembled
+    right-hand side and a zero initial guess; timedep2d takes Crank-Nicolson
+    steps n = 1..t_end/dt at t = n dt, each started from the previous solution.
+    """
+    if config.problem == "timedep2d":
+        explicit = {}  # B = M - dt/2 A of the latest level, the finest at the end
+
+        def discretize(ctx):
+            A, _ = assemble_cdr(ctx, coeffs, supg=supg)
+            S, explicit["B"] = crank_nicolson_system(
+                assemble_mass(ctx), A, config.dt, coeffs.dirichlet
+            )
+            return S, None
+
+        n_steps = round(config.t_end / config.dt)
+        steps = [(n, n * config.dt) for n in range(1, n_steps + 1)]
+
+        def step_system(u, t):
+            return crank_nicolson_step(
+                explicit["B"], zero, zero, u, config.dt, coeffs.dirichlet, t_next=t
+            )
+    else:
+        def discretize(ctx):
+            A, b = assemble_cdr(ctx, coeffs, supg=supg)
+            apply_dirichlet(A, b, ctx, coeffs.dirichlet)
+            return A, b
+
+        steps = [(0, 0.0)]
+
+        def step_system(u, t):
+            return hier.finest.rhs, u
 
     hier = build_hierarchy(
         coarse,
@@ -230,69 +261,13 @@ def _steady_body(rank, transport, config, coarse, coeffs, supg):
         nu2=config.nu2,
         omega=config.omega,
     )
+    ctx = hier.finest.ctx
     precond = _make_preconditioner(config, hier)
-    A, b = hier.finest.matrix, hier.finest.rhs
-    repeats = []
-    res = None
+    zero = new_vector(ctx)  # forcing of every Crank-Nicolson step
+    want = {round(t / config.dt) for t in config.snapshot_times}
     csv_path = None
     if config.out_dir is not None:
         csv_path = os.path.join(config.out_dir, "fgmres_trace.csv")
-    for _ in range(config.repeats):
-        t0 = time.perf_counter()
-        res = fgmres(
-            A,
-            b,
-            precond=precond,
-            restart=config.restart,
-            tol=config.tol,
-            maxit=config.maxit,
-            csv_path=csv_path,
-        )
-        repeats.append((res.iterations, time.perf_counter() - t0))
-    sol = res.x
-    enforce_dirichlet_values(sol, hier.finest.ctx, coeffs.dirichlet)
-    sol.restore(ConsistencyLevel.L3)
-    ctx = hier.finest.ctx
-    if config.out_dir is not None:
-        write_solution_vtk(
-            ctx, sol, os.path.join(config.out_dir, f"solution_rank{rank}.vtk")
-        )
-    return {
-        "repeats": repeats,
-        "converged": res.converged,
-        "residuals": [(0, res.residuals)],
-        "solution": (ctx.true_keys, sol.values, ctx.master_mask),
-        "snapshots": {},
-    }
-
-
-def _timedep_body(rank, transport, config, coarse, coeffs, supg):
-    explicit = {}  # B = M - dt/2 A of the latest level, the finest at the end
-
-    def discretize(ctx):
-        A, _ = assemble_cdr(ctx, coeffs, supg=supg)
-        S, explicit["B"] = crank_nicolson_system(
-            assemble_mass(ctx), A, config.dt, coeffs.dirichlet
-        )
-        return S, None
-
-    hier = build_hierarchy(
-        coarse,
-        config.levels,
-        config.element,
-        discretize,
-        transport,
-        rank,
-        nu1=config.nu1,
-        nu2=config.nu2,
-        omega=config.omega,
-    )
-    ctx = hier.finest.ctx
-    precond = _make_preconditioner(config, hier)
-    S, B = hier.finest.matrix, explicit["B"]
-    zero = new_vector(ctx)
-    n_steps = int(round(config.t_end / config.dt))
-    want = {round(t / config.dt) for t in config.snapshot_times}
 
     repeats = []
     for _ in range(config.repeats):
@@ -302,30 +277,28 @@ def _timedep_body(rank, transport, config, coarse, coeffs, supg):
         converged = True
         residuals = []
         snapshots = {}
-        for n in range(n_steps):
-            t1 = (n + 1) * config.dt
-            b, x0 = crank_nicolson_step(
-                B, zero, zero, u, config.dt, coeffs.dirichlet, t_next=t1
-            )
+        for label, t in steps:
+            b, x0 = step_system(u, t)
             t0 = time.perf_counter()
             res = fgmres(
-                S,
+                hier.finest.matrix,
                 b,
                 precond=precond,
                 x0=x0,
                 restart=config.restart,
                 tol=config.tol,
                 maxit=config.maxit,
+                csv_path=csv_path if (label, t) == steps[-1] else None,
             )
             solve_time += time.perf_counter() - t0
             iterations += res.iterations
             converged = converged and res.converged
-            residuals.append((n + 1, res.residuals))
+            residuals.append((label, res.residuals))
             u = res.x
-            enforce_dirichlet_values(u, ctx, coeffs.dirichlet, t=t1)
-            if n + 1 in want:
+            enforce_dirichlet_values(u, ctx, coeffs.dirichlet, t=t)
+            if label in want:
                 u.restore(ConsistencyLevel.L3)
-                snapshots[round(t1, 10)] = (
+                snapshots[round(t, 10)] = (
                     ctx.true_keys.copy(),
                     u.values.copy(),
                     ctx.master_mask.copy(),
@@ -354,9 +327,8 @@ def run(config: RunConfig) -> RunReport:
     if config.out_dir is not None:
         os.makedirs(config.out_dir, exist_ok=True)
     coarse, coeffs, supg = _PROBLEM_BUILDERS[config.problem]()
-    body = _timedep_body if config.problem == "timedep2d" else _steady_body
     results = spmd_run(
-        config.ranks, body, config, coarse, coeffs, supg, timeout=600.0
+        config.ranks, _rank_body, config, coarse, coeffs, supg, timeout=600.0
     )
     merged = merge_master_values([r["solution"] for r in results])
     snapshots = {}
@@ -388,17 +360,17 @@ def _write_run_artifacts(report: RunReport):
         w = csv.writer(fh)
         w.writerow(
             ["problem", "element", "solver", "levels", "ranks", "repeat",
-             "iterations", "time_s", "converged", "seed"]
+             "iterations", "time_s", "converged"]
         )
         c = report.config
         for i, (its, secs) in enumerate(report.repeats):
             w.writerow(
                 [c.problem, c.element, c.solver, c.levels, c.ranks, i, its,
-                 f"{secs:.6f}", report.converged, c.seed]
+                 f"{secs:.6f}", report.converged]
             )
         w.writerow(
             [c.problem, c.element, c.solver, c.levels, c.ranks, "aggregate",
-             report.iterations, f"{report.time:.6f}", report.converged, c.seed]
+             report.iterations, f"{report.time:.6f}", report.converged]
         )
     with open(os.path.join(out, "residuals.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -423,7 +395,6 @@ def report_table(reports, csv_path=None):
         r_min = members[0].config.ranks
         t_min = members[0].time
         for rep in members:
-            scaling = (r_min * t_min) / (rep.config.ranks * rep.time)
             rows.append(
                 {
                     "problem": key[0],
@@ -432,7 +403,9 @@ def report_table(reports, csv_path=None):
                     "ranks": rep.config.ranks,
                     "iterations": rep.iterations,
                     "time_s": rep.time,
-                    "scaling": scaling,
+                    "scaling": scaling_value(
+                        r_min, t_min, rep.config.ranks, rep.time
+                    ),
                 }
             )
     header = f"{'problem':<12}{'solver':<14}{'levels':>7}{'ranks':>6}" \
@@ -476,30 +449,11 @@ def main(argv=None) -> int:
     parser.add_argument("--dt", type=float, default=1e-2)
     parser.add_argument("--t-end", type=float, default=3.0)
     parser.add_argument("--repeats", type=int, default=1)
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out-dir", default="bench_out")
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
 
-    config = RunConfig(
-        problem=args.problem,
-        element=args.element,
-        levels=args.levels,
-        ranks=args.ranks,
-        solver=args.solver,
-        nu1=args.nu1,
-        nu2=args.nu2,
-        omega=args.omega,
-        restart=args.restart,
-        tol=args.tol,
-        maxit=args.maxit,
-        dt=args.dt,
-        t_end=args.t_end,
-        repeats=args.repeats,
-        seed=args.seed,
-        out_dir=args.out_dir,
-    )
-    report = run(config)
+    report = run(RunConfig(**vars(args)))
     table, _ = report_table([report])
     print(table)
     print(f"converged: {report.converged}  iterations: {report.iterations}  "

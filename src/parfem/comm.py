@@ -405,10 +405,6 @@ class RankContext:
         return self.dof_map.n_dofs
 
     @property
-    def n_ranks(self) -> int:
-        return self.transport.n_ranks
-
-    @property
     def master_mask(self) -> np.ndarray:
         return self.classification.is_master
 
@@ -455,7 +451,7 @@ def build_rank_context(
         mesh=mesh,
         ownership=ownership,
         rank_cells=rank_cells,
-        elem_kind=elem_kind if isinstance(elem_kind, str) else elem_kind.kind,
+        elem_kind=elem_kind,
         dof_map=dof_map,
         classification=classification,
         mapper=mapper,

@@ -117,10 +117,11 @@ class DistMatrix:
     accumulate in exactly the sequential order.
     """
 
-    def __init__(self, ctx: RankContext, csr: sp.csr_matrix, level=L1):
+    level = L1
+
+    def __init__(self, ctx: RankContext, csr: sp.csr_matrix):
         self.ctx = ctx
         self.csr = csr
-        self.level = ConsistencyLevel(level)
 
     @property
     def shape(self):
@@ -130,17 +131,13 @@ class DistMatrix:
         return self.csr.diagonal()
 
     def copy(self) -> "DistMatrix":
-        return DistMatrix(self.ctx, self.csr.copy(), self.level)
+        return DistMatrix(self.ctx, self.csr.copy())
 
     def combine(self, alpha: float, beta: float, other: "DistMatrix") -> "DistMatrix":
         """alpha*self + beta*other on the union sparsity."""
         if other.ctx is not self.ctx:
             raise ValueError("matrices live in different spaces")
-        return DistMatrix(
-            self.ctx,
-            (alpha * self.csr + beta * other.csr).tocsr(),
-            min(self.level, other.level),
-        )
+        return DistMatrix(self.ctx, (alpha * self.csr + beta * other.csr).tocsr())
 
     def set_dirichlet_rows(self, rows, values, rhs: DistVector | None = None):
         """Replace rows by identity rows; sparsity is kept (entries zeroed)."""
@@ -165,8 +162,7 @@ def matvec(A: DistMatrix, x: DistVector) -> DistVector:
         raise ValueError("dimension mismatch")
     x._ensure(L2, "matvec")
     y = A.csr @ x.values
-    out_level = L1 if (x.level == L3 and A.level >= L1) else L0
-    return DistVector(A.ctx, y, out_level)
+    return DistVector(A.ctx, y, L1 if x.level == L3 else L0)
 
 
 @dataclass

@@ -95,7 +95,7 @@ def build_dof_map(mesh, cells, elem_kind: str) -> DofMap:
     `cells` is any iterable of cell ids forming an admissible submesh (a
     rank's own+halo cells, or all cells for a sequential run).
     """
-    elem = get_element(elem_kind) if isinstance(elem_kind, str) else elem_kind
+    elem = get_element(elem_kind)
     cells = np.unique(np.fromiter(cells, dtype=np.int64))
     codes = _entity_codes(mesh, cells, elem).ravel()
     # the flattened table runs in ascending key order, so the first

@@ -74,12 +74,10 @@ class LocalElement:
             nodes_1d = np.array([-1.0, 0.0, 1.0])
         else:
             raise ValueError(f"unknown element kind {kind!r}")
-        self.kind = kind
         self.nodes_1d = nodes_1d
         n = len(nodes_1d)
         self.nodes = np.array([[x, y] for y in nodes_1d for x in nodes_1d])
         self.n_dofs = n * n
-        self.degree = n - 1
         self.locations = self._make_locations(n)
         self.vertex_dof = {
             loc[1]: i for i, loc in enumerate(self.locations) if loc[0] == "vertex"

@@ -123,35 +123,39 @@ class CoarseSolver:
     def __init__(self, ctx: RankContext, matrix: DistMatrix):
         self.ctx = ctx
         t = ctx.transport
-        rank = ctx.rank
         keys = ctx.true_keys
-        masters = np.flatnonzero(ctx.master_mask)
-        self.master_dofs = masters
-        self.master_keys = keys[masters]
-        csr = matrix.csr
-        rows = []
-        for d in masters:
-            lo, hi = csr.indptr[d], csr.indptr[d + 1]
-            cols = keys[csr.indices[lo:hi]]
-            rows.append((int(keys[d]), cols.tolist(), csr.data[lo:hi].tolist()))
-        payload = {"rows": rows, "keys": keys.tolist()}
+        self.master_dofs = masters = np.flatnonzero(ctx.master_mask)
+        master_keys = keys[masters]
+        entries = matrix.csr[masters].tocoo()
+        # master keys in row order, the rows' entries by key, all known keys
+        payload = (
+            master_keys,
+            master_keys[entries.row],
+            keys[entries.col],
+            entries.data,
+            keys,
+        )
         chunks = [payload if q == 0 else None for q in range(t.n_ranks)]
-        gathered = t.all_to_all(rank, chunks, label="coarse-build")
+        gathered = t.all_to_all(ctx.rank, chunks, label="coarse-build")
         self._lu = None
         self._scatter = None
         self._rhs_ix = None
-        if rank == 0:
-            all_keys = sorted(
-                {row[0] for g in gathered for row in g["rows"]}
-            )
-            index = {k: i for i, k in enumerate(all_keys)}
+        if ctx.rank == 0:
+            all_keys = np.unique(np.concatenate([g[0] for g in gathered]))
             n = len(all_keys)
+
+            def index(k):
+                pos = np.minimum(np.searchsorted(all_keys, k), n - 1)
+                missing = all_keys[pos] != k
+                if np.any(missing):
+                    raise RuntimeError(
+                        f"coarse key {k[missing][0]} has no master row on any rank"
+                    )
+                return pos
+
+            rows, cols, vals = map(np.concatenate, zip(*(g[1:4] for g in gathered)))
             dense = np.zeros((n, n))
-            for g in gathered:
-                for rkey, cols, vals in g["rows"]:
-                    i = index[rkey]
-                    for ckey, v in zip(cols, vals):
-                        dense[i, index[ckey]] = v
+            dense[index(rows), index(cols)] = vals
             with np.errstate(all="ignore"):
                 lu, piv = sla.lu_factor(dense)
             pivot_floor = n * np.finfo(float).eps * max(1.0, np.abs(dense).max())
@@ -160,15 +164,9 @@ class CoarseSolver:
             ):
                 raise RuntimeError("coarse matrix is singular")
             self._lu = (lu, piv)
-            self._scatter = [
-                np.array([index[k] for k in g["keys"]], dtype=np.int64)
-                for g in gathered
-            ]
+            self._scatter = [index(g[4]) for g in gathered]
             # rhs gather positions: master keys per rank, in their row order
-            self._rhs_ix = [
-                np.array([index[row[0]] for row in g["rows"]], dtype=np.int64)
-                for g in gathered
-            ]
+            self._rhs_ix = [index(g[0]) for g in gathered]
             self.n_global = n
 
     def solve(self, b: DistVector) -> DistVector:
@@ -280,10 +278,6 @@ def restrict_defect(hier: MgHierarchy, level: int, d_fine: DistVector) -> DistVe
     d = DistVector(coarse.ctx, fine.restriction @ d_fine.values, L0)
     coarse.ctx.exchange.add_to_masters(d.values)
     return d
-
-
-def smooth(hier: MgHierarchy, level: int, x: DistVector, b: DistVector, sweeps: int):
-    return hier.levels[level].smoother.smooth(x, b, sweeps)
 
 
 def _residual_norm(lvl: MgLevel, x: DistVector, b: DistVector) -> float:

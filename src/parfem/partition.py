@@ -43,11 +43,6 @@ MASTER_CLASSES = (
     DofClass.DEPENDENT_BETA,
     DofClass.INTERFACE_MASTER,
 )
-SLAVE_CLASSES = (
-    DofClass.INTERFACE_SLAVE,
-    DofClass.HALO_ALPHA,
-    DofClass.HALO_BETA,
-)
 
 
 def decompose(mesh: Mesh, n_ranks: int) -> np.ndarray:

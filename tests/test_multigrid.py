@@ -16,12 +16,14 @@ from parfem.assembly import (
     apply_dirichlet,
     assemble_cdr,
 )
+from parfem.bench_cli import hemker_problem
 from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
 from parfem.dlinalg import DistVector, axpy, dot, fgmres, matvec, new_vector, norm2
 from parfem.mapped_fe import get_element, make_reference_map
 from parfem.mesh import build_hemker_mesh, build_rect_mesh, refine_uniform
 from parfem.multigrid import (
     BlockSsor,
+    CoarseSolver,
     MgPreconditioner,
     SsorPreconditioner,
     build_hierarchy,
@@ -471,3 +473,37 @@ def test_singular_coarse_matrix_detected():
 
     with pytest.raises(RuntimeError, match="singular"):
         spmd_run(1, body)
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2, 3])
+def test_coarse_solver_matches_dense_sequential_solve(n_ranks):
+    coarse, coeffs, supg = hemker_problem()
+
+    def discretize(ctx):
+        A, b = assemble_cdr(ctx, coeffs, supg=supg)
+        apply_dirichlet(A, b, ctx, coeffs.dirichlet)
+        return A
+
+    def rhs(ctx):  # a smooth function of the global key, the same on every rank
+        return DistVector(ctx, np.cos(0.01 * ctx.true_keys), L3)
+
+    seq = seq_context(coarse, "q2")
+    x_seq = np.linalg.solve(discretize(seq).csr.toarray(), rhs(seq).values)
+    expected = dict(zip(seq.true_keys.tolist(), x_seq))
+
+    def body(rank, transport):
+        ownership = decompose(coarse, transport.n_ranks)
+        ctx = build_rank_context(coarse, ownership, "q2", transport, rank)
+        x = CoarseSolver(ctx, discretize(ctx)).solve(rhs(ctx))
+        want = np.array([expected[k] for k in ctx.true_keys.tolist()])
+        return x.level == L3 and np.max(np.abs(x.values - want)) <= 1e-12
+
+    assert all(spmd_run(n_ranks, body))
+
+
+def test_coarse_solver_rejects_key_without_master_row():
+    ctx = seq_context(build_rect_mesh(0, 1, 0, 1, 2, 2))
+    A, _ = discretize_poisson(ctx)
+    ctx.classification.is_master[0] = False  # no rank holds this row now
+    with pytest.raises(RuntimeError, match="no master row"):
+        CoarseSolver(ctx, A)
