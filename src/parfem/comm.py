@@ -3,9 +3,9 @@
 Logical ranks run the same program body on separate threads; the transport
 is the only shared object.  Its `all_to_all` mirrors MPI_Alltoallv: every
 rank deposits one chunk per destination, a barrier makes all deposits
-visible, every rank picks up its column.  A second barrier closes the
-collective; a timeout on either barrier reports a deadlock (some rank did
-not enter the collective).
+visible, every rank picks up its column.  It is the only barrier: ranks
+alternate between two slot sets, so none overwrites a set another still
+reads.  A timeout on it reports a deadlock (a rank did not enter).
 
 Three master->slave relations restore the consistency of distributed
 vectors.  A relation is named after the receiving d.o.f. class; the sender
@@ -77,8 +77,12 @@ LEVEL_RELATION = {
 class Transport:
     """In-process collective exchange between logical ranks.
 
-    `trace` keeps (label, rank, chunk sizes) of the latest `TRACE_LENGTH`
-    all-to-alls, newest last.
+    Each collective waits on the barrier once.  Ranks alternate between two
+    slot sets (deposits and labels) by the parity of their own collective
+    count, and every rank has read a set before any can pass the next
+    barrier and write it again.  Deposits are shared, not copied: a sender
+    leaves them unmodified until its next collective returns.  `trace` keeps
+    (label, rank, chunk sizes) of the latest `TRACE_LENGTH` all-to-alls.
     """
 
     TRACE_LENGTH = 4096
@@ -87,10 +91,8 @@ class Transport:
         self.n_ranks = n_ranks
         self.timeout = timeout
         self._barrier = threading.Barrier(n_ranks)
-        self._slots = [[None] * n_ranks for _ in range(n_ranks)]
-        self._labels = [None] * n_ranks
-        self._reduce_in = [0.0] * n_ranks
-        self._reduce_out = 0.0
+        self._sets = [([None] * n_ranks, [None] * n_ranks) for _ in range(2)]
+        self._count = [0] * n_ranks
         self._lock = threading.Lock()
         self.trace: deque[tuple[str, int, tuple[int, ...]]] = deque(
             maxlen=self.TRACE_LENGTH
@@ -111,12 +113,17 @@ class Transport:
                 "collective was not entered by all ranks (aborted or timed out)"
             ) from None
 
-    def _check_label(self, label):
-        if any(lbl != label for lbl in self._labels):
+    def _exchange(self, rank, label, row):
+        """Deposit `row`, wait once, check labels; returns every rank's row."""
+        slots, labels = self._sets[self._count[rank] & 1]
+        self._count[rank] += 1
+        labels[rank] = label
+        slots[rank] = row
+        self._wait()
+        if any(lbl != label for lbl in labels):
             self._barrier.abort()
-            raise CollectiveMismatch(
-                f"ranks entered different collectives: {self._labels}"
-            )
+            raise CollectiveMismatch(f"ranks entered different collectives: {labels}")
+        return slots
 
     @staticmethod
     def _size(chunk):
@@ -129,30 +136,17 @@ class Transport:
         """Deliver chunks[dst] to each destination; returns chunks per source."""
         if len(chunks) != self.n_ranks:
             raise ValueError("need one chunk per destination rank")
-        self._labels[rank] = label
-        for dst, chunk in enumerate(chunks):
-            self._slots[rank][dst] = chunk
         with self._lock:
             self.trace.append((label, rank, tuple(self._size(c) for c in chunks)))
-        self._wait()
-        self._check_label(label)
-        received = [self._slots[src][rank] for src in range(self.n_ranks)]
-        self._wait()
-        return received
+        return [row[rank] for row in self._exchange(rank, label, list(chunks))]
 
     def allreduce_sum(self, rank: int, value: float) -> float:
-        """Globally additive reduction; summed in rank order for determinism."""
-        self._labels[rank] = "reduce"
-        self._reduce_in[rank] = value
-        self._wait()
-        self._check_label("reduce")
-        if rank == 0:
-            total = 0.0
-            for v in self._reduce_in:
-                total += v
-            self._reduce_out = total
-        self._wait()
-        return self._reduce_out
+        """Element-wise global sum; every rank adds all inputs in rank order,
+        so the result is bitwise identical on every rank."""
+        total = 0.0
+        for v in self._exchange(rank, "reduce", value):
+            total += v
+        return total
 
 
 def spmd_run(n_ranks, body, *args, timeout: float = 60.0, transport=None) -> list:
@@ -296,18 +290,13 @@ class Communicator:
     def update(self, values: np.ndarray, relation: Relation):
         """Overwrite every slave of the relation with its master's value."""
         s = self.mapper.schedules[relation]
-        n = self.transport.n_ranks
         chunks = [
             values[s.sent_dof[s.send_displ[q] : s.send_displ[q] + s.send_counts[q]]]
-            for q in range(n)
+            for q in range(self.transport.n_ranks)
         ]
         received = self.transport.all_to_all(self.rank, chunks, label=relation.value)
-        if s.rcvd_dof.size:
-            buf = np.empty(s.rcvd_dof.size)
-            for q in range(n):
-                lo = s.recv_displ[q]
-                buf[lo : lo + s.recv_counts[q]] = received[q]
-            values[s.rcvd_dof] = buf
+        if s.rcvd_dof.size:  # received chunks follow the receive displacements
+            values[s.rcvd_dof] = np.concatenate(received)
 
     def restore(
         self,

@@ -6,7 +6,8 @@ Operation rules for the consistency tags:
     result is level 0, or level 1 when the input was level 3.
   * scaling keeps the level; adding vectors takes the lower level.
   * scalar products skip all slaves and are reduced in fixed rank order, so
-    every rank receives the identical scalar.
+    every rank receives the identical result; FGMRES reduces whole arrays of
+    them (all projections of one Gram-Schmidt pass) in one collective.
 
 Inputs below the level an operation needs are restored implicitly and the
 restore is logged, which keeps solver code free of explicit communication.
@@ -15,6 +16,7 @@ restore is logged, which keeps solver code free of explicit communication.
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import time
 from dataclasses import dataclass
@@ -191,16 +193,21 @@ def fgmres(
 ) -> SolveResult:
     """Flexible restarted GMRES with one preconditioned direction per step.
 
-    Modified Gram-Schmidt, Givens rotations for the least squares problem,
-    absolute Euclidean residual stopping test.  The true residual is
-    re-evaluated at every restart.  Returns instead of raising when maxit is
-    exceeded.
+    Classical Gram-Schmidt run twice (CGS2), one array reduction per pass;
+    the second also reduces w.w, which gives the new norm by Pythagoras
+    (Swirydowicz et al., Numer. Linear Algebra Appl. 28, 2021).  Givens
+    rotations, absolute Euclidean residual test, true residual at every
+    restart.  Returns instead of raising when maxit is exceeded.
     """
     ctx = A.ctx
     if precond is None:
         precond = _identity_precond
     x = x0.copy() if x0 is not None else new_vector(ctx)
     x.restore(L2)
+    masters = ctx.master_mask
+    V = np.empty((restart + 1, ctx.n_local))  # Krylov basis, one row per vector
+    Vm = np.empty((restart + 1, np.count_nonzero(masters)))  # its master columns
+    allreduce = functools.partial(ctx.transport.allreduce_sum, ctx.rank)
 
     log = csv_path is not None and ctx.rank == 0
     with open(csv_path, "w") if log else contextlib.nullcontext() as csv:
@@ -221,24 +228,27 @@ def fgmres(
         converged = beta < tol
 
         while not converged and total < maxit:
-            m = restart
-            V = [scale(1.0 / beta, r.copy())]
+            np.multiply(r.values, 1.0 / beta, out=V[0])
+            Vm[0] = V[0, masters]
+            levels = [r.level]  # consistency level of each basis vector
             Z = []
-            H = np.zeros((m + 1, m))
-            cs = np.zeros(m)
-            sn = np.zeros(m)
-            g = np.zeros(m + 1)
+            H = np.zeros((restart + 1, restart))
+            cs, sn = np.zeros((2, restart))
+            g = np.zeros(restart + 1)
             g[0] = beta
             j = -1
-            while j + 1 < m and total < maxit:
+            while j + 1 < restart and total < maxit:
                 j += 1
-                z = precond(V[j])
-                Z.append(z)
-                w = matvec(A, z)
-                for i in range(j + 1):
-                    H[i, j] = dot(V[i], w)
-                    axpy(-H[i, j], V[i], w)
-                H[j + 1, j] = norm2(w)
+                Z.append(precond(DistVector(ctx, V[j], levels[j])))
+                w = matvec(A, Z[j])
+                h1 = allreduce(Vm[: j + 1] @ w.values[masters])
+                w.values -= h1 @ V[: j + 1]
+                wm = w.values[masters]
+                h2ww = allreduce(np.append(Vm[: j + 1] @ wm, wm @ wm))
+                h2 = h2ww[:-1]
+                w.values -= h2 @ V[: j + 1]
+                H[: j + 1, j] = h1 + h2
+                H[j + 1, j] = np.sqrt(max(h2ww[-1] - h2 @ h2, 0.0))
                 for i in range(j):
                     hi = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
                     H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
@@ -256,8 +266,9 @@ def fgmres(
                 lucky = H[j + 1, j] < 1e-14 * max(beta, 1.0)
                 if lucky or est < tol:
                     break
-                scale(1.0 / H[j + 1, j], w)
-                V.append(w)
+                np.multiply(w.values, 1.0 / H[j + 1, j], out=V[j + 1])
+                Vm[j + 1] = V[j + 1, masters]
+                levels.append(min(w.level, levels[j]))
             k = j + 1
             y = np.zeros(k)
             for i in range(k - 1, -1, -1):

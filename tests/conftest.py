@@ -14,7 +14,7 @@ from parfem.comm import (
     Transport,
     build_rank_context,
 )
-from parfem.dlinalg import DistVector
+from parfem.dlinalg import DistVector, axpy, dot, matvec, new_vector, norm2, scale
 from parfem.dof_manager import encode_key
 from parfem.mapped_fe import gauss_rule, get_element, make_reference_map
 from parfem.mesh import CIRCLE_FLAG, Cell, Mesh
@@ -81,6 +81,46 @@ def dense_gmres(A, b, x0=None, tol=1e-12, maxit=200):
         V.append(w / H[j + 1, j])
     x = x0 + np.column_stack(V[: len(y)]) @ y
     return x, hist
+
+
+def loop_fgmres_mgs(A, b, precond, restart=50, tol=1e-10, maxit=1000):
+    """Restarted FGMRES with modified Gram-Schmidt: one scalar reduction per
+    projection and one for the norm.  Returns (x, iterations, residuals)."""
+    x = new_vector(A.ctx)
+    x.restore(ConsistencyLevel.L2)
+    r = b.copy()
+    axpy(-1.0, matvec(A, x), r)
+    beta = norm2(r)
+    residuals = [beta]
+    total = 0
+    while beta >= tol and total < maxit:
+        V = [scale(1.0 / beta, r.copy())]
+        Z = []
+        H = np.zeros((restart + 1, restart))
+        g = np.zeros(restart + 1)
+        g[0] = beta
+        for j in range(restart):
+            Z.append(precond(V[j]))
+            w = matvec(A, Z[j])
+            for i in range(j + 1):
+                H[i, j] = dot(V[i], w)
+                axpy(-H[i, j], V[i], w)
+            H[j + 1, j] = norm2(w)
+            total += 1
+            # least squares by a dense solve instead of Givens rotations
+            y, *_ = np.linalg.lstsq(H[: j + 2, : j + 1], g[: j + 2], rcond=None)
+            residuals.append(np.linalg.norm(H[: j + 2, : j + 1] @ y - g[: j + 2]))
+            lucky = H[j + 1, j] < 1e-14 * max(beta, 1.0)
+            if lucky or residuals[-1] < tol or total == maxit:
+                break
+            V.append(scale(1.0 / H[j + 1, j], w))
+        for i in range(len(y)):
+            axpy(y[i], Z[i], x)
+        r = b.copy()
+        axpy(-1.0, matvec(A, x), r)
+        beta = norm2(r)
+        residuals[-1] = beta
+    return x, total, residuals
 
 
 def invert_reference_map(rmap, x, tol=1e-13):

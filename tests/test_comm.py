@@ -245,6 +245,79 @@ def test_allreduce_fixed_order():
     assert abs(out[0] - 0.6) < 1e-15
 
 
+def _collective(transport, rank, kind, label="first"):
+    if kind == "a2a":
+        return transport.all_to_all(rank, [rank] * transport.n_ranks, label=label)
+    return transport.allreduce_sum(rank, float(rank))
+
+
+@pytest.mark.parametrize("first", ["a2a", "reduce"])
+def test_second_collective_label_mismatch(first):
+    def body(rank, transport):
+        _collective(transport, rank, first)
+        if rank == 1:
+            transport.allreduce_sum(rank, 1.0)
+        else:
+            transport.all_to_all(rank, [None] * 3, label="second")
+
+    with pytest.raises(CollectiveMismatch):
+        spmd_run(3, body, timeout=5.0)
+
+
+@pytest.mark.parametrize("first", ["a2a", "reduce"])
+def test_second_collective_timeout(first):
+    def body(rank, transport):
+        _collective(transport, rank, first)
+        if rank == 0:
+            return "bailed"  # rank 0 never enters the second collective
+        _collective(transport, rank, "a2a", label="second")
+
+    with pytest.raises(DeadlockError):
+        spmd_run(3, body, timeout=0.5)
+
+
+@pytest.mark.parametrize("first", ["a2a", "reduce"])
+def test_second_collective_failing_rank_reraised(first):
+    def body(rank, transport):
+        _collective(transport, rank, first)
+        if rank == 2:
+            raise ZeroDivisionError("rank 2 failed between collectives")
+        _collective(transport, rank, "reduce")
+
+    with pytest.raises(ZeroDivisionError, match="rank 2 failed"):
+        spmd_run(3, body, timeout=5.0)
+
+
+def test_alternating_collectives_stress():
+    n_steps = 300  # 600 collectives, alternating between the slot sets
+
+    def body(rank, transport):
+        for step in range(n_steps):
+            chunks = [(rank, dst, step) for dst in range(3)]
+            got = transport.all_to_all(rank, chunks, label=f"step{step}")
+            assert got == [(src, rank, step) for src in range(3)]
+            total = transport.allreduce_sum(rank, np.array([step, 10.0 ** rank]))
+            assert np.array_equal(total, [3 * step, 111.0])
+        return n_steps
+
+    assert spmd_run(3, body, timeout=30.0) == [n_steps] * 3
+
+
+def test_allreduce_array_bitwise_rank_order(rng):
+    parts = rng.normal(size=(3, 64)) * 10.0 ** rng.integers(-8, 9, size=(3, 64))
+    parts[:, 0] = [1e16, 1.0, -1e16]  # the sum depends on the order
+    expected = (parts[0] + parts[1]) + parts[2]
+    inputs = parts.copy()
+
+    def body(rank, transport):
+        return transport.allreduce_sum(rank, inputs[rank])
+
+    out = spmd_run(3, body)
+    assert expected[0] == 0.0
+    assert all(np.array_equal(o, expected) for o in out)
+    assert np.array_equal(inputs, parts)  # inputs are not summed into
+
+
 def tag_views_consistent(per_rank_views):
     """Check that no rank's tag overstates its true state.
 

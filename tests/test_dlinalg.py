@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import dense_gmres, seq_context
+from conftest import dense_gmres, loop_fgmres_mgs, seq_context
 from parfem.assembly import CdrCoefficients, DirichletPart, apply_dirichlet, assemble_cdr
-from parfem.comm import ConsistencyLevel, Relation, build_rank_context, spmd_run
+from parfem.comm import (
+    ConsistencyLevel,
+    Relation,
+    Transport,
+    build_rank_context,
+    spmd_run,
+)
 from parfem.dlinalg import (
     DistMatrix,
     DistVector,
@@ -28,6 +34,13 @@ POISSON = CdrCoefficients(
     dirichlet=[DirichletPart(value=0.0, where=lambda x, y: True)],
 )
 
+CONVECTION = CdrCoefficients(
+    eps=0.02,
+    b=(1.0, 0.5),
+    f=1.0,
+    dirichlet=[DirichletPart(value=0.0, where=lambda x, y: True)],
+)
+
 
 def poisson_system(ctx, coeffs=POISSON):
     A, b = assemble_cdr(ctx, coeffs)
@@ -35,13 +48,13 @@ def poisson_system(ctx, coeffs=POISSON):
     return A, b
 
 
-def run_ranks(mesh, n_ranks, body, elem="q1"):
+def run_ranks(mesh, n_ranks, body, elem="q1", transport=None):
     ownership = decompose(mesh, n_ranks)
 
     def wrapped(rank, transport):
         return body(build_rank_context(mesh, ownership, elem, transport, rank))
 
-    return spmd_run(n_ranks, wrapped)
+    return spmd_run(n_ranks, wrapped, transport=transport)
 
 
 def jacobi_preconditioner(A):
@@ -322,3 +335,94 @@ def test_axpy_tag_table(lx, ly):
     x = DistVector(ctx, np.ones(9), lx)
     y = DistVector(ctx, np.ones(9), ly)
     assert axpy(1.0, x, y).level == min(lx, ly)
+
+
+class CountingTransport(Transport):
+    """Counts each rank's reductions."""
+
+    def __init__(self, n_ranks):
+        super().__init__(n_ranks)
+        self.reductions = [0] * n_ranks
+
+    def allreduce_sum(self, rank, value):
+        self.reductions[rank] += 1
+        return super().allreduce_sum(rank, value)
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2, 3])
+def test_fgmres_two_reductions_per_iteration(n_ranks):
+    m = build_rect_mesh(0, 1, 0, 1, 12, 12)
+    restart = 4
+    transport = CountingTransport(n_ranks)
+
+    def body(ctx):
+        A, b = poisson_system(ctx)
+        before = transport.reductions[ctx.rank]
+        res = fgmres(A, b, precond=jacobi_preconditioner(A), restart=restart,
+                     tol=1e-10, maxit=400)
+        return res.iterations, res.converged, transport.reductions[ctx.rank] - before
+
+    out = run_ranks(m, n_ranks, body, transport=transport)
+    its, converged, reductions = out[0]
+    assert converged and its > 3 * restart  # several restarts
+    cycles = -(-its // restart)
+    assert reductions <= 2 * its + 2 * cycles
+    assert all(o == out[0] for o in out)
+
+
+@pytest.mark.parametrize("coeffs", [POISSON, CONVECTION], ids=["poisson", "cdr"])
+@pytest.mark.parametrize("n_ranks", [1, 3])
+@pytest.mark.parametrize("restart", [7, 50])
+def test_fgmres_matches_modified_gram_schmidt(coeffs, n_ranks, restart):
+    m = build_rect_mesh(0, 1, 0, 1, 12, 12)
+
+    def body(ctx):
+        A, b = poisson_system(ctx, coeffs)
+        P = jacobi_preconditioner(A)
+        res = fgmres(A, b, precond=P, restart=restart, tol=1e-12, maxit=500)
+        x_ref, its_ref, _ = loop_fgmres_mgs(A, b, P, restart=restart, tol=1e-12,
+                                            maxit=500)
+        masters = ctx.master_mask
+        dev = np.max(np.abs(res.x.values[masters] - x_ref.values[masters]))
+        return res.converged, res.iterations, its_ref, dev
+
+    for converged, its, its_ref, dev in run_ranks(m, n_ranks, body):
+        assert converged
+        assert abs(its - its_ref) <= 1
+        assert dev < 1e-10
+
+
+@pytest.mark.parametrize("n_ranks", [1, 2])
+def test_fgmres_lucky_breakdown_stops_without_nan(n_ranks):
+    m = build_rect_mesh(0, 1, 0, 1, 4, 4)
+
+    def body(ctx):
+        A = DistMatrix(ctx, sp.identity(ctx.n_local, format="csr"))
+        # a unit vector: the first projection leaves exactly zero, and the
+        # clamped norm sqrt(max(ww - h2.h2, 0)) is 0
+        b = from_keys(ctx, lambda k: float(k == 0))
+        res = fgmres(A, b, tol=1e-30, maxit=20)
+        return res, b
+
+    for res, b in run_ranks(m, n_ranks, body):
+        assert res.iterations == 1
+        assert np.all(np.isfinite(res.x.values)) and np.all(np.isfinite(res.residuals))
+        masters = res.x.ctx.master_mask
+        assert np.array_equal(res.x.values[masters], b.values[masters])
+        assert res.converged
+
+
+def test_fgmres_breakdown_after_invariant_subspace():
+    # three distinct eigenvalues: the Krylov space is exhausted after three
+    # steps, where the clamped norm drops to rounding level; an unreachable
+    # tolerance makes every later cycle break down the same way
+    ctx = seq_context(build_rect_mesh(0, 1, 0, 1, 4, 4))
+    n = ctx.n_local
+    diag = np.array([1.0, 2.0, 5.0])[np.arange(n) % 3]
+    A = DistMatrix(ctx, sp.diags(diag, format="csr"))
+    b = DistVector(ctx, np.linspace(1.0, 2.0, n), L3)
+    res = fgmres(A, b, tol=1e-30, maxit=20)
+    assert not res.converged and res.iterations == 20
+    assert np.all(np.isfinite(res.x.values)) and np.all(np.isfinite(res.residuals))
+    assert res.residuals[3] < 1e-13  # after three steps
+    assert np.max(np.abs(res.x.values - b.values / diag)) < 1e-13
