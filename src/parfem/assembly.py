@@ -27,10 +27,10 @@ DEFAULT_QUAD = {"q1": 2, "q2": 3}
 class DirichletPart:
     """One piece of Dirichlet boundary.
 
-    A boundary edge belongs to the part when both its endpoint vertices
-    satisfy `where` (or carry `flag`); all d.o.f.s on such edges receive the
-    boundary value.  Parts are applied in list order, later parts win at
-    junction vertices.
+    A boundary edge belongs to the part when `where` holds at its midpoint,
+    or when both end vertices carry `flag` (chord midpoints are not flagged);
+    all d.o.f.s on such edges receive the boundary value.  Parts are applied
+    in list order, later parts win at junction vertices.
     """
 
     value: object  # constant or callable(points, t) -> values
@@ -224,7 +224,7 @@ def _dirichlet_rows(ctx: RankContext, parts):
     """Rows of each part and of their union, derived once per space and parts.
 
     Only the known cells' boundary edges are visited, and a part's `where` is
-    evaluated only at their end vertices.  The cache holds the parts object
+    evaluated only at their midpoints.  The cache holds the parts object
     itself, which it recognises by identity.
     """
     cached = ctx._cache.get("dirichlet")
@@ -240,14 +240,14 @@ def _dirichlet_rows(ctx: RankContext, parts):
         for e in range(4)
     ]
     dofs = ctx.dof_map.table[cell[:, None], np.array(local)[edge]]
-    ids, inverse = np.unique(ends, return_inverse=True)
+    mids = mesh.vertices[ends].mean(axis=1)
     part_rows = []
     for part in parts:
         if part.flag is not None:
-            sel = np.isin(ids, list(mesh.vertex_flags.get(part.flag, ())))
+            on = np.isin(ends, list(mesh.vertex_flags.get(part.flag, ()))).all(axis=1)
         else:
-            sel = np.array([bool(part.where(x, y)) for x, y in mesh.vertices[ids]])
-        part_rows.append(np.unique(dofs[sel[inverse.reshape(-1, 2)].all(axis=1)]))
+            on = np.array([bool(part.where(x, y)) for x, y in mids], dtype=bool)
+        part_rows.append(np.unique(dofs[on]))
     rows = np.unique(np.concatenate([np.empty(0, np.int64), *part_rows]))
     plan = [(part, r, np.searchsorted(rows, r)) for part, r in zip(parts, part_rows)]
     ctx._cache["dirichlet"] = (parts, rows, plan)
@@ -334,7 +334,7 @@ def l2_error(ctx: RankContext, u: DistVector, exact, quad_order: int = 4) -> flo
     u.restore(ConsistencyLevel.L1)
     rule = gauss_rule(quad_order)
     vals, _ = get_element(ctx.elem_kind).eval(rule.points)
-    own = sorted(ctx.rank_cells.own)
+    own = ctx.rank_cells.own
     geo = cell_geometry(ctx.mesh, own)
     uh = _interpolate(u.values[ctx.dof_map.rows(own)], vals)
     diff = uh - _at_points(exact, geo.map(rule.points).reshape(-1, 2)).reshape(uh.shape)
@@ -345,7 +345,7 @@ def l2_error(ctx: RankContext, u: DistVector, exact, quad_order: int = 4) -> flo
 def vertex_values(ctx: RankContext, u: DistVector) -> np.ndarray:
     """Solution samples at mesh vertices of the rank's own cells."""
     elem = get_element(ctx.elem_kind)
-    own = sorted(ctx.rank_cells.own)
+    own = ctx.rank_cells.own
     corners = [elem.vertex_dof[k] for k in range(4)]
     out = np.zeros(ctx.mesh.n_vertices)
     out[ctx.mesh.cell_vertices[own]] = u.values[ctx.dof_map.rows(own)[:, corners]]
@@ -361,7 +361,7 @@ def write_solution_vtk(ctx: RankContext, u: DistVector, path):
         ctx.mesh,
         path,
         point_data={"u": vertex_values(ctx, u)},
-        cell_ids=sorted(ctx.rank_cells.own),
+        cell_ids=ctx.rank_cells.own,
     )
 
 

@@ -1,10 +1,10 @@
 """Simulated SPMD transport and master-to-slave update schedules.
 
-Logical ranks run the same program body on separate threads; the transport
-is the only shared object.  Its `all_to_all` mirrors MPI_Alltoallv: every
-rank deposits one chunk per destination, a barrier makes all deposits
-visible, every rank picks up its column.  It is the only barrier: ranks
-alternate between two slot sets, so none overwrites a set another still
+Logical ranks run the same program body on separate threads; they share the
+read-only level meshes and the transport.  Its `all_to_all` mirrors
+MPI_Alltoallv: every rank deposits one chunk per destination, a barrier makes
+all deposits visible, every rank picks up its column.  It is the only barrier:
+ranks alternate between two slot sets, so none overwrites a set another still
 reads.  A timeout on it reports a deadlock (a rank did not enter).
 
 Three master->slave relations restore the consistency of distributed

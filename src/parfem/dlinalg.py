@@ -132,9 +132,6 @@ class DistMatrix:
     def diagonal(self) -> np.ndarray:
         return self.csr.diagonal()
 
-    def copy(self) -> "DistMatrix":
-        return DistMatrix(self.ctx, self.csr.copy())
-
     def combine(self, alpha: float, beta: float, other: "DistMatrix") -> "DistMatrix":
         """alpha*self + beta*other on the union sparsity."""
         if other.ctx is not self.ctx:
@@ -197,7 +194,8 @@ def fgmres(
     the second also reduces w.w, which gives the new norm by Pythagoras
     (Swirydowicz et al., Numer. Linear Algebra Appl. 28, 2021).  Givens
     rotations, absolute Euclidean residual test, true residual at every
-    restart.  Returns instead of raising when maxit is exceeded.
+    restart.  Returns instead of raising when maxit is exceeded or when a
+    restart cycle does not lower the true residual.
     """
     ctx = A.ctx
     if precond is None:
@@ -277,9 +275,11 @@ def fgmres(
                 axpy(y[i], Z[i], x)
             r = b.copy()
             axpy(-1.0, matvec(A, x), r)
-            beta = norm2(r)
+            previous, beta = beta, norm2(r)
             residuals[-1] = beta  # replace the estimate by the true residual
             converged = beta < tol
+            if beta >= previous:  # the cycle stalled; another one would too
+                break
 
         if csv is not None:
             log_row(total, beta if residuals else 0.0)

@@ -3,7 +3,7 @@
 Cells carry globally unique ids per refinement level.  A child id is a pure
 function of the parent id (``4*parent + child_index``), so every simulated
 rank derives the same numbering without communication.  Meshes are immutable
-after construction and safe to share read-only between ranks.
+and shared read-only by the ranks; `Mesh.refined` builds each level once.
 
 Topology is held in integer arrays: the cells' vertex ids, the edges as
 sorted vertex pairs with their incidence counts (one ``np.unique`` over pair
@@ -14,12 +14,14 @@ arrays; `Mesh.cells` and `Mesh.edge_table` are views built on first use.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 CIRCLE_FLAG = "circle"
+_REFINE_LOCK = threading.Lock()
 
 
 class MeshError(ValueError):
@@ -76,6 +78,7 @@ class Mesh:
         self.cell_vertices = cells.astype(np.int64).reshape(-1, 4)
         self.level = level
         self.vertex_flags = {k: set(v) for k, v in (vertex_flags or {}).items()}
+        self._refined = None
         self._build_tables()
         self._validate()
 
@@ -86,6 +89,14 @@ class Mesh:
     @property
     def n_vertices(self):
         return len(self.vertices)
+
+    @property
+    def refined(self) -> "Mesh":
+        """`refine_uniform(self)`, built by the first caller and then shared."""
+        with _REFINE_LOCK:
+            if self._refined is None:
+                self._refined = refine_uniform(self)
+            return self._refined
 
     @cached_property
     def cells(self) -> list[Cell]:
@@ -322,12 +333,11 @@ def cell_neighbors_by_vertex(mesh: Mesh, cell_id: int) -> set[int]:
 def write_vtk(mesh: Mesh, path, point_data=None, cell_ids=None):
     """Write the mesh (optionally a subset of cells) in legacy ASCII VTK.
 
-    point_data maps a field name to per-vertex values (full vertex array
-    indexing); only vertices referenced by the written cells are emitted.
+    cell_ids ascend (all cells by default); point_data maps a field name to
+    per-vertex values, emitted for the vertices of the written cells only.
     """
     if cell_ids is None:
-        cell_ids = range(mesh.n_cells)
-    cell_ids = sorted(cell_ids)
+        cell_ids = np.arange(mesh.n_cells)
     used, renum = np.unique(mesh.cell_vertices[cell_ids], return_inverse=True)
     lines = [
         "# vtk DataFile Version 3.0",

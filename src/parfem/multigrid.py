@@ -2,14 +2,15 @@
 
 The level hierarchy starts from the decomposed coarse mesh and refines
 uniformly, so child cells inherit their parent's owner and all parent-child
-information is rank-local.  Grid transfers are sparse matrices built once per
-level pair from the cellwise definition on own cells: the prolongation
-evaluates the coarse function at the fine nodes of the children, and the
-restriction is its transpose over the fine masters, so each fine master
-counts once.  Their input vectors are restored to level-1 consistency first.
-Smoothing is
-block-Jacobi over the rank blocks (masters plus interface slaves) with SSOR
-inside the block, followed by arithmetic averaging of the interface values.
+information is rank-local.  Each level mesh is refined once and shared by
+the rank threads (`Mesh.refined`).  Grid transfers are sparse matrices built
+once per level pair from the cellwise definition on own cells: the
+prolongation evaluates the coarse function at the fine nodes of the
+children, and the restriction is its transpose over the fine masters, so
+each fine master counts once.  Their input vectors are restored to level-1
+consistency first.  Smoothing is block-Jacobi over the rank blocks (masters
+plus interface slaves) with SSOR inside the block, followed by arithmetic
+averaging of the interface values.
 The coarsest system is gathered to rank 0 and solved by dense LU with
 partial pivoting.
 """
@@ -26,7 +27,6 @@ from scipy.sparse.linalg import splu
 from .comm import ConsistencyLevel, RankContext, build_rank_context
 from .dlinalg import DistMatrix, DistVector, axpy, matvec, new_vector, norm2
 from .mapped_fe import get_element
-from .mesh import refine_uniform
 from .partition import decompose, ownership_on_level
 
 L0, L1, L2, L3 = ConsistencyLevel
@@ -53,7 +53,7 @@ def transfer_operators(coarse: RankContext, fine: RankContext, T: np.ndarray):
     coarse function is continuous, so any other source agrees up to rounding.
     R is the transpose of P's fine-master rows.
     """
-    own = np.array(sorted(coarse.rank_cells.own), dtype=np.int64)
+    own = coarse.rank_cells.own
     children = (4 * own[:, None] + np.arange(4)).ravel()
     cdofs = coarse.dof_map.rows(own)
     fdofs = fine.dof_map.rows(children)
@@ -221,20 +221,18 @@ def build_hierarchy(
     discretize,
     transport,
     rank: int,
-    ownership=None,
     nu1: int = 2,
     nu2: int = 2,
     omega: float = 1.0,
 ) -> MgHierarchy:
-    """Refine, build spaces and operators per level, factorize the coarse LU.
+    """Spaces and operators on each shared level mesh, then the coarse LU.
 
     `discretize(ctx) -> (DistMatrix, DistVector | None)` runs on every level
     (rediscretization rather than Galerkin products).  Collective.
     """
     if n_levels < 1:
         raise ValueError("need at least one level")
-    if ownership is None:
-        ownership = decompose(coarse_mesh, transport.n_ranks)
+    ownership = decompose(coarse_mesh, transport.n_ranks)
     T = transfer_matrices(get_element(elem_kind))
     levels = []
     mesh = coarse_mesh
@@ -249,7 +247,7 @@ def build_hierarchy(
             )
         levels.append(level)
         if l + 1 < n_levels:
-            mesh = refine_uniform(mesh)
+            mesh = mesh.refined
     coarse = CoarseSolver(levels[0].ctx, levels[0].matrix)
     return MgHierarchy(levels=levels, coarse=coarse, nu1=nu1, nu2=nu2)
 

@@ -87,14 +87,13 @@ def ownership_on_level(coarse_ownership: np.ndarray, level: int) -> np.ndarray:
 
 @dataclass
 class RankCells:
-    """One rank's view of the mesh; all other cells are dropped."""
+    """One rank's cells as ascending id arrays; all other cells are dropped."""
 
     rank: int
-    own: set[int]
-    halo: set[int]
-    dependent: set[int]
-    independent: set[int]
-    known: np.ndarray  # own and halo cell ids, ascending
+    own: np.ndarray
+    halo: np.ndarray
+    dependent: np.ndarray  # own cells touching the halo
+    known: np.ndarray  # own and halo
 
 
 def build_rank_cells(mesh: Mesh, ownership: np.ndarray, rank: int) -> RankCells:
@@ -106,16 +105,11 @@ def build_rank_cells(mesh: Mesh, ownership: np.ndarray, rank: int) -> RankCells:
     near[:] = False
     near[cv[halo]] = True
     dependent = own & near[cv].any(axis=1)
-
-    def ids(mask):
-        return set(np.flatnonzero(mask).tolist())
-
     return RankCells(
         rank=rank,
-        own=ids(own),
-        halo=ids(halo),
-        dependent=ids(dependent),
-        independent=ids(own & ~dependent),
+        own=np.flatnonzero(own),
+        halo=np.flatnonzero(halo),
+        dependent=np.flatnonzero(dependent),
         known=np.flatnonzero(own | halo),
     )
 
@@ -151,7 +145,7 @@ def classify_dofs(
     cell_owner = ownership[dof_map.cells]
     own = cell_owner == rank
     in_own, in_halo = touches(own), touches(~own)
-    in_dependent = touches(np.isin(dof_map.cells, list(rank_cells.dependent)))
+    in_dependent = touches(np.isin(dof_map.cells, rank_cells.dependent))
     # every cell containing an interface d.o.f. is known here, so the lowest
     # owning rank is computable without negotiation
     lowest = np.full(n, np.iinfo(np.int64).max)

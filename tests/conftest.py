@@ -245,20 +245,27 @@ def loop_dof_coordinates(dof_map, mesh):
 
 
 def loop_dirichlet_dofs(ctx, parts, t=0.0):
-    """Per-edge oracle: scan every mesh edge, later parts win."""
+    """Per-edge oracle: scan every mesh edge, later parts win.
+
+    A `where` part takes an edge whose midpoint it holds at, a `flag` part an
+    edge with both end vertices flagged.
+    """
     mesh = ctx.mesh
     elem = get_element(ctx.elem_kind)
     known = set(ctx.rank_cells.known)
     chosen = {}
     for part in parts:
-        if part.flag is not None:
-            flagged = mesh.vertex_flags.get(part.flag, set())
-            sel = [v in flagged for v in range(mesh.n_vertices)]
-        else:
-            sel = [bool(part.where(x, y)) for x, y in mesh.vertices]
+        flagged = mesh.vertex_flags.get(part.flag, set())
+
+        def on_part(a, b):
+            if part.flag is not None:
+                return a in flagged and b in flagged
+            x, y = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
+            return bool(part.where(x, y))
+
         part_dofs = set()
         for (a, b), inc in mesh.edge_table.items():
-            if len(inc) != 1 or inc[0] not in known or not (sel[a] and sel[b]):
+            if len(inc) != 1 or inc[0] not in known or not on_part(a, b):
                 continue
             cell = mesh.cell(inc[0])
             dofs = ctx.dof_map.cell_dofs[inc[0]]
@@ -397,7 +404,7 @@ def _loop_vertex_cells(mesh):
 
 
 def loop_build_rank_cells(mesh, ownership, rank):
-    """Per-cell oracle: (own, halo, dependent, independent) cell sets."""
+    """Per-cell oracle: (own, halo, dependent, independent) ascending id arrays."""
     vertex_cells = _loop_vertex_cells(mesh)
 
     def neighbors(g):
@@ -409,7 +416,8 @@ def loop_build_rank_cells(mesh, ownership, rank):
     for g in own:
         halo.update(n for n in neighbors(g) if n not in own)
     dependent = {g for g in own if any(n in halo for n in neighbors(g))}
-    return own, halo, dependent, own - dependent
+    cell_sets = (own, halo, dependent, own - dependent)
+    return tuple(np.array(sorted(c), dtype=np.int64) for c in cell_sets)
 
 
 class UnionFind:
@@ -534,6 +542,7 @@ def loop_classify_dofs(rank, own, halo, dependent, dof_map, ownership):
     `dof_map` is a `loop_build_dof_map` result; returns classes, master ranks
     and the master mask.
     """
+    own, halo, dependent = (set(c.tolist()) for c in (own, halo, dependent))
     n = dof_map.n_dofs
     classes = np.empty(n, dtype=np.int64)
     master_rank = np.full(n, -1, dtype=np.int64)

@@ -5,6 +5,7 @@ import pytest
 
 from parfem.bench_cli import (
     RunConfig,
+    _inflow_schedule,
     aggregate_time,
     main,
     report_table,
@@ -163,8 +164,8 @@ def test_cli_main(tmp_path):
 
 def test_timedep_short_run_converges_every_step():
     # at levels 2 the inlet strip is a single edge between two wall junction
-    # vertices, so the wall condition zeroes the whole inflow; levels 3 is the
-    # coarsest mesh with a nonzero inflow
+    # vertices, so Q1 has no inflow d.o.f. there; levels 3 is the coarsest Q1
+    # mesh with a nonzero inflow
     rep = run(
         RunConfig(problem="timedep2d", levels=3, omega=1.25, t_end=0.05, dt=0.01)
     )
@@ -172,6 +173,19 @@ def test_timedep_short_run_converges_every_step():
     assert [step for step, _ in rep.residuals] == [1, 2, 3, 4, 5]
     assert all(len(hist) > 1 for _, hist in rep.residuals)  # every step iterates
     assert max(abs(v) for v in rep.merged.values()) > 1e-2
+
+
+def test_timedep_q2_levels_2_inflow_at_the_strip_midpoint():
+    # the inlet strip is one boundary edge whose midpoint lies inside it, so
+    # the inlet part takes the edge and its Q2 midpoint d.o.f. carries the
+    # inflow, the largest value of the solution
+    rep = run(
+        RunConfig(problem="timedep2d", element="q2", levels=2, ranks=2, t_end=0.05)
+    )
+    assert rep.converged
+    assert [step for step, _ in rep.residuals] == [1, 2, 3, 4, 5]
+    assert all(len(hist) > 1 for _, hist in rep.residuals)  # every step iterates
+    assert max(abs(v) for v in rep.merged.values()) == _inflow_schedule(0.05)
 
 
 @pytest.mark.xfail(

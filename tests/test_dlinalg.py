@@ -414,15 +414,17 @@ def test_fgmres_lucky_breakdown_stops_without_nan(n_ranks):
 
 def test_fgmres_breakdown_after_invariant_subspace():
     # three distinct eigenvalues: the Krylov space is exhausted after three
-    # steps, where the clamped norm drops to rounding level; an unreachable
-    # tolerance makes every later cycle break down the same way
+    # steps, where the clamped norm drops to rounding level; with an
+    # unreachable tolerance the later cycles break down the same way until
+    # one no longer lowers the true residual (3+3+3+1+1 steps), which ends
+    # the solve
     ctx = seq_context(build_rect_mesh(0, 1, 0, 1, 4, 4))
     n = ctx.n_local
     diag = np.array([1.0, 2.0, 5.0])[np.arange(n) % 3]
     A = DistMatrix(ctx, sp.diags(diag, format="csr"))
     b = DistVector(ctx, np.linspace(1.0, 2.0, n), L3)
     res = fgmres(A, b, tol=1e-30, maxit=20)
-    assert not res.converged and res.iterations == 20
+    assert not res.converged and res.iterations == 11
     assert np.all(np.isfinite(res.x.values)) and np.all(np.isfinite(res.residuals))
     assert res.residuals[3] < 1e-13  # after three steps
     assert np.max(np.abs(res.x.values - b.values / diag)) < 1e-13

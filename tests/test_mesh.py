@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -124,6 +126,44 @@ UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 def test_mesh_validation_rejects(verts, cells, message):
     with pytest.raises(MeshError, match=message):
         Mesh(np.array(verts), [Cell(g, c) for g, c in enumerate(cells)])
+
+
+def test_refined_built_once_under_concurrent_access(monkeypatch):
+    # more reader threads than cores, switching often: without the lock two
+    # readers would both see no memo and refine twice
+    import parfem.mesh
+
+    refine, calls = parfem.mesh.refine_uniform, []
+
+    def counting_refine(mesh):
+        calls.append(mesh)
+        return refine(mesh)
+
+    monkeypatch.setattr(parfem.mesh, "refine_uniform", counting_refine)
+    meshes = [build_rect_mesh(0, 1, 0, 1, 16, 16) for _ in range(5)]
+    n = 8
+    start, got = threading.Barrier(n), [[None] * n for _ in meshes]
+
+    def reader(i):
+        for mesh, out in zip(meshes, got):
+            start.wait(timeout=10)
+            out[i] = mesh.refined
+
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [id(m) for m in calls] == [id(m) for m in meshes]
+    for mesh, out in zip(meshes, got):
+        assert out[0] is mesh.refined and all(g is out[0] for g in out)
+    assert np.array_equal(out[0].cell_vertices, refine(mesh).cell_vertices)
 
 
 def test_refine_deterministic_bitwise():

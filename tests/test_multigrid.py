@@ -57,6 +57,27 @@ def build_on_ranks(coarse, n_levels, n_ranks, body, elem="q1", **kw):
     return spmd_run(n_ranks, wrapped)
 
 
+def test_hierarchy_shares_level_meshes(monkeypatch):
+    # one refinement per level for all rank threads, not one per rank
+    import parfem.mesh
+
+    refine, calls = parfem.mesh.refine_uniform, []
+
+    def counting_refine(mesh):
+        calls.append(mesh.level)
+        return refine(mesh)
+
+    monkeypatch.setattr(parfem.mesh, "refine_uniform", counting_refine)
+    coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
+    meshes = build_on_ranks(
+        coarse, 3, 3, lambda hier: [lvl.ctx.mesh for lvl in hier.levels]
+    )
+    assert meshes[0][0] is coarse
+    for level in range(3):
+        assert all(m[level] is meshes[0][level] for m in meshes)
+    assert sorted(calls) == [0, 1]
+
+
 def test_single_level_is_exact_preconditioner():
     coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
 
