@@ -1,0 +1,94 @@
+"""Count the collectives one benchmark run makes on rank 0.
+
+Wraps `Transport.all_to_all`, `Transport.allreduce_sum` and the barrier wait
+from outside the library, runs one `RunConfig` and prints rank 0's
+all-to-alls per label, its reductions and its barrier waits:
+
+    python3 scripts/collective_counts.py --problem timedep2d --levels 3 \
+        --ranks 2 --t-end 0.5
+
+Every `RunConfig` field is a flag (underscores become dashes).  `--markdown`
+prints one table row instead, for a CI step summary.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import sys
+import threading
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from parfem import bench_cli  # noqa: E402
+from parfem.comm import Transport  # noqa: E402
+
+
+def count_collectives(config: bench_cli.RunConfig):
+    """Run `config`; returns (report, a2a calls per label, reductions, waits)."""
+    labels: Counter = Counter()
+    counts = {"reductions": 0, "waits": 0}
+    orig = Transport.all_to_all, Transport.allreduce_sum, Transport._wait
+
+    def all_to_all(self, rank, chunks, label="a2a"):
+        if rank == 0:
+            labels[label] += 1
+        return orig[0](self, rank, chunks, label)
+
+    def allreduce_sum(self, rank, value):
+        if rank == 0:
+            counts["reductions"] += 1
+        return orig[1](self, rank, value)
+
+    def wait(self):
+        if threading.current_thread().name == "rank0":
+            counts["waits"] += 1
+        return orig[2](self)
+
+    Transport.all_to_all, Transport.allreduce_sum, Transport._wait = (
+        all_to_all, allreduce_sum, wait
+    )
+    try:
+        report = bench_cli.run(config)
+    finally:
+        Transport.all_to_all, Transport.allreduce_sum, Transport._wait = orig
+    return report, labels, counts["reductions"], counts["waits"]
+
+
+def _parse(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    for f in dataclasses.fields(bench_cli.RunConfig):
+        if f.name in ("out_dir", "snapshot_times"):
+            continue
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
+                            default=f.default)
+    parser.add_argument("--markdown", action="store_true")
+    return parser.parse_args(argv)
+
+
+def main(argv=None) -> int:
+    args = vars(_parse(argv))
+    markdown = args.pop("markdown")
+    config = bench_cli.RunConfig(**args)
+    report, labels, reductions, waits = count_collectives(config)
+    a2a = sum(labels.values())
+    per_label = ", ".join(f"{k} {v}" for k, v in sorted(labels.items()))
+    name = (f"{config.problem} {config.element} L{config.levels} "
+            f"{config.solver}, {config.ranks} ranks")
+    if markdown:
+        print(f"| {name} | {report.iterations} | {reductions} | {a2a} "
+              f"({per_label}) | {waits} |")
+    else:
+        print(f"run: {name}, {report.iterations} iterations")
+        print(f"all-to-alls: {a2a}")
+        for label, n in sorted(labels.items()):
+            print(f"  {label}: {n}")
+        print(f"reductions: {reductions}")
+        print(f"barrier waits: {waits}")
+    return report.exit_code
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

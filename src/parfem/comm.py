@@ -15,13 +15,16 @@ is whichever rank holds the unique master of that d.o.f.:
     DHalpha  -> halo(alpha) d.o.f.s     (level 2)
     DHbeta   -> halo(beta) d.o.f.s      (level 3)
 
-The schedules are negotiated once per finite element space by exchanging
-(cell id, local index) keys and are reused for every later update.
+Masters are final at level 0 and never receive, so any set of relations is
+sent in one all-to-all over the union of their schedules: a restore makes
+at most one.  The schedules are negotiated once per finite element space by
+exchanging (cell id, local index) keys and are reused for every later update.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -82,7 +85,8 @@ class Transport:
     count, and every rank has read a set before any can pass the next
     barrier and write it again.  Deposits are shared, not copied: a sender
     leaves them unmodified until its next collective returns.  `trace` keeps
-    (label, rank, chunk sizes) of the latest `TRACE_LENGTH` all-to-alls.
+    (label, rank, chunk sizes) of the latest `TRACE_LENGTH` all-to-alls
+    (`deque.append` and `clear` are thread-safe).
     """
 
     TRACE_LENGTH = 4096
@@ -93,14 +97,12 @@ class Transport:
         self._barrier = threading.Barrier(n_ranks)
         self._sets = [([None] * n_ranks, [None] * n_ranks) for _ in range(2)]
         self._count = [0] * n_ranks
-        self._lock = threading.Lock()
         self.trace: deque[tuple[str, int, tuple[int, ...]]] = deque(
             maxlen=self.TRACE_LENGTH
         )
 
     def clear_trace(self):
-        with self._lock:
-            self.trace.clear()
+        self.trace.clear()
 
     def abort(self):
         self._barrier.abort()
@@ -136,8 +138,7 @@ class Transport:
         """Deliver chunks[dst] to each destination; returns chunks per source."""
         if len(chunks) != self.n_ranks:
             raise ValueError("need one chunk per destination rank")
-        with self._lock:
-            self.trace.append((label, rank, tuple(self._size(c) for c in chunks)))
+        self.trace.append((label, rank, tuple(self._size(c) for c in chunks)))
         return [row[rank] for row in self._exchange(rank, label, list(chunks))]
 
     def allreduce_sum(self, rank: int, value: float) -> float:
@@ -189,6 +190,31 @@ class Schedule:
     recv_displ: np.ndarray
     rcvd_dof: np.ndarray  # local dof updated by each receive-buffer slot
 
+    @functools.cached_property
+    def sends(self) -> list[np.ndarray]:
+        """Local d.o.f.s sent to each destination rank."""
+        return np.split(self.sent_dof, self.send_displ[1:])
+
+
+def _schedule(sends: list, recv_counts, rcvd_dof: np.ndarray) -> Schedule:
+    """Schedule from the d.o.f.s sent to each rank and the received ones."""
+    send_counts = np.array([len(d) for d in sends], dtype=np.int64)
+    recv_counts = np.array(recv_counts, dtype=np.int64)
+    return Schedule(
+        send_counts, _displ(send_counts), np.concatenate(sends),
+        recv_counts, _displ(recv_counts), rcvd_dof,
+    )
+
+
+def merge_schedules(parts: list[Schedule]) -> Schedule:
+    """One schedule carrying the parts' chunks to each rank, in part order."""
+    recvs = [np.split(s.rcvd_dof, s.recv_displ[1:]) for s in parts]
+    return _schedule(
+        [np.concatenate(d) for d in zip(*(s.sends for s in parts))],
+        sum(s.recv_counts for s in parts),
+        np.concatenate([d for per_src in zip(*recvs) for d in per_src]),
+    )
+
 
 @dataclass
 class FeMapper:
@@ -196,6 +222,8 @@ class FeMapper:
 
     schedules: dict[Relation, Schedule]
     true_keys: np.ndarray  # globally minimal (cell, index) key per local dof
+    # every block holder (master or interface slave) -> halo(alpha) d.o.f.s
+    contributions: Schedule
 
 
 def _displ(counts):
@@ -217,7 +245,10 @@ def build_fe_mapper(
     the master rank knows every cell containing its master d.o.f.s, so it can
     answer any such key.  The master replies with the matched keys (and the
     globally minimal key of the d.o.f.), fixing both send and receive
-    orderings deterministically.
+    orderings deterministically.  A halo(alpha) key is also answered by every
+    rank holding the d.o.f. in its block: an interface slave's rank knows all
+    cells containing it too.  Those replies give the `contributions`
+    schedule of the smoother's exchange.
     """
     n_ranks = transport.n_ranks
     local_keys = dof_map.keys
@@ -234,28 +265,36 @@ def build_fe_mapper(
     )
 
     is_master = classification.is_master
+    in_block = is_master | (classification.classes == DofClass.INTERFACE_SLAVE)
+    # (reply name, requested relation, answering d.o.f.s)
+    asked = [(rel, rel, is_master) for rel in Relation]
+    asked.append(("block", Relation.DH_ALPHA, in_block))
     no_reply = np.empty((0, 2), dtype=np.int64)
-    replies = [{rel.value: no_reply for rel in Relation} for _ in range(n_ranks)]
-    sent_lists = {rel: [np.empty(0, dtype=np.int64)] * n_ranks for rel in Relation}
+    replies = [{name: no_reply for name, *_ in asked} for _ in range(n_ranks)]
+    sent_lists = {name: [no_reply[:, 0]] * n_ranks for name, *_ in asked}
     for src in range(n_ranks):
         if src == rank:
             continue
-        for rel in Relation:
+        for name, rel, answering in asked:
             keys = incoming[src][rel.value]
             d = dof_map.dofs_of_keys(keys)
             hit = d >= 0
-            hit[hit] = is_master[d[hit]]
-            replies[src][rel.value] = np.stack([keys[hit], local_keys[d[hit]]], axis=1)
-            sent_lists[rel][src] = d[hit]
+            hit[hit] = answering[d[hit]]
+            replies[src][name] = np.stack([keys[hit], local_keys[d[hit]]], axis=1)
+            sent_lists[name][src] = d[hit]
 
     answered = transport.all_to_all(rank, replies, label="mapper-reply")
 
     true_keys = local_keys.copy()
     schedules = {}
-    for rel in Relation:
+    for name, rel, answering in asked:
         req_keys, req_idx = requests[rel]
-        got = np.concatenate([answered[src][rel.value] for src in range(n_ranks)])
+        got = np.concatenate([a[name] for a in answered])
         rcvd = req_idx[np.searchsorted(req_keys, got[:, 0])]
+        recv_counts = [len(a[name]) for a in answered]
+        schedules[name] = _schedule(sent_lists[name], recv_counts, rcvd)
+        if answering is in_block:
+            continue
         true_keys[rcvd] = got[:, 1]
         matched = np.bincount(rcvd, minlength=dof_map.n_dofs)[req_idx]
         bad = np.flatnonzero(matched != 1)
@@ -264,19 +303,8 @@ def build_fe_mapper(
                 f"rank {rank}: slave dof {int(req_idx[bad[0]])} in {rel.value} "
                 f"matched {int(matched[bad[0]])} masters"
             )
-        send_counts = np.array([len(d) for d in sent_lists[rel]], dtype=np.int64)
-        recv_counts = np.array(
-            [len(answered[src][rel.value]) for src in range(n_ranks)], dtype=np.int64
-        )
-        schedules[rel] = Schedule(
-            send_counts=send_counts,
-            send_displ=_displ(send_counts),
-            sent_dof=np.concatenate(sent_lists[rel]),
-            recv_counts=recv_counts,
-            recv_displ=_displ(recv_counts),
-            rcvd_dof=rcvd,
-        )
-    return FeMapper(schedules=schedules, true_keys=true_keys)
+    contributions = schedules.pop("block")
+    return FeMapper(schedules, true_keys, contributions)
 
 
 class Communicator:
@@ -286,15 +314,23 @@ class Communicator:
         self.transport = transport
         self.rank = rank
         self.mapper = mapper
+        self._merged: dict[tuple[Relation, ...], Schedule] = {}
 
-    def update(self, values: np.ndarray, relation: Relation):
-        """Overwrite every slave of the relation with its master's value."""
-        s = self.mapper.schedules[relation]
-        chunks = [
-            values[s.sent_dof[s.send_displ[q] : s.send_displ[q] + s.send_counts[q]]]
-            for q in range(self.transport.n_ranks)
-        ]
-        received = self.transport.all_to_all(self.rank, chunks, label=relation.value)
+    def update(self, values: np.ndarray, *relations: Relation):
+        """Overwrite every slave of the relations with its master's value.
+
+        One all-to-all over the union of the relations' schedules, merged
+        once per relation tuple; masters never receive, so the values sent
+        do not depend on the order of the relations.
+        """
+        s = self._merged.get(relations)
+        if s is None:
+            parts = [self.mapper.schedules[rel] for rel in relations]
+            s = self._merged[relations] = merge_schedules(parts)
+        label = "+".join(rel.value for rel in relations)
+        received = self.transport.all_to_all(
+            self.rank, [values[d] for d in s.sends], label=label
+        )
         if s.rcvd_dof.size:  # received chunks follow the receive displacements
             values[s.rcvd_dof] = np.concatenate(received)
 
@@ -304,24 +340,28 @@ class Communicator:
         current: ConsistencyLevel,
         target: ConsistencyLevel,
     ) -> ConsistencyLevel:
-        """Run exactly the relation updates needed to lift current to target."""
-        for level in (ConsistencyLevel.L1, ConsistencyLevel.L2, ConsistencyLevel.L3):
-            if current < level <= target:
-                self.update(values, LEVEL_RELATION[level])
+        """Lift current to target with the missing relations, in one update."""
+        missing = tuple(
+            rel for level, rel in LEVEL_RELATION.items() if current < level <= target
+        )
+        if missing:
+            self.update(values, *missing)
         return max(current, target)
 
 
 class InterfaceExchange:
-    """Symmetric value exchange over the interface d.o.f.s.
+    """Symmetric value exchanges over the interface d.o.f.s.
 
-    Used by the multigrid smoother (arithmetic averaging after block sweeps)
-    and by defect restriction (additive accumulation onto masters).  Both
-    sides of every rank pair derive the same key-sorted d.o.f. list locally,
-    so no negotiation is needed; sums run in ascending contributor-rank
-    order, making the result bitwise identical on every sharing rank.
+    Defect restriction sums the sharing ranks' partial values (`accumulate`).
+    The multigrid smoother replaces interface values by their mean and
+    refreshes the halo(alpha) d.o.f.s in the same all-to-all (`settle`).
+    Both sides of every rank pair derive the same key-sorted interface list
+    locally, so no negotiation is needed beyond the mapper's; every total
+    starts from zero and adds the contributions in ascending rank order, so
+    it is bitwise identical on every rank that forms it.
     """
 
-    def __init__(self, transport, rank, classification, dof_map, ownership):
+    def __init__(self, transport, rank, classification, dof_map, ownership, mapper):
         self.transport = transport
         self.rank = rank
         n = transport.n_ranks
@@ -339,37 +379,45 @@ class InterfaceExchange:
         self.counts = sharing.sum(axis=1).astype(float)
         self.slot_with = [np.flatnonzero(sharing[:, q]) for q in range(n)]
         self.shared_with = [self.if_dofs[s] for s in self.slot_with]
-        self.is_if_master = classification.classes[self.if_dofs] == int(
-            DofClass.INTERFACE_MASTER
+        # settle: interface slots, then one slot per halo(alpha) d.o.f. fed by
+        # every rank holding it in its block (several if it is interface there)
+        c = mapper.contributions
+        halo = np.unique(c.rcvd_dof)
+        halo_slot = len(self.if_dofs) + np.searchsorted(halo, c.rcvd_dof)
+        halo_slots = np.split(halo_slot, c.recv_displ[1:])
+        self.settle_dofs = np.concatenate([self.if_dofs, halo])
+        self.settle_counts = np.concatenate(
+            [self.counts, np.bincount(halo_slot)[len(self.if_dofs) :]]
+        )
+        # plans: d.o.f.s sent to each rank, slots fed by each rank, start values
+        self._accumulate = (self.shared_with, self.slot_with, np.zeros(len(if_dofs)))
+        self._settle = (
+            [np.concatenate(d) for d in zip(self.shared_with, c.sends)],
+            [np.concatenate(s) for s in zip(self.slot_with, halo_slots)],
+            # -0.0 + v == v for every v: a single contribution passes unchanged
+            np.where(self.settle_counts > 1, 0.0, -0.0),
         )
 
-    def _totals(self, values, label):
-        n = self.transport.n_ranks
-        chunks = [
-            values[self.shared_with[q]] if q != self.rank else np.empty(0)
-            for q in range(n)
-        ]
-        received = self.transport.all_to_all(self.rank, chunks, label=label)
-        totals = np.zeros(len(self.if_dofs))
-        for q in range(n):
-            if q == self.rank:
-                contrib = values[self.shared_with[q]]
-            else:
-                contrib = np.asarray(received[q])
-            if contrib.size:
-                totals[self.slot_with[q]] += contrib
+    def _sum(self, values, label, plan):
+        sends, slots, start = plan
+        received = self.transport.all_to_all(
+            self.rank, [values[d] for d in sends], label=label
+        )
+        totals = start.copy()
+        for slot, contrib in zip(slots, received):
+            totals[slot] += contrib
         return totals
 
-    def average(self, values: np.ndarray):
-        """Replace interface values by the mean over all sharing ranks."""
-        totals = self._totals(values, "if-average")
-        values[self.if_dofs] = totals / self.counts
+    def accumulate(self, values: np.ndarray):
+        """Replace interface values by the sum over all sharing ranks."""
+        values[self.if_dofs] = self._sum(values, "if-accumulate", self._accumulate)
 
-    def add_to_masters(self, values: np.ndarray):
-        """Accumulate partial sums; only interface masters receive the total."""
-        totals = self._totals(values, "if-accumulate")
-        masters = self.if_dofs[self.is_if_master]
-        values[masters] = totals[self.is_if_master]
+    def settle(self, values: np.ndarray):
+        """Interface values become the mean over the sharing ranks, halo(alpha)
+        values the mean over their block holders (the master's value where it
+        is the only one); one all-to-all, the vector is level-2-consistent."""
+        totals = self._sum(values, "if-average", self._settle)
+        values[self.settle_dofs] = totals / self.settle_counts
 
 
 @dataclass
@@ -433,7 +481,9 @@ def build_rank_context(
     classification = classify_dofs(rank_cells, dof_map, ownership)
     mapper = build_fe_mapper(classification, dof_map, transport, rank)
     comm = Communicator(transport, rank, mapper)
-    exchange = InterfaceExchange(transport, rank, classification, dof_map, ownership)
+    exchange = InterfaceExchange(
+        transport, rank, classification, dof_map, ownership, mapper
+    )
     return RankContext(
         transport=transport,
         rank=rank,

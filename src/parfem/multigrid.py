@@ -7,10 +7,13 @@ the rank threads (`Mesh.refined`).  Grid transfers are sparse matrices built
 once per level pair from the cellwise definition on own cells: the
 prolongation evaluates the coarse function at the fine nodes of the
 children, and the restriction is its transpose over the fine masters, so
-each fine master counts once.  Their input vectors are restored to level-1
-consistency first.  Smoothing is block-Jacobi over the rank blocks (masters
-plus interface slaves) with SSOR inside the block, followed by arithmetic
-averaging of the interface values.
+each fine master counts once.  A prolongated vector is restored to level 2
+in one exchange; a restricted defect carries the summed interface values on
+every sharing rank, so it is level-1-consistent without an update.
+Smoothing is block-Jacobi over the rank blocks (masters plus interface
+slaves) with SSOR inside the block; after each sweep one all-to-all
+averages the interface values over their sharing ranks and refreshes the
+halo(alpha) values, so the iterate stays level-2-consistent.
 The coarsest system is gathered to rank 0 and solved by dense LU with
 partial pivoting.
 """
@@ -106,14 +109,14 @@ class BlockSsor:
         x[self.block] = xb
 
     def smooth(self, x: DistVector, b: DistVector, sweeps: int) -> DistVector:
-        """Sweeps with interface averaging and halo refresh after each one."""
+        """Sweeps, each followed by one exchange that averages the interface
+        values and refreshes the halo(alpha) values."""
         b.restore(L1)  # interface-slave rows read the right-hand side
         x.restore(L2)  # halo(alpha) columns act as frozen data
         for _ in range(sweeps):
             self._sweep(x.values, b.values)
-            self.ctx.exchange.average(x.values)
-            x.level = L1
-            x.restore(L2)
+            self.ctx.exchange.settle(x.values)
+            x.level = L2
         return x
 
 
@@ -259,23 +262,22 @@ def prolongate(hier: MgHierarchy, level: int, v_coarse: DistVector) -> DistVecto
     fine = hier.levels[level + 1]
     v_coarse.restore(L1)
     v = DistVector(fine.ctx, fine.prolongation @ v_coarse.values, L0)
-    v.restore(L1)
-    return v
+    return v.restore(L2)
 
 
 def restrict_defect(hier: MgHierarchy, level: int, d_fine: DistVector) -> DistVector:
     """Transpose of prolongation over the fine masters.
 
-    Each fine master is counted exactly once globally; the per-rank partial
-    sums at the interface are then accumulated onto the coarse masters.
+    Each fine master is counted exactly once globally, and R reads no fine
+    slave, so `d_fine` needs no restore.  The per-rank partial sums at the
+    interface are accumulated on every sharing rank (level 1).
     """
     if not 0 <= level < hier.n_levels - 1:
         raise IndexError(f"no fine level above {level}")
     coarse, fine = hier.levels[level], hier.levels[level + 1]
-    d_fine.restore(L1)
-    d = DistVector(coarse.ctx, fine.restriction @ d_fine.values, L0)
-    coarse.ctx.exchange.add_to_masters(d.values)
-    return d
+    d = fine.restriction @ d_fine.values
+    coarse.ctx.exchange.accumulate(d)
+    return DistVector(coarse.ctx, d, L1)
 
 
 def _residual_norm(lvl: MgLevel, x: DistVector, b: DistVector) -> float:

@@ -280,6 +280,48 @@ def loop_dirichlet_dofs(ctx, parts, t=0.0):
     return np.array(rows, dtype=np.int64), np.array([chosen[r] for r in rows])
 
 
+class CountingTransport(Transport):
+    """Counts each rank's reductions and all-to-alls."""
+
+    def __init__(self, n_ranks):
+        super().__init__(n_ranks)
+        self.reductions = [0] * n_ranks
+        self.all_to_alls = [0] * n_ranks
+
+    def allreduce_sum(self, rank, value):
+        self.reductions[rank] += 1
+        return super().allreduce_sum(rank, value)
+
+    def all_to_all(self, rank, chunks, label="a2a"):
+        self.all_to_alls[rank] += 1
+        return super().all_to_all(rank, chunks, label)
+
+
+def loop_average_restore(ctx, values):
+    """Per-d.o.f. oracle of the two-exchange smoother update (collective).
+
+    Interface values become the mean over the sharing ranks, summed from zero
+    in ascending rank order; then the halo(alpha) d.o.f.s take their
+    master's value (restore from level 1 to level 2).
+    """
+    if_classes = (DofClass.INTERFACE_MASTER, DofClass.INTERFACE_SLAVE)
+    interface = [
+        g for g in range(ctx.n_local) if ctx.classification.classes[g] in if_classes
+    ]
+    mine = {int(ctx.true_keys[g]): float(values[g]) for g in interface}
+    n = ctx.transport.n_ranks
+    received = ctx.transport.all_to_all(ctx.rank, [mine] * n, label="oracle")
+    for g in interface:
+        key = int(ctx.true_keys[g])
+        total, count = 0.0, 0
+        for q in range(n):
+            if key in received[q]:
+                total += received[q][key]
+                count += 1
+        values[g] = total / count
+    DistVector(ctx, values, ConsistencyLevel.L1).restore(ConsistencyLevel.L2)
+
+
 def _level_pair(hier, level):
     if not 0 <= level < hier.n_levels - 1:
         raise IndexError(f"no fine level above {level}")
@@ -297,14 +339,14 @@ def loop_prolongate(hier, level, v_coarse):
         for c in range(4):
             out[fc.dof_map.cell_dofs[4 * gid + c]] = T[c] @ vc
     v = DistVector(fc, out, ConsistencyLevel.L0)
-    v.restore(ConsistencyLevel.L1)
+    v.restore(ConsistencyLevel.L2)
     return v
 
 
 def loop_restrict_defect(hier, level, d_fine):
-    """Per-cell oracle: transpose of prolongation, a visited mask per master."""
+    """Per-cell oracle: transpose of prolongation, a visited mask per master;
+    the interface totals go to every sharing rank."""
     cc, fc, T = _level_pair(hier, level)
-    d_fine.restore(ConsistencyLevel.L1)
     out = np.zeros(cc.n_local)
     visited = np.zeros(fc.n_local, dtype=bool)
     for gid in sorted(cc.rank_cells.own):
@@ -315,9 +357,8 @@ def loop_restrict_defect(hier, level, d_fine):
             if np.any(take):
                 visited[fdofs[take]] = True
                 out[cdofs] += T[c][take].T @ d_fine.values[fdofs[take]]
-    d = DistVector(cc, out, ConsistencyLevel.L0)
-    cc.exchange.add_to_masters(d.values)
-    return d
+    cc.exchange.accumulate(out)
+    return DistVector(cc, out, ConsistencyLevel.L1)
 
 
 def injection_table(elem):

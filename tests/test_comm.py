@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import CountingTransport
 from parfem.comm import (
     CollectiveMismatch,
     ConsistencyLevel,
@@ -155,6 +156,23 @@ def test_restore_l1_sends_only_ims_traffic():
     assert Relation.IMS.value in labels
     assert Relation.DH_ALPHA.value not in labels
     assert Relation.DH_BETA.value not in labels
+
+
+@pytest.mark.parametrize("n_ranks", [2, 4])
+def test_restore_l0_to_l3_is_one_all_to_all(n_ranks):
+    m = build_rect_mesh(0, 2, 0, 2, 4, 4)
+    transport = CountingTransport(n_ranks)
+
+    def body(ctx):
+        seq = np.cos(0.37 * (ctx.true_keys % 1009))
+        v = DistVector(ctx, np.where(ctx.master_mask, seq, np.nan), L0)
+        before = transport.all_to_alls[ctx.rank]
+        v.restore(L3)
+        sent = transport.all_to_alls[ctx.rank] - before
+        return sent, v.level == L3 and np.array_equal(v.values, seq)
+
+    out = run_contexts(m, n_ranks, elem="q2", body=body, transport=transport)
+    assert out == [(1, True)] * n_ranks
 
 
 def test_restore_l2_leaves_halo_beta_untouched():

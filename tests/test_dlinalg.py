@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import dense_gmres, loop_fgmres_mgs, seq_context
+from conftest import CountingTransport, dense_gmres, loop_fgmres_mgs, seq_context
 from parfem.assembly import CdrCoefficients, DirichletPart, apply_dirichlet, assemble_cdr
 from parfem.comm import (
     ConsistencyLevel,
     Relation,
-    Transport,
     build_rank_context,
     spmd_run,
 )
@@ -335,18 +334,6 @@ def test_axpy_tag_table(lx, ly):
     x = DistVector(ctx, np.ones(9), lx)
     y = DistVector(ctx, np.ones(9), ly)
     assert axpy(1.0, x, y).level == min(lx, ly)
-
-
-class CountingTransport(Transport):
-    """Counts each rank's reductions."""
-
-    def __init__(self, n_ranks):
-        super().__init__(n_ranks)
-        self.reductions = [0] * n_ranks
-
-    def allreduce_sum(self, rank, value):
-        self.reductions[rank] += 1
-        return super().allreduce_sum(rank, value)
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 3])

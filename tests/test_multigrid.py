@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    CountingTransport,
     cells_of_dof,
     dense_ssor_sweep,
     invert_reference_map,
+    loop_average_restore,
     loop_prolongate,
     loop_restrict_defect,
     restrict_function,
@@ -32,7 +34,7 @@ from parfem.multigrid import (
     v_cycle,
     write_diagnostics,
 )
-from parfem.partition import decompose
+from parfem.partition import DofClass, decompose
 
 L0, L1, L2, L3 = ConsistencyLevel
 
@@ -47,14 +49,14 @@ def discretize_poisson(ctx):
     return A, b
 
 
-def build_on_ranks(coarse, n_levels, n_ranks, body, elem="q1", **kw):
+def build_on_ranks(coarse, n_levels, n_ranks, body, elem="q1", transport=None, **kw):
     def wrapped(rank, transport):
         hier = build_hierarchy(
             coarse, n_levels, elem, discretize_poisson, transport, rank, **kw
         )
         return body(hier)
 
-    return spmd_run(n_ranks, wrapped)
+    return spmd_run(n_ranks, wrapped, transport=transport)
 
 
 def test_hierarchy_shares_level_meshes(monkeypatch):
@@ -201,7 +203,7 @@ def test_transfer_matches_geometric_oracle(elem, rng):
         d = DistVector(fc, rng.normal(size=fc.n_local), L3)
         r = restrict_defect(hier, 0, d.copy())
         down_ok = np.max(np.abs(r.values - P.T @ d.values)) < 1e-13
-        return up_ok and down_ok and w.level == L1 and r.level == L0
+        return up_ok and down_ok and w.level == L2 and r.level == L1
 
     assert all(build_on_ranks(coarse, 2, 1, body, elem=elem))
 
@@ -230,8 +232,8 @@ def test_csr_transfers_match_cellwise_oracles(elem, n_ranks):
             d = DistVector(fc, _key_values(fc, 0.5 + level), L3)
             r = restrict_defect(hier, level, d.copy())
             r_loop = loop_restrict_defect(hier, level, d.copy())
-            ok = ok and close(w.values, w_loop.values) and w.level == L1
-            ok = ok and close(r.values, r_loop.values) and r.level == L0
+            ok = ok and close(w.values, w_loop.values) and w.level == L2
+            ok = ok and close(r.values, r_loop.values) and r.level == L1
         return ok
 
     assert all(build_on_ranks(coarse, 3, n_ranks, body, elem=elem))
@@ -364,6 +366,69 @@ def test_smoother_rejects_zero_diagonal():
     vals = np.arange(9.0)  # first diagonal entry is zero
     with pytest.raises(ValueError):
         BlockSsor(ctx, DistMatrix(ctx, sp.diags(vals).tocsr()))
+
+
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+def test_fused_sweep_matches_average_then_restore(elem):
+    # a 3-cell strip owned [0, 1, 2]: rank 0's halo cell 1 has its right edge
+    # on the interface of ranks 1 and 2, so halo(alpha) d.o.f.s of rank 0
+    # there have two block holders
+    mesh = build_rect_mesh(0, 3, 0, 1, 3, 1)
+    ownership = np.array([0, 1, 2])
+
+    def body(rank, transport):
+        ctx = build_rank_context(mesh, ownership, elem, transport, rank)
+        # no Dirichlet rows: on the strip every Q1 d.o.f. lies on the boundary
+        A, b = assemble_cdr(ctx, CdrCoefficients(eps=1.0, b=(1.0, 0.5), c=1.0, f=1.0))
+        smoother = BlockSsor(ctx, A)
+        ex = ctx.exchange
+        alpha = ctx.classification.of_class(DofClass.HALO_ALPHA)
+        two_holders = np.intersect1d(alpha, ex.settle_dofs[ex.settle_counts == 2])
+        x0 = np.cos(0.37 * (ctx.true_keys % 1009) + rank)  # rank-dependent
+        x = DistVector(ctx, x0.copy(), L2)
+        smoother.smooth(x, b, sweeps=1)
+        want = x0.copy()
+        smoother._sweep(want, b.values)
+        loop_average_restore(ctx, want)
+        return two_holders.size, x.level == L2 and x.values.tobytes() == want.tobytes()
+
+    out = spmd_run(3, body)
+    assert out[0][0] > 0
+    assert all(same for _, same in out)
+
+
+@pytest.mark.parametrize("sweeps", [1, 2, 3])
+def test_smoother_one_all_to_all_per_sweep(sweeps):
+    mesh = build_rect_mesh(0, 1, 0, 1, 6, 6)
+    ownership = decompose(mesh, 3)
+    transport = CountingTransport(3)
+
+    def body(rank, transport):
+        ctx = build_rank_context(mesh, ownership, "q2", transport, rank)
+        A, b = discretize_poisson(ctx)
+        smoother = BlockSsor(ctx, A)
+        b.restore(L1)
+        before = transport.all_to_alls[rank]
+        smoother.smooth(new_vector(ctx, L3), b, sweeps)
+        return transport.all_to_alls[rank] - before
+
+    assert spmd_run(3, body, transport=transport) == [sweeps] * 3
+
+
+def test_v_cycle_collective_count():
+    # 3 levels, V(2,2) with a level-0 right-hand side: one IMS restore of b;
+    # per smoothed level 2 + 2 sweeps, one defect accumulation and one
+    # prolongation restore; coarse rhs gather and solution scatter
+    coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
+    transport = CountingTransport(2)
+
+    def body(hier):
+        b = DistVector(hier.finest.ctx, hier.finest.rhs.values.copy(), L0)
+        before = transport.all_to_alls[hier.finest.ctx.rank]
+        v_cycle(hier, b)
+        return transport.all_to_alls[hier.finest.ctx.rank] - before
+
+    assert build_on_ranks(coarse, 3, 2, body, transport=transport) == [15, 15]
 
 
 def test_two_grid_contraction(rng):
