@@ -2,7 +2,8 @@
 
 Wraps `Transport.all_to_all`, `Transport.allreduce_sum` and the barrier wait
 from outside the library, runs one `RunConfig` and prints rank 0's
-all-to-alls per label, its reductions and its barrier waits:
+all-to-alls per label, its reductions, its barrier waits and the CPUs its
+thread was allowed to run on (one CPU when the rank threads are pinned):
 
     python3 scripts/collective_counts.py --problem timedep2d --levels 3 \
         --ranks 2 --t-end 0.5
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import threading
 from collections import Counter
@@ -27,9 +29,10 @@ from parfem.comm import Transport  # noqa: E402
 
 
 def count_collectives(config: bench_cli.RunConfig):
-    """Run `config`; returns (report, a2a calls per label, reductions, waits)."""
+    """Run `config`; returns (report, a2a calls per label, reductions, waits,
+    rank 0's CPU set at its first barrier wait, or None without one)."""
     labels: Counter = Counter()
-    counts = {"reductions": 0, "waits": 0}
+    counts = {"reductions": 0, "waits": 0, "cpus": None}
     orig = Transport.all_to_all, Transport.allreduce_sum, Transport._wait
 
     def all_to_all(self, rank, chunks, label="a2a"):
@@ -45,6 +48,8 @@ def count_collectives(config: bench_cli.RunConfig):
     def wait(self):
         if threading.current_thread().name == "rank0":
             counts["waits"] += 1
+            if counts["cpus"] is None and hasattr(os, "sched_getaffinity"):
+                counts["cpus"] = sorted(os.sched_getaffinity(0))
         return orig[2](self)
 
     Transport.all_to_all, Transport.allreduce_sum, Transport._wait = (
@@ -54,7 +59,7 @@ def count_collectives(config: bench_cli.RunConfig):
         report = bench_cli.run(config)
     finally:
         Transport.all_to_all, Transport.allreduce_sum, Transport._wait = orig
-    return report, labels, counts["reductions"], counts["waits"]
+    return report, labels, counts["reductions"], counts["waits"], counts["cpus"]
 
 
 def _parse(argv):
@@ -72,14 +77,15 @@ def main(argv=None) -> int:
     args = vars(_parse(argv))
     markdown = args.pop("markdown")
     config = bench_cli.RunConfig(**args)
-    report, labels, reductions, waits = count_collectives(config)
+    report, labels, reductions, waits, cpus = count_collectives(config)
     a2a = sum(labels.values())
     per_label = ", ".join(f"{k} {v}" for k, v in sorted(labels.items()))
     name = (f"{config.problem} {config.element} L{config.levels} "
             f"{config.solver}, {config.ranks} ranks")
+    cpu_text = "n/a" if cpus is None else ",".join(map(str, cpus))
     if markdown:
         print(f"| {name} | {report.iterations} | {reductions} | {a2a} "
-              f"({per_label}) | {waits} |")
+              f"({per_label}) | {waits} | {cpu_text} |")
     else:
         print(f"run: {name}, {report.iterations} iterations")
         print(f"all-to-alls: {a2a}")
@@ -87,6 +93,7 @@ def main(argv=None) -> int:
             print(f"  {label}: {n}")
         print(f"reductions: {reductions}")
         print(f"barrier waits: {waits}")
+        print(f"rank-0 CPUs: {cpu_text}")
     return report.exit_code
 
 

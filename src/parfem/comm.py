@@ -5,7 +5,8 @@ read-only level meshes and the transport.  Its `all_to_all` mirrors
 MPI_Alltoallv: every rank deposits one chunk per destination, a barrier makes
 all deposits visible, every rank picks up its column.  It is the only barrier:
 ranks alternate between two slot sets, so none overwrites a set another still
-reads.  A timeout on it reports a deadlock (a rank did not enter).
+reads.  A timeout on it reports a deadlock (a rank did not enter).  The rank
+threads share one CPU: the GIL serialises them, and two cores only add wake-ups.
 
 Three master->slave relations restore the consistency of distributed
 vectors.  A relation is named after the receiving d.o.f. class; the sender
@@ -23,8 +24,10 @@ exchanging (cell id, local index) keys and are reused for every later update.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass, field
@@ -151,12 +154,24 @@ class Transport:
 
 
 def spmd_run(n_ranks, body, *args, timeout: float = 60.0, transport=None) -> list:
-    """Run `body(rank, transport, *args)` on n_ranks threads, collect results."""
+    """Run `body(rank, transport, *args)` on n_ranks threads, collect results.
+
+    `timeout` applies only to a transport built here.  With n_ranks > 1 each
+    rank thread pins itself to the caller's lowest CPU (unpinned where that
+    fails): the GIL serialises the ranks, and two cores only add wake-ups.
+    """
+    if transport is not None and transport.n_ranks != n_ranks:
+        raise ValueError(f"transport has {transport.n_ranks} ranks, not {n_ranks}")
     transport = transport or Transport(n_ranks, timeout=timeout)
+    pin = n_ranks > 1 and hasattr(os, "sched_getaffinity")
+    cpus = {min(os.sched_getaffinity(0))} if pin else None
     results = [None] * n_ranks
     errors: list[BaseException] = []
 
     def work(rank):
+        if cpus:
+            with contextlib.suppress(AttributeError, OSError):
+                os.sched_setaffinity(0, cpus)
         try:
             results[rank] = body(rank, transport, *args)
         except BaseException as exc:  # noqa: BLE001 - reraised below

@@ -1,4 +1,5 @@
 import csv
+import os
 
 import numpy as np
 import pytest
@@ -129,6 +130,39 @@ def test_run_solution_equivalent_across_rank_counts():
     assert keys == reps[2].merged.keys()
     diff = max(abs(reps[1].merged[k] - reps[2].merged[k]) for k in keys)
     assert diff <= 100 * reps[1].config.tol
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        RunConfig(problem="timedep2d", levels=3, ranks=2, t_end=0.05),
+        RunConfig(problem="hemker2d", levels=3, ranks=4, solver="ssor_fgmres"),
+    ],
+    ids=["timedep2d-q1-L3-r2", "hemker2d-q1-L3-r4-ssor"],
+)
+def test_run_bitwise_equal_on_one_core_and_unpinned(cfg, monkeypatch):
+    """Pinning the rank threads changes where they run, not what they compute."""
+    cpu = {min(os.sched_getaffinity(0))}
+    set_affinity = os.sched_setaffinity
+    masks = []
+
+    def record(pid, mask):
+        set_affinity(pid, mask)
+        masks.append(mask)
+
+    monkeypatch.setattr(os, "sched_setaffinity", record)
+    pinned = run(cfg)
+    assert masks == [cpu] * cfg.ranks  # every rank thread ran on one core
+
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    unpinned = run(cfg)
+    assert unpinned.iterations == pinned.iterations
+    assert unpinned.residuals == pinned.residuals
+    assert unpinned.merged == pinned.merged
 
 
 def test_coarse_direct_solver():

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,60 @@ def test_allreduce_array_bitwise_rank_order(rng):
     assert expected[0] == 0.0
     assert all(np.array_equal(o, expected) for o in out)
     assert np.array_equal(inputs, parts)  # inputs are not summed into
+
+
+needs_affinity = pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="no CPU affinity on this platform"
+)
+
+
+def _sum_and_mask(rank, transport):
+    """One rank-ordered reduction, then the CPUs this rank thread may run on."""
+    total = transport.allreduce_sum(rank, 0.1 * (rank + 1))
+    return total, os.sched_getaffinity(0)
+
+
+@needs_affinity
+def test_spmd_run_puts_every_rank_on_the_callers_lowest_cpu():
+    before = os.sched_getaffinity(0)
+    out = spmd_run(3, _sum_and_mask)
+    assert [mask for _, mask in out] == [{min(before)}] * 3
+    assert os.sched_getaffinity(0) == before  # only the rank threads moved
+
+
+@needs_affinity
+def test_spmd_run_leaves_a_single_rank_unpinned():
+    before = os.sched_getaffinity(0)
+    assert spmd_run(1, _sum_and_mask) == [(0.1, before)]
+    assert os.sched_getaffinity(0) == before
+
+
+@needs_affinity
+@pytest.mark.parametrize("broken", ["raises", "missing"])
+def test_spmd_run_runs_unpinned_where_affinity_cannot_be_set(monkeypatch, broken):
+    before = os.sched_getaffinity(0)
+    pinned = spmd_run(3, _sum_and_mask)
+    if broken == "raises":
+        def refuse(pid, mask):
+            raise OSError(22, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity")
+    unpinned = spmd_run(3, _sum_and_mask)
+    assert [total for total, _ in unpinned] == [total for total, _ in pinned]
+    assert [mask for _, mask in unpinned] == [before] * 3
+
+
+def test_spmd_run_rejects_a_transport_of_another_size():
+    entered = []
+
+    def body(rank, transport):
+        entered.append(rank)
+
+    with pytest.raises(ValueError, match="transport has 3 ranks, not 2"):
+        spmd_run(2, body, transport=Transport(3, timeout=2.0), timeout=0.1)
+    assert entered == []  # no rank thread was started
 
 
 def tag_views_consistent(per_rank_views):
