@@ -77,10 +77,21 @@ class RunConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.repeats < 1:
-            raise ValueError("need at least one repeat")
+        floor = dict(repeats=1, ranks=1, restart=1, maxit=1, nu1=0, nu2=0)
+        ranges = [(f, getattr(self, f) >= m, f"at least {m}") for f, m in floor.items()]
+        ranges += [
+            ("tol", self.tol > 0.0, "positive"),
+            ("omega", 0.0 < self.omega < 2.0, "in (0, 2), the SSOR range"),
+        ]
+        if self.problem == "timedep2d":
+            steps = round(self.t_end / self.dt) if self.dt > 0.0 else 0
+            ranges += [
+                ("dt", self.dt > 0.0, "positive"),
+                ("t_end", steps >= 1, "at least one time step dt"),
+            ]
+        for name, ok, need in ranges:
+            if not ok:
+                raise ValueError(f"{name} = {getattr(self, name)!r} must be {need}")
 
 
 @dataclasses.dataclass
@@ -206,12 +217,11 @@ _PROBLEM_BUILDERS = {
 
 
 def _make_preconditioner(config, hier):
+    fin = hier.finest
     if config.solver == "mg_fgmres":
         return MgPreconditioner(hier)
     if config.solver == "ssor_fgmres":
-        fin = hier.finest
         return SsorPreconditioner(fin.smoother)
-    fin = hier.finest
     return CoarseSolver(fin.ctx, fin.matrix).solve
 
 

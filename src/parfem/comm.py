@@ -30,7 +30,7 @@ import functools
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -210,8 +210,13 @@ class Schedule:
         """Local d.o.f.s sent to each destination rank."""
         return np.split(self.sent_dof, self.send_displ[1:])
 
+    def send(self, transport, rank: int, values: np.ndarray, label: str):
+        """One all-to-all of values[sent_dof]; returns arrivals in rcvd_dof order."""
+        chunks = [values[d] for d in self.sends]
+        return np.concatenate(transport.all_to_all(rank, chunks, label=label))
 
-def _schedule(sends: list, recv_counts, rcvd_dof: np.ndarray) -> Schedule:
+
+def make_schedule(sends: list, recv_counts, rcvd_dof: np.ndarray) -> Schedule:
     """Schedule from the d.o.f.s sent to each rank and the received ones."""
     send_counts = np.array([len(d) for d in sends], dtype=np.int64)
     recv_counts = np.array(recv_counts, dtype=np.int64)
@@ -224,7 +229,7 @@ def _schedule(sends: list, recv_counts, rcvd_dof: np.ndarray) -> Schedule:
 def merge_schedules(parts: list[Schedule]) -> Schedule:
     """One schedule carrying the parts' chunks to each rank, in part order."""
     recvs = [np.split(s.rcvd_dof, s.recv_displ[1:]) for s in parts]
-    return _schedule(
+    return make_schedule(
         [np.concatenate(d) for d in zip(*(s.sends for s in parts))],
         sum(s.recv_counts for s in parts),
         np.concatenate([d for per_src in zip(*recvs) for d in per_src]),
@@ -307,7 +312,7 @@ def build_fe_mapper(
         got = np.concatenate([a[name] for a in answered])
         rcvd = req_idx[np.searchsorted(req_keys, got[:, 0])]
         recv_counts = [len(a[name]) for a in answered]
-        schedules[name] = _schedule(sent_lists[name], recv_counts, rcvd)
+        schedules[name] = make_schedule(sent_lists[name], recv_counts, rcvd)
         if answering is in_block:
             continue
         true_keys[rcvd] = got[:, 1]
@@ -343,11 +348,7 @@ class Communicator:
             parts = [self.mapper.schedules[rel] for rel in relations]
             s = self._merged[relations] = merge_schedules(parts)
         label = "+".join(rel.value for rel in relations)
-        received = self.transport.all_to_all(
-            self.rank, [values[d] for d in s.sends], label=label
-        )
-        if s.rcvd_dof.size:  # received chunks follow the receive displacements
-            values[s.rcvd_dof] = np.concatenate(received)
+        values[s.rcvd_dof] = s.send(self.transport, self.rank, values, label)
 
     def restore(
         self,
@@ -399,28 +400,25 @@ class InterfaceExchange:
         c = mapper.contributions
         halo = np.unique(c.rcvd_dof)
         halo_slot = len(self.if_dofs) + np.searchsorted(halo, c.rcvd_dof)
-        halo_slots = np.split(halo_slot, c.recv_displ[1:])
         self.settle_dofs = np.concatenate([self.if_dofs, halo])
         self.settle_counts = np.concatenate(
             [self.counts, np.bincount(halo_slot)[len(self.if_dofs) :]]
         )
-        # plans: d.o.f.s sent to each rank, slots fed by each rank, start values
-        self._accumulate = (self.shared_with, self.slot_with, np.zeros(len(if_dofs)))
+        # schedules into the slots, and the start values of their totals
+        fed = [len(s) for s in self.slot_with]  # slots fed by each rank
+        shared = make_schedule(self.shared_with, fed, np.concatenate(self.slot_with))
+        self._accumulate = (shared, np.zeros(len(if_dofs)))
         self._settle = (
-            [np.concatenate(d) for d in zip(self.shared_with, c.sends)],
-            [np.concatenate(s) for s in zip(self.slot_with, halo_slots)],
+            merge_schedules([shared, replace(c, rcvd_dof=halo_slot)]),
             # -0.0 + v == v for every v: a single contribution passes unchanged
             np.where(self.settle_counts > 1, 0.0, -0.0),
         )
 
     def _sum(self, values, label, plan):
-        sends, slots, start = plan
-        received = self.transport.all_to_all(
-            self.rank, [values[d] for d in sends], label=label
-        )
+        schedule, start = plan
+        received = schedule.send(self.transport, self.rank, values, label)
         totals = start.copy()
-        for slot, contrib in zip(slots, received):
-            totals[slot] += contrib
+        np.add.at(totals, schedule.rcvd_dof, received)  # in ascending source rank
         return totals
 
     def accumulate(self, values: np.ndarray):

@@ -14,8 +14,10 @@ Smoothing is block-Jacobi over the rank blocks (masters plus interface
 slaves) with SSOR inside the block; after each sweep one all-to-all
 averages the interface values over their sharing ranks and refreshes the
 halo(alpha) values, so the iterate stays level-2-consistent.
-The coarsest system is gathered to rank 0 and solved by dense LU with
-partial pivoting.
+The coarse solve is the same on every rank: each rank receives all master
+rows of the coarsest system once and factorises the global matrix by sparse
+LU; a solve gives every rank all master values of the right-hand side in one
+all-to-all, and each rank solves and keeps the values of its known keys.
 """
 
 from __future__ import annotations
@@ -23,11 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .comm import ConsistencyLevel, RankContext, build_rank_context
+from .comm import ConsistencyLevel, RankContext, build_rank_context, make_schedule
 from .dlinalg import DistMatrix, DistVector, axpy, matvec, new_vector, norm2
 from .mapped_fe import get_element
 from .partition import decompose, ownership_on_level
@@ -121,72 +122,53 @@ class BlockSsor:
 
 
 class CoarseSolver:
-    """Gather the coarse system to rank 0, dense LU, scatter (collective)."""
+    """Replicated sparse LU of the coarse system (collective).
+
+    Every rank factorises the same global matrix, ordered by ascending master
+    key, and solves it from the same right-hand side, so the values of a key
+    are bitwise identical on every rank that knows it.
+    """
 
     def __init__(self, ctx: RankContext, matrix: DistMatrix):
         self.ctx = ctx
         t = ctx.transport
         keys = ctx.true_keys
-        self.master_dofs = masters = np.flatnonzero(ctx.master_mask)
-        master_keys = keys[masters]
+        masters = np.flatnonzero(ctx.master_mask)
         entries = matrix.csr[masters].tocoo()
-        # master keys in row order, the rows' entries by key, all known keys
-        payload = (
-            master_keys,
-            master_keys[entries.row],
-            keys[entries.col],
-            entries.data,
-            keys,
-        )
-        chunks = [payload if q == 0 else None for q in range(t.n_ranks)]
-        gathered = t.all_to_all(ctx.rank, chunks, label="coarse-build")
-        self._lu = None
-        self._scatter = None
-        self._rhs_ix = None
-        if ctx.rank == 0:
-            all_keys = np.unique(np.concatenate([g[0] for g in gathered]))
-            n = len(all_keys)
+        # master keys in row order and the rows' entries by key
+        mkeys = keys[masters]
+        payload = (mkeys, mkeys[entries.row], keys[entries.col], entries.data)
+        gathered = t.all_to_all(ctx.rank, [payload] * t.n_ranks, label="coarse-build")
+        row_keys = np.concatenate([g[0] for g in gathered])  # in rank order
+        all_keys = np.unique(row_keys)
+        n = len(all_keys)
 
-            def index(k):
-                pos = np.minimum(np.searchsorted(all_keys, k), n - 1)
-                missing = all_keys[pos] != k
-                if np.any(missing):
-                    raise RuntimeError(
-                        f"coarse key {k[missing][0]} has no master row on any rank"
-                    )
-                return pos
+        def index(k):
+            pos = np.minimum(np.searchsorted(all_keys, k), n - 1)
+            missing = all_keys[pos] != k
+            if np.any(missing):
+                raise RuntimeError(
+                    f"coarse key {k[missing][0]} has no master row on any rank"
+                )
+            return pos
 
-            rows, cols, vals = map(np.concatenate, zip(*(g[1:4] for g in gathered)))
-            dense = np.zeros((n, n))
-            dense[index(rows), index(cols)] = vals
-            with np.errstate(all="ignore"):
-                lu, piv = sla.lu_factor(dense)
-            pivot_floor = n * np.finfo(float).eps * max(1.0, np.abs(dense).max())
-            if not np.all(np.isfinite(lu)) or np.any(
-                np.abs(np.diag(lu)) < pivot_floor
-            ):
-                raise RuntimeError("coarse matrix is singular")
-            self._lu = (lu, piv)
-            self._scatter = [index(g[4]) for g in gathered]
-            # rhs gather positions: master keys per rank, in their row order
-            self._rhs_ix = [index(g[0]) for g in gathered]
-            self.n_global = n
+        rows, cols, vals = map(np.concatenate, zip(*(g[1:] for g in gathered)))
+        A = sp.csc_matrix((vals, (index(rows), index(cols))), shape=(n, n))
+        self._lu = splu(A)
+        pivot_floor = n * np.finfo(float).eps * max(1.0, abs(A).max())
+        if not np.all(np.abs(self._lu.U.diagonal()) >= pivot_floor):
+            raise RuntimeError("coarse matrix is singular")
+        self._known = index(keys)
+        # right-hand side: every rank's master values to every rank
+        counts = [len(g[0]) for g in gathered]
+        self._rhs = make_schedule([masters] * t.n_ranks, counts, index(row_keys))
 
     def solve(self, b: DistVector) -> DistVector:
-        t = self.ctx.transport
-        rank = self.ctx.rank
-        vals = b.values[self.master_dofs]
-        chunks = [vals if q == 0 else np.empty(0) for q in range(t.n_ranks)]
-        gathered = t.all_to_all(rank, chunks, label="coarse-rhs")
-        reply = [np.empty(0)] * t.n_ranks
-        if rank == 0:
-            rhs = np.zeros(self.n_global)
-            for q in range(t.n_ranks):
-                rhs[self._rhs_ix[q]] = gathered[q]
-            x = sla.lu_solve(self._lu, rhs)
-            reply = [x[self._scatter[q]] for q in range(t.n_ranks)]
-        mine = t.all_to_all(rank, reply, label="coarse-scatter")[0]
-        return DistVector(self.ctx, np.asarray(mine), L3)
+        rhs = np.empty(self._lu.shape[0])  # each key has one master row
+        rhs[self._rhs.rcvd_dof] = self._rhs.send(
+            self.ctx.transport, self.ctx.rank, b.values, "coarse-rhs"
+        )
+        return DistVector(self.ctx, self._lu.solve(rhs)[self._known], L3)
 
 
 @dataclass

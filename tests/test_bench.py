@@ -43,6 +43,28 @@ def test_config_validation():
         RunConfig(repeats=0)
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        (dict(ranks=0), "ranks"),
+        (dict(restart=0), "restart"),
+        (dict(maxit=0), "maxit"),
+        (dict(nu1=-1), "nu1"),
+        (dict(nu2=-1), "nu2"),
+        (dict(omega=0.0), "omega"),
+        (dict(omega=2.0), "omega"),
+        (dict(problem="timedep2d", dt=0.0), "dt"),
+        (dict(problem="timedep2d", t_end=0.001), "t_end"),
+        (dict(problem="timedep2d", t_end=-1.0), "t_end"),
+    ],
+)
+def test_config_rejects_out_of_range_values(fields, name):
+    # each would otherwise fail inside the rank threads, divide by zero or
+    # run zero iterations or steps without an error
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        RunConfig(**fields)
+
+
 def _fake_report(problem="poisson_mms", solver="mg_fgmres", levels=2, ranks=1,
                  time=1.0, iterations=5):
     rep = run.__globals__["RunReport"](
@@ -169,6 +191,18 @@ def test_coarse_direct_solver():
     rep = run(RunConfig(problem="poisson_mms", levels=2, solver="coarse_direct"))
     assert rep.converged
     assert rep.iterations <= 2
+
+
+def test_coarse_direct_solver_on_three_ranks_matches_one_rank():
+    # every rank gathers and factorises the whole finest system
+    reps = {
+        r: run(RunConfig(problem="poisson_mms", levels=3, ranks=r,
+                         solver="coarse_direct"))
+        for r in (1, 3)
+    }
+    assert reps[3].converged and reps[3].iterations <= 2
+    assert reps[3].merged.keys() == reps[1].merged.keys()
+    assert max(abs(reps[3].merged[k] - v) for k, v in reps[1].merged.items()) <= 1e-12
 
 
 def test_nu_warning_for_non_mg_solver(caplog):

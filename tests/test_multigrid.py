@@ -418,7 +418,7 @@ def test_smoother_one_all_to_all_per_sweep(sweeps):
 def test_v_cycle_collective_count():
     # 3 levels, V(2,2) with a level-0 right-hand side: one IMS restore of b;
     # per smoothed level 2 + 2 sweeps, one defect accumulation and one
-    # prolongation restore; coarse rhs gather and solution scatter
+    # prolongation restore; one coarse right-hand-side all-gather
     coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
     transport = CountingTransport(2)
 
@@ -428,7 +428,7 @@ def test_v_cycle_collective_count():
         v_cycle(hier, b)
         return transport.all_to_alls[hier.finest.ctx.rank] - before
 
-    assert build_on_ranks(coarse, 3, 2, body, transport=transport) == [15, 15]
+    assert build_on_ranks(coarse, 3, 2, body, transport=transport) == [14, 14]
 
 
 def test_two_grid_contraction(rng):
@@ -547,7 +547,7 @@ def test_transfer_level_bounds():
 
 
 def test_singular_coarse_matrix_detected():
-    # pure Neumann diffusion has a constant nullspace: the gathered dense LU
+    # pure Neumann diffusion has a constant nullspace: the gathered sparse LU
     # must refuse to factorize it
     coarse = build_rect_mesh(0, 1, 0, 1, 2, 2)
 
@@ -585,6 +585,38 @@ def test_coarse_solver_matches_dense_sequential_solve(n_ranks):
         return x.level == L3 and np.max(np.abs(x.values - want)) <= 1e-12
 
     assert all(spmd_run(n_ranks, body))
+
+
+def test_coarse_solve_is_one_all_to_all_and_the_same_on_every_rank():
+    # every rank factorises and solves the same global system, so a key that
+    # several ranks know gets bitwise the same value on each of them (the
+    # result is tagged L3 without an exchange)
+    coarse, coeffs, supg = hemker_problem()
+    transport = CountingTransport(3)
+
+    def body(rank, transport):
+        ownership = decompose(coarse, transport.n_ranks)
+        ctx = build_rank_context(coarse, ownership, "q2", transport, rank)
+        A, b = assemble_cdr(ctx, coeffs, supg=supg)
+        apply_dirichlet(A, b, ctx, coeffs.dirichlet)
+        solver = CoarseSolver(ctx, A)
+        b = DistVector(ctx, np.cos(0.01 * ctx.true_keys), L3)
+        before = transport.all_to_alls[rank]
+        x = solver.solve(b)
+        calls = transport.all_to_alls[rank] - before
+        bits = x.values.view(np.int64)  # compare bit patterns, not values
+        return calls, x.level, dict(zip(ctx.true_keys.tolist(), bits.tolist()))
+
+    out = spmd_run(3, body, transport=transport)
+    assert [calls for calls, _, _ in out] == [1, 1, 1]
+    assert all(level == L3 for _, level, _ in out)
+    seen = {}
+    shared = 0
+    for _, _, bits in out:
+        for key, b in bits.items():
+            shared += key in seen
+            assert seen.setdefault(key, b) == b
+    assert shared > 0
 
 
 def test_coarse_solver_rejects_key_without_master_row():
