@@ -3,7 +3,10 @@
 Wraps `Transport.all_to_all`, `Transport.allreduce_sum` and the barrier wait
 from outside the library, runs one `RunConfig` and prints rank 0's
 all-to-alls per label, its reductions, its barrier waits and the CPUs its
-thread was allowed to run on (one CPU when the rank threads are pinned):
+thread was allowed to run on (one CPU when the rank threads are pinned).
+A second run of the same `RunConfig`, with only `fgmres` wrapped, gives rank
+0's Python calls per FGMRES iteration: cProfile's call count inside `fgmres`
+divided by the iterations.  It is exact, so it does not move with host noise:
 
     python3 scripts/collective_counts.py --problem timedep2d --levels 3 \
         --ranks 2 --t-end 0.5
@@ -15,8 +18,10 @@ prints one table row instead, for a CI step summary.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import dataclasses
 import os
+import pstats
 import sys
 import threading
 from collections import Counter
@@ -45,12 +50,12 @@ def count_collectives(config: bench_cli.RunConfig):
             counts["reductions"] += 1
         return orig[1](self, rank, value)
 
-    def wait(self):
+    def wait(self, *args):
         if threading.current_thread().name == "rank0":
             counts["waits"] += 1
             if counts["cpus"] is None and hasattr(os, "sched_getaffinity"):
                 counts["cpus"] = sorted(os.sched_getaffinity(0))
-        return orig[2](self)
+        return orig[2](self, *args)
 
     Transport.all_to_all, Transport.allreduce_sum, Transport._wait = (
         all_to_all, allreduce_sum, wait
@@ -60,6 +65,30 @@ def count_collectives(config: bench_cli.RunConfig):
     finally:
         Transport.all_to_all, Transport.allreduce_sum, Transport._wait = orig
     return report, labels, counts["reductions"], counts["waits"], counts["cpus"]
+
+
+def calls_per_iteration(config: bench_cli.RunConfig) -> float | None:
+    """Run `config`; returns rank 0's Python calls inside `fgmres` per FGMRES
+    iteration, or None without an iteration.  No other wrapper is installed,
+    so every counted call is the library's own."""
+    counts = {"calls": 0, "iterations": 0}
+    orig = bench_cli.fgmres
+
+    def fgmres(*args, **kwargs):
+        if threading.current_thread().name != "rank0":
+            return orig(*args, **kwargs)
+        profile = cProfile.Profile()  # profiles the calling thread only
+        res = profile.runcall(orig, *args, **kwargs)
+        counts["calls"] += pstats.Stats(profile).total_calls - 1  # less fgmres
+        counts["iterations"] += res.iterations
+        return res
+
+    bench_cli.fgmres = fgmres
+    try:
+        bench_cli.run(config)
+    finally:
+        bench_cli.fgmres = orig
+    return counts["calls"] / counts["iterations"] if counts["iterations"] else None
 
 
 def _parse(argv):
@@ -78,14 +107,16 @@ def main(argv=None) -> int:
     markdown = args.pop("markdown")
     config = bench_cli.RunConfig(**args)
     report, labels, reductions, waits, cpus = count_collectives(config)
+    per_it = calls_per_iteration(config)
     a2a = sum(labels.values())
     per_label = ", ".join(f"{k} {v}" for k, v in sorted(labels.items()))
     name = (f"{config.problem} {config.element} L{config.levels} "
             f"{config.solver}, {config.ranks} ranks")
     cpu_text = "n/a" if cpus is None else ",".join(map(str, cpus))
+    calls_text = "n/a" if per_it is None else f"{per_it:,.0f}"
     if markdown:
         print(f"| {name} | {report.iterations} | {reductions} | {a2a} "
-              f"({per_label}) | {waits} | {cpu_text} |")
+              f"({per_label}) | {waits} | {cpu_text} | {calls_text} |")
     else:
         print(f"run: {name}, {report.iterations} iterations")
         print(f"all-to-alls: {a2a}")
@@ -94,6 +125,7 @@ def main(argv=None) -> int:
         print(f"reductions: {reductions}")
         print(f"barrier waits: {waits}")
         print(f"rank-0 CPUs: {cpu_text}")
+        print(f"rank-0 calls per iteration: {calls_text}")
     return report.exit_code
 
 

@@ -463,7 +463,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
 
-    report = run(RunConfig(**vars(args)))
+    try:
+        config = RunConfig(**vars(args))
+    except ValueError as exc:
+        parser.error(str(exc))  # exits with code 2 and the usage line
+    report = run(config)
     table, _ = report_table([report])
     print(table)
     print(f"converged: {report.converged}  iterations: {report.iterations}  "

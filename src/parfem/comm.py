@@ -5,8 +5,9 @@ read-only level meshes and the transport.  Its `all_to_all` mirrors
 MPI_Alltoallv: every rank deposits one chunk per destination, a barrier makes
 all deposits visible, every rank picks up its column.  It is the only barrier:
 ranks alternate between two slot sets, so none overwrites a set another still
-reads.  A timeout on it reports a deadlock (a rank did not enter).  The rank
-threads share one CPU: the GIL serialises them, and two cores only add wake-ups.
+reads.  The barrier is a mutex, a counter and a gate lock per rank; a timeout
+or an abort breaks it for all ranks and reports a deadlock.  The rank threads
+share one CPU: the GIL serialises them, and two cores only add wake-ups.
 
 Three master->slave relations restore the consistency of distributed
 vectors.  A relation is named after the receiving d.o.f. class; the sender
@@ -83,13 +84,17 @@ LEVEL_RELATION = {
 class Transport:
     """In-process collective exchange between logical ranks.
 
-    Each collective waits on the barrier once.  Ranks alternate between two
-    slot sets (deposits and labels) by the parity of their own collective
-    count, and every rank has read a set before any can pass the next
-    barrier and write it again.  Deposits are shared, not copied: a sender
-    leaves them unmodified until its next collective returns.  `trace` keeps
-    (label, rank, chunk sizes) of the latest `TRACE_LENGTH` all-to-alls
-    (`deque.append` and `clear` are thread-safe).
+    Each collective waits on the barrier once.  The barrier is a mutex, an
+    arrival counter and one pre-acquired gate lock per rank; the last rank to
+    arrive resets the counter and opens the gates of the waiting ranks, which
+    pass them.  A timeout or `abort()` opens them for good: every waiting
+    rank, and every rank that arrives later, raises `DeadlockError` at once.
+    Ranks alternate between two slot sets (deposits and labels) by the parity
+    of their own collective count, and every rank has read a set before any
+    can pass the next barrier and write it again.  Deposits are shared, not
+    copied: a sender leaves them unmodified until its next collective returns.
+    `trace` keeps (label, rank, chunk sizes) of the latest `TRACE_LENGTH`
+    all-to-alls (`deque.append` and `clear` are thread-safe).
     """
 
     TRACE_LENGTH = 4096
@@ -97,7 +102,10 @@ class Transport:
     def __init__(self, n_ranks: int, timeout: float = 60.0):
         self.n_ranks = n_ranks
         self.timeout = timeout
-        self._barrier = threading.Barrier(n_ranks)
+        self._mutex, self._arrived, self._broken = threading.Lock(), 0, False
+        self._gates = [threading.Lock() for _ in range(n_ranks)]
+        for gate in self._gates:
+            gate.acquire()
         self._sets = [([None] * n_ranks, [None] * n_ranks) for _ in range(2)]
         self._count = [0] * n_ranks
         self.trace: deque[tuple[str, int, tuple[int, ...]]] = deque(
@@ -108,15 +116,24 @@ class Transport:
         self.trace.clear()
 
     def abort(self):
-        self._barrier.abort()
+        with self._mutex:
+            self._broken = True
+            for gate in self._gates:
+                if gate.locked():  # a gate is only released under the mutex
+                    gate.release()
 
-    def _wait(self):
-        try:
-            self._barrier.wait(self.timeout)
-        except threading.BrokenBarrierError:
-            raise DeadlockError(
-                "collective was not entered by all ranks (aborted or timed out)"
-            ) from None
+    def _wait(self, rank):
+        with self._mutex:
+            self._arrived += 1
+            if self._arrived == self.n_ranks and not self._broken:
+                self._arrived = 0
+                for gate in self._gates[:rank] + self._gates[rank + 1 :]:
+                    gate.release()
+                return
+        if not self._broken and not self._gates[rank].acquire(timeout=self.timeout):
+            self.abort()
+        if self._broken:
+            raise DeadlockError("collective aborted, or a rank did not enter it")
 
     def _exchange(self, rank, label, row):
         """Deposit `row`, wait once, check labels; returns every rank's row."""
@@ -124,9 +141,9 @@ class Transport:
         self._count[rank] += 1
         labels[rank] = label
         slots[rank] = row
-        self._wait()
+        self._wait(rank)
         if any(lbl != label for lbl in labels):
-            self._barrier.abort()
+            self.abort()
             raise CollectiveMismatch(f"ranks entered different collectives: {labels}")
         return slots
 

@@ -50,7 +50,9 @@ class DistVector:
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (ctx.n_local,):
             raise ValueError("value array does not match the space")
-        self.level = ConsistencyLevel(level)
+        self.level = (
+            level if isinstance(level, ConsistencyLevel) else ConsistencyLevel(level)
+        )
 
     def copy(self) -> "DistVector":
         return DistVector(self.ctx, self.values.copy(), self.level)
@@ -153,14 +155,27 @@ class DistMatrix:
             rhs.values[rows] = values
 
 
+def spmv(csr: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
+    """`csr @ x` for a float matrix by scipy's `csr_matvec`, the kernel `@` also
+    reaches (bitwise equal), minus about 16 Python calls of dispatch per
+    product, which outweigh the kernel on the solve phase's small matrices.
+    The kernel does not check bounds, so the length of `x` is checked here."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    n_rows, n_cols = csr.shape
+    if x.shape != (n_cols,):
+        raise ValueError(f"dimension mismatch: {x.shape} for {csr.shape}")
+    y = np.zeros(n_rows)
+    csr_matvec(n_rows, n_cols, csr.indptr, csr.indices, csr.data, x, y)
+    return y
+
+
 def matvec(A: DistMatrix, x: DistVector) -> DistVector:
     """y = A x, correct on masters (and interface slaves for level-3 input)."""
     if A.ctx is not x.ctx:
         raise ValueError("operands live in different spaces")
-    if A.shape[1] != x.values.shape[0]:
-        raise ValueError("dimension mismatch")
     x._ensure(L2, "matvec")
-    y = A.csr @ x.values
+    y = spmv(A.csr, x.values)
     return DistVector(A.ctx, y, L1 if x.level == L3 else L0)
 
 

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .comm import ConsistencyLevel, RankContext, build_rank_context, make_schedule
-from .dlinalg import DistMatrix, DistVector, axpy, matvec, new_vector, norm2
+from .dlinalg import DistMatrix, DistVector, axpy, matvec, new_vector, norm2, spmv
 from .mapped_fe import get_element
 from .partition import decompose, ownership_on_level
 
@@ -77,37 +77,31 @@ def transfer_operators(coarse: RankContext, fine: RankContext, T: np.ndarray):
 class BlockSsor:
     """SSOR sweeps on the rank-local block (masters + interface slaves).
 
-    Couplings to halo columns enter as frozen data; the triangular factors
-    are pre-factorized once per level.
+    `A_rows` holds the block rows over all local columns, so a half-sweep
+    reads the current block values and the frozen halo values in one sparse
+    product; the triangular factors of its block columns are pre-factorized
+    once per level.
     """
 
     def __init__(self, ctx: RankContext, matrix: DistMatrix, omega: float = 1.0):
         self.ctx = ctx
         self.omega = omega
-        block = np.flatnonzero(ctx.block_mask)
-        outside = np.flatnonzero(~ctx.block_mask)
-        self.block = block
-        self.outside = outside
-        csr = matrix.csr.tocsr()
-        self.A_bb = csr[block][:, block].tocsr()
-        self.A_out = csr[block][:, outside].tocsr()
-        diag = self.A_bb.diagonal()
+        self.block = np.flatnonzero(ctx.block_mask)
+        self.A_rows = matrix.csr.tocsr()[self.block]
+        A_bb = self.A_rows[:, self.block].tocsr()
+        diag = A_bb.diagonal()
         if np.any(diag == 0.0):
             raise ValueError("zero diagonal entry in smoother block")
         dscale = sp.diags(diag / omega)
-        lower = (sp.tril(self.A_bb, k=-1) + dscale).tocsc()
-        upper = (sp.triu(self.A_bb, k=1) + dscale).tocsc()
+        lower = (sp.tril(A_bb, k=-1) + dscale).tocsc()
+        upper = (sp.triu(A_bb, k=1) + dscale).tocsc()
         self._low = splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0)
         self._up = splu(upper, permc_spec="NATURAL", diag_pivot_thresh=0.0)
 
     def _sweep(self, x: np.ndarray, b: np.ndarray):
-        xb = x[self.block]
         rhs = b[self.block]
-        if self.outside.size:
-            rhs = rhs - self.A_out @ x[self.outside]
-        xb = xb + self._low.solve(rhs - self.A_bb @ xb)
-        xb = xb + self._up.solve(rhs - self.A_bb @ xb)
-        x[self.block] = xb
+        x[self.block] += self._low.solve(rhs - spmv(self.A_rows, x))
+        x[self.block] += self._up.solve(rhs - spmv(self.A_rows, x))
 
     def smooth(self, x: DistVector, b: DistVector, sweeps: int) -> DistVector:
         """Sweeps, each followed by one exchange that averages the interface
@@ -243,7 +237,7 @@ def prolongate(hier: MgHierarchy, level: int, v_coarse: DistVector) -> DistVecto
         raise IndexError(f"no fine level above {level}")
     fine = hier.levels[level + 1]
     v_coarse.restore(L1)
-    v = DistVector(fine.ctx, fine.prolongation @ v_coarse.values, L0)
+    v = DistVector(fine.ctx, spmv(fine.prolongation, v_coarse.values), L0)
     return v.restore(L2)
 
 
@@ -257,7 +251,7 @@ def restrict_defect(hier: MgHierarchy, level: int, d_fine: DistVector) -> DistVe
     if not 0 <= level < hier.n_levels - 1:
         raise IndexError(f"no fine level above {level}")
     coarse, fine = hier.levels[level], hier.levels[level + 1]
-    d = fine.restriction @ d_fine.values
+    d = spmv(fine.restriction, d_fine.values)
     coarse.ctx.exchange.accumulate(d)
     return DistVector(coarse.ctx, d, L1)
 

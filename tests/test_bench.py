@@ -230,6 +230,19 @@ def test_cli_main(tmp_path):
     assert (tmp_path / "cli" / "report.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["--ranks", "0"], "ranks"), (["--omega", "2.5"], "omega")],
+)
+def test_cli_main_out_of_range_flag_is_a_usage_error(argv, name, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: parfem-bench")
+    assert f"error: {name} = " in err
+
+
 def test_timedep_short_run_converges_every_step():
     # at levels 2 the inlet strip is a single edge between two wall junction
     # vertices, so Q1 has no inflow d.o.f. there; levels 3 is the coarsest Q1

@@ -1,4 +1,7 @@
 import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -321,6 +324,84 @@ def test_alternating_collectives_stress():
         return n_steps
 
     assert spmd_run(3, body, timeout=30.0) == [n_steps] * 3
+
+
+def test_abort_releases_a_waiting_rank_and_breaks_later_collectives():
+    transport = Transport(2, timeout=30.0)
+    raised = []
+
+    def rank0():
+        t0 = time.perf_counter()
+        try:
+            transport.allreduce_sum(0, 1.0)  # rank 1 never enters
+        except DeadlockError:
+            raised.append(time.perf_counter() - t0)
+
+    waiter = threading.Thread(target=rank0, daemon=True)
+    waiter.start()
+    time.sleep(0.05)
+    transport.abort()
+    waiter.join(timeout=5.0)
+    assert not waiter.is_alive() and len(raised) == 1 and raised[0] < 5.0
+    # a rank that enters after the break raises at once, in either collective
+    for collective in (
+        lambda: transport.allreduce_sum(1, 1.0),
+        lambda: transport.all_to_all(0, [None, None], label="late"),
+    ):
+        t0 = time.perf_counter()
+        with pytest.raises(DeadlockError):
+            collective()
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_timeout_breaks_the_barrier_for_every_rank():
+    transport = Transport(3, timeout=0.3)
+
+    def body(rank):
+        try:
+            transport.allreduce_sum(rank, 1.0)
+        except DeadlockError:
+            return "broken"
+
+    # ranks 0 and 1 wait for a rank 2 that enters only after the timeout
+    out = [None] * 3
+    threads = [
+        threading.Thread(target=lambda r=r: out.__setitem__(r, body(r)), daemon=True)
+        for r in range(2)
+    ]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10.0)
+    assert not any(t.is_alive() for t in threads)
+    out[2] = body(2)
+    assert out == ["broken"] * 3
+
+
+def test_four_rank_stress_with_uneven_delays():
+    # 200 collectives with thread switches forced often; every rank is late
+    # at some of them, so each rank is sometimes the last to arrive
+    n_steps = 100
+
+    def body(rank, transport):
+        for step in range(n_steps):
+            if step % (rank + 2) == 0:
+                time.sleep(0.0005 * (rank + 1))
+            chunks = [(rank, dst, step) for dst in range(4)]
+            got = transport.all_to_all(rank, chunks, label=f"step{step}")
+            assert got == [(src, rank, step) for src in range(4)]
+            if step % 3 == rank % 3:
+                time.sleep(0.0005)
+            total = transport.allreduce_sum(rank, np.array([step, 10.0 ** rank]))
+            assert np.array_equal(total, [4 * step, 1111.0])
+        return n_steps
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        assert spmd_run(4, body, timeout=30.0) == [n_steps] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_allreduce_array_bitwise_rank_order(rng):

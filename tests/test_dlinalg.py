@@ -21,6 +21,7 @@ from parfem.dlinalg import (
     new_vector,
     norm2,
     scale,
+    spmv,
 )
 from parfem.mesh import build_rect_mesh
 from parfem.partition import decompose
@@ -132,6 +133,51 @@ def test_matvec_dimension_mismatch():
     other = seq_context(build_rect_mesh(0, 1, 0, 1, 3, 3))
     with pytest.raises(ValueError):
         matvec(A, new_vector(other))
+
+
+def _csr(dense, index_dtype):
+    A = sp.csr_matrix(dense)
+    A.indptr = A.indptr.astype(index_dtype)
+    A.indices = A.indices.astype(index_dtype)
+    return A
+
+
+def _random_csr(rng, n_rows, n_cols, index_dtype):
+    dense = rng.normal(size=(n_rows, n_cols)) * (rng.random((n_rows, n_cols)) < 0.3)
+    if n_rows > 3:
+        dense[[1, n_rows - 1]] = 0.0  # empty rows, one of them the last
+    return _csr(dense, index_dtype)
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("shape", [(7, 5), (5, 7), (0, 6), (6, 0), (1, 1)])
+def test_spmv_equals_csr_product_bitwise(index_dtype, shape, rng):
+    # spmv calls scipy's private CSR kernel; a scipy release that moves or
+    # changes it fails here instead of at run time
+    A = _random_csr(rng, *shape, index_dtype)
+    assert A.indices.dtype == index_dtype
+    x = rng.normal(size=shape[1]) * 10.0 ** rng.integers(-8, 9, size=shape[1])
+    y = spmv(A, x)
+    assert y.dtype == np.float64 and y.shape == (shape[0],)
+    assert y.tobytes() == (A @ x).tobytes()
+
+
+@pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+def test_spmv_strided_input_bitwise(index_dtype, rng):
+    A = _random_csr(rng, 9, 6, index_dtype)
+    V = rng.normal(size=(4, 6))  # rows like an FGMRES basis
+    W = rng.normal(size=(12, 3))
+    for x in (V[2], V[3, ::-1], W[::2, 1]):
+        assert x.shape == (6,)
+        assert spmv(A, x).tobytes() == (A @ x).tobytes()
+    assert not W[::2, 1].flags.c_contiguous
+
+
+def test_spmv_rejects_a_vector_of_the_wrong_length():
+    A = _csr(np.ones((3, 4)), np.int32)
+    for x in (np.ones(3), np.ones(5), np.ones((4, 1))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            spmv(A, x)
 
 
 @pytest.mark.parametrize("n_ranks", [1, 2, 4])

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     CountingTransport,
+    SplitBlockSsor,
     cells_of_dof,
     dense_ssor_sweep,
     invert_reference_map,
@@ -366,6 +367,37 @@ def test_smoother_rejects_zero_diagonal():
     vals = np.arange(9.0)  # first diagonal entry is zero
     with pytest.raises(ValueError):
         BlockSsor(ctx, DistMatrix(ctx, sp.diags(vals).tocsr()))
+
+
+@pytest.mark.parametrize("n_ranks", [1, 3])
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+def test_smoother_matches_split_block_ssor(elem, n_ranks):
+    # one product of the block rows over all columns per half-sweep against
+    # the split oracle (b_B - A_out x_out, then A_bb x_B): the sums differ
+    # only in their order, and at one rank, where the block is every d.o.f.,
+    # not at all
+    coarse, coeffs, supg = hemker_problem()
+    mesh = refine_uniform(coarse)
+
+    def body(rank, transport):
+        ownership = decompose(mesh, transport.n_ranks)
+        ctx = build_rank_context(mesh, ownership, elem, transport, rank)
+        A, b = assemble_cdr(ctx, coeffs, supg=supg)
+        apply_dirichlet(A, b, ctx, coeffs.dirichlet)
+        b.restore(L1)
+        x0 = np.cos(0.37 * (ctx.true_keys % 1009))  # the same on every rank
+        x = BlockSsor(ctx, A).smooth(DistVector(ctx, x0.copy(), L2), b, 2)
+        want = DistVector(ctx, x0.copy(), L2)
+        SplitBlockSsor(ctx, A.csr).smooth(want, b, 2)
+        scale = np.max(np.abs(want.values))
+        return np.max(np.abs(x.values - want.values)) / scale, (
+            x.values.tobytes() == want.values.tobytes()
+        )
+
+    out = spmd_run(n_ranks, body)
+    assert all(dev <= 1e-14 for dev, _ in out)
+    if n_ranks == 1:
+        assert out[0][1]
 
 
 @pytest.mark.parametrize("elem", ["q1", "q2"])
