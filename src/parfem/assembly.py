@@ -73,14 +73,14 @@ class SupgParams:
 
     eps: float
 
-    def cell_size(self, rmap) -> float:
-        return rmap.diameter
+    def cell_size(self, cell) -> float:
+        return cell.diameter
 
-    def tau(self, rmap, b_cell) -> float:
+    def tau(self, cell, b_cell) -> float:
         bnorm = math.hypot(b_cell[0], b_cell[1])
         if bnorm < 1e-12:
             return 0.0
-        h = self.cell_size(rmap)
+        h = self.cell_size(cell)
         pe = bnorm * h / (2.0 * self.eps)
         if pe < 1e-4:
             zeta = pe / 3.0

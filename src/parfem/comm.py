@@ -93,8 +93,8 @@ class Transport:
     of their own collective count, and every rank has read a set before any
     can pass the next barrier and write it again.  Deposits are shared, not
     copied: a sender leaves them unmodified until its next collective returns.
-    `trace` keeps (label, rank, chunk sizes) of the latest `TRACE_LENGTH`
-    all-to-alls (`deque.append` and `clear` are thread-safe).
+    `trace` keeps (label, rank) of the latest `TRACE_LENGTH` all-to-alls
+    (`deque.append` and `clear` are thread-safe).
     """
 
     TRACE_LENGTH = 4096
@@ -108,9 +108,7 @@ class Transport:
             gate.acquire()
         self._sets = [([None] * n_ranks, [None] * n_ranks) for _ in range(2)]
         self._count = [0] * n_ranks
-        self.trace: deque[tuple[str, int, tuple[int, ...]]] = deque(
-            maxlen=self.TRACE_LENGTH
-        )
+        self.trace: deque[tuple[str, int]] = deque(maxlen=self.TRACE_LENGTH)
 
     def clear_trace(self):
         self.trace.clear()
@@ -147,18 +145,11 @@ class Transport:
             raise CollectiveMismatch(f"ranks entered different collectives: {labels}")
         return slots
 
-    @staticmethod
-    def _size(chunk):
-        try:
-            return len(chunk)
-        except TypeError:
-            return 0 if chunk is None else 1
-
     def all_to_all(self, rank: int, chunks: list, label: str = "a2a") -> list:
         """Deliver chunks[dst] to each destination; returns chunks per source."""
         if len(chunks) != self.n_ranks:
             raise ValueError("need one chunk per destination rank")
-        self.trace.append((label, rank, tuple(self._size(c) for c in chunks)))
+        self.trace.append((label, rank))
         return [row[rank] for row in self._exchange(rank, label, list(chunks))]
 
     def allreduce_sum(self, rank: int, value: float) -> float:

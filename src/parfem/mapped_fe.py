@@ -2,8 +2,9 @@
 
 Everything is defined on the reference square [-1,1]^2 and transported to
 physical cells by an affine or bilinear map, so that basis evaluation and
-quadrature live on the reference cell only.  The maps are evaluated in
-batches: one `CellGeometry` holds every cell a rank knows on a level.
+quadrature live on the reference cell only.  The maps exist only in batches:
+one `CellGeometry` holds every cell a rank knows on a level, and a single
+cell is a batch of one (`cell_geometry(mesh, [gid])`).
 """
 
 from __future__ import annotations
@@ -234,30 +235,14 @@ def cell_geometry(mesh, cell_ids) -> CellGeometry:
     return CellGeometry(mesh.vertices[mesh.cell_vertices[np.asarray(cell_ids)]])
 
 
-class ReferenceMap:
-    """Map from the reference square onto one physical quadrilateral.
+def make_reference_map(gid, mesh) -> CellGeometry:
+    """`cell_geometry(mesh, [gid])`.
 
-    The one-cell case of `CellGeometry`, with the cell axis dropped; derived
-    quantities (gradients, hessians, weights) come from `self.batch`.
+    No parfem code calls it.  It stays because perfbench/tracing.py traces
+    this name, and a traced run exits with code 3 when a traced name is
+    missing; it goes once the tracer is retargeted (ROADMAP step 4a).
     """
-
-    def __init__(self, verts):
-        self.batch = CellGeometry(np.asarray(verts, dtype=float)[None])
-        self.verts = self.batch.verts[0]
-        self.diameter = float(self.batch.diameter[0])
-        self.kind = "affine" if self.batch.affine[0] else "bilinear"
-
-    def map(self, points):
-        return self.batch.map(points)[0]
-
-    def jacobians(self, points):
-        """J[m, i, j] = d x_i / d xi_j at each reference point."""
-        return self.batch.jacobians(points)[0]
-
-
-def make_reference_map(cell, mesh) -> ReferenceMap:
-    """Reference map reproducing the cell's four vertices in ccw order."""
-    return ReferenceMap(mesh.vertices[list(cell.vertex_ids)])
+    return cell_geometry(mesh, [gid])
 
 
 def _det2(J):

@@ -5,18 +5,16 @@ function of the parent id (``4*parent + child_index``), so every simulated
 rank derives the same numbering without communication.  Meshes are immutable
 and shared read-only by the ranks; `Mesh.refined` builds each level once.
 
-Topology is held in integer arrays: the cells' vertex ids, the edges as
-sorted vertex pairs with their incidence counts (one ``np.unique`` over pair
-codes) and each cell's edge ids.  Validation and refinement work on these
-arrays; `Mesh.cells` and `Mesh.edge_table` are views built on first use.
+Topology is held in integer arrays only: the cells' vertex ids (the row
+number is the cell id), the edges as sorted vertex pairs with their
+incidence counts (one ``np.unique`` over pair codes) and each cell's edge
+ids.  Validation and refinement work on these arrays.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,30 +26,12 @@ class MeshError(ValueError):
     pass
 
 
-@dataclass
-class Cell:
-    """Quadrilateral cell, vertex ids in counterclockwise order."""
-
-    global_id: int
-    vertex_ids: tuple[int, int, int, int]
-    level: int = 0
-    parent_id: int | None = None
-
-    @property
-    def child_ids(self) -> tuple[int, int, int, int]:
-        return tuple(4 * self.global_id + k for k in range(4))
-
-    def local_edges(self):
-        v = self.vertex_ids
-        return ((v[0], v[1]), (v[1], v[2]), (v[2], v[3]), (v[3], v[0]))
-
-
 class Mesh:
     """Admissible quadrilateral triangulation.
 
-    `cells` is a list of `Cell`, or an (n_cells, 4) array of vertex ids with
-    the cell id as row; in a refined mesh (level > 0) built from an array,
-    cell ``g`` is a child of cell ``g // 4``.
+    `cells` is an (n_cells, 4) integer array of vertex ids in counterclockwise
+    order, one row per cell with the row number as cell id; in a refined mesh
+    (level > 0), cell ``g`` is a child of cell ``g // 4``.
 
     Attributes:
         vertices: (n, 2) float array of vertex coordinates.
@@ -69,13 +49,13 @@ class Mesh:
             raise MeshError("vertices must be an (n, 2) array")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("vertex coordinates must be finite")
-        if not isinstance(cells, np.ndarray):
-            self.cells = sorted(cells, key=lambda c: c.global_id)
-            for pos, cell in enumerate(self.cells):
-                if cell.global_id != pos:
-                    raise MeshError("cell ids must be contiguous from 0")
-            cells = np.array([c.vertex_ids for c in self.cells], dtype=np.int64)
-        self.cell_vertices = cells.astype(np.int64).reshape(-1, 4)
+        cells, nv = np.asarray(cells), len(self.vertices)
+        if cells.ndim != 2 or cells.shape[1] != 4 or cells.dtype.kind not in "iu":
+            raise MeshError("cells must be an (n, 4) integer array of vertex ids")
+        (bad,) = np.nonzero(np.any((cells < 0) | (cells >= nv), axis=1))
+        if bad.size:
+            raise MeshError(f"cell {bad[0]} has a vertex id outside [0, {nv})")
+        self.cell_vertices = cells.astype(np.int64)
         self.level = level
         self.vertex_flags = {k: set(v) for k, v in (vertex_flags or {}).items()}
         self._refined = None
@@ -98,30 +78,6 @@ class Mesh:
                 self._refined = refine_uniform(self)
             return self._refined
 
-    @cached_property
-    def cells(self) -> list[Cell]:
-        parent = (lambda g: g // 4) if self.level > 0 else (lambda g: None)
-        return [
-            Cell(g, tuple(v), self.level, parent(g))
-            for g, v in enumerate(self.cell_vertices.tolist())
-        ]
-
-    @cached_property
-    def edge_table(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """Sorted vertex-id pair -> ascending ids of its incident cells."""
-        cells = self._cells_by_edge().tolist()
-        ends = np.cumsum(self.edge_counts).tolist()
-        return {
-            tuple(e): tuple(cells[end - k : end])
-            for e, k, end in zip(self.edges.tolist(), self.edge_counts.tolist(), ends)
-        }
-
-    def cell(self, global_id: int) -> Cell:
-        try:
-            return self.cells[global_id]
-        except IndexError:
-            raise KeyError(f"unknown cell id {global_id}") from None
-
     def _build_tables(self):
         cv = self.cell_vertices
         ends = np.stack([cv, np.roll(cv, -1, axis=1)], axis=-1)
@@ -131,10 +87,6 @@ class Mesh:
         )
         self.edges = np.stack(np.divmod(codes, self.n_vertices), axis=1)
         self.cell_edges = inverse.reshape(cv.shape)
-
-    def _cells_by_edge(self):
-        """Incident cell ids grouped by edge, ascending within each edge."""
-        return np.argsort(self.cell_edges.ravel(), kind="stable") // 4
 
     def _validate(self):
         cv, n = self.cell_vertices, self.n_cells
@@ -172,7 +124,8 @@ class Mesh:
         codes = ci * n + cj
         pair, shared = np.unique(codes, return_counts=True)
         two = (np.cumsum(self.edge_counts) - 2)[self.edge_counts == 2]
-        by_edge = self._cells_by_edge()
+        # incident cell ids grouped by edge, ascending within each edge
+        by_edge = np.argsort(self.cell_edges.ravel(), kind="stable") // 4
         edge_pairs = np.sort(by_edge[two] * n + by_edge[two + 1])
         if shared.max() <= 2 and np.array_equal(pair[shared >= 2], edge_pairs):
             return
@@ -187,12 +140,6 @@ class Mesh:
             )
         raise MeshError(f"cells {ci} and {cj} overlap in {shared[k]} vertices")
 
-    def boundary_edges(self):
-        return [tuple(e) for e in self.edges[self.edge_counts == 1].tolist()]
-
-    def cell_coords(self, global_id: int) -> np.ndarray:
-        return self.vertices[list(self.cell(global_id).vertex_ids)]
-
 
 def build_rect_mesh(x0, x1, y0, y1, nx, ny) -> Mesh:
     """Tensor-product mesh of nx*ny cells, ids row-major from the lower left."""
@@ -203,15 +150,8 @@ def build_rect_mesh(x0, x1, y0, y1, nx, ny) -> Mesh:
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     verts = np.array([[x, y] for y in ys for x in xs])
-    cells = []
-    for iy in range(ny):
-        for ix in range(nx):
-            sw = iy * (nx + 1) + ix
-            se = sw + 1
-            nw = sw + (nx + 1)
-            ne = nw + 1
-            cells.append(Cell(iy * nx + ix, (sw, se, ne, nw)))
-    return Mesh(verts, cells)
+    sw = (np.arange(ny)[:, None] * (nx + 1) + np.arange(nx)).ravel()
+    return Mesh(verts, np.stack([sw, sw + 1, sw + nx + 2, sw + nx + 1], axis=1))
 
 
 # Coarse layout of the rectangle-minus-disk benchmark domain: an O-grid ring of
@@ -237,7 +177,6 @@ def build_hemker_mesh() -> Mesh:
         return coord_ids[key]
 
     cells = []
-    gid = 0
     hole = {(1, 1), (2, 1), (1, 2), (2, 2)}  # grid cells covering [-2,2]^2
     for iy in range(len(_HEMKER_YS) - 1):
         for ix in range(len(_HEMKER_XS) - 1):
@@ -245,10 +184,7 @@ def build_hemker_mesh() -> Mesh:
                 continue
             xa, xb = _HEMKER_XS[ix], _HEMKER_XS[ix + 1]
             ya, yb = _HEMKER_YS[iy], _HEMKER_YS[iy + 1]
-            cells.append(
-                Cell(gid, (vid(xa, ya), vid(xb, ya), vid(xb, yb), vid(xa, yb)))
-            )
-            gid += 1
+            cells.append((vid(xa, ya), vid(xb, ya), vid(xb, yb), vid(xa, yb)))
 
     # ring vertices: 8 points on the circle and 8 on the square |x|,|y| <= 2
     square = [(2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (-2.0, 2.0),
@@ -263,17 +199,8 @@ def build_hemker_mesh() -> Mesh:
     for k in range(8):
         kn = (k + 1) % 8
         cells.append(
-            Cell(
-                gid,
-                (
-                    vid(*circ[k]),
-                    vid(*square[k]),
-                    vid(*square[kn]),
-                    vid(*circ[kn]),
-                ),
-            )
+            (vid(*circ[k]), vid(*square[k]), vid(*square[kn]), vid(*circ[kn]))
         )
-        gid += 1
 
     return Mesh(
         np.array(verts), cells, level=0, vertex_flags={CIRCLE_FLAG: set(circle_ids)}
@@ -319,15 +246,6 @@ def refine_uniform(mesh: Mesh) -> Mesh:
         flags[CIRCLE_FLAG] = circle | set((nv + on_circle).tolist())
     verts = np.vstack([mesh.vertices, mids, bary])
     return Mesh(verts, children, level=mesh.level + 1, vertex_flags=flags)
-
-
-def cell_neighbors_by_vertex(mesh: Mesh, cell_id: int) -> set[int]:
-    """All cells sharing at least one vertex with the given cell."""
-    if not 0 <= cell_id < mesh.n_cells:
-        raise KeyError(f"unknown cell id {cell_id}")
-    touch = np.isin(mesh.cell_vertices, mesh.cell_vertices[cell_id]).any(axis=1)
-    touch[cell_id] = False
-    return set(np.flatnonzero(touch).tolist())
 
 
 def write_vtk(mesh: Mesh, path, point_data=None, cell_ids=None):

@@ -18,8 +18,8 @@ from parfem.comm import (
 )
 from parfem.dlinalg import DistVector, axpy, dot, matvec, new_vector, norm2, scale
 from parfem.dof_manager import encode_key
-from parfem.mapped_fe import gauss_rule, get_element, make_reference_map
-from parfem.mesh import CIRCLE_FLAG, Cell, Mesh
+from parfem.mapped_fe import cell_geometry, gauss_rule, get_element
+from parfem.mesh import CIRCLE_FLAG, Mesh
 from parfem.multigrid import _QUADRANT_OFFSETS, transfer_matrices
 from parfem.partition import MASTER_CLASSES, DofClass
 
@@ -36,8 +36,7 @@ def geometric_dof_classes(mesh, cells, elem_kind, tol=1e-10):
     elem = get_element(elem_kind)
     groups = {}
     for gid in sorted(cells):
-        rmap = make_reference_map(mesh.cell(gid), mesh)
-        pts = rmap.map(elem.nodes)
+        pts = cell_geometry(mesh, [gid]).map(elem.nodes)[0]
         for li in range(elem.n_dofs):
             key = (round(pts[li, 0] / tol), round(pts[li, 1] / tol))
             groups.setdefault(key, set()).add((gid, li))
@@ -161,14 +160,15 @@ def loop_fgmres_mgs(A, b, precond, restart=50, tol=1e-10, maxit=1000):
     return x, total, residuals
 
 
-def invert_reference_map(rmap, x, tol=1e-13):
-    """Newton iteration for the reference coordinates of a physical point."""
+def invert_reference_map(geo, x, tol=1e-13):
+    """Newton iteration for the reference coordinates of a physical point
+    under the map of a one-cell `CellGeometry`."""
     xi = np.zeros(2)
     for _ in range(50):
-        f = rmap.map([xi])[0] - np.asarray(x, float)
+        f = geo.map([xi])[0, 0] - np.asarray(x, float)
         if np.linalg.norm(f) < tol:
             break
-        J = rmap.jacobians([xi])[0]
+        J = geo.jacobians([xi])[0, 0]
         xi = xi - np.linalg.solve(J, f)
     return xi
 
@@ -178,37 +178,39 @@ def eval_fe_function(ctx, values, points, tol=1e-9):
     elem = get_element(ctx.elem_kind)
     out = np.full(len(points), np.nan)
     for gid in sorted(ctx.rank_cells.own):
-        rmap = make_reference_map(ctx.mesh.cell(gid), ctx.mesh)
+        geo = cell_geometry(ctx.mesh, [gid])
         dofs = ctx.dof_map.cell_dofs[gid]
         for k, p in enumerate(points):
             if not np.isnan(out[k]):
                 continue
-            xi = invert_reference_map(rmap, p)
+            xi = invert_reference_map(geo, p)
             if np.all(np.abs(xi) <= 1.0 + tol):
                 vals, _ = elem.eval([xi])
                 out[k] = vals[0] @ values[dofs]
     return out
 
 
-def loop_physical_gradients(rmap, points, ref_grads):
-    """Per-point oracle: J^{-T} grad with a general matrix inverse."""
-    Jinv = np.linalg.inv(rmap.jacobians(points))
+def loop_physical_gradients(geo, points, ref_grads):
+    """Per-point oracle on a one-cell `CellGeometry`: J^{-T} grad with a
+    general matrix inverse."""
+    Jinv = np.linalg.inv(geo.jacobians(points)[0])
     return np.einsum("mji,mkj->mki", Jinv, ref_grads)
 
 
-def loop_physical_hessians(rmap, points, ref_grads, ref_hess):
-    """Per-point oracle: second derivatives of xi(x) built from dJ/dxi."""
-    v0, v1, v2, v3 = rmap.verts
+def loop_physical_hessians(geo, points, ref_grads, ref_hess):
+    """Per-point oracle on a one-cell `CellGeometry`: second derivatives of
+    xi(x) built from dJ/dxi."""
+    v0, v1, v2, v3 = geo.verts[0]
     a3 = 0.25 * (v0 - v1 + v2 - v3)
     Txi = np.zeros((2, 2))
     Teta = np.zeros((2, 2))
     Txi[:, 1] = a3  # d J / d xi
     Teta[:, 0] = a3  # d J / d eta
     out = np.empty(ref_hess.shape)
-    for q, J in enumerate(rmap.jacobians(points)):
+    for q, J in enumerate(geo.jacobians(points)[0]):
         g = np.linalg.inv(J)
         xi_sec = np.zeros((2, 2, 2))  # d^2 xi_k / d x_i d x_j
-        if rmap.kind != "affine":
+        if not geo.affine[0]:
             for j in range(2):
                 xi_sec[:, :, j] = -g @ (Txi * g[0, j] + Teta * g[1, j]) @ g
         out[q] = np.einsum("nkl,ki,lj->nij", ref_hess[q], g, g)
@@ -233,10 +235,10 @@ def loop_assemble_cdr(ctx, coeffs, supg=False, quad_order=None):
     rhs = np.zeros(ctx.n_local)
     for gid in ctx.rank_cells.known:
         dofs = ctx.dof_map.cell_dofs[gid]
-        rmap = make_reference_map(ctx.mesh.cell(gid), ctx.mesh)
-        w = rule.weights * np.linalg.det(rmap.jacobians(rule.points))
-        pg = loop_physical_gradients(rmap, rule.points, grads)
-        xq = rmap.map(rule.points)
+        geo = cell_geometry(ctx.mesh, [gid])
+        w = rule.weights * np.linalg.det(geo.jacobians(rule.points)[0])
+        pg = loop_physical_gradients(geo, rule.points, grads)
+        xq = geo.map(rule.points)[0]
         bq = _field(coeffs.b, xq, (n_q, 2))
         cq = _field(coeffs.c, xq, (n_q,))
         fq = _field(coeffs.f, xq, (n_q,))
@@ -245,9 +247,10 @@ def loop_assemble_cdr(ctx, coeffs, supg=False, quad_order=None):
         Ae += np.einsum("q,qj,qi->ij", w, bgrad, vals)
         Ae += np.einsum("q,q,qj,qi->ij", w, cq, vals, vals)
         be = np.einsum("q,q,qi->i", w, fq, vals)
-        tau = params.tau(rmap, bq.mean(axis=0)) if supg else 0.0
+        cell = SimpleNamespace(verts=geo.verts[0], diameter=geo.diameter[0])
+        tau = params.tau(cell, bq.mean(axis=0)) if supg else 0.0
         if tau > 0.0:
-            ph = loop_physical_hessians(rmap, rule.points, grads, hess)
+            ph = loop_physical_hessians(geo, rule.points, grads, hess)
             lap = ph[:, :, 0, 0] + ph[:, :, 1, 1]
             resid = -coeffs.eps * lap + bgrad + cq[:, None] * vals
             Ae += tau * np.einsum("q,qj,qi->ij", w, resid, bgrad)
@@ -265,8 +268,8 @@ def loop_assemble_mass(ctx, quad_order=None):
     M = np.zeros((ctx.n_local, ctx.n_local))
     for gid in ctx.rank_cells.known:
         dofs = ctx.dof_map.cell_dofs[gid]
-        rmap = make_reference_map(ctx.mesh.cell(gid), ctx.mesh)
-        w = rule.weights * np.linalg.det(rmap.jacobians(rule.points))
+        geo = cell_geometry(ctx.mesh, [gid])
+        w = rule.weights * np.linalg.det(geo.jacobians(rule.points)[0])
         M[np.ix_(dofs, dofs)] += np.einsum("q,qi,qj->ij", w, vals, vals)
     return M
 
@@ -275,7 +278,7 @@ def loop_dof_coordinates(dof_map, mesh):
     """Per-cell oracle: each d.o.f. placed by its smallest containing cell."""
     coords = np.full((dof_map.n_dofs, 2), np.nan)
     for gid in sorted(dof_map.cell_dofs):
-        pts = make_reference_map(mesh.cell(gid), mesh).map(dof_map.elem.nodes)
+        pts = cell_geometry(mesh, [gid]).map(dof_map.elem.nodes)[0]
         for li, g in enumerate(dof_map.cell_dofs[gid]):
             if np.isnan(coords[g, 0]):
                 coords[g] = pts[li]
@@ -302,12 +305,11 @@ def loop_dirichlet_dofs(ctx, parts, t=0.0):
             return bool(part.where(x, y))
 
         part_dofs = set()
-        for (a, b), inc in mesh.edge_table.items():
+        for (a, b), inc in loop_edge_cells(mesh).items():
             if len(inc) != 1 or inc[0] not in known or not on_part(a, b):
                 continue
-            cell = mesh.cell(inc[0])
             dofs = ctx.dof_map.cell_dofs[inc[0]]
-            e = [tuple(sorted(edge)) for edge in cell.local_edges()].index((a, b))
+            e = _edge_index(mesh.cell_vertices[inc[0]].tolist(), a, b)
             part_dofs.add(int(dofs[elem.vertex_dof[e]]))
             part_dofs.add(int(dofs[elem.vertex_dof[(e + 1) % 4]]))
             part_dofs.update(int(dofs[li]) for li, _ in elem.edge_dofs[e])
@@ -432,9 +434,7 @@ def restrict_function(hier, level, v_fine):
 def loop_refine_uniform(mesh):
     """Per-cell oracle: midpoints in sorted edge order, then barycenters."""
     circle = mesh.vertex_flags.get(CIRCLE_FLAG, set())
-    edges = sorted(
-        {(min(a, b), max(a, b)) for c in mesh.cells for a, b in c.local_edges()}
-    )
+    edges = list(loop_edge_cells(mesh))
     new_circle = set(circle)
     nv = mesh.n_vertices
     edge_mid = {}
@@ -447,38 +447,45 @@ def loop_refine_uniform(mesh):
         edge_mid[(a, b)] = nv + len(mid_coords)
         mid_coords.append(m)
     bary_base = nv + len(mid_coords)
-    bary = [mesh.vertices[list(c.vertex_ids)].mean(axis=0) for c in mesh.cells]
+    bary = [mesh.vertices[verts].mean(axis=0) for verts in mesh.cell_vertices]
 
     def mid(a, b):
         return edge_mid[(a, b) if a < b else (b, a)]
 
     children = []
-    for cell in mesh.cells:
-        v0, v1, v2, v3 = cell.vertex_ids
+    for g, (v0, v1, v2, v3) in enumerate(mesh.cell_vertices.tolist()):
         m01, m12, m23, m30 = mid(v0, v1), mid(v1, v2), mid(v2, v3), mid(v3, v0)
-        g = cell.global_id
         ctr = bary_base + g
-        quads = (
+        children += [
             (v0, m01, ctr, m30),
             (m01, v1, m12, ctr),
             (ctr, m12, v2, m23),
             (m30, ctr, m23, v3),
-        )
-        for k, q in enumerate(quads):
-            children.append(Cell(4 * g + k, q, level=mesh.level + 1, parent_id=g))
+        ]
     flags = dict(mesh.vertex_flags)
     flags[CIRCLE_FLAG] = new_circle
     if not circle:
         flags.pop(CIRCLE_FLAG, None)
     verts = np.vstack([mesh.vertices, np.array(mid_coords), np.array(bary)])
-    return Mesh(verts, children, level=mesh.level + 1, vertex_flags=flags)
+    return Mesh(verts, np.array(children), level=mesh.level + 1, vertex_flags=flags)
+
+
+def loop_edge_cells(mesh):
+    """Per-cell oracle: sorted vertex-id pair -> ascending ids of its cells,
+    in ascending pair order."""
+    out = {}
+    for g, verts in enumerate(mesh.cell_vertices.tolist()):
+        for k in range(4):
+            a, b = verts[k], verts[(k + 1) % 4]
+            out.setdefault((min(a, b), max(a, b)), []).append(g)
+    return dict(sorted(out.items()))
 
 
 def _loop_vertex_cells(mesh):
     out = [[] for _ in range(mesh.n_vertices)]
-    for cell in mesh.cells:
-        for v in cell.vertex_ids:
-            out[v].append(cell.global_id)
+    for g, verts in enumerate(mesh.cell_vertices.tolist()):
+        for v in verts:
+            out[v].append(g)
     return out
 
 
@@ -487,10 +494,10 @@ def loop_build_rank_cells(mesh, ownership, rank):
     vertex_cells = _loop_vertex_cells(mesh)
 
     def neighbors(g):
-        out = {c for v in mesh.cell(g).vertex_ids for c in vertex_cells[v]}
+        out = {c for v in mesh.cell_vertices[g].tolist() for c in vertex_cells[v]}
         return out - {g}
 
-    own = {c.global_id for c in mesh.cells if ownership[c.global_id] == rank}
+    own = {g for g in range(mesh.n_cells) if ownership[g] == rank}
     halo = set()
     for g in own:
         halo.update(n for n in neighbors(g) if n not in own)
@@ -521,11 +528,12 @@ class UnionFind:
             self.parent[rb] = ra
 
 
-def _edge_index(cell, a, b):
-    for e, (p, q) in enumerate(cell.local_edges()):
-        if (p, q) == (a, b) or (q, p) == (a, b):
+def _edge_index(verts, a, b):
+    """Local edge (verts[e], verts[e+1]) joining vertices a and b."""
+    for e in range(4):
+        if {verts[e], verts[(e + 1) % 4]} == {a, b}:
             return e
-    raise ValueError(f"vertices {(a, b)} are not an edge of cell {cell.global_id}")
+    raise ValueError(f"vertices {(a, b)} are not an edge of the cell {verts}")
 
 
 def loop_build_dof_map(mesh, cells, elem_kind):
@@ -544,28 +552,26 @@ def loop_build_dof_map(mesh, cells, elem_kind):
     known = set(cell_ids)
     pairs = set()
     for gid in cell_ids:
-        for v in mesh.cell(gid).vertex_ids:
+        for v in mesh.cell_vertices[gid].tolist():
             for other in vertex_cells[v]:
                 if other in known and other > gid:
                     pairs.add((gid, other))
 
     for ka, kb in sorted(pairs):
-        ca, cb = mesh.cell(ka), mesh.cell(kb)
-        shared = set(ca.vertex_ids) & set(cb.vertex_ids)
+        ca, cb = mesh.cell_vertices[ka].tolist(), mesh.cell_vertices[kb].tolist()
+        shared = set(ca) & set(cb)
         for v in shared:
-            pa = ca.vertex_ids.index(v)
-            pb = cb.vertex_ids.index(v)
+            pa = ca.index(v)
+            pb = cb.index(v)
             uf.union(slot(ka, elem.vertex_dof[pa]), slot(kb, elem.vertex_dof[pb]))
         if len(shared) == 2:
             a, b = sorted(shared)
             ea = _edge_index(ca, a, b)
             eb = _edge_index(cb, a, b)
             for li, ti in elem.edge_dofs[ea]:
-                va, vb_ = ca.local_edges()[ea]
-                ta = ti if va < vb_ else 1.0 - ti
+                ta = ti if ca[ea] < ca[(ea + 1) % 4] else 1.0 - ti
                 for lj, tj in elem.edge_dofs[eb]:
-                    va2, vb2 = cb.local_edges()[eb]
-                    tb = tj if va2 < vb2 else 1.0 - tj
+                    tb = tj if cb[eb] < cb[(eb + 1) % 4] else 1.0 - tj
                     if abs(ta - tb) < 1e-9:
                         uf.union(slot(ka, li), slot(kb, lj))
 

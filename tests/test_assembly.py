@@ -235,8 +235,8 @@ def test_crank_nicolson_system_built_once_matches_per_step_formula():
 
 
 class StreamwiseWidth(SupgParams):
-    def cell_size(self, rmap):
-        return rmap.verts[:, 0].max() - rmap.verts[:, 0].min()
+    def cell_size(self, cell):
+        return cell.verts[:, 0].max() - cell.verts[:, 0].min()
 
 
 def test_supg_nodal_exactness_1d_oracle():

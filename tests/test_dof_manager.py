@@ -3,14 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import UnionFind, geometric_dof_classes, invert_reference_map
+from conftest import (
+    UnionFind,
+    geometric_dof_classes,
+    invert_reference_map,
+    loop_edge_cells,
+)
 from parfem.dof_manager import (
     build_dof_map,
     decode_key,
     dof_coordinates,
     encode_key,
 )
-from parfem.mapped_fe import get_element, make_reference_map
+from parfem.mapped_fe import cell_geometry, get_element
 from parfem.mesh import build_rect_mesh, refine_uniform
 
 
@@ -72,7 +77,7 @@ def test_continuity_across_shared_edges(kind, rng):
     dm = build_dof_map(m, range(m.n_cells), kind)
     elem = get_element(kind)
     w = rng.normal(size=dm.n_dofs)
-    for (a, b), inc in m.edge_table.items():
+    for (a, b), inc in loop_edge_cells(m).items():
         if len(inc) != 2:
             continue
         pa, pb = m.vertices[a], m.vertices[b]
@@ -80,8 +85,7 @@ def test_continuity_across_shared_edges(kind, rng):
             x = pa + s * (pb - pa)
             vals = []
             for gid in inc:
-                rmap = make_reference_map(m.cell(gid), m)
-                xi = invert_reference_map(rmap, x)
+                xi = invert_reference_map(cell_geometry(m, [gid]), x)
                 bas, _ = elem.eval([xi])
                 vals.append(bas[0] @ w[dm.cell_dofs[gid]])
             assert abs(vals[0] - vals[1]) < 1e-12

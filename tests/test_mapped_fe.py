@@ -5,59 +5,59 @@ from hypothesis import strategies as st
 
 from parfem.mapped_fe import (
     CellGeometry,
-    ReferenceMap,
     cell_geometry,
     gauss_rule,
     get_element,
     make_reference_map,
 )
-from parfem.mesh import Cell, Mesh
+from parfem.mesh import Mesh
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TRAPEZOID = np.array([[0.0, 0.0], [2.0, 0.0], [1.5, 1.0], [0.0, 1.0]])
 
 
 def one_cell_mesh(verts):
-    return Mesh(np.asarray(verts, float), [Cell(0, (0, 1, 2, 3))])
+    return Mesh(np.asarray(verts, float), np.array([[0, 1, 2, 3]]))
 
 
 def test_map_vertices_in_order():
-    rmap = ReferenceMap(UNIT_SQUARE)
+    geo = CellGeometry(UNIT_SQUARE[None])
     ref = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-    assert np.allclose(rmap.map(ref), UNIT_SQUARE)
-    assert np.allclose(rmap.map([[-1, -1]])[0], [0, 0])
+    assert np.allclose(geo.map(ref)[0], UNIT_SQUARE)
+    assert np.allclose(geo.map([[-1, -1]])[0, 0], [0, 0])
 
 
 def test_affine_scaling():
-    rmap = ReferenceMap(UNIT_SQUARE)
-    assert rmap.kind == "affine"
-    assert np.allclose(rmap.map([[0, 0]])[0], [0.5, 0.5])
-    J = rmap.jacobians([[0.0, 0.0]])[0]
+    geo = CellGeometry(UNIT_SQUARE[None])
+    assert geo.affine[0]
+    assert np.allclose(geo.map([[0, 0]])[0, 0], [0.5, 0.5])
+    J = geo.jacobians([[0.0, 0.0]])[0, 0]
     assert np.isclose(np.linalg.det(J), 0.25)
 
 
 def test_bilinear_center_is_vertex_average():
-    rmap = ReferenceMap(TRAPEZOID)
-    assert rmap.kind == "bilinear"
-    assert np.allclose(rmap.map([[0, 0]])[0], TRAPEZOID.mean(axis=0))
-    assert np.allclose(rmap.map([[0, 0]])[0], [0.875, 0.5])
+    geo = CellGeometry(TRAPEZOID[None])
+    assert not geo.affine[0]
+    assert np.allclose(geo.map([[0, 0]])[0, 0], TRAPEZOID.mean(axis=0))
+    assert np.allclose(geo.map([[0, 0]])[0, 0], [0.875, 0.5])
 
 
 def test_parallelogram_detected_affine():
     verts = np.array([[0.0, 0.0], [2.0, 0.5], [2.5, 1.5], [0.5, 1.0]])
-    assert ReferenceMap(verts).kind == "affine"
+    assert CellGeometry(verts[None]).affine[0]
 
 
 def test_degenerate_cell_rejected():
     degenerate = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError):
-        ReferenceMap(degenerate)
+        CellGeometry(degenerate[None])
 
 
 def test_make_reference_map_from_mesh():
     mesh = one_cell_mesh(TRAPEZOID)
-    rmap = make_reference_map(mesh.cell(0), mesh)
-    assert np.allclose(rmap.verts, TRAPEZOID)
+    geo = make_reference_map(0, mesh)
+    assert np.array_equal(geo.verts, TRAPEZOID[None])
+    assert np.array_equal(geo.a3, cell_geometry(mesh, [0]).a3)
 
 
 def test_q1_nodal_values():
@@ -120,10 +120,10 @@ def test_physical_gradients_identity_map():
     assert np.allclose(geo.physical_gradients(pts, ref)[0], ref)
 
 
-def _composed_basis(rmap, elem, k, x):
+def _composed_basis(geo, elem, k, x):
     from conftest import invert_reference_map
 
-    xi = invert_reference_map(rmap, x)
+    xi = invert_reference_map(geo, x)
     vals, _ = elem.eval([xi])
     return vals[0, k]
 
@@ -131,19 +131,19 @@ def _composed_basis(rmap, elem, k, x):
 @pytest.mark.parametrize("kind", ["q1", "q2"])
 def test_physical_gradients_fd_oracle(kind):
     elem = get_element(kind)
-    rmap = ReferenceMap(TRAPEZOID)
+    geo = CellGeometry(TRAPEZOID[None])
     pts = np.array([[0.0, 0.0]])
     _, ref = elem.eval(pts)
-    phys = rmap.batch.physical_gradients(pts, ref)[0, 0]
-    x0 = rmap.map(pts)[0]
+    phys = geo.physical_gradients(pts, ref)[0, 0]
+    x0 = geo.map(pts)[0, 0]
     h = 1e-6
     for k in range(elem.n_dofs):
         for d in range(2):
             e = np.zeros(2)
             e[d] = h
             fd = (
-                _composed_basis(rmap, elem, k, x0 + e)
-                - _composed_basis(rmap, elem, k, x0 - e)
+                _composed_basis(geo, elem, k, x0 + e)
+                - _composed_basis(geo, elem, k, x0 - e)
             ) / (2 * h)
             assert abs(phys[k, d] - fd) < 1e-6
 
@@ -151,12 +151,12 @@ def test_physical_gradients_fd_oracle(kind):
 @pytest.mark.parametrize("kind", ["q1", "q2"])
 def test_physical_hessians_fd_oracle(kind):
     elem = get_element(kind)
-    rmap = ReferenceMap(TRAPEZOID)
+    geo = CellGeometry(TRAPEZOID[None])
     pts = np.array([[0.1, -0.3]])
     _, ref = elem.eval(pts)
     hess_ref = elem.eval_hessians(pts)
-    hess = rmap.batch.physical_hessians(pts, ref, hess_ref)[0, 0]
-    x0 = rmap.map(pts)[0]
+    hess = geo.physical_hessians(pts, ref, hess_ref)[0, 0]
+    x0 = geo.map(pts)[0, 0]
     h = 1e-5
 
     def grad_fd(k, x):
@@ -165,8 +165,8 @@ def test_physical_hessians_fd_oracle(kind):
             e = np.zeros(2)
             e[d] = h
             g[d] = (
-                _composed_basis(rmap, elem, k, x + e)
-                - _composed_basis(rmap, elem, k, x - e)
+                _composed_basis(geo, elem, k, x + e)
+                - _composed_basis(geo, elem, k, x - e)
             ) / (2 * h)
         return g
 
@@ -216,13 +216,13 @@ def _cross2(a, b):
 
 def test_quadrature_parallelogram_area():
     verts = np.array([[0.0, 0.0], [2.0, 0.5], [2.5, 1.5], [0.5, 1.0]])
-    rmap = ReferenceMap(verts)
+    geo = CellGeometry(verts[None])
     area = 0.5 * abs(_cross2(verts[1] - verts[0], verts[2] - verts[0])) + 0.5 * abs(
         _cross2(verts[2] - verts[0], verts[3] - verts[0])
     )
     for order in (1, 2, 3):
         rule = gauss_rule(order)
-        J = rmap.jacobians(rule.points)
+        J = geo.jacobians(rule.points)[0]
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         assert abs(np.sum(rule.weights * det) - area) < 1e-13
 
@@ -230,15 +230,15 @@ def test_quadrature_parallelogram_area():
 def test_affine_cell_reproduces_linears(rng):
     # on a parallelogram the mapped Q1 interpolant is exact for linears
     verts = np.array([[0.0, 0.0], [2.0, 0.5], [2.5, 1.5], [0.5, 1.0]])
-    rmap = ReferenceMap(verts)
-    assert rmap.kind == "affine"
+    geo = CellGeometry(verts[None])
+    assert geo.affine[0]
     elem = get_element("q1")
     f = lambda p: 1.5 - 2.0 * p[..., 0] + 0.75 * p[..., 1]
-    nodal = f(rmap.map(elem.nodes))
+    nodal = f(geo.map(elem.nodes)[0])
     pts = rng.uniform(-1, 1, size=(50, 2))
     vals, _ = elem.eval(pts)
     interp = vals @ nodal
-    assert np.max(np.abs(interp - f(rmap.map(pts)))) < 1e-13
+    assert np.max(np.abs(interp - f(geo.map(pts)[0]))) < 1e-13
 
 
 def hemker_ring_mesh():
@@ -293,9 +293,9 @@ def test_batched_derivatives_match_per_point_oracle(kind, rng):
     pg = geo.physical_gradients(pts, grads)
     ph = geo.physical_hessians(pts, grads, hess)
     for gid in range(mesh.n_cells):
-        rmap = make_reference_map(mesh.cell(gid), mesh)
-        want_g = loop_physical_gradients(rmap, pts, grads)
-        want_h = loop_physical_hessians(rmap, pts, grads, hess)
+        one = cell_geometry(mesh, [gid])
+        want_g = loop_physical_gradients(one, pts, grads)
+        want_h = loop_physical_hessians(one, pts, grads, hess)
         assert np.max(np.abs(pg[gid] - want_g)) <= 1e-12 * np.max(np.abs(want_g))
         assert np.max(np.abs(ph[gid] - want_h)) <= 1e-12 * np.max(np.abs(want_h))
 

@@ -1,4 +1,3 @@
-import dataclasses
 import sys
 import threading
 
@@ -9,15 +8,14 @@ from hypothesis import strategies as st
 
 from parfem.mesh import (
     CIRCLE_FLAG,
-    Cell,
     Mesh,
     MeshError,
     build_hemker_mesh,
     build_rect_mesh,
-    cell_neighbors_by_vertex,
     refine_uniform,
     write_vtk,
 )
+from parfem.partition import build_rank_cells
 
 HEMKER_COARSE_CELLS = 28  # golden count of the implemented coarse layout
 
@@ -26,14 +24,14 @@ def test_rect_2x2_counts():
     m = build_rect_mesh(0, 1, 0, 1, 2, 2)
     assert m.n_cells == 4
     assert m.n_vertices == 9
-    assert len(m.edge_table) == 12
+    assert len(m.edges) == 12
 
 
 def test_rect_single_cell():
     m = build_rect_mesh(0, 1, 0, 1, 1, 1)
     assert m.n_cells == 1
     assert m.n_vertices == 4
-    assert len(m.boundary_edges()) == 4
+    assert np.count_nonzero(m.edge_counts == 1) == 4
 
 
 def test_rect_tensor_layout():
@@ -45,7 +43,7 @@ def test_rect_tensor_layout():
     )
     got = sorted(map(tuple, m.vertices))
     assert np.allclose(got, expected)
-    c0 = m.cell_coords(0)
+    c0 = m.vertices[m.cell_vertices[0]]
     assert c0[:, 0].min() == -3 and c0[:, 0].max() == 0
     assert c0[:, 1].min() == -3 and c0[:, 1].max() == 0
 
@@ -61,39 +59,40 @@ def test_rect_rejects_bad_input(args):
 def test_refine_single_cell():
     m = build_rect_mesh(0, 1, 0, 1, 1, 1)
     r = refine_uniform(m)
-    assert [c.global_id for c in r.cells] == [0, 1, 2, 3]
+    assert r.n_cells == 4
     center = [tuple(v) for v in r.vertices].count((0.5, 0.5))
     assert center == 1
-    shared = set.intersection(*(set(c.vertex_ids) for c in r.cells))
+    shared = set.intersection(*(set(c) for c in r.cell_vertices.tolist()))
     assert len(shared) == 1
     assert tuple(r.vertices[shared.pop()]) == (0.5, 0.5)
 
 
 def test_refine_growth_and_ids():
     m = build_rect_mesh(0, 1, 0, 1, 2, 2)
-    r = refine_uniform(refine_uniform(m))
+    mid = refine_uniform(m)
+    r = refine_uniform(mid)
     assert r.n_cells == 64
     assert r.n_vertices == 81
-    for cell in r.cells:
-        assert cell.global_id in {4 * cell.parent_id + k for k in range(4)}
-    # refining records the child ids on the parent cells
-    mid = refine_uniform(m)
-    refine_uniform(mid)
-    for cell in mid.cells:
-        assert cell.child_ids == tuple(4 * cell.global_id + k for k in range(4))
+    # child 4*g + k keeps corner k of its parent g and lies inside it
+    for coarse, fine in ((m, mid), (mid, r)):
+        for g, corners in enumerate(coarse.cell_vertices):
+            box = coarse.vertices[corners]
+            for k in range(4):
+                child = fine.cell_vertices[4 * g + k]
+                assert child[k] == corners[k]
+                inside = fine.vertices[child]
+                assert np.all(inside >= box.min(0)) and np.all(inside <= box.max(0))
 
 
 def test_refine_leaves_input_mesh_unchanged():
     m = refine_uniform(build_hemker_mesh())
-    cells = [dataclasses.astuple(c) for c in m.cells]
-    vertices = m.vertices.copy()
+    tables = ("vertices", "cell_vertices", "edges", "edge_counts", "cell_edges")
+    before = [getattr(m, name).copy() for name in tables]
     flags = {k: set(v) for k, v in m.vertex_flags.items()}
-    edges = dict(m.edge_table)
     refine_uniform(m)
-    assert [dataclasses.astuple(c) for c in m.cells] == cells
-    assert np.array_equal(m.vertices, vertices)
+    for name, table in zip(tables, before):
+        assert np.array_equal(getattr(m, name), table), name
     assert m.vertex_flags == flags
-    assert m.edge_table == edges
 
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -121,11 +120,19 @@ UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
          "cells 0 and 1 share 2 vertices but no edge"),
         (UNIT_SQUARE, [(0, 1, 2, 3), (0, 1, 2, 3)],
          "cells 0 and 1 overlap in 4 vertices"),
+        # cells must be an (n, 4) integer array of vertex ids
+        (UNIT_SQUARE, [(0.0, 1.0, 2.0, 3.0)], r"\(n, 4\) integer array"),
+        (UNIT_SQUARE, (0, 1, 2, 3), r"\(n, 4\) integer array"),
+        (UNIT_SQUARE, [(0, 1, 2)], r"\(n, 4\) integer array"),
+        # -1 would index the last vertex and build the cell from a wrong corner
+        (UNIT_SQUARE, [(0, 1, 2, -1)], r"cell 0 has a vertex id outside \[0, 4\)"),
+        (UNIT_SQUARE, [(0, 1, 2, 3), (1, 4, 2, 3)],
+         r"cell 1 has a vertex id outside \[0, 4\)"),
     ],
 )
 def test_mesh_validation_rejects(verts, cells, message):
     with pytest.raises(MeshError, match=message):
-        Mesh(np.array(verts), [Cell(g, c) for g, c in enumerate(cells)])
+        Mesh(np.array(verts), np.array(cells))
 
 
 def test_refined_built_once_under_concurrent_access(monkeypatch):
@@ -170,8 +177,8 @@ def test_refine_deterministic_bitwise():
     a = refine_uniform(build_rect_mesh(0, 1, 0, 1, 3, 2))
     b = refine_uniform(build_rect_mesh(0, 1, 0, 1, 3, 2))
     assert np.array_equal(a.vertices, b.vertices)
-    assert [c.vertex_ids for c in a.cells] == [c.vertex_ids for c in b.cells]
-    assert a.edge_table == b.edge_table
+    assert np.array_equal(a.cell_vertices, b.cell_vertices)
+    assert np.array_equal(a.edges, b.edges)
 
     ha = refine_uniform(build_hemker_mesh())
     hb = refine_uniform(build_hemker_mesh())
@@ -184,32 +191,33 @@ def test_euler_formula(nx, ny, refine):
     m = build_rect_mesh(0, 2, 0, 1, nx, ny)
     if refine:
         m = refine_uniform(m)
-    assert m.n_vertices - len(m.edge_table) + m.n_cells == 1
+    assert m.n_vertices - len(m.edges) + m.n_cells == 1
 
 
 def test_interior_edges_opposite_orientation():
     m = build_rect_mesh(0, 1, 0, 1, 3, 3)
-    for (a, b), inc in m.edge_table.items():
-        if len(inc) != 2:
-            continue
-        directions = []
-        for gid in inc:
-            for p, q in m.cell(gid).local_edges():
-                if {p, q} == {a, b}:
-                    directions.append((p, q))
-        assert len(directions) == 2
-        assert directions[0] == directions[1][::-1]
+    cv = m.cell_vertices
+    directed = np.stack([cv, np.roll(cv, -1, axis=1)], axis=-1)  # (v_k, v_k+1)
+    interior = np.flatnonzero(m.edge_counts == 2)
+    assert interior.size == 12
+    for e in interior:
+        (p, q), (r, s) = directed[m.cell_edges == e].tolist()
+        assert sorted((p, q)) == m.edges[e].tolist()
+        assert (p, q) == (s, r)
 
 
 def test_neighbors():
-    m = build_rect_mesh(0, 1, 0, 1, 2, 2)
-    assert cell_neighbors_by_vertex(m, 0) == {1, 2, 3}
+    # with one owned cell, the halo is every cell sharing a vertex with it
+    def halo(mesh, cell):
+        ownership = np.ones(mesh.n_cells, dtype=np.int64)
+        ownership[cell] = 0
+        return set(build_rank_cells(mesh, ownership, 0).halo.tolist())
+
+    assert halo(build_rect_mesh(0, 1, 0, 1, 2, 2), 0) == {1, 2, 3}
     m3 = build_rect_mesh(0, 1, 0, 1, 3, 3)
-    assert cell_neighbors_by_vertex(m3, 4) == {0, 1, 2, 3, 5, 6, 7, 8}
-    m1 = build_rect_mesh(0, 1, 0, 1, 1, 1)
-    assert cell_neighbors_by_vertex(m1, 0) == set()
-    with pytest.raises(KeyError):
-        cell_neighbors_by_vertex(m, 7)
+    assert halo(m3, 4) == {0, 1, 2, 3, 5, 6, 7, 8}
+    assert halo(m3, 0) == {1, 3, 4}
+    assert halo(build_rect_mesh(0, 1, 0, 1, 1, 1), 0) == set()
 
 
 def test_hemker_circle_vertices():

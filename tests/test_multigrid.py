@@ -22,7 +22,7 @@ from parfem.assembly import (
 from parfem.bench_cli import hemker_problem
 from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
 from parfem.dlinalg import DistVector, axpy, dot, fgmres, matvec, new_vector, norm2
-from parfem.mapped_fe import get_element, make_reference_map
+from parfem.mapped_fe import cell_geometry, get_element
 from parfem.mesh import build_hemker_mesh, build_rect_mesh, refine_uniform
 from parfem.multigrid import (
     BlockSsor,
@@ -104,11 +104,9 @@ def test_hierarchy_meshes_and_ownership():
         sizes = [lvl.ctx.mesh.n_cells for lvl in hier.levels]
         ok = True
         for lvl in hier.levels[1:]:
-            for cell in lvl.ctx.mesh.cells:
-                ok = ok and (
-                    lvl.ctx.ownership[cell.global_id]
-                    == hier.levels[lvl.index - 1].ctx.ownership[cell.parent_id]
-                )
+            parent_owner = hier.levels[lvl.index - 1].ctx.ownership
+            for g in range(lvl.ctx.mesh.n_cells):  # cell g is a child of g // 4
+                ok = ok and lvl.ctx.ownership[g] == parent_owner[g // 4]
         return sizes, ok
 
     for sizes, ok in build_on_ranks(coarse, 3, 2, body):
@@ -183,9 +181,8 @@ def _geometric_prolongation(hier):
     for g in range(fc.n_local):
         x = fc.dof_coords[g]
         fine_cell = containing[g][0]
-        parent = fc.mesh.cell(fine_cell).parent_id
-        rmap = make_reference_map(cc.mesh.cell(parent), cc.mesh)
-        xi = invert_reference_map(rmap, x)
+        parent = fine_cell // 4
+        xi = invert_reference_map(cell_geometry(cc.mesh, [parent]), x)
         vals, _ = elem.eval([xi])
         P[g, cc.dof_map.cell_dofs[parent]] = vals[0]
     return P
@@ -488,10 +485,10 @@ def test_prolongation_reproduces_coarse_space(rng):
         elem = get_element(ctx.elem_kind)
         B = np.zeros((len(pts), ctx.n_local))
         for gid in sorted(ctx.rank_cells.own):
-            rmap = make_reference_map(ctx.mesh.cell(gid), ctx.mesh)
+            geo = cell_geometry(ctx.mesh, [gid])
             dofs = ctx.dof_map.cell_dofs[gid]
             for k, p in enumerate(pts):
-                xi = invert_reference_map(rmap, p)
+                xi = invert_reference_map(geo, p)
                 if np.all(np.abs(xi) <= 1 + 1e-12):
                     vals, _ = elem.eval([xi])
                     B[k, dofs] = vals[0]

@@ -30,7 +30,7 @@ def test_decompose_4x4_into_quadrant_blocks():
     m = build_rect_mesh(0, 1, 0, 1, 4, 4)
     owner = decompose(m, 4)
     # independent bisection oracle on the 16 barycenters: split by x, then y
-    bary = np.array([m.cell_coords(g).mean(axis=0) for g in range(16)])
+    bary = np.array([m.vertices[m.cell_vertices[g]].mean(axis=0) for g in range(16)])
     left = set(np.argsort((bary[:, 0], bary[:, 1], np.arange(16))[0], kind="stable")[:8])
     left = {g for g in range(16) if bary[g, 0] < 0.5}
     for group in range(4):
@@ -74,8 +74,9 @@ def test_ownership_inherited_by_children():
     owner = decompose(m, 2)
     fine = refine_uniform(m)
     fine_owner = ownership_on_level(owner, 1)
-    for cell in fine.cells:
-        assert fine_owner[cell.global_id] == owner[cell.parent_id]
+    assert len(fine_owner) == fine.n_cells
+    for g in range(fine.n_cells):  # cell g is a child of cell g // 4
+        assert fine_owner[g] == owner[g // 4]
 
 
 def test_rank_cells_2x2_split():
