@@ -7,7 +7,7 @@ parallel geometric multigrid V-cycle.
 """
 
 from .comm import ConsistencyLevel, Relation, Transport, spmd_run
-from .dlinalg import DistMatrix, DistVector, axpy, dot, fgmres, matvec, norm2, scale
+from .dlinalg import DistMatrix, DistVector, axpy, dot, fgmres, matvec, norm2
 from .mesh import build_hemker_mesh, build_rect_mesh, refine_uniform
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "fgmres",
     "matvec",
     "norm2",
-    "scale",
     "build_hemker_mesh",
     "build_rect_mesh",
     "refine_uniform",

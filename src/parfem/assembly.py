@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
 
 from .comm import ConsistencyLevel, RankContext
-from .dlinalg import DistMatrix, DistVector, matvec, axpy
+from .dlinalg import DistMatrix, DistVector, matvec
 from .mapped_fe import CellGeometry, cell_geometry, gauss_rule, get_element
 
 DEFAULT_QUAD = {"q1": 2, "q2": 3}
@@ -27,16 +26,16 @@ DEFAULT_QUAD = {"q1": 2, "q2": 3}
 class DirichletPart:
     """One piece of Dirichlet boundary.
 
-    A boundary edge belongs to the part when `where` holds at its midpoint,
-    or when both end vertices carry `flag` (chord midpoints are not flagged);
-    all d.o.f.s on such edges receive the boundary value.  Parts are applied
-    in list order, later parts win at junction vertices.
+    A boundary edge belongs to the part when `where` holds at its midpoint.
+    `where(x, y)` is called once per part and space, on the arrays of the
+    boundary-edge midpoints, and returns a boolean array; a scalar result
+    holds for every edge.  All d.o.f.s on the part's edges receive the
+    boundary value.  Parts are applied in list order, later parts win at
+    junction vertices.
     """
 
     value: object  # constant or callable(points, t) -> values
-    where: object = None  # callable(x, y) -> bool
-    flag: str = None
-    name: str = ""
+    where: object  # callable(x, y) -> bool array or bool
 
     def values_at(self, points, t=0.0):
         if callable(self.value):
@@ -66,29 +65,26 @@ class SupgParams:
 
     tau_K = h_K/(2|b|) * (coth(Pe_K) - 1/Pe_K), Pe_K = |b| h_K / (2 eps),
     with h_K the cell diameter standing in for the streamwise width;
-    tau_K = 0 in cells without convection.  Subclass and override
-    `cell_size` or `tau` to substitute a different parameter choice; both
-    see one cell at a time through `.verts` and `.diameter`.
+    tau_K = 0 in cells without convection.  Both methods see a batch of
+    cells: `cell_size(geo)` returns a (cells,) array for a `CellGeometry`,
+    and `tau(geo, b_mean)` takes the (cells, 2) mean convection.  Subclass
+    and override `cell_size` to substitute a different width.
     """
 
     eps: float
 
-    def cell_size(self, cell) -> float:
-        return cell.diameter
+    def cell_size(self, geo: CellGeometry) -> np.ndarray:
+        return geo.diameter
 
-    def tau(self, cell, b_cell) -> float:
-        bnorm = math.hypot(b_cell[0], b_cell[1])
-        if bnorm < 1e-12:
-            return 0.0
-        h = self.cell_size(cell)
+    def tau(self, geo: CellGeometry, b_mean) -> np.ndarray:
+        bnorm = np.hypot(b_mean[:, 0], b_mean[:, 1])
+        on = bnorm >= 1e-12
+        bnorm = np.where(on, bnorm, 1.0)  # keeps Pe positive where tau is 0
+        h = self.cell_size(geo)
         pe = bnorm * h / (2.0 * self.eps)
-        if pe < 1e-4:
-            zeta = pe / 3.0
-        elif pe > 50.0:
-            zeta = 1.0 - 1.0 / pe
-        else:
-            zeta = 1.0 / math.tanh(pe) - 1.0 / pe
-        return h / (2.0 * bnorm) * zeta
+        coth = 1.0 / np.tanh(pe) - 1.0 / pe
+        zeta = np.where(pe < 1e-4, pe / 3.0, np.where(pe > 50.0, 1.0 - 1.0 / pe, coth))
+        return np.where(on, h / (2.0 * bnorm) * zeta, 0.0)
 
 
 def _at_points(coeff, points, shape=()):
@@ -156,18 +152,15 @@ def assemble_cdr(
     ctx: RankContext,
     coeffs: CdrCoefficients,
     supg: bool = False,
-    wind=None,
-    quad_order: int | None = None,
     supg_params: SupgParams | None = None,
 ):
     """Assemble the (optionally SUPG-stabilized) operator and right-hand side.
 
-    All known cells form one batch.  `wind`, if given, is a pair of finite
-    element functions replacing the analytic convection field; it is restored
-    to full consistency first since assembly reads it on halo cells too.
+    All known cells form one batch; the SUPG parameter is evaluated once for
+    the whole batch.
     """
     elem = get_element(ctx.elem_kind)
-    rule = gauss_rule(quad_order or DEFAULT_QUAD[ctx.elem_kind])
+    rule = gauss_rule(DEFAULT_QUAD[ctx.elem_kind])
     vals, grads = elem.eval(rule.points)
 
     geo = ctx.geometry
@@ -175,11 +168,7 @@ def assemble_cdr(
     w = geo.quadrature_weights(rule)
     pg = geo.physical_gradients(rule.points, grads)  # (cells, q, dofs, 2)
     xq = geo.map(rule.points).reshape(-1, 2)
-    if wind is not None:  # read on halo cells too, hence restored to level 3
-        nodal = [c.restore(ConsistencyLevel.L3).values[ctx.dof_map.table] for c in wind]
-        bq = np.stack([_interpolate(u, vals) for u in nodal], axis=-1)
-    else:
-        bq = _at_points(coeffs.b, xq, (2,)).reshape(n_cells, n_q, 2)
+    bq = _at_points(coeffs.b, xq, (2,)).reshape(n_cells, n_q, 2)
     cq = _at_points(coeffs.c, xq).reshape(n_cells, n_q)
     fq = _at_points(coeffs.f, xq).reshape(n_cells, n_q)
     phi = np.broadcast_to(vals, (n_cells,) + vals.shape)
@@ -193,11 +182,7 @@ def assemble_cdr(
 
     if supg:
         params = supg_params or SupgParams(coeffs.eps)
-        b_mean = sum(bq[:, q] for q in range(n_q)) / n_q
-        cells = zip(geo.verts, geo.diameter, b_mean)
-        tau = np.array(
-            [params.tau(SimpleNamespace(verts=v, diameter=h), b) for v, h, b in cells]
-        )
+        tau = params.tau(geo, sum(bq[:, q] for q in range(n_q)) / n_q)
         (on,) = np.nonzero(tau > 0.0)
         if on.size:
             hess = elem.eval_hessians(rule.points)
@@ -212,8 +197,8 @@ def assemble_cdr(
     return _matrix(ctx, Ae), DistVector(ctx, rhs, ConsistencyLevel.L1)
 
 
-def assemble_mass(ctx: RankContext, quad_order: int | None = None) -> DistMatrix:
-    rule = gauss_rule(quad_order or DEFAULT_QUAD[ctx.elem_kind])
+def assemble_mass(ctx: RankContext) -> DistMatrix:
+    rule = gauss_rule(DEFAULT_QUAD[ctx.elem_kind])
     vals, _ = get_element(ctx.elem_kind).eval(rule.points)
     w = ctx.geometry.quadrature_weights(rule)
     phi = np.broadcast_to(vals, (len(w),) + vals.shape)
@@ -223,9 +208,9 @@ def assemble_mass(ctx: RankContext, quad_order: int | None = None) -> DistMatrix
 def _dirichlet_rows(ctx: RankContext, parts):
     """Rows of each part and of their union, derived once per space and parts.
 
-    Only the known cells' boundary edges are visited, and a part's `where` is
-    evaluated only at their midpoints.  The cache holds the parts object
-    itself, which it recognises by identity.
+    Only the known cells' boundary edges are visited, and each part's `where`
+    is called once, on the arrays of their midpoints.  The cache holds the
+    parts object itself, which it recognises by identity.
     """
     cached = ctx._cache.get("dirichlet")
     if cached is not None and cached[0] is parts:
@@ -240,13 +225,10 @@ def _dirichlet_rows(ctx: RankContext, parts):
         for e in range(4)
     ]
     dofs = ctx.dof_map.table[cell[:, None], np.array(local)[edge]]
-    mids = mesh.vertices[ends].mean(axis=1)
+    x, y = mesh.vertices[ends].mean(axis=1).T
     part_rows = []
     for part in parts:
-        if part.flag is not None:
-            on = np.isin(ends, list(mesh.vertex_flags.get(part.flag, ()))).all(axis=1)
-        else:
-            on = np.array([bool(part.where(x, y)) for x, y in mids], dtype=bool)
+        on = np.broadcast_to(np.asarray(part.where(x, y), dtype=bool), x.shape)
         part_rows.append(np.unique(dofs[on]))
     rows = np.unique(np.concatenate([np.empty(0, np.int64), *part_rows]))
     plan = [(part, r, np.searchsorted(rows, r)) for part, r in zip(parts, part_rows)]
@@ -305,16 +287,8 @@ def crank_nicolson_system(
     return S, M.combine(1.0, -0.5 * dt, A)
 
 
-def crank_nicolson_step(
-    B: DistMatrix,
-    f_n: DistVector,
-    f_np1: DistVector,
-    u_n: DistVector,
-    dt: float,
-    dirichlet=None,
-    t_next: float = 0.0,
-):
-    """Right-hand side of one Crank-Nicolson step S u+ = B u + dt/2 (f + f+).
+def crank_nicolson_step(B: DistMatrix, u_n: DistVector, dirichlet=None, t_next=0.0):
+    """Right-hand side of one unforced Crank-Nicolson step S u+ = B u.
 
     `S` and `B` come from `crank_nicolson_system`.  Returns the right-hand
     side, with the boundary values at `t_next` in the Dirichlet rows, and
@@ -322,8 +296,6 @@ def crank_nicolson_step(
     """
     u_n.restore(ConsistencyLevel.L3)
     b = matvec(B, u_n)
-    axpy(0.5 * dt, f_n, b)
-    axpy(0.5 * dt, f_np1, b)
     if dirichlet:
         enforce_dirichlet_values(b, B.ctx, dirichlet, t_next)
     return b, u_n.copy()

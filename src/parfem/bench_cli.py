@@ -8,7 +8,8 @@ Every rank runs one body: build the multigrid hierarchy, then solve a list
 of steps per repeat (one step for a steady problem, one per Crank-Nicolson
 step for timedep2d).  Timing wraps the linear solves only.  With five
 repeats the reported time drops the fastest and slowest run and averages
-the remaining three.
+the remaining three.  `main` runs one configuration, writes its artifacts
+to the output directory and prints one summary line.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .assembly import (
 )
 from .comm import ConsistencyLevel, spmd_run
 from .dlinalg import fgmres, new_vector
-from .mesh import CIRCLE_FLAG, build_hemker_mesh, build_rect_mesh
+from .mesh import build_hemker_mesh, build_rect_mesh
 from .multigrid import (
     CoarseSolver,
     MgPreconditioner,
@@ -50,6 +51,7 @@ from .multigrid import (
 logger = logging.getLogger(__name__)
 
 PROBLEMS = ("hemker2d", "timedep2d", "poisson_mms")
+ELEMENTS = ("q1", "q2")
 SOLVERS = ("mg_fgmres", "ssor_fgmres", "coarse_direct")
 
 
@@ -77,9 +79,10 @@ class RunConfig:
             raise ValueError(f"unknown problem {self.problem!r}")
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        floor = dict(repeats=1, ranks=1, restart=1, maxit=1, nu1=0, nu2=0)
+        floor = dict(levels=1, repeats=1, ranks=1, restart=1, maxit=1, nu1=0, nu2=0)
         ranges = [(f, getattr(self, f) >= m, f"at least {m}") for f, m in floor.items()]
         ranges += [
+            ("element", self.element in ELEMENTS, "q1 or q2"),
             ("tol", self.tol > 0.0, "positive"),
             ("omega", 0.0 < self.omega < 2.0, "in (0, 2), the SSOR range"),
         ]
@@ -133,9 +136,10 @@ def hemker_problem():
         c=0.0,
         f=0.0,
         dirichlet=[
-            DirichletPart(value=0.0, where=lambda x, y: abs(x + 3.0) < 1e-9,
-                          name="inlet"),
-            DirichletPart(value=1.0, flag=CIRCLE_FLAG, name="cylinder"),
+            DirichletPart(value=0.0, where=lambda x, y: abs(x + 3.0) < 1e-9),
+            # the cylinder is the only boundary inside radius 2; its chord
+            # midpoints lie at radius 0.92 or more
+            DirichletPart(value=1.0, where=lambda x, y: x * x + y * y < 4.0),
         ],
     )
     return build_hemker_mesh(), coeffs, True
@@ -153,26 +157,22 @@ def timedep_problem():
         dist = np.abs(rel[:, 0] * d[1] - rel[:, 1] * d[0])
         return np.where(dist <= 0.1, 1.0, 0.0)
 
+    # predicates on arrays of edge midpoints
     def on_inlet(x, y):
-        return abs(x) < 1e-9 and 5.0 / 8.0 - 1e-9 <= y <= 6.0 / 8.0 + 1e-9
+        return (abs(x) < 1e-9) & (5.0 / 8.0 - 1e-9 <= y) & (y <= 6.0 / 8.0 + 1e-9)
 
     def strictly_inside_outlet(x, y):
-        return abs(x - 1.0) < 1e-9 and 3.0 / 8.0 + 1e-9 < y < 4.0 / 8.0 - 1e-9
+        return (abs(x - 1.0) < 1e-9) & (3.0 / 8.0 + 1e-9 < y) & (y < 4.0 / 8.0 - 1e-9)
 
     def strictly_inside_inlet(x, y):
-        return abs(x) < 1e-9 and 5.0 / 8.0 + 1e-9 < y < 6.0 / 8.0 - 1e-9
+        return (abs(x) < 1e-9) & (5.0 / 8.0 + 1e-9 < y) & (y < 6.0 / 8.0 - 1e-9)
 
     def on_wall(x, y):
-        boundary = (
-            abs(x) < 1e-9 or abs(x - 1.0) < 1e-9 or abs(y) < 1e-9 or abs(y - 1.0) < 1e-9
-        )
+        boundary = (abs(x) < 1e-9) | (abs(x - 1.0) < 1e-9)
+        boundary |= (abs(y) < 1e-9) | (abs(y - 1.0) < 1e-9)
         # the open outlet strip stays Neumann; the open inlet strip keeps its
         # own value; junction vertices belong to the homogeneous wall
-        return (
-            boundary
-            and not strictly_inside_outlet(x, y)
-            and not strictly_inside_inlet(x, y)
-        )
+        return boundary & ~strictly_inside_outlet(x, y) & ~strictly_inside_inlet(x, y)
 
     coeffs = CdrCoefficients(
         eps=1e-6,
@@ -180,10 +180,8 @@ def timedep_problem():
         c=reaction,
         f=0.0,
         dirichlet=[
-            DirichletPart(
-                value=lambda p, t: _inflow_schedule(t), where=on_inlet, name="inlet"
-            ),
-            DirichletPart(value=0.0, where=on_wall, name="walls"),
+            DirichletPart(value=lambda p, t: _inflow_schedule(t), where=on_inlet),
+            DirichletPart(value=0.0, where=on_wall),
         ],
     )
     return build_rect_mesh(0.0, 1.0, 0.0, 1.0, 4, 4), coeffs, True
@@ -200,7 +198,7 @@ def poisson_mms_problem():
         b=(0.0, 0.0),
         c=0.0,
         f=forcing,
-        dirichlet=[DirichletPart(value=0.0, where=lambda x, y: True, name="walls")],
+        dirichlet=[DirichletPart(value=0.0, where=lambda x, y: True)],
     )
     return build_rect_mesh(0.0, 1.0, 0.0, 1.0, 4, 4), coeffs, False
 
@@ -246,9 +244,7 @@ def _rank_body(rank, transport, config, coarse, coeffs, supg):
         steps = [(n, n * config.dt) for n in range(1, n_steps + 1)]
 
         def step_system(u, t):
-            return crank_nicolson_step(
-                explicit["B"], zero, zero, u, config.dt, coeffs.dirichlet, t_next=t
-            )
+            return crank_nicolson_step(explicit["B"], u, coeffs.dirichlet, t_next=t)
     else:
         def discretize(ctx):
             A, b = assemble_cdr(ctx, coeffs, supg=supg)
@@ -273,7 +269,6 @@ def _rank_body(rank, transport, config, coarse, coeffs, supg):
     )
     ctx = hier.finest.ctx
     precond = _make_preconditioner(config, hier)
-    zero = new_vector(ctx)  # forcing of every Crank-Nicolson step
     want = {round(t / config.dt) for t in config.snapshot_times}
     csv_path = None
     if config.out_dir is not None:
@@ -391,52 +386,8 @@ def _write_run_artifacts(report: RunReport):
     write_merged_solution(os.path.join(out, "solution_merged.txt"), report.merged)
 
 
-def report_table(reports, csv_path=None):
-    """Tabulate runs with the scaling column r_min*t_min / (r*t_r)."""
-    if not reports:
-        raise ValueError("need at least one report")
-    rows = []
-    groups = {}
-    for rep in reports:
-        c = rep.config
-        groups.setdefault((c.problem, c.solver, c.levels, c.element), []).append(rep)
-    for key, members in groups.items():
-        members = sorted(members, key=lambda r: r.config.ranks)
-        r_min = members[0].config.ranks
-        t_min = members[0].time
-        for rep in members:
-            rows.append(
-                {
-                    "problem": key[0],
-                    "solver": key[1],
-                    "levels": key[2],
-                    "ranks": rep.config.ranks,
-                    "iterations": rep.iterations,
-                    "time_s": rep.time,
-                    "scaling": scaling_value(
-                        r_min, t_min, rep.config.ranks, rep.time
-                    ),
-                }
-            )
-    header = f"{'problem':<12}{'solver':<14}{'levels':>7}{'ranks':>6}" \
-             f"{'iters':>7}{'time_s':>11}{'scaling':>9}"
-    lines = [header, "-" * len(header)]
-    for r in rows:
-        lines.append(
-            f"{r['problem']:<12}{r['solver']:<14}{r['levels']:>7}{r['ranks']:>6}"
-            f"{r['iterations']:>7}{r['time_s']:>11.4f}{r['scaling']:>9.3f}"
-        )
-    table = "\n".join(lines)
-    if csv_path is not None:
-        with open(csv_path, "w", newline="") as fh:
-            w = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            w.writeheader()
-            w.writerows(rows)
-    return table, rows
-
-
 def scaling_value(r_min, t_min, r, t):
-    """Scaling formula used in the table, e.g. 2*t_2/(8*t_8) for r_min=2."""
+    """Scaling r_min*t_min / (r*t) of an r-rank run, e.g. 2*t_2/(8*t_8)."""
     return (r_min * t_min) / (r * t)
 
 
@@ -446,7 +397,7 @@ def main(argv=None) -> int:
         description="scalar convection-diffusion solver benchmarks",
     )
     parser.add_argument("--problem", choices=PROBLEMS, default="poisson_mms")
-    parser.add_argument("--element", choices=("q1", "q2"), default="q1")
+    parser.add_argument("--element", choices=ELEMENTS, default="q1")
     parser.add_argument("--levels", type=int, default=3)
     parser.add_argument("--ranks", type=int, default=1)
     parser.add_argument("--solver", choices=SOLVERS, default="mg_fgmres")
@@ -468,8 +419,6 @@ def main(argv=None) -> int:
     except ValueError as exc:
         parser.error(str(exc))  # exits with code 2 and the usage line
     report = run(config)
-    table, _ = report_table([report])
-    print(table)
     print(f"converged: {report.converged}  iterations: {report.iterations}  "
           f"solve time: {report.time:.4f}s")
     return report.exit_code

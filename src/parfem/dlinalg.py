@@ -94,11 +94,6 @@ def axpy(a: float, x: DistVector, y: DistVector) -> DistVector:
     return y
 
 
-def scale(a: float, x: DistVector) -> DistVector:
-    x.values *= a
-    return x
-
-
 def dot(x: DistVector, y: DistVector) -> float:
     """Global scalar product over masters only, identical on every rank."""
     if x.ctx is not y.ctx:
@@ -130,9 +125,6 @@ class DistMatrix:
     @property
     def shape(self):
         return self.csr.shape
-
-    def diagonal(self) -> np.ndarray:
-        return self.csr.diagonal()
 
     def combine(self, alpha: float, beta: float, other: "DistMatrix") -> "DistMatrix":
         """alpha*self + beta*other on the union sparsity."""

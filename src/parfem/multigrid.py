@@ -299,15 +299,13 @@ class MgPreconditioner:
 
 
 class SsorPreconditioner:
-    """Block-Jacobi SSOR application (the non-multigrid baseline)."""
+    """One block-Jacobi SSOR sweep from zero (the non-multigrid baseline)."""
 
-    def __init__(self, smoother: BlockSsor, sweeps: int = 1):
+    def __init__(self, smoother: BlockSsor):
         self.smoother = smoother
-        self.sweeps = sweeps
 
     def __call__(self, r: DistVector) -> DistVector:
-        z = new_vector(self.smoother.ctx)
-        return self.smoother.smooth(z, r, self.sweeps)
+        return self.smoother.smooth(new_vector(self.smoother.ctx), r, 1)
 
 
 def write_diagnostics(hier: MgHierarchy, path):

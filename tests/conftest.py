@@ -8,7 +8,6 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from parfem.assembly import SupgParams
 from parfem.comm import (
     RELATION_SLAVE_CLASS,
     ConsistencyLevel,
@@ -16,7 +15,7 @@ from parfem.comm import (
     Transport,
     build_rank_context,
 )
-from parfem.dlinalg import DistVector, axpy, dot, matvec, new_vector, norm2, scale
+from parfem.dlinalg import DistVector, axpy, dot, matvec, new_vector, norm2
 from parfem.dof_manager import encode_key
 from parfem.mapped_fe import cell_geometry, gauss_rule, get_element
 from parfem.mesh import CIRCLE_FLAG, Mesh
@@ -131,7 +130,7 @@ def loop_fgmres_mgs(A, b, precond, restart=50, tol=1e-10, maxit=1000):
     residuals = [beta]
     total = 0
     while beta >= tol and total < maxit:
-        V = [scale(1.0 / beta, r.copy())]
+        V = [DistVector(r.ctx, r.values * (1.0 / beta), r.level)]
         Z = []
         H = np.zeros((restart + 1, restart))
         g = np.zeros(restart + 1)
@@ -150,7 +149,7 @@ def loop_fgmres_mgs(A, b, precond, restart=50, tol=1e-10, maxit=1000):
             lucky = H[j + 1, j] < 1e-14 * max(beta, 1.0)
             if lucky or residuals[-1] < tol or total == maxit:
                 break
-            V.append(scale(1.0 / H[j + 1, j], w))
+            V.append(DistVector(w.ctx, w.values * (1.0 / H[j + 1, j]), w.level))
         for i in range(len(y)):
             axpy(y[i], Z[i], x)
         r = b.copy()
@@ -223,13 +222,27 @@ def _field(coeff, points, shape):
     return np.broadcast_to(np.asarray(value, dtype=float), shape)
 
 
-def loop_assemble_cdr(ctx, coeffs, supg=False, quad_order=None):
+def scalar_supg_tau(eps, h, b):
+    """Per-cell oracle: the standard streamline-diffusion parameter."""
+    bnorm = math.hypot(b[0], b[1])
+    if bnorm < 1e-12:
+        return 0.0
+    pe = bnorm * h / (2.0 * eps)
+    if pe < 1e-4:
+        zeta = pe / 3.0
+    elif pe > 50.0:
+        zeta = 1.0 - 1.0 / pe
+    else:
+        zeta = 1.0 / math.tanh(pe) - 1.0 / pe
+    return h / (2.0 * bnorm) * zeta
+
+
+def loop_assemble_cdr(ctx, coeffs, supg=False):
     """Per-cell oracle: dense operator and right-hand side, one map per cell."""
     elem = get_element(ctx.elem_kind)
-    rule = gauss_rule(quad_order or {"q1": 2, "q2": 3}[ctx.elem_kind])
+    rule = gauss_rule({"q1": 2, "q2": 3}[ctx.elem_kind])
     vals, grads = elem.eval(rule.points)
     hess = elem.eval_hessians(rule.points)
-    params = SupgParams(coeffs.eps)
     n_q = len(rule.weights)
     A = np.zeros((ctx.n_local, ctx.n_local))
     rhs = np.zeros(ctx.n_local)
@@ -247,8 +260,8 @@ def loop_assemble_cdr(ctx, coeffs, supg=False, quad_order=None):
         Ae += np.einsum("q,qj,qi->ij", w, bgrad, vals)
         Ae += np.einsum("q,q,qj,qi->ij", w, cq, vals, vals)
         be = np.einsum("q,q,qi->i", w, fq, vals)
-        cell = SimpleNamespace(verts=geo.verts[0], diameter=geo.diameter[0])
-        tau = params.tau(cell, bq.mean(axis=0)) if supg else 0.0
+        h = geo.diameter[0]
+        tau = scalar_supg_tau(coeffs.eps, h, bq.mean(axis=0)) if supg else 0.0
         if tau > 0.0:
             ph = loop_physical_hessians(geo, rule.points, grads, hess)
             lap = ph[:, :, 0, 0] + ph[:, :, 1, 1]
@@ -260,10 +273,10 @@ def loop_assemble_cdr(ctx, coeffs, supg=False, quad_order=None):
     return A, rhs
 
 
-def loop_assemble_mass(ctx, quad_order=None):
+def loop_assemble_mass(ctx):
     """Per-cell oracle: dense mass matrix, one map per cell."""
     elem = get_element(ctx.elem_kind)
-    rule = gauss_rule(quad_order or {"q1": 2, "q2": 3}[ctx.elem_kind])
+    rule = gauss_rule({"q1": 2, "q2": 3}[ctx.elem_kind])
     vals, _ = elem.eval(rule.points)
     M = np.zeros((ctx.n_local, ctx.n_local))
     for gid in ctx.rank_cells.known:
@@ -288,19 +301,14 @@ def loop_dof_coordinates(dof_map, mesh):
 def loop_dirichlet_dofs(ctx, parts, t=0.0):
     """Per-edge oracle: scan every mesh edge, later parts win.
 
-    A `where` part takes an edge whose midpoint it holds at, a `flag` part an
-    edge with both end vertices flagged.
+    A part takes an edge whose midpoint its `where` holds at.
     """
     mesh = ctx.mesh
     elem = get_element(ctx.elem_kind)
     known = set(ctx.rank_cells.known)
     chosen = {}
     for part in parts:
-        flagged = mesh.vertex_flags.get(part.flag, set())
-
         def on_part(a, b):
-            if part.flag is not None:
-                return a in flagged and b in flagged
             x, y = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
             return bool(part.where(x, y))
 

@@ -6,6 +6,7 @@ from conftest import (
     loop_assemble_mass,
     loop_dirichlet_dofs,
     loop_dof_coordinates,
+    scalar_supg_tau,
     seq_context,
 )
 from parfem.assembly import (
@@ -25,8 +26,9 @@ from parfem.assembly import (
 )
 from parfem.bench_cli import hemker_problem, timedep_problem, _inflow_schedule
 from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
-from parfem.dlinalg import DistVector, fgmres, from_keys, matvec, new_vector
-from parfem.mesh import build_hemker_mesh, build_rect_mesh, refine_uniform
+from parfem.dlinalg import DistVector, fgmres, from_keys, matvec
+from parfem.mapped_fe import cell_geometry, get_element
+from parfem.mesh import CIRCLE_FLAG, build_hemker_mesh, build_rect_mesh, refine_uniform
 from parfem.partition import decompose
 
 L0, L1, L2, L3 = ConsistencyLevel
@@ -70,7 +72,7 @@ def test_q1_laplace_element_matrix():
     ctx = seq_context(build_rect_mesh(0, 1, 0, 1, 1, 1))
     A, b = assemble_cdr(ctx, CdrCoefficients(eps=1.0, f=1.0))
     assert np.max(np.abs(A.csr.toarray() - LAPLACE_Q1)) < 1e-14
-    assert np.allclose(A.diagonal(), 2.0 / 3.0)
+    assert np.allclose(A.csr.diagonal(), 2.0 / 3.0)
     assert np.allclose(b.values, 0.25)  # (f, phi_i) with f = 1
 
 
@@ -176,9 +178,8 @@ def test_crank_nicolson_zero_stiffness_keeps_state():
     M = assemble_mass(ctx)
     Z = M.combine(0.0, 0.0, M)  # zero matrix on the mass sparsity
     u0 = from_keys(ctx, lambda k: 1.0 + 0.25 * (k % 5))
-    zero = new_vector(ctx)
     S, B = crank_nicolson_system(M, Z, 0.01)
-    b, x0 = crank_nicolson_step(B, zero, zero, u0, 0.01)
+    b, x0 = crank_nicolson_step(B, u0)
     u1 = np.linalg.solve(S.csr.toarray(), b.values)
     assert np.allclose(u1, u0.values, atol=1e-13)
     assert np.array_equal(x0.values, u0.values)
@@ -190,9 +191,8 @@ def test_crank_nicolson_scalar_decay():
     M = assemble_mass(ctx)
     dt = 0.1
     u0 = DistVector(ctx, np.ones(ctx.n_local), L3)
-    zero = new_vector(ctx)
     S, B = crank_nicolson_system(M, M, dt)
-    b, _ = crank_nicolson_step(B, zero, zero, u0, dt)
+    b, _ = crank_nicolson_step(B, u0)
     u1 = np.linalg.solve(S.csr.toarray(), b.values)
     assert np.allclose(u1, (1 - dt / 2) / (1 + dt / 2), atol=1e-14)
 
@@ -213,18 +213,14 @@ def test_crank_nicolson_system_built_once_matches_per_step_formula():
     M = assemble_mass(ctx)
     dt = 0.05
     S, B = crank_nicolson_system(M, A, dt, coeffs.dirichlet)
-    u_old = u_new = new_vector(ctx)
+    u_old = u_new = from_keys(ctx, lambda k: np.sin(0.1 * (k % 97)))
     for n in range(4):
         t1 = (n + 1) * dt
-        f0 = from_keys(ctx, lambda k: np.sin(0.1 * (k % 97) + n))
-        f1 = from_keys(ctx, lambda k: np.cos(0.1 * (k % 89) + n))
         S_old = M.combine(1.0, 0.5 * dt, A)
         u_old.restore(L3)
         b_old = matvec(M.combine(1.0, -0.5 * dt, A), u_old)
-        b_old.values += 0.5 * dt * f0.values
-        b_old.values += 0.5 * dt * f1.values
         apply_dirichlet(S_old, b_old, ctx, coeffs.dirichlet, t=t1)
-        b, x0 = crank_nicolson_step(B, f0, f1, u_new, dt, coeffs.dirichlet, t1)
+        b, x0 = crank_nicolson_step(B, u_new, coeffs.dirichlet, t1)
         for part in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(S.csr, part), getattr(S_old.csr, part))
         assert np.array_equal(b.values, b_old.values)
@@ -235,8 +231,9 @@ def test_crank_nicolson_system_built_once_matches_per_step_formula():
 
 
 class StreamwiseWidth(SupgParams):
-    def cell_size(self, cell):
-        return cell.verts[:, 0].max() - cell.verts[:, 0].min()
+    def cell_size(self, geo):
+        x = geo.verts[..., 0]
+        return x.max(axis=1) - x.min(axis=1)
 
 
 def test_supg_nodal_exactness_1d_oracle():
@@ -263,36 +260,35 @@ def test_supg_nodal_exactness_1d_oracle():
 
 
 def test_supg_tau_vanishes_without_convection():
-    params = SupgParams(eps=1e-6)
-
-    class FakeMap:
-        diameter = 0.5
-
-        @property
-        def verts(self):
-            raise AssertionError("unused")
-
-    assert params.tau(FakeMap(), np.zeros(2)) == 0.0
+    geo = cell_geometry(build_rect_mesh(0, 1, 0, 1, 2, 1), [0, 1])
+    tau = SupgParams(eps=1e-6).tau(geo, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert tau[0] == 0.0 and tau[1] > 0.0
 
 
-def test_wind_argument_replaces_analytic_field():
-    mesh = build_rect_mesh(0, 1, 0, 1, 4, 4)
-    b_const = (1.0, -0.25)
-    coeffs_analytic = CdrCoefficients(eps=0.1, b=b_const)
-    coeffs_wind = CdrCoefficients(eps=0.1)
-
-    def body(ctx):
-        A_ref, _ = assemble_cdr(ctx, coeffs_analytic)
-        wx = DistVector(ctx, np.full(ctx.n_local, b_const[0]), L0)
-        wy = DistVector(ctx, np.full(ctx.n_local, b_const[1]), L0)
-        wx.values[~ctx.master_mask] = 777.0  # garbage the restore must fix
-        wy.values[~ctx.master_mask] = -777.0
-        A, _ = assemble_cdr(ctx, coeffs_wind, wind=(wx, wy))
-        ok = wx.level == L3 and wy.level == L3
-        diff = np.max(np.abs((A.csr - A_ref.csr).toarray()))
-        return ok and diff < 1e-13
-
-    assert all(run_ranks(mesh, 2, body))
+@pytest.mark.parametrize(
+    "pe_range", [None, (1e-7, 9e-5), (1.0, 50.0), (50.5, 1e6)],
+    ids=["b0", "pe-below-1e-4", "pe-1-to-50", "pe-above-50"],
+)
+def test_batched_tau_matches_scalar_formula(pe_range):
+    # mean convection chosen per cell to put the Peclet number in one regime
+    mesh = refine_uniform(build_hemker_mesh())
+    geo = cell_geometry(mesh, np.arange(mesh.n_cells))
+    eps = 1e-3
+    b_mean = np.zeros((len(geo.verts), 2))
+    if pe_range is not None:
+        pe = np.geomspace(*pe_range, len(b_mean))
+        speed = 2.0 * eps * pe / geo.diameter
+        b_mean[:] = speed[:, None] * np.array([0.6, -0.8])
+    tau = SupgParams(eps).tau(geo, b_mean)
+    want = np.array([scalar_supg_tau(eps, h, b) for h, b in zip(geo.diameter, b_mean)])
+    ulp = np.spacing(np.abs(want))
+    if pe_range == (1.0, 50.0):
+        # numpy's vectorised tanh and the C library's differ in the last bit,
+        # and coth(Pe) - 1/Pe cancels up to 3/4 of the leading digits (at
+        # Pe = 1), so the bound is in ulps of the unsubtracted h/(2|b|) coth(Pe)
+        ulp = 4.0 * np.spacing(geo.diameter / (2.0 * speed) / np.tanh(pe))
+    assert np.all(np.abs(tau - want) <= ulp)
+    assert np.all(tau == 0.0) == (pe_range is None)
 
 
 def test_l2_error_exact_function():
@@ -387,3 +383,68 @@ def test_dirichlet_rows_match_per_edge_oracle(elem, n_ranks):
             return ok
 
         assert all(run_ranks(mesh, n_ranks, body, elem))
+
+
+def test_supg_cell_size_called_once_per_assembly():
+    class CountingWidth(SupgParams):
+        calls = 0
+
+        def cell_size(self, geo):
+            self.calls += 1
+            return super().cell_size(geo)
+
+    params = CountingWidth(VARIABLE_CDR.eps)
+    ctx = seq_context(refine_uniform(build_hemker_mesh()))
+    for n in (1, 2):
+        assemble_cdr(ctx, VARIABLE_CDR, supg=True, supg_params=params)
+        assert params.calls == n
+
+
+def test_where_called_once_per_part_and_space():
+    calls = []
+
+    def counting(name, predicate):
+        def where(x, y):
+            calls.append((name, len(x)))
+            return predicate(x, y)
+
+        return where
+
+    parts = [
+        DirichletPart(value=0.0, where=counting("left", lambda x, y: abs(x) < 1e-12)),
+        DirichletPart(value=1.0, where=counting("all", lambda x, y: True)),
+    ]
+    square = build_rect_mesh(0, 1, 0, 1, 4, 4)
+    for mesh in (square, refine_uniform(square)):
+        ctx = seq_context(mesh)
+        for t in (0.0, 0.5):
+            A, b = assemble_cdr(ctx, CdrCoefficients(eps=1.0))
+            apply_dirichlet(A, b, ctx, parts, t)
+            dirichlet_dofs(ctx, parts, t)
+    # 16 boundary edges on the 4 x 4 square, 32 after one refinement
+    assert calls == [("left", 16), ("all", 16), ("left", 32), ("all", 32)]
+
+
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+def test_hemker_cylinder_predicate_matches_circle_flags(elem):
+    # the retired rule: a boundary edge is on the cylinder when both of its
+    # end vertices carry the circle flag
+    cylinder = hemker_problem()[1].dirichlet[1]
+    element = get_element(elem)
+    local = np.array([
+        [element.vertex_dof[e], element.vertex_dof[(e + 1) % 4]]
+        + [i for i, _ in element.edge_dofs[e]]
+        for e in range(4)
+    ])
+    mesh = build_hemker_mesh()
+    for level in range(4):
+        ctx = seq_context(mesh, elem)
+        cell, edge = np.nonzero(mesh.edge_counts[mesh.cell_edges] == 1)
+        ends = mesh.edges[mesh.cell_edges[cell, edge]]
+        flagged = np.isin(ends, list(mesh.vertex_flags[CIRCLE_FLAG])).all(axis=1)
+        x, y = mesh.vertices[ends].mean(axis=1).T
+        assert np.array_equal(cylinder.where(x, y), flagged), level
+        want = np.unique(ctx.dof_map.table[cell[:, None], local[edge]][flagged])
+        rows, values = dirichlet_dofs(ctx, [cylinder])
+        assert np.array_equal(rows, want) and np.all(values == 1.0), level
+        mesh = mesh.refined

@@ -9,7 +9,6 @@ from parfem.bench_cli import (
     _inflow_schedule,
     aggregate_time,
     main,
-    report_table,
     run,
     scaling_value,
 )
@@ -56,6 +55,8 @@ def test_config_validation():
         (dict(problem="timedep2d", dt=0.0), "dt"),
         (dict(problem="timedep2d", t_end=0.001), "t_end"),
         (dict(problem="timedep2d", t_end=-1.0), "t_end"),
+        (dict(levels=0), "levels"),
+        (dict(element="q3"), "element"),
     ],
 )
 def test_config_rejects_out_of_range_values(fields, name):
@@ -63,45 +64,6 @@ def test_config_rejects_out_of_range_values(fields, name):
     # run zero iterations or steps without an error
     with pytest.raises(ValueError, match=f"^{name} = "):
         RunConfig(**fields)
-
-
-def _fake_report(problem="poisson_mms", solver="mg_fgmres", levels=2, ranks=1,
-                 time=1.0, iterations=5):
-    rep = run.__globals__["RunReport"](
-        config=RunConfig(problem=problem, solver=solver, levels=levels, ranks=ranks),
-        repeats=[(iterations, time)],
-        iterations=iterations,
-        time=time,
-        converged=True,
-        merged={},
-        residuals=[],
-        snapshots={},
-    )
-    return rep
-
-
-def test_report_table_single_run_scaling_one(tmp_path):
-    table, rows = report_table([_fake_report()], csv_path=tmp_path / "t.csv")
-    assert len(rows) == 1
-    assert rows[0]["scaling"] == pytest.approx(1.0)
-    assert "poisson_mms" in table
-    assert (tmp_path / "t.csv").read_text().startswith("problem,")
-
-
-def test_report_table_synthetic_scaling():
-    reports = [
-        _fake_report(ranks=2, time=100.0),
-        _fake_report(ranks=8, time=30.0),
-    ]
-    _, rows = report_table(reports)
-    by_ranks = {r["ranks"]: r for r in rows}
-    assert by_ranks[2]["scaling"] == pytest.approx(1.0)
-    assert by_ranks[8]["scaling"] == pytest.approx(2 * 100 / (8 * 30))
-
-
-def test_report_table_requires_reports():
-    with pytest.raises(ValueError):
-        report_table([])
 
 
 @pytest.mark.parametrize(
@@ -232,7 +194,11 @@ def test_cli_main(tmp_path):
 
 @pytest.mark.parametrize(
     "argv, name",
-    [(["--ranks", "0"], "ranks"), (["--omega", "2.5"], "omega")],
+    [
+        (["--ranks", "0"], "ranks"),
+        (["--omega", "2.5"], "omega"),
+        (["--levels", "0"], "levels"),
+    ],
 )
 def test_cli_main_out_of_range_flag_is_a_usage_error(argv, name, capsys):
     with pytest.raises(SystemExit) as exit_info:

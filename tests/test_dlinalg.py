@@ -20,7 +20,6 @@ from parfem.dlinalg import (
     matvec,
     new_vector,
     norm2,
-    scale,
     spmv,
 )
 from parfem.mesh import build_rect_mesh
@@ -58,7 +57,7 @@ def run_ranks(mesh, n_ranks, body, elem="q1", transport=None):
 
 
 def jacobi_preconditioner(A):
-    d = A.diagonal()
+    d = A.csr.diagonal()
 
     def apply(r):
         z = DistVector(A.ctx, r.values / d, r.level)
@@ -247,15 +246,6 @@ def test_axpy_tag_and_values():
     x3 = DistVector(ctx, np.arange(9.0), L1)
     axpy(1.0, x3, y3)
     assert y3.level == L1
-
-
-def test_scale_keeps_level():
-    m = build_rect_mesh(0, 1, 0, 1, 2, 2)
-    ctx = seq_context(m)
-    x = DistVector(ctx, np.arange(9.0), L2)
-    scale(3.0, x)
-    assert x.level == L2
-    assert np.array_equal(x.values, 3.0 * np.arange(9.0))
 
 
 def test_fgmres_identity_converges_immediately():
