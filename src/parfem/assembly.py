@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from .comm import ConsistencyLevel, RankContext
 from .dlinalg import DistMatrix, DistVector, matvec
+from .dof_manager import sorted_unique
 from .mapped_fe import CellGeometry, cell_geometry, gauss_rule, get_element
 
 DEFAULT_QUAD = {"q1": 2, "q2": 3}
@@ -112,7 +113,7 @@ def matrix_graph(ctx: RankContext):
     # column, so the sorted distinct codes are the CSR order
     nd = dofs.shape[1]
     codes = np.repeat(dofs, nd, axis=1) * n + key_rank[np.tile(dofs, nd)]
-    pattern = np.unique(codes)
+    pattern = sorted_unique(codes)
     indptr = np.concatenate([[0], np.cumsum(np.bincount(pattern // n, minlength=n))])
     cell_pos = np.searchsorted(pattern, codes)
     graph = ctx._cache["graph"] = (indptr, by_key[pattern % n], cell_pos)
@@ -229,8 +230,8 @@ def _dirichlet_rows(ctx: RankContext, parts):
     part_rows = []
     for part in parts:
         on = np.broadcast_to(np.asarray(part.where(x, y), dtype=bool), x.shape)
-        part_rows.append(np.unique(dofs[on]))
-    rows = np.unique(np.concatenate([np.empty(0, np.int64), *part_rows]))
+        part_rows.append(sorted_unique(dofs[on]))
+    rows = sorted_unique(np.concatenate([np.empty(0, np.int64), *part_rows]))
     plan = [(part, r, np.searchsorted(rows, r)) for part, r in zip(parts, part_rows)]
     ctx._cache["dirichlet"] = (parts, rows, plan)
     return rows, plan

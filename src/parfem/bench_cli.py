@@ -4,12 +4,13 @@ Problems are desk-scale 2D versions of standard benchmarks: the steady
 rectangle-minus-cylinder transport problem, a time-dependent inflow/outflow
 transport on the unit square, and a manufactured Poisson solution.  The
 harness hosts all logical ranks as threads over the in-process transport.
-Every rank runs one body: build the multigrid hierarchy, then solve a list
-of steps per repeat (one step for a steady problem, one per Crank-Nicolson
-step for timedep2d).  Timing wraps the linear solves only.  With five
-repeats the reported time drops the fastest and slowest run and averages
-the remaining three.  `main` runs one configuration, writes its artifacts
-to the output directory and prints one summary line.
+Every rank runs one body: set up the solver, then solve a list of steps per
+repeat (one step for a steady problem, one per Crank-Nicolson step for
+timedep2d); only `mg_fgmres` builds the multigrid hierarchy, the other
+solvers the finest level alone.  Timing wraps the linear solves only.  With
+five repeats the reported time drops the fastest and slowest run and
+averages the remaining three.  `main` runs one configuration, writes its
+artifacts to the output directory and prints one summary line.
 """
 
 from __future__ import annotations
@@ -42,11 +43,14 @@ from .comm import ConsistencyLevel, spmd_run
 from .dlinalg import fgmres, new_vector
 from .mesh import build_hemker_mesh, build_rect_mesh
 from .multigrid import (
+    BlockSsor,
     CoarseSolver,
     MgPreconditioner,
     SsorPreconditioner,
     build_hierarchy,
+    build_level,
 )
+from .partition import decompose
 
 logger = logging.getLogger(__name__)
 
@@ -214,17 +218,8 @@ _PROBLEM_BUILDERS = {
 }
 
 
-def _make_preconditioner(config, hier):
-    fin = hier.finest
-    if config.solver == "mg_fgmres":
-        return MgPreconditioner(hier)
-    if config.solver == "ssor_fgmres":
-        return SsorPreconditioner(fin.smoother)
-    return CoarseSolver(fin.ctx, fin.matrix).solve
-
-
 def _rank_body(rank, transport, config, coarse, coeffs, supg):
-    """One rank's run: build the hierarchy, then solve every step per repeat.
+    """One rank's run: set up the solver, then solve every step per repeat.
 
     A steady problem is one step labelled 0 at t = 0 with the assembled
     right-hand side and a zero initial guess; timedep2d takes Crank-Nicolson
@@ -254,21 +249,24 @@ def _rank_body(rank, transport, config, coarse, coeffs, supg):
         steps = [(0, 0.0)]
 
         def step_system(u, t):
-            return hier.finest.rhs, u
+            return rhs, u
 
-    hier = build_hierarchy(
-        coarse,
-        config.levels,
-        config.element,
-        discretize,
-        transport,
-        rank,
-        nu1=config.nu1,
-        nu2=config.nu2,
-        omega=config.omega,
-    )
-    ctx = hier.finest.ctx
-    precond = _make_preconditioner(config, hier)
+    if config.solver == "mg_fgmres":
+        hier = build_hierarchy(
+            coarse, config.levels, config.element, discretize, transport, rank,
+            nu1=config.nu1, nu2=config.nu2, omega=config.omega,
+        )
+        ctx, matrix, rhs = hier.finest.ctx, hier.finest.matrix, hier.finest.rhs
+        precond = MgPreconditioner(hier)
+    else:
+        own = decompose(coarse, transport.n_ranks)
+        ctx, matrix, rhs = build_level(
+            coarse, own, config.levels - 1, config.element, discretize, transport, rank
+        )
+        if config.solver == "ssor_fgmres":
+            precond = SsorPreconditioner(BlockSsor(ctx, matrix, config.omega))
+        else:
+            precond = CoarseSolver(ctx, matrix).solve
     want = {round(t / config.dt) for t in config.snapshot_times}
     csv_path = None
     if config.out_dir is not None:
@@ -286,7 +284,7 @@ def _rank_body(rank, transport, config, coarse, coeffs, supg):
             b, x0 = step_system(u, t)
             t0 = time.perf_counter()
             res = fgmres(
-                hier.finest.matrix,
+                matrix,
                 b,
                 precond=precond,
                 x0=x0,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dof_manager import DofMap, build_dof_map, dof_coordinates
+from .dof_manager import DofMap, build_dof_map, dof_coordinates, sorted_unique
 from .mapped_fe import CellGeometry, cell_geometry
 from .partition import (
     DofClass,
@@ -406,7 +406,7 @@ class InterfaceExchange:
         # settle: interface slots, then one slot per halo(alpha) d.o.f. fed by
         # every rank holding it in its block (several if it is interface there)
         c = mapper.contributions
-        halo = np.unique(c.rcvd_dof)
+        halo = sorted_unique(c.rcvd_dof)
         halo_slot = len(self.if_dofs) + np.searchsorted(halo, c.rcvd_dof)
         self.settle_dofs = np.concatenate([self.if_dofs, halo])
         self.settle_counts = np.concatenate(

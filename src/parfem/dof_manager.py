@@ -33,6 +33,15 @@ def decode_key(key: int) -> tuple[int, int]:
     return divmod(int(key), KEY_SHIFT)
 
 
+def sorted_unique(x) -> np.ndarray:
+    """`np.unique(x)` by one sort and a mask of differing neighbours (numpy
+    >= 2.3 hashes first).  NaNs are not merged: each NaN is kept."""
+    s = np.sort(x, axis=None)
+    keep = np.ones(s.shape, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 @dataclass
 class DofMap:
     """Surjection from local (cell, index) pairs onto 0..n_dofs-1."""
@@ -76,7 +85,7 @@ def _entity_codes(mesh, cells, elem: LocalElement) -> np.ndarray:
     cv = mesh.cell_vertices[cells]
     on_edge = [(e, i, t) for e, dofs in elem.edge_dofs.items() for i, t in dofs]
     ts = [t for *_, t in on_edge]
-    positions = np.unique(np.round(ts + [1.0 - t for t in ts], 9))
+    positions = sorted_unique(np.round(ts + [1.0 - t for t in ts], 9))
     edge_base = mesh.n_vertices
     interior_base = edge_base + len(mesh.edges) * len(positions)
     codes = interior_base + np.arange(len(cv) * elem.n_dofs).reshape(len(cv), -1)
@@ -96,7 +105,7 @@ def build_dof_map(mesh, cells, elem_kind: str) -> DofMap:
     rank's own+halo cells, or all cells for a sequential run).
     """
     elem = get_element(elem_kind)
-    cells = np.unique(np.fromiter(cells, dtype=np.int64))
+    cells = sorted_unique(np.fromiter(cells, dtype=np.int64))
     codes = _entity_codes(mesh, cells, elem).ravel()
     # the flattened table runs in ascending key order, so the first
     # occurrence of an entity is its class's smallest key

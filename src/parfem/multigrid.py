@@ -10,14 +10,15 @@ children, and the restriction is its transpose over the fine masters, so
 each fine master counts once.  A prolongated vector is restored to level 2
 in one exchange; a restricted defect carries the summed interface values on
 every sharing rank, so it is level-1-consistent without an update.
-Smoothing is block-Jacobi over the rank blocks (masters plus interface
-slaves) with SSOR inside the block; after each sweep one all-to-all
-averages the interface values over their sharing ranks and refreshes the
-halo(alpha) values, so the iterate stays level-2-consistent.
-The coarse solve is the same on every rank: each rank receives all master
-rows of the coarsest system once and factorises the global matrix by sparse
-LU; a solve gives every rank all master values of the right-hand side in one
-all-to-all, and each rank solves and keeps the values of its known keys.
+Smoothing, on every level but 0, is block-Jacobi over the rank blocks
+(masters plus interface slaves) with SSOR inside the block; after each sweep
+one all-to-all averages the interface values over their sharing ranks and
+refreshes the halo(alpha) values, so the iterate stays level-2-consistent.
+Level 0 is solved exactly, the same on every rank: each rank receives all
+master rows once and factorises the global matrix by sparse LU; a solve
+gives every rank all master values of the right-hand side in one all-to-all,
+and each rank solves and keeps the values of its known keys.  Only multigrid
+builds this coarse LU; the single-level solvers use `build_level` alone.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from scipy.sparse.linalg import splu
 
 from .comm import ConsistencyLevel, RankContext, build_rank_context, make_schedule
 from .dlinalg import DistMatrix, DistVector, axpy, matvec, new_vector, norm2, spmv
+from .dof_manager import sorted_unique
 from .mapped_fe import get_element
 from .partition import decompose, ownership_on_level
 
@@ -134,7 +136,7 @@ class CoarseSolver:
         payload = (mkeys, mkeys[entries.row], keys[entries.col], entries.data)
         gathered = t.all_to_all(ctx.rank, [payload] * t.n_ranks, label="coarse-build")
         row_keys = np.concatenate([g[0] for g in gathered])  # in rank order
-        all_keys = np.unique(row_keys)
+        all_keys = sorted_unique(row_keys)
         n = len(all_keys)
 
         def index(k):
@@ -171,7 +173,7 @@ class MgLevel:
     ctx: RankContext
     matrix: DistMatrix
     rhs: DistVector | None
-    smoother: BlockSsor
+    smoother: BlockSsor | None = None  # none on level 0, which is solved exactly
     prolongation: sp.csr_matrix | None = None  # from the level below
     restriction: sp.csr_matrix | None = None  # to the level below
 
@@ -193,40 +195,40 @@ class MgHierarchy:
         return len(self.levels)
 
 
-def build_hierarchy(
-    coarse_mesh,
-    n_levels: int,
-    elem_kind: str,
-    discretize,
-    transport,
-    rank: int,
-    nu1: int = 2,
-    nu2: int = 2,
-    omega: float = 1.0,
-) -> MgHierarchy:
-    """Spaces and operators on each shared level mesh, then the coarse LU.
+def build_level(coarse_mesh, ownership, level, elem_kind, discretize, transport, rank):
+    """(ctx, matrix, rhs) on refinement `level` of the coarse mesh, whose cell
+    owners are `ownership`, by `discretize(ctx) -> (matrix, rhs)`.  Collective."""
+    mesh = coarse_mesh
+    for _ in range(level):
+        mesh = mesh.refined
+    own = ownership_on_level(ownership, level)
+    ctx = build_rank_context(mesh, own, elem_kind, transport, rank)
+    return (ctx, *discretize(ctx))
 
-    `discretize(ctx) -> (DistMatrix, DistVector | None)` runs on every level
-    (rediscretization rather than Galerkin products).  Collective.
+
+def build_hierarchy(
+    coarse_mesh, n_levels: int, elem_kind: str, discretize, transport, rank: int,
+    nu1: int = 2, nu2: int = 2, omega: float = 1.0,
+) -> MgHierarchy:
+    """Every level by `build_level` (rediscretization, not Galerkin products),
+    a smoother on each level above 0, then the coarse LU on level 0.  Collective.
     """
     if n_levels < 1:
         raise ValueError("need at least one level")
     ownership = decompose(coarse_mesh, transport.n_ranks)
     T = transfer_matrices(get_element(elem_kind))
     levels = []
-    mesh = coarse_mesh
     for l in range(n_levels):
-        own_l = ownership_on_level(ownership, l)
-        ctx = build_rank_context(mesh, own_l, elem_kind, transport, rank)
-        matrix, rhs = discretize(ctx)
-        level = MgLevel(l, ctx, matrix, rhs, BlockSsor(ctx, matrix, omega))
+        ctx, matrix, rhs = build_level(
+            coarse_mesh, ownership, l, elem_kind, discretize, transport, rank
+        )
+        level = MgLevel(l, ctx, matrix, rhs)
         if l > 0:
+            level.smoother = BlockSsor(ctx, matrix, omega)
             level.prolongation, level.restriction = transfer_operators(
                 levels[-1].ctx, ctx, T
             )
         levels.append(level)
-        if l + 1 < n_levels:
-            mesh = mesh.refined
     coarse = CoarseSolver(levels[0].ctx, levels[0].matrix)
     return MgHierarchy(levels=levels, coarse=coarse, nu1=nu1, nu2=nu2)
 

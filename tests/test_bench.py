@@ -1,16 +1,33 @@
 import csv
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from parfem.assembly import (
+    apply_dirichlet,
+    assemble_cdr,
+    enforce_dirichlet_values,
+    merge_master_values,
+)
 from parfem.bench_cli import (
     RunConfig,
     _inflow_schedule,
     aggregate_time,
     main,
+    poisson_mms_problem,
     run,
     scaling_value,
+)
+from parfem.comm import ConsistencyLevel, Transport, spmd_run
+from parfem.dlinalg import fgmres, new_vector
+from parfem.multigrid import (
+    BlockSsor,
+    CoarseSolver,
+    MgPreconditioner,
+    SsorPreconditioner,
+    build_hierarchy,
 )
 
 
@@ -165,6 +182,98 @@ def test_coarse_direct_solver_on_three_ranks_matches_one_rank():
     assert reps[3].converged and reps[3].iterations <= 2
     assert reps[3].merged.keys() == reps[1].merged.keys()
     assert max(abs(reps[3].merged[k] - v) for k, v in reps[1].merged.items()) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "solver, mapper_requests, coarse_builds, smoothers",
+    [("ssor_fgmres", 1, 0, 2), ("coarse_direct", 1, 1, 0), ("mg_fgmres", 3, 1, 4)],
+)
+def test_single_level_solvers_set_up_one_space(
+    solver, mapper_requests, coarse_builds, smoothers, monkeypatch
+):
+    # ssor_fgmres and coarse_direct use only the finest level: one space (one
+    # mapper negotiation), no hierarchy, and only their own smoother or LU;
+    # mg_fgmres smooths levels 1 and 2 and factorises level 0
+    labels = [Counter(), Counter()]
+    built = Counter()
+    all_to_all, ssor_init = Transport.all_to_all, BlockSsor.__init__
+
+    def counting_all_to_all(self, rank, chunks, label="a2a"):
+        labels[rank][label] += 1
+        return all_to_all(self, rank, chunks, label)
+
+    def counting_ssor_init(self, *args, **kwargs):
+        built["smoothers"] += 1
+        ssor_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Transport, "all_to_all", counting_all_to_all)
+    monkeypatch.setattr(BlockSsor, "__init__", counting_ssor_init)
+    rep = run(RunConfig(problem="poisson_mms", levels=3, ranks=2, solver=solver))
+    assert rep.converged
+    for per_rank in labels:
+        assert per_rank["mapper-request"] == mapper_requests
+        assert per_rank["coarse-build"] == coarse_builds
+    assert built["smoothers"] == smoothers
+
+
+def solve_on_hierarchy_finest(config):
+    """poisson_mms solved on the finest level of a whole multigrid hierarchy,
+    the reference for the single-level setup: (merged solution, rank 0's
+    residual history)."""
+    coarse, coeffs, supg = poisson_mms_problem()
+
+    def discretize(ctx):
+        A, b = assemble_cdr(ctx, coeffs, supg=supg)
+        apply_dirichlet(A, b, ctx, coeffs.dirichlet)
+        return A, b
+
+    def body(rank, transport):
+        hier = build_hierarchy(
+            coarse, config.levels, config.element, discretize, transport, rank,
+            omega=config.omega,
+        )
+        fin = hier.finest
+        if config.solver == "mg_fgmres":
+            precond = MgPreconditioner(hier)
+        elif config.solver == "ssor_fgmres":
+            precond = SsorPreconditioner(BlockSsor(fin.ctx, fin.matrix, config.omega))
+        else:
+            precond = CoarseSolver(fin.ctx, fin.matrix).solve
+        res = fgmres(
+            fin.matrix, fin.rhs, precond=precond, x0=new_vector(fin.ctx),
+            restart=config.restart, tol=config.tol, maxit=config.maxit,
+        )
+        enforce_dirichlet_values(res.x, fin.ctx, coeffs.dirichlet)
+        res.x.restore(ConsistencyLevel.L3)
+        return res.residuals, (fin.ctx.true_keys, res.x.values, fin.ctx.master_mask)
+
+    out = spmd_run(config.ranks, body)
+    return merge_master_values([sol for _, sol in out]), out[0][0]
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize(
+    "solver, levels, ranks",
+    [
+        (solver, levels, ranks)
+        for solver in ("ssor_fgmres", "coarse_direct")
+        for levels in (1, 3)
+        for ranks in (1, 2)
+    ]
+    + [("mg_fgmres", 1, 1), ("mg_fgmres", 1, 2)],
+)
+def test_single_level_setup_bitwise_equals_hierarchy_finest(solver, levels, ranks):
+    # with one level, mg_fgmres's V-cycle is the coarse solve alone
+    config = RunConfig(problem="poisson_mms", levels=levels, ranks=ranks, solver=solver)
+    merged, residuals = solve_on_hierarchy_finest(config)
+    rep = run(config)
+    assert rep.converged
+    assert bits(rep.residuals[-1][1]) == bits(residuals)
+    assert rep.merged.keys() == merged.keys()
+    assert bits(list(rep.merged.values())) == bits([merged[k] for k in rep.merged])
 
 
 def test_nu_warning_for_non_mg_solver(caplog):

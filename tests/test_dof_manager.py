@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import (
     UnionFind,
@@ -14,6 +15,7 @@ from parfem.dof_manager import (
     decode_key,
     dof_coordinates,
     encode_key,
+    sorted_unique,
 )
 from parfem.mapped_fe import cell_geometry, get_element
 from parfem.mesh import build_rect_mesh, refine_uniform
@@ -150,3 +152,49 @@ def test_dof_coordinate_disagreement_detected():
 def test_key_encoding_roundtrip():
     for cell, li in [(0, 0), (3, 8), (1234, 5)]:
         assert decode_key(encode_key(cell, li)) == (cell, li)
+
+
+def assert_bitwise_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# few distinct values, so that duplicates are common; no NaN, which
+# `sorted_unique` does not merge
+_UNIQUE_INPUTS = st.one_of(
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
+               elements=st.integers(-5, 5)),
+    hnp.arrays(np.int64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
+               elements=st.integers(-(2**63), 2**63 - 1)),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
+               elements=st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 1e300])),
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0),
+               elements=st.floats(allow_nan=False)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_UNIQUE_INPUTS)
+def test_sorted_unique_equals_np_unique_bitwise(x):
+    assert_bitwise_equal(sorted_unique(x), np.unique(x))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.empty(0, dtype=np.int64),
+        np.empty((0, 3), dtype=np.float64),
+        np.full(7, 42, dtype=np.int64),
+        np.full((3, 4), -2.5),
+        np.arange(12, dtype=np.int64).reshape(3, 4)[:, ::-1],
+    ],
+    ids=["empty-int", "empty-2d-float", "all-duplicate-int", "all-duplicate-2d-float",
+         "2d-distinct-int"],
+)
+def test_sorted_unique_edge_cases_equal_np_unique(x):
+    assert_bitwise_equal(sorted_unique(x), np.unique(x))
+
+
+def test_sorted_unique_keeps_each_nan():
+    x = np.array([np.nan, 1.0, np.nan])
+    assert np.array_equal(sorted_unique(x), [1.0, np.nan, np.nan], equal_nan=True)

@@ -114,6 +114,18 @@ def test_hierarchy_meshes_and_ownership():
         assert ok
 
 
+def test_smoother_on_every_level_but_the_coarsest():
+    # the V-cycle solves level 0 by the coarse LU and never smooths it
+    coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
+
+    def body(hier):
+        return [lvl.smoother for lvl in hier.levels]
+
+    for smoothers in build_on_ranks(coarse, 3, 2, body):
+        assert smoothers[0] is None
+        assert all(isinstance(s, BlockSsor) for s in smoothers[1:])
+
+
 def test_prolongate_constant():
     coarse = build_rect_mesh(0, 1, 0, 1, 2, 2)
 
