@@ -113,9 +113,15 @@ def matrix_graph(ctx: RankContext):
     # column, so the sorted distinct codes are the CSR order
     nd = dofs.shape[1]
     codes = np.repeat(dofs, nd, axis=1) * n + key_rank[np.tile(dofs, nd)]
-    pattern = sorted_unique(codes)
+    # one sort places every code: the running count of distinct ones is its
+    # position in the pattern
+    order = np.argsort(codes, axis=None, kind="stable")
+    placed = codes.ravel()[order]
+    first = np.concatenate([[True], placed[1:] != placed[:-1]])
+    pattern = placed[first]
     indptr = np.concatenate([[0], np.cumsum(np.bincount(pattern // n, minlength=n))])
-    cell_pos = np.searchsorted(pattern, codes)
+    cell_pos = np.empty(codes.shape, dtype=np.intp)
+    np.put(cell_pos, order, np.cumsum(first) - 1)  # at the flat positions
     graph = ctx._cache["graph"] = (indptr, by_key[pattern % n], cell_pos)
     return graph
 

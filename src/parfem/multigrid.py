@@ -14,6 +14,9 @@ Smoothing, on every level but 0, is block-Jacobi over the rank blocks
 (masters plus interface slaves) with SSOR inside the block; after each sweep
 one all-to-all averages the interface values over their sharing ranks and
 refreshes the halo(alpha) values, so the iterate stays level-2-consistent.
+A sweep is x ← x + (U + D/ω)⁻¹·(2−ω)·(I + ωLD⁻¹)⁻¹·(b − A x) (Saad,
+§10.2); one from zero (SSOR preconditioner; V-cycle pre-smoothing without
+x0, on every level) skips the product: b − A·0 is b bit for bit.
 Level 0 is solved exactly, the same on every rank: each rank receives all
 master rows once and factorises the global matrix by sparse LU; a solve
 gives every rank all master values of the right-hand side in one all-to-all,
@@ -28,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
+from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 from .comm import ConsistencyLevel, RankContext, build_rank_context, make_schedule
 from .dlinalg import DistMatrix, DistVector, axpy, matvec, new_vector, norm2, spmv
@@ -79,39 +83,62 @@ def transfer_operators(coarse: RankContext, fine: RankContext, T: np.ndarray):
 class BlockSsor:
     """SSOR sweeps on the rank-local block (masters + interface slaves).
 
-    `A_rows` holds the block rows over all local columns, so a half-sweep
-    reads the current block values and the frozen halo values in one sparse
-    product; the triangular factors of its block columns are pre-factorized
-    once per level.
+    With A_bb = L + D + U, SSOR's M = (D/ω + L)·((2−ω)/ω·D)⁻¹·(D/ω + U)
+    (Saad, *Iterative Methods for Sparse Linear Systems*, 2nd ed., §10.2),
+    so a sweep x ← x + (U + D/ω)⁻¹·(2−ω)·(I + ωLD⁻¹)⁻¹·r is one product
+    r = b − A_rows x (block rows, all columns: halo values frozen) and one
+    gstrs call on the stores ω·L·D⁻¹ + D/(ω(2−ω)) and U/(2−ω), unfactorised:
+    gstrs reads the diagonal of the unit lower factor's store as the upper
+    factor's.  From zero (`smooth(None, ...)`) a sweep skips the product, as
+    b − A·0 is b bit for bit.  gstrs, `spsolve_triangular`'s kernel, is the
+    second private scipy entry point after `dlinalg.spmv`'s: worth the risk
+    (ROADMAP item 8), as the public function takes one triangle per call and
+    copies and rescales it each time.
     """
 
     def __init__(self, ctx: RankContext, matrix: DistMatrix, omega: float = 1.0):
         self.ctx = ctx
-        self.omega = omega
         self.block = np.flatnonzero(ctx.block_mask)
         self.A_rows = matrix.csr.tocsr()[self.block]
         A_bb = self.A_rows[:, self.block].tocsr()
         diag = A_bb.diagonal()
         if np.any(diag == 0.0):
             raise ValueError("zero diagonal entry in smoother block")
-        dscale = sp.diags(diag / omega)
-        lower = (sp.tril(A_bb, k=-1) + dscale).tocsc()
-        upper = (sp.triu(A_bb, k=1) + dscale).tocsc()
-        self._low = splu(lower, permc_spec="NATURAL", diag_pivot_thresh=0.0)
-        self._up = splu(upper, permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        lower = sp.tril(A_bb, k=-1, format="csr")
+        lower.data *= omega / diag[lower.indices]
+        lower = lower + sp.diags(diag / (omega * (2.0 - omega)))
+        upper = sp.triu(A_bb, k=1, format="csr") / (2.0 - omega)
+        self._stores = []  # (n, nnz, data, indices, indptr) of each, CSC
+        for m in (lower.tocsc(), upper.tocsc()):
+            m.sort_indices()
+            index = m.indices.astype(np.intc), m.indptr.astype(np.intc)
+            self._stores += [m.shape[0], m.nnz, m.data, *index]
+
+    def _solve(self, r: np.ndarray) -> np.ndarray:
+        """M⁻¹ r.  gstrs returns its `info` instead of raising, and a private
+        kernel's own argument checks are no contract, so both are checked."""
+        if r.shape != (len(self.block),):
+            raise ValueError(f"dimension mismatch: {r.shape} for {len(self.block)}")
+        z, info = gstrs("N", *self._stores, r)
+        if info:
+            raise RuntimeError(f"triangular solve failed (gstrs info {info})")
+        return z
 
     def _sweep(self, x: np.ndarray, b: np.ndarray):
-        rhs = b[self.block]
-        x[self.block] += self._low.solve(rhs - spmv(self.A_rows, x))
-        x[self.block] += self._up.solve(rhs - spmv(self.A_rows, x))
+        x[self.block] += self._solve(b[self.block] - spmv(self.A_rows, x))
 
-    def smooth(self, x: DistVector, b: DistVector, sweeps: int) -> DistVector:
-        """Sweeps, each followed by one exchange that averages the interface
-        values and refreshes the halo(alpha) values."""
+    def smooth(self, x: DistVector | None, b: DistVector, sweeps: int) -> DistVector:
+        """Sweeps from `x`, or from zero when `x` is None, each followed by one
+        exchange that averages the interface values and refreshes the
+        halo(alpha) values."""
         b.restore(L1)  # interface-slave rows read the right-hand side
-        x.restore(L2)  # halo(alpha) columns act as frozen data
-        for _ in range(sweeps):
-            self._sweep(x.values, b.values)
+        zero = x is None
+        x = new_vector(self.ctx) if zero else x.restore(L2)  # halo(alpha) frozen
+        for k in range(sweeps):
+            if zero and k == 0:
+                x.values[self.block] += self._solve(b.values[self.block])
+            else:
+                self._sweep(x.values, b.values)
             self.ctx.exchange.settle(x.values)
             x.level = L2
         return x
@@ -258,36 +285,33 @@ def restrict_defect(hier: MgHierarchy, level: int, d_fine: DistVector) -> DistVe
     return DistVector(coarse.ctx, d, L1)
 
 
-def _residual_norm(lvl: MgLevel, x: DistVector, b: DistVector) -> float:
+def _residual(lvl: MgLevel, x: DistVector | None, b: DistVector) -> DistVector:
+    """b − A x, where None stands for x = 0."""
     r = b.copy()
-    axpy(-1.0, matvec(lvl.matrix, x), r)
-    return norm2(r)
+    if x is not None:
+        axpy(-1.0, matvec(lvl.matrix, x), r)
+    return r
 
 
-def _cycle(hier: MgHierarchy, level: int, b: DistVector, x: DistVector) -> DistVector:
+def _cycle(hier: MgHierarchy, level: int, b: DistVector, x: DistVector | None):
     if level == 0:
         return hier.coarse.solve(b)
     lvl = hier.levels[level]
     if hier.diagnostics is not None:
-        pre = _residual_norm(lvl, x, b)
-    lvl.smoother.smooth(x, b, hier.nu1)
-    r = b.copy()
-    axpy(-1.0, matvec(lvl.matrix, x), r)
-    d = restrict_defect(hier, level - 1, r)
-    e = _cycle(hier, level - 1, d, new_vector(hier.levels[level - 1].ctx))
+        pre = norm2(_residual(lvl, x, b))
+    x = lvl.smoother.smooth(x, b, hier.nu1)
+    d = restrict_defect(hier, level - 1, _residual(lvl, x, b))
+    e = _cycle(hier, level - 1, d, None)
     axpy(1.0, prolongate(hier, level - 1, e), x)
     lvl.smoother.smooth(x, b, hier.nu2)
     if hier.diagnostics is not None:
-        hier.diagnostics.append(
-            (level, pre, _residual_norm(lvl, x, b))
-        )
+        hier.diagnostics.append((level, pre, norm2(_residual(lvl, x, b))))
     return x
 
 
 def v_cycle(hier: MgHierarchy, b: DistVector, x0: DistVector | None = None):
-    """One V(nu1, nu2) cycle; the result is level-2-consistent."""
-    x = x0 if x0 is not None else new_vector(hier.finest.ctx)
-    return _cycle(hier, hier.n_levels - 1, b, x)
+    """One V(nu1, nu2) cycle from `x0` or zero; the result is level-2-consistent."""
+    return _cycle(hier, hier.n_levels - 1, b, x0)
 
 
 class MgPreconditioner:
@@ -307,7 +331,7 @@ class SsorPreconditioner:
         self.smoother = smoother
 
     def __call__(self, r: DistVector) -> DistVector:
-        return self.smoother.smooth(new_vector(self.smoother.ctx), r, 1)
+        return self.smoother.smooth(None, r, 1)
 
 
 def write_diagnostics(hier: MgHierarchy, path):

@@ -20,6 +20,7 @@ from parfem.assembly import (
     crank_nicolson_system,
     dirichlet_dofs,
     l2_error,
+    matrix_graph,
     merge_master_values,
     write_merged_solution,
     write_solution_vtk,
@@ -27,6 +28,7 @@ from parfem.assembly import (
 from parfem.bench_cli import hemker_problem, timedep_problem, _inflow_schedule
 from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
 from parfem.dlinalg import DistVector, fgmres, from_keys, matvec
+from parfem.dof_manager import sorted_unique
 from parfem.mapped_fe import cell_geometry, get_element
 from parfem.mesh import CIRCLE_FLAG, build_hemker_mesh, build_rect_mesh, refine_uniform
 from parfem.partition import decompose
@@ -355,6 +357,36 @@ def test_batched_assembly_matches_per_cell_oracle(elem, n_ranks):
     for errs in run_ranks(mesh, n_ranks, body, elem):
         assert max(errs[:3]) < 1e-12
         assert errs[3] <= 1e-12
+
+
+def two_step_matrix_graph(ctx):
+    """(indptr, indices, cell_pos) by a sorted unique of the entry codes and a
+    binary search of every code in it (oracle of `matrix_graph`)."""
+    n = ctx.n_local
+    dofs = ctx.dof_map.table
+    by_key = np.argsort(ctx.true_keys, kind="stable")
+    key_rank = np.empty(n, dtype=np.int64)
+    key_rank[by_key] = np.arange(n)
+    nd = dofs.shape[1]
+    codes = np.repeat(dofs, nd, axis=1) * n + key_rank[np.tile(dofs, nd)]
+    pattern = sorted_unique(codes)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(pattern // n, minlength=n))])
+    return indptr, by_key[pattern % n], np.searchsorted(pattern, codes)
+
+
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+@pytest.mark.parametrize("n_ranks", [1, 3])
+def test_matrix_graph_bitwise_equals_two_step_construction(elem, n_ranks):
+    mesh = refine_uniform(build_hemker_mesh())
+
+    def body(ctx):
+        got, want = matrix_graph(ctx), two_step_matrix_graph(ctx)
+        return all(
+            g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+            for g, w in zip(got, want)
+        )
+
+    assert all(run_ranks(mesh, n_ranks, body, elem))
 
 
 @pytest.mark.parametrize("elem", ["q1", "q2"])

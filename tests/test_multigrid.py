@@ -1,3 +1,6 @@
+import threading
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from conftest import (
     restrict_function,
     seq_context,
 )
+from parfem import multigrid
 from parfem.assembly import (
     CdrCoefficients,
     DirichletPart,
@@ -317,17 +321,17 @@ def test_restrict_function_injection():
 
 
 def test_smoother_matches_dense_ssor():
-    mesh = build_rect_mesh(0, 1, 0, 1, 2, 1)
-    ctx = seq_context(mesh)
-    A, b = discretize_poisson(ctx)
-    for omega in (1.0, 1.3):
-        sm = BlockSsor(ctx, A, omega=omega)
-        x = DistVector(ctx, np.arange(float(ctx.n_local)), L3)
-        sm.smooth(x, b, sweeps=1)
-        oracle = dense_ssor_sweep(
-            A.csr.toarray(), np.arange(float(ctx.n_local)), b.values, omega
-        )
-        assert np.max(np.abs(x.values - oracle)) < 1e-13
+    # a nonsymmetric matrix without Dirichlet rows, so every triangle entry
+    # counts; the ω range covers the (2−ω) scaling of the two stores
+    mesh = build_rect_mesh(0, 1, 0, 1, 3, 2)
+    for elem in ("q1", "q2"):
+        ctx = seq_context(mesh, elem)
+        A, b = assemble_cdr(ctx, CdrCoefficients(eps=1.0, b=(3.0, -1.5), c=1.0, f=1.0))
+        x0 = np.cos(np.arange(float(ctx.n_local)))
+        for omega in (0.7, 1.0, 1.3, 1.9):
+            x = BlockSsor(ctx, A, omega=omega).smooth(DistVector(ctx, x0.copy(), L3), b, 1)
+            oracle = dense_ssor_sweep(A.csr.toarray(), x0, b.values, omega)
+            assert np.max(np.abs(x.values - oracle)) < 1e-13
 
 
 def test_smoother_fixed_point_at_solution():
@@ -381,10 +385,11 @@ def test_smoother_rejects_zero_diagonal():
 @pytest.mark.parametrize("n_ranks", [1, 3])
 @pytest.mark.parametrize("elem", ["q1", "q2"])
 def test_smoother_matches_split_block_ssor(elem, n_ranks):
-    # one product of the block rows over all columns per half-sweep against
-    # the split oracle (b_B - A_out x_out, then A_bb x_B): the sums differ
-    # only in their order, and at one rank, where the block is every d.o.f.,
-    # not at all
+    # one residual product of the block rows over all columns and one pair of
+    # triangular solves per sweep against the split oracle (b_B - A_out x_out,
+    # then two half-sweeps on A_bb): the same iteration, rounded differently;
+    # at one rank, where the block is every d.o.f., both also match the
+    # textbook componentwise sweeps
     coarse, coeffs, supg = hemker_problem()
     mesh = refine_uniform(coarse)
 
@@ -399,14 +404,18 @@ def test_smoother_matches_split_block_ssor(elem, n_ranks):
         want = DistVector(ctx, x0.copy(), L2)
         SplitBlockSsor(ctx, A.csr).smooth(want, b, 2)
         scale = np.max(np.abs(want.values))
-        return np.max(np.abs(x.values - want.values)) / scale, (
-            x.values.tobytes() == want.values.tobytes()
-        )
+        textbook_dev = None
+        if transport.n_ranks == 1:
+            textbook = x0
+            for _ in range(2):
+                textbook = dense_ssor_sweep(A.csr.toarray(), textbook, b.values)
+            textbook_dev = np.max(np.abs(x.values - textbook)) / scale
+        return np.max(np.abs(x.values - want.values)) / scale, textbook_dev
 
     out = spmd_run(n_ranks, body)
     assert all(dev <= 1e-14 for dev, _ in out)
     if n_ranks == 1:
-        assert out[0][1]
+        assert out[0][1] <= 1e-14
 
 
 @pytest.mark.parametrize("elem", ["q1", "q2"])
@@ -454,6 +463,58 @@ def test_smoother_one_all_to_all_per_sweep(sweeps):
         return transport.all_to_alls[rank] - before
 
     assert spmd_run(3, body, transport=transport) == [sweeps] * 3
+
+
+@pytest.mark.parametrize("sweeps", [1, 3])
+def test_smoothing_from_none_skips_one_product(monkeypatch, sweeps):
+    # b - A·0 is b bit for bit, so a start from None equals a start from an
+    # explicit zero vector bit for bit, with the first sweep's product skipped
+    mesh = build_rect_mesh(0, 1, 0, 1, 6, 6)
+    ownership = decompose(mesh, 3)
+    products = Counter()  # per rank thread
+    spmv = multigrid.spmv
+
+    def counting_spmv(csr, x):
+        products[threading.current_thread().name] += 1
+        return spmv(csr, x)
+
+    monkeypatch.setattr(multigrid, "spmv", counting_spmv)
+
+    def body(rank, transport):
+        ctx = build_rank_context(mesh, ownership, "q2", transport, rank)
+        A, b = assemble_cdr(ctx, CdrCoefficients(eps=1.0, b=(1.0, 0.5), c=1.0, f=1.0))
+        smoother = BlockSsor(ctx, A)
+        name = threading.current_thread().name
+        start = products[name]
+        want = smoother.smooth(new_vector(ctx), b, sweeps)
+        mid = products[name]
+        got = smoother.smooth(None, b, sweeps)
+        return (
+            mid - start,
+            products[name] - mid,
+            got.level == want.level and got.values.tobytes() == want.values.tobytes(),
+        )
+
+    assert spmd_run(3, body) == [(sweeps, sweeps - 1, True)] * 3
+
+
+def test_v_cycle_from_the_solution_stays_there():
+    # a V-cycle given x0 smooths from x0: at the exact solution every
+    # residual, and so every correction, is zero up to rounding
+    coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
+    seq = seq_context(coarse.refined.refined)
+    A_seq, b_seq = discretize_poisson(seq)
+    exact = np.linalg.solve(A_seq.csr.toarray(), b_seq.values)
+    exact_of_key = {int(k): exact[i] for i, k in enumerate(seq.true_keys)}
+
+    def body(hier):
+        ctx = hier.finest.ctx
+        want = np.array([exact_of_key[int(k)] for k in ctx.true_keys])
+        x = v_cycle(hier, hier.finest.rhs, DistVector(ctx, want.copy(), L3))
+        return np.max(np.abs((x.values - want)[ctx.master_mask]))
+
+    for drift in build_on_ranks(coarse, 3, 2, body):
+        assert drift < 1e-11
 
 
 def test_v_cycle_collective_count():
