@@ -6,9 +6,9 @@ transport on the unit square, and a manufactured Poisson solution.  The
 harness hosts all logical ranks as threads over the in-process transport.
 Every rank runs one body: set up the solver, then solve a list of steps per
 repeat (one step for a steady problem, one per Crank-Nicolson step for
-timedep2d); only `mg_fgmres` builds the multigrid hierarchy, the other
-solvers the finest level alone.  Timing wraps the linear solves only.  With
-five repeats the reported time drops the fastest and slowest run and
+timedep2d); `mg_fgmres` builds the multigrid levels from `pick_coarse_level`
+up, the others the finest level alone.  Timing wraps the linear solves only.
+With five repeats the reported time drops the fastest and slowest run and
 averages the remaining three.  `main` runs one configuration, writes its
 artifacts to the output directory and prints one summary line.
 """
@@ -49,6 +49,7 @@ from .multigrid import (
     SsorPreconditioner,
     build_hierarchy,
     build_level,
+    pick_coarse_level,
 )
 from .partition import decompose
 
@@ -255,6 +256,7 @@ def _rank_body(rank, transport, config, coarse, coeffs, supg):
         hier = build_hierarchy(
             coarse, config.levels, config.element, discretize, transport, rank,
             nu1=config.nu1, nu2=config.nu2, omega=config.omega,
+            coarse_level=pick_coarse_level(coarse, config.levels, config.element),
         )
         ctx, matrix, rhs = hier.finest.ctx, hier.finest.matrix, hier.finest.rhs
         precond = MgPreconditioner(hier)

@@ -17,11 +17,11 @@ refreshes the halo(alpha) values, so the iterate stays level-2-consistent.
 A sweep is x ← x + (U + D/ω)⁻¹·(2−ω)·(I + ωLD⁻¹)⁻¹·(b − A x) (Saad,
 §10.2); one from zero (SSOR preconditioner; V-cycle pre-smoothing without
 x0, on every level) skips the product: b − A·0 is b bit for bit.
-Level 0 is solved exactly, the same on every rank: each rank receives all
-master rows once and factorises the global matrix by sparse LU; a solve
-gives every rank all master values of the right-hand side in one all-to-all,
-and each rank solves and keeps the values of its known keys.  Only multigrid
-builds this coarse LU; the single-level solvers use `build_level` alone.
+The first level built is solved exactly, the same on every rank: each rank
+receives all master rows once and factorises the global matrix by sparse LU;
+a solve gives every rank all master values of the right-hand side in one
+all-to-all, and each rank keeps the values of its known keys.  `mg_fgmres`
+builds from the finest level of at most N_C d.o.f.s (`pick_coarse_level`).
 """
 
 from __future__ import annotations
@@ -196,18 +196,18 @@ class CoarseSolver:
 
 @dataclass
 class MgLevel:
-    index: int
+    index: int  # refinement level of the mesh, not the position in the hierarchy
     ctx: RankContext
     matrix: DistMatrix
     rhs: DistVector | None
-    smoother: BlockSsor | None = None  # none on level 0, which is solved exactly
+    smoother: BlockSsor | None = None  # none on the coarsest, solved exactly
     prolongation: sp.csr_matrix | None = None  # from the level below
     restriction: sp.csr_matrix | None = None  # to the level below
 
 
 @dataclass
 class MgHierarchy:
-    levels: list[MgLevel]  # coarse to fine
+    levels: list[MgLevel]  # coarse to fine; the V-cycle indexes positions
     coarse: CoarseSolver
     nu1: int = 2
     nu2: int = 2
@@ -233,24 +233,42 @@ def build_level(coarse_mesh, ownership, level, elem_kind, discretize, transport,
     return (ctx, *discretize(ctx))
 
 
+# The most global d.o.f.s the coarse LU replicates.  Any value in [140, 288]
+# picks level 1 for q1 (81 d.o.f.s; hemker2d 140) and 0 for q2 (81).  A level
+# higher changed iterations (timedep2d L3: a direct solve, 50; hemker2d L4 at
+# 4 ranks: 14 -> 15); q2 at 289 slowed poisson_mms q2 L5, 2 ranks, 0.113 -> 0.127 s.
+N_C = 150
+
+
+def pick_coarse_level(coarse_mesh, n_levels: int, elem_kind: str) -> int:
+    """Finest level <= n_levels − 2 of at most N_C d.o.f.s, else 0; not collective."""
+    pick, mesh = 0, coarse_mesh
+    for l in range(n_levels - 1):
+        q2 = len(mesh.edges) + mesh.n_cells if elem_kind == "q2" else 0
+        if mesh.n_vertices + q2 > N_C:
+            break
+        pick, mesh = l, mesh.refined
+    return pick
+
+
 def build_hierarchy(
     coarse_mesh, n_levels: int, elem_kind: str, discretize, transport, rank: int,
-    nu1: int = 2, nu2: int = 2, omega: float = 1.0,
+    nu1: int = 2, nu2: int = 2, omega: float = 1.0, coarse_level: int = 0,
 ) -> MgHierarchy:
-    """Every level by `build_level` (rediscretization, not Galerkin products),
-    a smoother on each level above 0, then the coarse LU on level 0.  Collective.
-    """
-    if n_levels < 1:
-        raise ValueError("need at least one level")
+    """Levels `coarse_level` … n_levels − 1 by `build_level` (rediscretization,
+    not Galerkin products) on the level-0 partition, a smoother and transfers
+    on each but the first, then the coarse LU on the first.  Collective."""
+    if not 0 <= coarse_level < n_levels:
+        raise ValueError(f"coarse level {coarse_level} not in [0, {n_levels})")
     ownership = decompose(coarse_mesh, transport.n_ranks)
     T = transfer_matrices(get_element(elem_kind))
     levels = []
-    for l in range(n_levels):
+    for l in range(coarse_level, n_levels):
         ctx, matrix, rhs = build_level(
             coarse_mesh, ownership, l, elem_kind, discretize, transport, rank
         )
         level = MgLevel(l, ctx, matrix, rhs)
-        if l > 0:
+        if levels:
             level.smoother = BlockSsor(ctx, matrix, omega)
             level.prolongation, level.restriction = transfer_operators(
                 levels[-1].ctx, ctx, T
@@ -305,7 +323,7 @@ def _cycle(hier: MgHierarchy, level: int, b: DistVector, x: DistVector | None):
     axpy(1.0, prolongate(hier, level - 1, e), x)
     lvl.smoother.smooth(x, b, hier.nu2)
     if hier.diagnostics is not None:
-        hier.diagnostics.append((level, pre, norm2(_residual(lvl, x, b))))
+        hier.diagnostics.append((lvl.index, pre, norm2(_residual(lvl, x, b))))
     return x
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from parfem import bench_cli
 from parfem.assembly import (
     apply_dirichlet,
     assemble_cdr,
@@ -186,14 +187,15 @@ def test_coarse_direct_solver_on_three_ranks_matches_one_rank():
 
 @pytest.mark.parametrize(
     "solver, mapper_requests, coarse_builds, smoothers",
-    [("ssor_fgmres", 1, 0, 2), ("coarse_direct", 1, 1, 0), ("mg_fgmres", 3, 1, 4)],
+    [("ssor_fgmres", 1, 0, 2), ("coarse_direct", 1, 1, 0), ("mg_fgmres", 2, 1, 2)],
 )
 def test_single_level_solvers_set_up_one_space(
     solver, mapper_requests, coarse_builds, smoothers, monkeypatch
 ):
     # ssor_fgmres and coarse_direct use only the finest level: one space (one
     # mapper negotiation), no hierarchy, and only their own smoother or LU;
-    # mg_fgmres smooths levels 1 and 2 and factorises level 0
+    # mg_fgmres factorises level 1, the finest of at most N_C d.o.f.s below
+    # the top, smooths level 2 and builds no level 0
     labels = [Counter(), Counter()]
     built = Counter()
     all_to_all, ssor_init = Transport.all_to_all, BlockSsor.__init__
@@ -214,6 +216,21 @@ def test_single_level_solvers_set_up_one_space(
         assert per_rank["mapper-request"] == mapper_requests
         assert per_rank["coarse-build"] == coarse_builds
     assert built["smoothers"] == smoothers
+
+
+def test_mg_from_level_1_matches_level_0_hierarchy(monkeypatch):
+    # timedep2d q1 L3 factorises level 1 (81 d.o.f.s) and builds no level 0;
+    # the full hierarchy down to level 0 takes the same iterations to the
+    # same solution
+    config = RunConfig(problem="timedep2d", levels=3, ranks=2, t_end=0.5)
+    assert bench_cli.pick_coarse_level(bench_cli.timedep_problem()[0], 3, "q1") == 1
+    sliced = run(config)
+    monkeypatch.setattr(bench_cli, "pick_coarse_level", lambda *args: 0)
+    full = run(config)
+    assert sliced.converged and full.converged
+    assert sliced.iterations == full.iterations
+    assert sliced.merged.keys() == full.merged.keys()
+    assert max(abs(sliced.merged[k] - v) for k, v in full.merged.items()) <= 1e-9
 
 
 def solve_on_hierarchy_finest(config):

@@ -107,8 +107,8 @@ def test_hierarchy_meshes_and_ownership():
     def body(hier):
         sizes = [lvl.ctx.mesh.n_cells for lvl in hier.levels]
         ok = True
-        for lvl in hier.levels[1:]:
-            parent_owner = hier.levels[lvl.index - 1].ctx.ownership
+        for pos, lvl in enumerate(hier.levels[1:], start=1):
+            parent_owner = hier.levels[pos - 1].ctx.ownership
             for g in range(lvl.ctx.mesh.n_cells):  # cell g is a child of g // 4
                 ok = ok and lvl.ctx.ownership[g] == parent_owner[g // 4]
         return sizes, ok
@@ -531,6 +531,72 @@ def test_v_cycle_collective_count():
         return transport.all_to_alls[hier.finest.ctx.rank] - before
 
     assert build_on_ranks(coarse, 3, 2, body, transport=transport) == [14, 14]
+
+
+def test_v_cycle_collective_count_from_level_1():
+    # the same V(2,2) on levels 1 and 2 alone: the IMS restore of b, 2 + 2
+    # sweeps, one defect accumulation and one prolongation restore on level 2,
+    # and the coarse right-hand-side all-gather on level 1
+    coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
+    transport = CountingTransport(2)
+
+    def body(hier):
+        assert [lvl.index for lvl in hier.levels] == [1, 2]
+        b = DistVector(hier.finest.ctx, hier.finest.rhs.values.copy(), L0)
+        before = transport.all_to_alls[hier.finest.ctx.rank]
+        v_cycle(hier, b)
+        return transport.all_to_alls[hier.finest.ctx.rank] - before
+
+    counts = build_on_ranks(coarse, 3, 2, body, transport=transport, coarse_level=1)
+    assert counts == [8, 8]
+
+
+# global d.o.f.s on levels 0, 1, 2, and the level pick_coarse_level returns
+# for levels 1..5
+DOFS = {("rect", "q1"): (25, 81, 289), ("rect", "q2"): (81, 289),
+        ("hemker", "q1"): (42, 140, 504)}
+PICKED = {("rect", "q1"): [0, 0, 1, 1, 1], ("rect", "q2"): [0, 0, 0, 0, 0],
+          ("hemker", "q1"): [0, 0, 1, 1, 1]}
+
+
+@pytest.mark.parametrize("mesh, elem", list(PICKED))
+def test_pick_coarse_level(mesh, elem):
+    # the picked level's count is the global master count the ranks build
+    # (summed over 2 ranks) and at most N_C; the next level, when it is below
+    # the finest, has more
+    if mesh == "hemker":
+        coarse = build_hemker_mesh()
+    else:
+        coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
+
+    def global_masters(level):
+        def body(rank, transport):
+            own = decompose(coarse, transport.n_ranks)
+            ctx, *_ = multigrid.build_level(
+                coarse, own, level, elem, lambda ctx: (), transport, rank
+            )
+            return int(ctx.master_mask.sum())
+
+        return sum(spmd_run(2, body))
+
+    dofs = DOFS[mesh, elem]
+    assert [global_masters(l) for l in range(len(dofs))] == list(dofs)
+    for levels, want in enumerate(PICKED[mesh, elem], start=1):
+        picked = multigrid.pick_coarse_level(coarse, levels, elem)
+        assert picked == want
+        assert picked == 0 or picked < levels - 1  # never the finest
+        if levels <= 2:
+            assert picked == 0
+        assert dofs[picked] <= multigrid.N_C
+        if picked + 1 < levels - 1:
+            assert dofs[picked + 1] > multigrid.N_C
+
+
+def test_build_hierarchy_rejects_coarse_level_outside_the_levels():
+    coarse = build_rect_mesh(0, 1, 0, 1, 2, 2)
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match="coarse level"):
+            build_hierarchy(coarse, 2, "q1", None, None, 0, coarse_level=bad)
 
 
 def test_two_grid_contraction(rng):
