@@ -250,7 +250,7 @@ class FeMapper:
 
     schedules: dict[Relation, Schedule]
     true_keys: np.ndarray  # globally minimal (cell, index) key per local dof
-    # every block holder (master or interface slave) -> halo(alpha) d.o.f.s
+    # every block holder (master or interface slave) -> every halo d.o.f.
     contributions: Schedule
 
 
@@ -273,10 +273,10 @@ def build_fe_mapper(
     the master rank knows every cell containing its master d.o.f.s, so it can
     answer any such key.  The master replies with the matched keys (and the
     globally minimal key of the d.o.f.), fixing both send and receive
-    orderings deterministically.  A halo(alpha) key is also answered by every
-    rank holding the d.o.f. in its block: an interface slave's rank knows all
-    cells containing it too.  Those replies give the `contributions`
-    schedule of the smoother's exchange.
+    orderings deterministically.  A halo(alpha) or halo(beta) key is also
+    answered by every rank holding the d.o.f. in its block: an interface
+    slave's rank knows all cells containing it too.  Those replies give the
+    `contributions` schedule of the smoother's exchange.
     """
     n_ranks = transport.n_ranks
     local_keys = dof_map.keys
@@ -296,16 +296,17 @@ def build_fe_mapper(
     in_block = is_master | (classification.classes == DofClass.INTERFACE_SLAVE)
     # (reply name, requested relation, answering d.o.f.s)
     asked = [(rel, rel, is_master) for rel in Relation]
-    asked.append(("block", Relation.DH_ALPHA, in_block))
+    halo = (Relation.DH_ALPHA, Relation.DH_BETA)
+    asked += [(f"block-{rel.value}", rel, in_block) for rel in halo]
     no_reply = np.empty((0, 2), dtype=np.int64)
     replies = [{name: no_reply for name, *_ in asked} for _ in range(n_ranks)]
     sent_lists = {name: [no_reply[:, 0]] * n_ranks for name, *_ in asked}
     for src in range(n_ranks):
         if src == rank:
             continue
+        found = {r: dof_map.dofs_of_keys(incoming[src][r.value]) for r in Relation}
         for name, rel, answering in asked:
-            keys = incoming[src][rel.value]
-            d = dof_map.dofs_of_keys(keys)
+            keys, d = incoming[src][rel.value], found[rel]
             hit = d >= 0
             hit[hit] = answering[d[hit]]
             replies[src][name] = np.stack([keys[hit], local_keys[d[hit]]], axis=1)
@@ -331,7 +332,7 @@ def build_fe_mapper(
                 f"rank {rank}: slave dof {int(req_idx[bad[0]])} in {rel.value} "
                 f"matched {int(matched[bad[0]])} masters"
             )
-    contributions = schedules.pop("block")
+    contributions = merge_schedules([schedules.pop(f"block-{r.value}") for r in halo])
     return FeMapper(schedules, true_keys, contributions)
 
 
@@ -378,7 +379,7 @@ class InterfaceExchange:
 
     Defect restriction sums the sharing ranks' partial values (`accumulate`).
     The multigrid smoother replaces interface values by their mean and
-    refreshes the halo(alpha) d.o.f.s in the same all-to-all (`settle`).
+    refreshes every halo d.o.f. in the same all-to-all (`settle`).
     Both sides of every rank pair derive the same key-sorted interface list
     locally, so no negotiation is needed beyond the mapper's; every total
     starts from zero and adds the contributions in ascending rank order, so
@@ -403,8 +404,8 @@ class InterfaceExchange:
         self.counts = sharing.sum(axis=1).astype(float)
         self.slot_with = [np.flatnonzero(sharing[:, q]) for q in range(n)]
         self.shared_with = [self.if_dofs[s] for s in self.slot_with]
-        # settle: interface slots, then one slot per halo(alpha) d.o.f. fed by
-        # every rank holding it in its block (several if it is interface there)
+        # settle: interface slots, then one slot per halo d.o.f. fed by every
+        # rank holding it in its block (several if it is interface there)
         c = mapper.contributions
         halo = sorted_unique(c.rcvd_dof)
         halo_slot = len(self.if_dofs) + np.searchsorted(halo, c.rcvd_dof)
@@ -434,9 +435,12 @@ class InterfaceExchange:
         values[self.if_dofs] = self._sum(values, "if-accumulate", self._accumulate)
 
     def settle(self, values: np.ndarray):
-        """Interface values become the mean over the sharing ranks, halo(alpha)
-        values the mean over their block holders (the master's value where it
-        is the only one); one all-to-all, the vector is level-2-consistent."""
+        """Interface values become the mean over the sharing ranks, halo values
+        the mean over their block holders; one all-to-all.  The holders are
+        the sharing ranks of the d.o.f.'s master and add in the same order
+        from the same start, so each halo value equals its master's bit for
+        bit (the master's own where it is the only holder): the vector is
+        level-3-consistent."""
         totals = self._sum(values, "if-average", self._settle)
         values[self.settle_dofs] = totals / self.settle_counts
 

@@ -238,9 +238,7 @@ def fgmres(
             levels = [r.level]  # consistency level of each basis vector
             Z = []
             H = np.zeros((restart + 1, restart))
-            cs, sn = np.zeros((2, restart))
-            g = np.zeros(restart + 1)
-            g[0] = beta
+            cs, sn, g = [], [], [beta]  # rotations on Python floats
             j = -1
             while j + 1 < restart and total < maxit:
                 j += 1
@@ -254,24 +252,24 @@ def fgmres(
                 w.values -= h2 @ V[: j + 1]
                 H[: j + 1, j] = h1 + h2
                 H[j + 1, j] = np.sqrt(max(h2ww[-1] - h2 @ h2, 0.0))
-                for i in range(j):
-                    hi = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                    H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                    H[i, j] = hi
-                denom = np.hypot(H[j, j], H[j + 1, j])
-                cs[j] = H[j, j] / denom
-                sn[j] = H[j + 1, j] / denom
-                H[j, j] = denom
-                g[j + 1] = -sn[j] * g[j]
+                h = H[: j + 2, j].tolist()
+                for i, (c, s) in enumerate(zip(cs, sn)):
+                    h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+                denom = float(np.hypot(h[j], h[j + 1]))
+                cs.append(h[j] / denom)
+                sn.append(h[j + 1] / denom)
+                h[j] = denom
+                H[: j + 2, j] = h
+                g.append(-sn[j] * g[j])
                 g[j] = cs[j] * g[j]
                 total += 1
                 est = abs(g[j + 1])
                 residuals.append(est)
                 log_row(total, est)
-                lucky = H[j + 1, j] < 1e-14 * max(beta, 1.0)
+                lucky = h[j + 1] < 1e-14 * max(beta, 1.0)
                 if lucky or est < tol:
                     break
-                np.multiply(w.values, 1.0 / H[j + 1, j], out=V[j + 1])
+                np.multiply(w.values, 1.0 / h[j + 1], out=V[j + 1])
                 Vm[j + 1] = V[j + 1, masters]
                 levels.append(min(w.level, levels[j]))
             k = j + 1

@@ -7,13 +7,15 @@ the rank threads (`Mesh.refined`).  Grid transfers are sparse matrices built
 once per level pair from the cellwise definition on own cells: the
 prolongation evaluates the coarse function at the fine nodes of the
 children, and the restriction is its transpose over the fine masters, so
-each fine master counts once.  A prolongated vector is restored to level 2
+each fine master counts once.  A prolongated vector is restored to level 3
 in one exchange; a restricted defect carries the summed interface values on
 every sharing rank, so it is level-1-consistent without an update.
 Smoothing, on every level but 0, is block-Jacobi over the rank blocks
 (masters plus interface slaves) with SSOR inside the block; after each sweep
 one all-to-all averages the interface values over their sharing ranks and
-refreshes the halo(alpha) values, so the iterate stays level-2-consistent.
+refreshes every halo value, so the iterate stays level-3-consistent: the
+block rows of interface slaves, which couple to halo(beta) d.o.f.s, read
+current values in the next sweep.
 A sweep is x ← x + (U + D/ω)⁻¹·(2−ω)·(I + ωLD⁻¹)⁻¹·(b − A x) (Saad,
 §10.2); one from zero (SSOR preconditioner; V-cycle pre-smoothing without
 x0, on every level) skips the product: b − A·0 is b bit for bit.
@@ -129,18 +131,18 @@ class BlockSsor:
 
     def smooth(self, x: DistVector | None, b: DistVector, sweeps: int) -> DistVector:
         """Sweeps from `x`, or from zero when `x` is None, each followed by one
-        exchange that averages the interface values and refreshes the
-        halo(alpha) values."""
+        exchange that averages the interface values and refreshes the halo
+        values; the result is level-3-consistent."""
         b.restore(L1)  # interface-slave rows read the right-hand side
         zero = x is None
-        x = new_vector(self.ctx) if zero else x.restore(L2)  # halo(alpha) frozen
+        x = new_vector(self.ctx) if zero else x.restore(L3)  # rows read halo(beta)
         for k in range(sweeps):
             if zero and k == 0:
                 x.values[self.block] += self._solve(b.values[self.block])
             else:
                 self._sweep(x.values, b.values)
             self.ctx.exchange.settle(x.values)
-            x.level = L2
+            x.level = L3
         return x
 
 
@@ -285,7 +287,7 @@ def prolongate(hier: MgHierarchy, level: int, v_coarse: DistVector) -> DistVecto
     fine = hier.levels[level + 1]
     v_coarse.restore(L1)
     v = DistVector(fine.ctx, spmv(fine.prolongation, v_coarse.values), L0)
-    return v.restore(L2)
+    return v.restore(L3)
 
 
 def restrict_defect(hier: MgHierarchy, level: int, d_fine: DistVector) -> DistVector:
@@ -328,7 +330,7 @@ def _cycle(hier: MgHierarchy, level: int, b: DistVector, x: DistVector | None):
 
 
 def v_cycle(hier: MgHierarchy, b: DistVector, x0: DistVector | None = None):
-    """One V(nu1, nu2) cycle from `x0` or zero; the result is level-2-consistent."""
+    """One V(nu1, nu2) cycle from `x0` or zero; the result is level-3-consistent."""
     return _cycle(hier, hier.n_levels - 1, b, x0)
 
 

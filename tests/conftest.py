@@ -59,7 +59,7 @@ class SplitBlockSsor:
 
     Each sweep forms b_B - A_out x_out once and then runs both half-sweeps on
     the block-by-block matrix A_bb, one product each; after each sweep the
-    interface and halo(alpha) values are settled as in `BlockSsor.smooth`.
+    interface and halo values are settled as in `BlockSsor.smooth`.
     """
 
     def __init__(self, ctx, csr, omega=1.0):
@@ -84,7 +84,7 @@ class SplitBlockSsor:
         x[self.block] = xb
 
     def smooth(self, x, b, sweeps):
-        """x and b as DistVectors; x at level 2, b at level 1 or above."""
+        """x and b as DistVectors; x at level 3, b at level 1 or above."""
         for _ in range(sweeps):
             self.sweep(x.values, b.values)
             self.ctx.exchange.settle(x.values)
@@ -349,8 +349,8 @@ def loop_average_restore(ctx, values):
     """Per-d.o.f. oracle of the two-exchange smoother update (collective).
 
     Interface values become the mean over the sharing ranks, summed from zero
-    in ascending rank order; then the halo(alpha) d.o.f.s take their
-    master's value (restore from level 1 to level 2).
+    in ascending rank order; then the halo d.o.f.s take their master's
+    value (restore from level 1 to level 3).
     """
     if_classes = (DofClass.INTERFACE_MASTER, DofClass.INTERFACE_SLAVE)
     interface = [
@@ -367,7 +367,7 @@ def loop_average_restore(ctx, values):
                 total += received[q][key]
                 count += 1
         values[g] = total / count
-    DistVector(ctx, values, ConsistencyLevel.L1).restore(ConsistencyLevel.L2)
+    DistVector(ctx, values, ConsistencyLevel.L1).restore(ConsistencyLevel.L3)
 
 
 def _level_pair(hier, level):
@@ -387,7 +387,7 @@ def loop_prolongate(hier, level, v_coarse):
         for c in range(4):
             out[fc.dof_map.cell_dofs[4 * gid + c]] = T[c] @ vc
     v = DistVector(fc, out, ConsistencyLevel.L0)
-    v.restore(ConsistencyLevel.L2)
+    v.restore(ConsistencyLevel.L3)
     return v
 
 

@@ -186,6 +186,19 @@ def test_coarse_direct_solver_on_three_ranks_matches_one_rank():
 
 
 @pytest.mark.parametrize(
+    "problem, t_end", [("poisson_mms", 3.0), ("timedep2d", 0.1)]
+)
+def test_multigrid_iterations_do_not_depend_on_rank_count(problem, t_end):
+    # the smoother's exchange refreshes halo(beta) too, so the interface-slave
+    # rows of a multi-rank sweep read current values, not stale ones
+    iterations = [
+        run(RunConfig(problem=problem, levels=3, ranks=r, t_end=t_end)).iterations
+        for r in (1, 2, 3, 4)
+    ]
+    assert iterations == [iterations[0]] * 4
+
+
+@pytest.mark.parametrize(
     "solver, mapper_requests, coarse_builds, smoothers",
     [("ssor_fgmres", 1, 0, 2), ("coarse_direct", 1, 1, 0), ("mg_fgmres", 2, 1, 2)],
 )

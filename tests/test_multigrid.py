@@ -217,7 +217,7 @@ def test_transfer_matches_geometric_oracle(elem, rng):
         d = DistVector(fc, rng.normal(size=fc.n_local), L3)
         r = restrict_defect(hier, 0, d.copy())
         down_ok = np.max(np.abs(r.values - P.T @ d.values)) < 1e-13
-        return up_ok and down_ok and w.level == L2 and r.level == L1
+        return up_ok and down_ok and w.level == L3 and r.level == L1
 
     assert all(build_on_ranks(coarse, 2, 1, body, elem=elem))
 
@@ -246,7 +246,7 @@ def test_csr_transfers_match_cellwise_oracles(elem, n_ranks):
             d = DistVector(fc, _key_values(fc, 0.5 + level), L3)
             r = restrict_defect(hier, level, d.copy())
             r_loop = loop_restrict_defect(hier, level, d.copy())
-            ok = ok and close(w.values, w_loop.values) and w.level == L2
+            ok = ok and close(w.values, w_loop.values) and w.level == L3
             ok = ok and close(r.values, r_loop.values) and r.level == L1
         return ok
 
@@ -437,13 +437,39 @@ def test_fused_sweep_matches_average_then_restore(elem):
         x0 = np.cos(0.37 * (ctx.true_keys % 1009) + rank)  # rank-dependent
         x = DistVector(ctx, x0.copy(), L2)
         smoother.smooth(x, b, sweeps=1)
-        want = x0.copy()
+        want = DistVector(ctx, x0.copy(), L2).restore(L3).values
         smoother._sweep(want, b.values)
         loop_average_restore(ctx, want)
-        return two_holders.size, x.level == L2 and x.values.tobytes() == want.tobytes()
+        return two_holders.size, x.level == L3 and x.values.tobytes() == want.tobytes()
 
     out = spmd_run(3, body)
     assert out[0][0] > 0
+    assert all(same for _, same in out)
+
+
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+def test_smoother_output_is_level_3_consistent(elem):
+    # on the 3-cell strip every halo d.o.f. of the smoother's output already
+    # holds its master's value bit for bit: restoring a copy tagged L0 to L3
+    # changes nothing, from zero and from a rank-dependent start alike
+    mesh = build_rect_mesh(0, 3, 0, 1, 3, 1)
+    ownership = np.array([0, 1, 2])
+
+    def body(rank, transport):
+        ctx = build_rank_context(mesh, ownership, elem, transport, rank)
+        A, b = assemble_cdr(ctx, CdrCoefficients(eps=1.0, b=(1.0, 0.5), c=1.0, f=1.0))
+        smoother = BlockSsor(ctx, A)
+        x0 = np.cos(0.37 * (ctx.true_keys % 1009) + rank)
+        same = []
+        for start, sweeps in ((None, 2), (DistVector(ctx, x0, L2), 1)):
+            x = smoother.smooth(start, b, sweeps)
+            copy = DistVector(ctx, x.values.copy(), L0).restore(L3)
+            same.append(x.level == L3 and copy.values.tobytes() == x.values.tobytes())
+        halo = ctx.classification.of_class(DofClass.HALO_ALPHA, DofClass.HALO_BETA)
+        return halo.size, all(same)
+
+    out = spmd_run(3, body)
+    assert all(n_halo > 0 for n_halo, _ in out)
     assert all(same for _, same in out)
 
 
