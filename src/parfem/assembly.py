@@ -111,8 +111,7 @@ def matrix_graph(ctx: RankContext):
     key_rank[by_key] = np.arange(n)
     # entry (i, j) of an element matrix is coded as row * n + key rank of the
     # column, so the sorted distinct codes are the CSR order
-    nd = dofs.shape[1]
-    codes = np.repeat(dofs, nd, axis=1) * n + key_rank[np.tile(dofs, nd)]
+    codes = (dofs[:, :, None] * n + key_rank[dofs][:, None, :]).reshape(len(dofs), -1)
     # one sort places every code: the running count of distinct ones is its
     # position in the pattern
     order = np.argsort(codes, axis=None, kind="stable")
@@ -135,14 +134,12 @@ def _matrix(ctx, element_matrices) -> DistMatrix:
     return DistMatrix(ctx, csr)
 
 
-# Quadrature sums run over q in a fixed loop, never as a contraction over the
-# cell axis, so a cell's numbers do not depend on the rest of its batch.
+# Quadrature sums add over q in ascending order per entry, never over the cell
+# axis, so a cell's numbers do not depend on the rest of its batch.
 def _qsum(w, test, trial):
-    """sum_q w[c,q] test[c,q,i] trial[c,q,j] -> (cells, i, j)."""
-    return sum(
-        (w[:, q, None] * test[:, q])[:, :, None] * trial[:, q, None, :]
-        for q in range(w.shape[1])
-    )
+    """sum_q w[c,q] test[c,q,i] trial[c,q,j] -> (cells, i, j): einsum without
+    `optimize` adds the products (w·test)·trial from zero over ascending q."""
+    return np.einsum("cq,cqi,cqj->cij", w, test, trial)
 
 
 def _qload(w, test):
@@ -180,11 +177,13 @@ def assemble_cdr(
     fq = _at_points(coeffs.f, xq).reshape(n_cells, n_q)
     phi = np.broadcast_to(vals, (n_cells,) + vals.shape)
 
-    bgrad = bq[..., None, 0] * pg[..., 0] + bq[..., None, 1] * pg[..., 1]
     pg_by_dir = pg.transpose(0, 1, 3, 2).reshape(n_cells, 2 * n_q, -1)
     Ae = coeffs.eps * _qsum(np.repeat(w, 2, axis=1), pg_by_dir, pg_by_dir)
-    Ae += _qsum(w, phi, bgrad)
-    Ae += _qsum(w * cq, phi, phi)
+    if supg or callable(coeffs.b) or np.any(coeffs.b):  # else the term adds +0.0
+        bgrad = bq[..., None, 0] * pg[..., 0] + bq[..., None, 1] * pg[..., 1]
+        Ae += _qsum(w, phi, bgrad)
+    if callable(coeffs.c) or np.any(coeffs.c):  # else the term adds +0.0
+        Ae += _qsum(w * cq, phi, phi)
     be = _qload(w * fq, phi)
 
     if supg:

@@ -470,31 +470,25 @@ class RankContext:
     def master_mask(self) -> np.ndarray:
         return self.classification.is_master
 
-    @property
+    @functools.cached_property
     def block_mask(self) -> np.ndarray:
         """Masters plus interface slaves: the rows a rank smooths/owns."""
-        if "block_mask" not in self._cache:
-            mask = self.classification.is_master.copy()
-            mask[self.classification.of_class(DofClass.INTERFACE_SLAVE)] = True
-            self._cache["block_mask"] = mask
-        return self._cache["block_mask"]
+        mask = self.classification.is_master.copy()
+        mask[self.classification.of_class(DofClass.INTERFACE_SLAVE)] = True
+        return mask
 
     @property
     def true_keys(self) -> np.ndarray:
         return self.mapper.true_keys
 
-    @property
+    @functools.cached_property
     def geometry(self) -> CellGeometry:
         """Reference maps of the known cells, in ascending cell order."""
-        if "geometry" not in self._cache:
-            self._cache["geometry"] = cell_geometry(self.mesh, self.rank_cells.known)
-        return self._cache["geometry"]
+        return cell_geometry(self.mesh, self.rank_cells.known)
 
-    @property
+    @functools.cached_property
     def dof_coords(self) -> np.ndarray:
-        if "coords" not in self._cache:
-            self._cache["coords"] = dof_coordinates(self.dof_map, self.mesh)
-        return self._cache["coords"]
+        return dof_coordinates(self.dof_map, self.mesh, geometry=self.geometry)
 
 
 def build_rank_context(

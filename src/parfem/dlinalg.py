@@ -141,7 +141,7 @@ class DistMatrix:
         diag[row_of[hit]] = hit
         if np.any(diag[rows] < 0):
             raise RuntimeError(f"no diagonal entry in row {rows[diag[rows] < 0][0]}")
-        self.csr.data[np.isin(row_of, rows)] = 0.0
+        self.csr.data[np.bincount(rows, minlength=len(diag))[row_of] > 0] = 0.0
         self.csr.data[diag[rows]] = 1.0
         if rhs is not None:
             rhs.values[rows] = values

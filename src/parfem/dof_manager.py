@@ -123,13 +123,14 @@ def build_dof_map(mesh, cells, elem_kind: str) -> DofMap:
     )
 
 
-def dof_coordinates(dof_map: DofMap, mesh, tol=1e-12) -> np.ndarray:
+def dof_coordinates(dof_map: DofMap, mesh, tol=1e-12, geometry=None) -> np.ndarray:
     """Physical coordinates of every global d.o.f.
 
     The coordinate is taken from the smallest containing cell; every other
     containing cell must agree within `tol` or the numbering is miswired.
+    `geometry`, the maps of `dof_map.cells`, is built from the mesh if not given.
     """
-    geometry = cell_geometry(mesh, dof_map.cells)
+    geometry = geometry or cell_geometry(mesh, dof_map.cells)
     flat = dof_map.table.ravel()
     pts = geometry.map(dof_map.elem.nodes).reshape(-1, 2)
     coords = np.full((dof_map.n_dofs, 2), np.nan)

@@ -164,6 +164,7 @@ class CellGeometry:
         verts = np.asarray(verts, dtype=float)  # (cells, 4, 2), ccw
         v0, v1, v2, v3 = (verts[:, k] for k in range(4))
         self.verts = verts
+        self._last = (None,)  # (points' bytes, Jacobians) of the last evaluation
         self.a0 = 0.25 * (v0 + v1 + v2 + v3)
         self.a1 = 0.25 * (-v0 + v1 + v2 - v3)
         self.a2 = 0.25 * (-v0 - v1 + v2 + v3)
@@ -184,10 +185,15 @@ class CellGeometry:
         return a0 + xi * a1 + eta * a2 + (xi * eta) * a3
 
     def jacobians(self, points):
-        """J[c, m, i, j] = d x_i / d xi_j at each reference point."""
+        """J[c, m, i, j] = d x_i / d xi_j at each reference point, read-only.
+        Kept for the last points, so a rule's weights and inverses share it."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))[None]
-        a1, a2, a3 = (a[:, None] for a in (self.a1, self.a2, self.a3))
-        return np.stack([a1 + pts[..., 1:2] * a3, a2 + pts[..., 0:1] * a3], axis=-1)
+        if self._last[0] != pts.tobytes():
+            a1, a2, a3 = (a[:, None] for a in (self.a1, self.a2, self.a3))
+            J = np.stack([a1 + pts[..., 1:2] * a3, a2 + pts[..., 0:1] * a3], axis=-1)
+            J.flags.writeable = False
+            self._last = (pts.tobytes(), J)
+        return self._last[1]
 
     def quadrature_weights(self, rule):
         """Physical quadrature weights per cell, shape (cells, n)."""
@@ -205,10 +211,12 @@ class CellGeometry:
         return G / det[..., None, None]
 
     def physical_gradients(self, points, ref_grads):
-        """J^{-T} grad: reference (m, n_dofs, 2) -> physical (cells, m, n_dofs, 2)."""
+        """J^{-T} grad: reference (m, n_dofs, 2) -> physical (cells, m, n_dofs, 2),
+        component i formed as G_0i·g_0 + G_1i·g_1 with the d.o.f. axis innermost."""
         G = self._inverse_jacobians(points)[:, :, None]
-        g0, g1 = ref_grads[..., 0, None], ref_grads[..., 1, None]
-        return G[..., 0, :] * g0 + G[..., 1, :] * g1
+        g0, g1 = ref_grads[..., 0], ref_grads[..., 1]
+        pg = np.stack([G[..., 0, i] * g0 + G[..., 1, i] * g1 for i in (0, 1)], axis=2)
+        return pg.transpose(0, 1, 3, 2)
 
     def physical_hessians(self, points, ref_grads, ref_hess):
         """Exact physical second derivatives, shape (cells, m, n_dofs, 2, 2).

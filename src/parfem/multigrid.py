@@ -102,19 +102,25 @@ class BlockSsor:
         self.ctx = ctx
         self.block = np.flatnonzero(ctx.block_mask)
         self.A_rows = matrix.csr.tocsr()[self.block]
-        A_bb = self.A_rows[:, self.block].tocsr()
+        A_bb = self.A_rows.tocsc()[:, self.block]  # rows ascending per column
         diag = A_bb.diagonal()
         if np.any(diag == 0.0):
             raise ValueError("zero diagonal entry in smoother block")
-        lower = sp.tril(A_bb, k=-1, format="csr")
-        lower.data *= omega / diag[lower.indices]
-        lower = lower + sp.diags(diag / (omega * (2.0 - omega)))
-        upper = sp.triu(A_bb, k=1, format="csr") / (2.0 - omega)
+        # column j holds U's rows, the diagonal, then L's rows: each store is a
+        # mask of A_bb; the lower drops explicit zeros as its sum with D did
+        n, row, start = A_bb.shape[0], A_bb.indices, A_bb.indptr
+        col = np.repeat(np.arange(n), np.diff(start))
+        (at,) = np.nonzero(row == col)
+        up = row < col
+        low = np.where(up, 0.0, A_bb.data * (omega / diag)[col])
+        low[at] = diag / (omega * (2.0 - omega))
+        lower = sp.csc_matrix((low, row.copy(), start.copy()), shape=(n, n))
+        lower.eliminate_zeros()
+        upper_ptr = np.concatenate([[0], np.cumsum(at - start[:-1])])
+        upper = (A_bb.data[up] * (1.0 / (2.0 - omega)), row[up], upper_ptr)
         self._stores = []  # (n, nnz, data, indices, indptr) of each, CSC
-        for m in (lower.tocsc(), upper.tocsc()):
-            m.sort_indices()
-            index = m.indices.astype(np.intc), m.indptr.astype(np.intc)
-            self._stores += [m.shape[0], m.nnz, m.data, *index]
+        for data, *index in ((lower.data, lower.indices, lower.indptr), upper):
+            self._stores += [n, len(data), data, *(a.astype(np.intc) for a in index)]
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
         """M⁻¹ r.  gstrs returns its `info` instead of raising, and a private

@@ -287,6 +287,120 @@ def loop_assemble_mass(ctx):
     return M
 
 
+# Bitwise oracles: the batched setup kernels as they were formulated before
+# einsum, the zero-coefficient skips and the mask-built SSOR stores.  Each
+# must agree with the library byte for byte, not within a tolerance.
+
+
+def loop_qsum(w, test, trial):
+    """sum_q w[c,q] test[c,q,i] trial[c,q,j] as a Python loop over q (oracle
+    of `assembly._qsum`)."""
+    return sum(
+        (w[:, q, None] * test[:, q])[:, :, None] * trial[:, q, None, :]
+        for q in range(w.shape[1])
+    )
+
+
+def loop_qload(w, test):
+    """sum_q w[c,q] test[c,q,i] as a Python loop over q."""
+    return sum(w[:, q, None] * test[:, q] for q in range(w.shape[1]))
+
+
+def broadcast_physical_gradients(geo, points, ref_grads):
+    """J^{-T} grad broadcast over the length-2 component axis (oracle of
+    `CellGeometry.physical_gradients`)."""
+    G = geo._inverse_jacobians(points)[:, :, None]
+    g0, g1 = ref_grads[..., 0, None], ref_grads[..., 1, None]
+    return G[..., 0, :] * g0 + G[..., 1, :] * g1
+
+
+def _batch_weights(geo, rule):
+    J = geo.jacobians(rule.points)
+    return rule.weights * (J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0])
+
+
+def three_term_assemble_cdr(ctx, coeffs, supg=False):
+    """Batched operator with the diffusion, convection and reaction terms
+    always formed, by `loop_qsum` and the broadcast gradients (bitwise oracle
+    of `assemble_cdr`).  Returns the CSR matrix and the right-hand side."""
+    from parfem.assembly import DEFAULT_QUAD, SupgParams, _matrix
+    from parfem.mapped_fe import CellGeometry
+
+    elem = get_element(ctx.elem_kind)
+    rule = gauss_rule(DEFAULT_QUAD[ctx.elem_kind])
+    vals, grads = elem.eval(rule.points)
+    geo = cell_geometry(ctx.mesh, ctx.rank_cells.known)
+    n_cells, n_q = len(geo.verts), len(rule.weights)
+    w = _batch_weights(geo, rule)
+    pg = broadcast_physical_gradients(geo, rule.points, grads)
+    xq = geo.map(rule.points).reshape(-1, 2)
+    bq = _field(coeffs.b, xq, (len(xq), 2)).reshape(n_cells, n_q, 2)
+    cq = _field(coeffs.c, xq, (len(xq),)).reshape(n_cells, n_q)
+    fq = _field(coeffs.f, xq, (len(xq),)).reshape(n_cells, n_q)
+    phi = np.broadcast_to(vals, (n_cells,) + vals.shape)
+    bgrad = bq[..., None, 0] * pg[..., 0] + bq[..., None, 1] * pg[..., 1]
+    pg_by_dir = pg.transpose(0, 1, 3, 2).reshape(n_cells, 2 * n_q, -1)
+    Ae = coeffs.eps * loop_qsum(np.repeat(w, 2, axis=1), pg_by_dir, pg_by_dir)
+    Ae += loop_qsum(w, phi, bgrad)
+    Ae += loop_qsum(w * cq, phi, phi)
+    be = loop_qload(w * fq, phi)
+    if supg:
+        tau = SupgParams(coeffs.eps).tau(geo, sum(bq[:, q] for q in range(n_q)) / n_q)
+        (on,) = np.nonzero(tau > 0.0)
+        if on.size:
+            hess = elem.eval_hessians(rule.points)
+            ph = CellGeometry(geo.verts[on]).physical_hessians(rule.points, grads, hess)
+            lap = ph[..., 0, 0] + ph[..., 1, 1]
+            resid = -coeffs.eps * lap + bgrad[on] + cq[on, :, None] * vals
+            Ae[on] += tau[on, None, None] * loop_qsum(w[on], bgrad[on], resid)
+            be[on] += tau[on, None] * loop_qload(w[on] * fq[on], bgrad[on])
+    rhs = np.zeros(ctx.n_local)
+    np.add.at(rhs, ctx.dof_map.table.ravel(), be.ravel())
+    return _matrix(ctx, Ae).csr, rhs
+
+
+def loop_qsum_mass(ctx):
+    """Batched mass matrix by `loop_qsum` (bitwise oracle of `assemble_mass`)."""
+    from parfem.assembly import DEFAULT_QUAD, _matrix
+
+    rule = gauss_rule(DEFAULT_QUAD[ctx.elem_kind])
+    vals, _ = get_element(ctx.elem_kind).eval(rule.points)
+    w = _batch_weights(cell_geometry(ctx.mesh, ctx.rank_cells.known), rule)
+    phi = np.broadcast_to(vals, (len(w),) + vals.shape)
+    return _matrix(ctx, loop_qsum(w, phi, phi)).csr
+
+
+def tril_triu_ssor_stores(ctx, csr, omega=1.0):
+    """`BlockSsor`'s (n, nnz, data, indices, indptr) CSC stores built with
+    `sp.tril`/`sp.triu` and a sum with the diagonal (bitwise oracle)."""
+    block = np.flatnonzero(ctx.block_mask)
+    A_bb = csr[block][:, block].tocsr()
+    diag = A_bb.diagonal()
+    lower = sp.tril(A_bb, k=-1, format="csr")
+    lower.data *= omega / diag[lower.indices]
+    lower = lower + sp.diags(diag / (omega * (2.0 - omega)))
+    upper = sp.triu(A_bb, k=1, format="csr") / (2.0 - omega)
+    stores = []
+    for m in (lower.tocsc(), upper.tocsc()):
+        m.sort_indices()
+        index = m.indices.astype(np.intc), m.indptr.astype(np.intc)
+        stores += [m.shape[0], m.nnz, m.data, *index]
+    return stores
+
+
+def isin_dirichlet_rows(csr, rows):
+    """A copy of `csr` with the given rows made identity rows, the rows
+    found by `np.isin` (bitwise oracle of `DistMatrix.set_dirichlet_rows`)."""
+    out = csr.copy()
+    row_of = np.repeat(np.arange(out.shape[0]), np.diff(out.indptr))
+    (hit,) = np.nonzero(out.indices == row_of)
+    diag = np.full(out.shape[0], -1, dtype=np.int64)
+    diag[row_of[hit]] = hit
+    out.data[np.isin(row_of, rows)] = 0.0
+    out.data[diag[rows]] = 1.0
+    return out
+
+
 def loop_dof_coordinates(dof_map, mesh):
     """Per-cell oracle: each d.o.f. placed by its smallest containing cell."""
     coords = np.full((dof_map.n_dofs, 2), np.nan)

@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import (
+    isin_dirichlet_rows,
     loop_assemble_cdr,
     loop_assemble_mass,
     loop_dirichlet_dofs,
     loop_dof_coordinates,
+    loop_qsum,
+    loop_qsum_mass,
     scalar_supg_tau,
     seq_context,
+    three_term_assemble_cdr,
 )
+from parfem import assembly, mapped_fe
 from parfem.assembly import (
     CdrCoefficients,
     DirichletPart,
@@ -25,10 +30,15 @@ from parfem.assembly import (
     write_merged_solution,
     write_solution_vtk,
 )
-from parfem.bench_cli import hemker_problem, timedep_problem, _inflow_schedule
+from parfem.bench_cli import (
+    _inflow_schedule,
+    hemker_problem,
+    poisson_mms_problem,
+    timedep_problem,
+)
 from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
 from parfem.dlinalg import DistVector, fgmres, from_keys, matvec
-from parfem.dof_manager import sorted_unique
+from parfem.dof_manager import dof_coordinates, sorted_unique
 from parfem.mapped_fe import cell_geometry, get_element
 from parfem.mesh import CIRCLE_FLAG, build_hemker_mesh, build_rect_mesh, refine_uniform
 from parfem.partition import decompose
@@ -480,3 +490,105 @@ def test_hemker_cylinder_predicate_matches_circle_flags(elem):
         rows, values = dirichlet_dofs(ctx, [cylinder])
         assert np.array_equal(rows, want) and np.all(values == 1.0), level
         mesh = mesh.refined
+
+
+def _same_bytes(got, want):
+    return all(
+        g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+        for g, w in zip(got, want, strict=True)
+    )
+
+
+def _csr_arrays(csr):
+    return csr.data, csr.indices, csr.indptr
+
+
+def test_qsum_bitwise_equals_loop_over_q():
+    rng = np.random.default_rng(7)
+    n = 29
+    for n_q, n_i, n_j in ((4, 4, 4), (9, 9, 9), (18, 9, 9), (9, 4, 9)):
+        w = rng.random((n, n_q))
+        test = rng.standard_normal((n, n_q, n_i))
+        trial = rng.standard_normal((n, n_q, n_j))
+        shared = np.broadcast_to(rng.standard_normal((n_q, n_j)), (n, n_q, n_j))
+        for a, b in ((test, trial), (test, shared), (shared[..., :n_i], shared)):
+            full = assembly._qsum(w, a, b)
+            assert _same_bytes([full], [loop_qsum(w, a, b)])
+            # a cell's entries do not depend on the rest of its batch
+            assert _same_bytes([assembly._qsum(w[:7], a[:7], b[:7])], [full[:7]])
+
+
+BITWISE_PROBLEMS = {
+    "poisson_mms": poisson_mms_problem,  # constant zero b and c, no SUPG
+    "timedep2d": timedep_problem,  # callable c, SUPG
+    "hemker2d": hemker_problem,  # SUPG
+}
+
+
+@pytest.mark.parametrize("problem", sorted(BITWISE_PROBLEMS))
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+@pytest.mark.parametrize("n_ranks", [1, 3])
+def test_assembly_bitwise_equals_three_term_loop_oracle(problem, elem, n_ranks):
+    coarse, coeffs, supg = BITWISE_PROBLEMS[problem]()
+
+    def body(ctx):
+        A, b = assemble_cdr(ctx, coeffs, supg=supg)
+        A_ref, b_ref = three_term_assemble_cdr(ctx, coeffs, supg=supg)
+        M, M_ref = assemble_mass(ctx), loop_qsum_mass(ctx)
+        got = (*_csr_arrays(A.csr), b.values, *_csr_arrays(M.csr))
+        return _same_bytes(got, (*_csr_arrays(A_ref), b_ref, *_csr_arrays(M_ref)))
+
+    assert all(run_ranks(refine_uniform(coarse), n_ranks, body, elem))
+
+
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+def test_zero_coefficient_terms_are_not_contracted(monkeypatch, elem):
+    calls = []
+    qsum = assembly._qsum
+    monkeypatch.setattr(
+        assembly, "_qsum", lambda *args: calls.append(len(args[0])) or qsum(*args)
+    )
+    coarse, poisson, supg = poisson_mms_problem()
+    ctx = seq_context(refine_uniform(coarse), elem)
+    assemble_cdr(ctx, poisson, supg=supg)
+    assert len(calls) == 1  # diffusion only
+    calls.clear()
+    # timedep2d: constant wind, callable reaction and SUPG on every cell
+    coarse, timedep, supg = timedep_problem()
+    assemble_cdr(seq_context(refine_uniform(coarse), elem), timedep, supg=supg)
+    assert len(calls) == 4
+
+
+def test_one_geometry_per_space(monkeypatch):
+    built = []
+    init = mapped_fe.CellGeometry.__init__
+
+    def counting(self, verts):
+        built.append(len(verts))
+        init(self, verts)
+
+    coarse, coeffs, supg = poisson_mms_problem()
+    ctx = seq_context(refine_uniform(coarse), "q2")
+    monkeypatch.setattr(mapped_fe.CellGeometry, "__init__", counting)
+    A, b = assemble_cdr(ctx, coeffs, supg=supg)
+    apply_dirichlet(A, b, ctx, coeffs.dirichlet)
+    assert built == [ctx.mesh.n_cells]
+    # the shared geometry places every d.o.f. where a fresh one does
+    want = dof_coordinates(ctx.dof_map, ctx.mesh)
+    assert _same_bytes([ctx.dof_coords], [want])
+
+
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+@pytest.mark.parametrize("n_ranks", [1, 3])
+def test_set_dirichlet_rows_bitwise_equals_isin_oracle(elem, n_ranks):
+    coarse, coeffs, supg = hemker_problem()
+
+    def body(ctx):
+        A, _ = assemble_cdr(ctx, coeffs, supg=supg)
+        rows, values = dirichlet_dofs(ctx, coeffs.dirichlet)
+        want = isin_dirichlet_rows(A.csr, rows)
+        A.set_dirichlet_rows(rows, values)
+        return rows.size, _same_bytes(_csr_arrays(A.csr), _csr_arrays(want))
+
+    sizes, same = zip(*run_ranks(refine_uniform(coarse), n_ranks, body, elem))
+    assert all(same) and sum(sizes) > 0

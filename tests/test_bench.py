@@ -198,6 +198,21 @@ def test_multigrid_iterations_do_not_depend_on_rank_count(problem, t_end):
     assert iterations == [iterations[0]] * 4
 
 
+def test_timedep_cross_rank_agreement_follows_the_solver_tolerance():
+    # each of the 50 warm-started Crank-Nicolson solves stops at an absolute
+    # residual of `tol` from the previous step's rank-dependent rounding, so
+    # 1 and 4 ranks differ by about 3e-8 at tol 1e-10 and 3e-11 at tol 1e-12
+    merged = [
+        run(RunConfig(problem="timedep2d", levels=3, ranks=r, t_end=0.5, tol=1e-12))
+        .merged
+        for r in (1, 4)
+    ]
+    keys = sorted(merged[0])
+    assert keys == sorted(merged[1])
+    one, four = (np.array([m[k] for k in keys]) for m in merged)
+    assert np.max(np.abs(four - one)) <= 1e-10
+
+
 @pytest.mark.parametrize(
     "solver, mapper_requests, coarse_builds, smoothers",
     [("ssor_fgmres", 1, 0, 2), ("coarse_direct", 1, 1, 0), ("mg_fgmres", 2, 1, 2)],

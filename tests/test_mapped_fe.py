@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import broadcast_physical_gradients
 from parfem.mapped_fe import (
     CellGeometry,
     cell_geometry,
@@ -10,7 +11,7 @@ from parfem.mapped_fe import (
     get_element,
     make_reference_map,
 )
-from parfem.mesh import Mesh
+from parfem.mesh import Mesh, build_hemker_mesh, refine_uniform
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 TRAPEZOID = np.array([[0.0, 0.0], [2.0, 0.0], [1.5, 1.0], [0.0, 1.0]])
@@ -315,3 +316,29 @@ def test_batched_gradients_reject_singular_jacobian():
     _, grads = get_element("q1").eval(far)
     with pytest.raises(ValueError, match="singular"):
         geo.physical_gradients(far, grads)
+
+
+@pytest.mark.parametrize("kind", ["q1", "q2"])
+@pytest.mark.parametrize("order", [2, 3])
+def test_physical_gradients_bitwise_equal_broadcast_oracle(kind, order):
+    mesh = refine_uniform(build_hemker_mesh())  # bilinear cells of the O-grid
+    geo = cell_geometry(mesh, range(mesh.n_cells))
+    rule = gauss_rule(order)
+    _, grads = get_element(kind).eval(rule.points)
+    got = geo.physical_gradients(rule.points, grads)
+    want = broadcast_physical_gradients(geo, rule.points, grads)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+def test_jacobians_of_the_last_points_are_shared_and_read_only():
+    mesh = refine_uniform(build_hemker_mesh())
+    geo = cell_geometry(mesh, range(mesh.n_cells))
+    rule = gauss_rule(3)
+    J = geo.jacobians(rule.points)
+    assert geo.jacobians(rule.points.copy()) is J  # same points, one evaluation
+    assert not J.flags.writeable
+    other = geo.jacobians(gauss_rule(2).points)
+    assert other is not J and other.shape[1] == 4
+    fresh = cell_geometry(mesh, range(mesh.n_cells)).jacobians(rule.points)
+    assert geo.jacobians(rule.points).tobytes() == fresh.tobytes()

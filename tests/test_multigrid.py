@@ -15,6 +15,7 @@ from conftest import (
     loop_restrict_defect,
     restrict_function,
     seq_context,
+    tril_triu_ssor_stores,
 )
 from parfem import multigrid
 from parfem.assembly import (
@@ -23,7 +24,8 @@ from parfem.assembly import (
     apply_dirichlet,
     assemble_cdr,
 )
-from parfem.bench_cli import hemker_problem
+from parfem.assembly import assemble_mass, crank_nicolson_system
+from parfem.bench_cli import hemker_problem, timedep_problem
 from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
 from parfem.dlinalg import DistVector, axpy, dot, fgmres, matvec, new_vector, norm2
 from parfem.mapped_fe import cell_geometry, get_element
@@ -819,3 +821,44 @@ def test_coarse_solver_rejects_key_without_master_row():
     ctx.classification.is_master[0] = False  # no rank holds this row now
     with pytest.raises(RuntimeError, match="no master row"):
         CoarseSolver(ctx, A)
+
+
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+@pytest.mark.parametrize("n_ranks", [1, 3])
+def test_ssor_stores_bitwise_equal_tril_triu_construction(elem, n_ranks):
+    """Both CSC stores match the `sp.tril`/`sp.triu` construction byte for
+    byte: data, indices, indptr and nnz, with the lower store free of
+    explicit zeros and the upper one keeping those of the Dirichlet rows."""
+    coarse, hemker, _ = hemker_problem()
+    tcoarse, timedep, _ = timedep_problem()
+
+    def systems(ctx, tctx):
+        A, b = discretize_poisson(ctx)
+        yield A
+        H, _ = assemble_cdr(ctx, hemker, supg=True)  # nonsymmetric
+        apply_dirichlet(H, None, ctx, hemker.dirichlet)
+        yield H
+        T, _ = assemble_cdr(tctx, timedep, supg=True)
+        yield crank_nicolson_system(assemble_mass(tctx), T, 0.01, timedep.dirichlet)[0]
+
+    def body(rank, transport):
+        ctxs = [
+            build_rank_context(m, decompose(m, n_ranks), elem, transport, rank)
+            for m in (refine_uniform(coarse), refine_uniform(refine_uniform(tcoarse)))
+        ]
+        ok, upper_zeros = True, 0
+        for A in systems(*ctxs):
+            for omega in (1.0, 1.3):
+                got = BlockSsor(A.ctx, A, omega)._stores
+                want = tril_triu_ssor_stores(A.ctx, A.csr, omega)
+                ok = ok and all(
+                    g == w if isinstance(w, int) else
+                    g.dtype == w.dtype and g.tobytes() == w.tobytes()
+                    for g, w in zip(got, want, strict=True)
+                )
+                ok = ok and np.all(got[2] != 0.0)
+                upper_zeros += int(np.sum(got[7] == 0.0))
+        return ok, upper_zeros
+
+    ok, upper_zeros = zip(*spmd_run(n_ranks, body))
+    assert all(ok) and sum(upper_zeros) > 0
