@@ -86,7 +86,9 @@ class RunConfig:
             raise ValueError(f"unknown solver {self.solver!r}")
         floor = dict(levels=1, repeats=1, ranks=1, restart=1, maxit=1, nu1=0, nu2=0)
         ranges = [(f, getattr(self, f) >= m, f"at least {m}") for f, m in floor.items()]
+        cells = _PROBLEM_BUILDERS[self.problem]()[0].n_cells  # decompose's limit
         ranges += [
+            ("ranks", self.ranks <= cells, f"at most {cells}, the coarse cells"),
             ("element", self.element in ELEMENTS, "q1 or q2"),
             ("tol", self.tol > 0.0, "positive"),
             ("omega", 0.0 < self.omega < 2.0, "in (0, 2), the SSOR range"),

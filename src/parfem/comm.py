@@ -31,11 +31,11 @@ import functools
 import os
 import threading
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dof_manager import DofMap, build_dof_map, dof_coordinates, sorted_unique
+from .dof_manager import DofMap, build_dof_map, dof_coordinates
 from .mapped_fe import CellGeometry, cell_geometry
 from .partition import (
     DofClass,
@@ -204,43 +204,32 @@ def spmd_run(n_ranks, body, *args, timeout: float = 60.0, transport=None) -> lis
 
 @dataclass
 class Schedule:
-    """Alltoallv bookkeeping for one relation (counts, displacements, maps)."""
+    """One exchange as per-rank lists, the form `Transport.all_to_all` takes.
 
-    send_counts: np.ndarray
-    send_displ: np.ndarray
-    sent_dof: np.ndarray  # local dof filling each send-buffer slot
-    recv_counts: np.ndarray
-    recv_displ: np.ndarray
-    rcvd_dof: np.ndarray  # local dof updated by each receive-buffer slot
+    `sends[q]` holds the local d.o.f.s whose values go to rank q;
+    `recvs[q]` the local d.o.f.s (or the slots of a buffer) that the values
+    from rank q fill, in arrival order.
+    """
+
+    sends: list[np.ndarray]
+    recvs: list[np.ndarray]
 
     @functools.cached_property
-    def sends(self) -> list[np.ndarray]:
-        """Local d.o.f.s sent to each destination rank."""
-        return np.split(self.sent_dof, self.send_displ[1:])
+    def rcvd_dof(self) -> np.ndarray:
+        """Every receiving d.o.f. (or slot), in ascending source rank."""
+        return np.concatenate(self.recvs)
 
     def send(self, transport, rank: int, values: np.ndarray, label: str):
-        """One all-to-all of values[sent_dof]; returns arrivals in rcvd_dof order."""
+        """One all-to-all of values[sends[q]]; returns arrivals in rcvd_dof order."""
         chunks = [values[d] for d in self.sends]
         return np.concatenate(transport.all_to_all(rank, chunks, label=label))
 
 
-def make_schedule(sends: list, recv_counts, rcvd_dof: np.ndarray) -> Schedule:
-    """Schedule from the d.o.f.s sent to each rank and the received ones."""
-    send_counts = np.array([len(d) for d in sends], dtype=np.int64)
-    recv_counts = np.array(recv_counts, dtype=np.int64)
-    return Schedule(
-        send_counts, _displ(send_counts), np.concatenate(sends),
-        recv_counts, _displ(recv_counts), rcvd_dof,
-    )
-
-
 def merge_schedules(parts: list[Schedule]) -> Schedule:
     """One schedule carrying the parts' chunks to each rank, in part order."""
-    recvs = [np.split(s.rcvd_dof, s.recv_displ[1:]) for s in parts]
-    return make_schedule(
+    return Schedule(
         [np.concatenate(d) for d in zip(*(s.sends for s in parts))],
-        sum(s.recv_counts for s in parts),
-        np.concatenate([d for per_src in zip(*recvs) for d in per_src]),
+        [np.concatenate(d) for d in zip(*(s.recvs for s in parts))],
     )
 
 
@@ -252,12 +241,6 @@ class FeMapper:
     true_keys: np.ndarray  # globally minimal (cell, index) key per local dof
     # every block holder (master or interface slave) -> every halo d.o.f.
     contributions: Schedule
-
-
-def _displ(counts):
-    d = np.zeros_like(counts)
-    np.cumsum(counts[:-1], out=d[1:])
-    return d
 
 
 def build_fe_mapper(
@@ -318,13 +301,13 @@ def build_fe_mapper(
     schedules = {}
     for name, rel, answering in asked:
         req_keys, req_idx = requests[rel]
-        got = np.concatenate([a[name] for a in answered])
-        rcvd = req_idx[np.searchsorted(req_keys, got[:, 0])]
-        recv_counts = [len(a[name]) for a in answered]
-        schedules[name] = make_schedule(sent_lists[name], recv_counts, rcvd)
+        got = [a[name] for a in answered]
+        recvs = [req_idx[np.searchsorted(req_keys, g[:, 0])] for g in got]
+        schedules[name] = Schedule(sent_lists[name], recvs)
         if answering is in_block:
             continue
-        true_keys[rcvd] = got[:, 1]
+        rcvd = schedules[name].rcvd_dof
+        true_keys[rcvd] = np.concatenate(got)[:, 1]
         matched = np.bincount(rcvd, minlength=dof_map.n_dofs)[req_idx]
         bad = np.flatnonzero(matched != 1)
         if bad.size:
@@ -381,9 +364,12 @@ class InterfaceExchange:
     The multigrid smoother replaces interface values by their mean and
     refreshes every halo d.o.f. in the same all-to-all (`settle`).
     Both sides of every rank pair derive the same key-sorted interface list
-    locally, so no negotiation is needed beyond the mapper's; every total
-    starts from zero and adds the contributions in ascending rank order, so
-    it is bitwise identical on every rank that forms it.
+    locally, so no negotiation is needed beyond the mapper's.  A rank sends
+    rank q its values of `shared_with[q]`, and q's values fill the slots
+    `slot_with[q]` of a buffer over `if_dofs`; `settle` appends one slot per
+    halo d.o.f., filled by the mapper's `contributions`.  Every total starts
+    from zero and adds the contributions in ascending rank order, so it is
+    bitwise identical on every rank that forms it.
     """
 
     def __init__(self, transport, rank, classification, dof_map, ownership, mapper):
@@ -407,18 +393,15 @@ class InterfaceExchange:
         # settle: interface slots, then one slot per halo d.o.f. fed by every
         # rank holding it in its block (several if it is interface there)
         c = mapper.contributions
-        halo = sorted_unique(c.rcvd_dof)
-        halo_slot = len(self.if_dofs) + np.searchsorted(halo, c.rcvd_dof)
+        halo, holders = np.unique(c.rcvd_dof, return_counts=True)
         self.settle_dofs = np.concatenate([self.if_dofs, halo])
-        self.settle_counts = np.concatenate(
-            [self.counts, np.bincount(halo_slot)[len(self.if_dofs) :]]
-        )
+        self.settle_counts = np.concatenate([self.counts, holders])
         # schedules into the slots, and the start values of their totals
-        fed = [len(s) for s in self.slot_with]  # slots fed by each rank
-        shared = make_schedule(self.shared_with, fed, np.concatenate(self.slot_with))
+        shared = Schedule(self.shared_with, self.slot_with)
+        halo_slots = [len(self.if_dofs) + np.searchsorted(halo, r) for r in c.recvs]
         self._accumulate = (shared, np.zeros(len(if_dofs)))
         self._settle = (
-            merge_schedules([shared, replace(c, rcvd_dof=halo_slot)]),
+            merge_schedules([shared, Schedule(c.sends, halo_slots)]),
             # -0.0 + v == v for every v: a single contribution passes unchanged
             np.where(self.settle_counts > 1, 0.0, -0.0),
         )

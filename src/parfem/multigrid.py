@@ -35,8 +35,8 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 from scipy.sparse.linalg._dsolve._superlu import gstrs
 
-from .comm import ConsistencyLevel, RankContext, build_rank_context, make_schedule
-from .dlinalg import DistMatrix, DistVector, axpy, matvec, new_vector, norm2, spmv
+from .comm import ConsistencyLevel, RankContext, Schedule, build_rank_context
+from .dlinalg import DistMatrix, DistVector, axpy, matvec, new_vector, spmv
 from .dof_manager import sorted_unique
 from .mapped_fe import get_element
 from .partition import decompose, ownership_on_level
@@ -191,8 +191,7 @@ class CoarseSolver:
             raise RuntimeError("coarse matrix is singular")
         self._known = index(keys)
         # right-hand side: every rank's master values to every rank
-        counts = [len(g[0]) for g in gathered]
-        self._rhs = make_schedule([masters] * t.n_ranks, counts, index(row_keys))
+        self._rhs = Schedule([masters] * t.n_ranks, [index(g[0]) for g in gathered])
 
     def solve(self, b: DistVector) -> DistVector:
         rhs = np.empty(self._lu.shape[0])  # each key has one master row
@@ -219,7 +218,6 @@ class MgHierarchy:
     coarse: CoarseSolver
     nu1: int = 2
     nu2: int = 2
-    diagnostics: list | None = None
 
     @property
     def finest(self) -> MgLevel:
@@ -311,11 +309,10 @@ def restrict_defect(hier: MgHierarchy, level: int, d_fine: DistVector) -> DistVe
     return DistVector(coarse.ctx, d, L1)
 
 
-def _residual(lvl: MgLevel, x: DistVector | None, b: DistVector) -> DistVector:
-    """b − A x, where None stands for x = 0."""
+def _residual(lvl: MgLevel, x: DistVector, b: DistVector) -> DistVector:
+    """b − A x."""
     r = b.copy()
-    if x is not None:
-        axpy(-1.0, matvec(lvl.matrix, x), r)
+    axpy(-1.0, matvec(lvl.matrix, x), r)
     return r
 
 
@@ -323,15 +320,11 @@ def _cycle(hier: MgHierarchy, level: int, b: DistVector, x: DistVector | None):
     if level == 0:
         return hier.coarse.solve(b)
     lvl = hier.levels[level]
-    if hier.diagnostics is not None:
-        pre = norm2(_residual(lvl, x, b))
     x = lvl.smoother.smooth(x, b, hier.nu1)
     d = restrict_defect(hier, level - 1, _residual(lvl, x, b))
     e = _cycle(hier, level - 1, d, None)
     axpy(1.0, prolongate(hier, level - 1, e), x)
     lvl.smoother.smooth(x, b, hier.nu2)
-    if hier.diagnostics is not None:
-        hier.diagnostics.append((lvl.index, pre, norm2(_residual(lvl, x, b))))
     return x
 
 
@@ -358,11 +351,3 @@ class SsorPreconditioner:
 
     def __call__(self, r: DistVector) -> DistVector:
         return self.smoother.smooth(None, r, 1)
-
-
-def write_diagnostics(hier: MgHierarchy, path):
-    """Per-cycle CSV with level and pre/post smoothing residual norms."""
-    with open(path, "w") as fh:
-        fh.write("entry,level,pre_residual,post_residual\n")
-        for i, (level, pre, post) in enumerate(hier.diagnostics or []):
-            fh.write(f"{i},{level},{pre:.16e},{post:.16e}\n")

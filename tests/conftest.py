@@ -793,8 +793,8 @@ def loop_classify_dofs(rank, own, halo, dependent, dof_map, ownership):
 def loop_fe_schedules(transport, rank, cls, dof_map):
     """Per-key oracle of the mapper negotiation (collective over all ranks).
 
-    Returns, per relation, (send counts, sent d.o.f.s, receive counts,
-    received d.o.f.s) and the globally minimal key of every local d.o.f.
+    Returns, per relation, (d.o.f.s sent to each rank, d.o.f.s received
+    from each rank) and the globally minimal key of every local d.o.f.
     """
     n_ranks = transport.n_ranks
     keys = dof_map.keys
@@ -826,18 +826,12 @@ def loop_fe_schedules(transport, rank, cls, dof_map):
     out = {}
     for rel in Relation:
         slave_of_key = {int(keys[g]): g for g in requests[rel]}
-        rcvd, recv_counts = [], []
+        rcvd = [[] for _ in range(n_ranks)]
         for src in range(n_ranks):
-            recv_counts.append(len(answered[src][rel.value]))
             for key, tkey in answered[src][rel.value]:
-                rcvd.append(slave_of_key[key])
+                rcvd[src].append(slave_of_key[key])
                 true_keys[slave_of_key[key]] = tkey
-        out[rel] = (
-            [len(s) for s in sent[rel]],
-            [d for s in sent[rel] for d in s],
-            recv_counts,
-            rcvd,
-        )
+        out[rel] = (sent[rel], rcvd)
     return out, true_keys
 
 

@@ -352,6 +352,9 @@ def test_cli_main(tmp_path):
         (["--ranks", "0"], "ranks"),
         (["--omega", "2.5"], "omega"),
         (["--levels", "0"], "levels"),
+        (["--ranks", "17"], "ranks"),
+        (["--problem", "timedep2d", "--ranks", "17"], "ranks"),
+        (["--problem", "hemker2d", "--ranks", "29"], "ranks"),
     ],
 )
 def test_cli_main_out_of_range_flag_is_a_usage_error(argv, name, capsys):
@@ -361,6 +364,14 @@ def test_cli_main_out_of_range_flag_is_a_usage_error(argv, name, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: parfem-bench")
     assert f"error: {name} = " in err
+
+
+@pytest.mark.parametrize(
+    "problem, cells", [("poisson_mms", 16), ("timedep2d", 16), ("hemker2d", 28)]
+)
+def test_config_takes_one_rank_per_coarse_cell(problem, cells):
+    # one rank more is a usage error (test_cli_main_out_of_range_flag_...)
+    assert RunConfig(problem=problem, ranks=cells).ranks == cells
 
 
 def test_timedep_short_run_converges_every_step():

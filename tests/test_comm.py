@@ -12,8 +12,10 @@ from parfem.comm import (
     ConsistencyLevel,
     DeadlockError,
     Relation,
+    Schedule,
     Transport,
     build_rank_context,
+    merge_schedules,
     spmd_run,
 )
 from parfem.dlinalg import DistVector
@@ -38,9 +40,9 @@ def test_single_rank_mapper_is_empty():
     out = run_contexts(m, 1, body=lambda ctx: ctx.mapper)
     for rel in Relation:
         s = out[0].schedules[rel]
-        assert s.send_counts.sum() == 0
-        assert s.recv_counts.sum() == 0
-        assert s.sent_dof.size == 0 and s.rcvd_dof.size == 0
+        assert len(s.sends) == len(s.recvs) == 1
+        assert s.sends[0].size == 0 and s.recvs[0].size == 0
+        assert s.rcvd_dof.size == 0
 
 
 def test_2x2_ims_recv_counts():
@@ -50,7 +52,7 @@ def test_2x2_ims_recv_counts():
     def body(ctx):
         s = ctx.mapper.schedules[Relation.IMS]
         n_slaves = len(ctx.classification.of_class(DofClass.INTERFACE_SLAVE))
-        return ctx.rank, s.recv_counts.sum(), n_slaves
+        return ctx.rank, sum(len(r) for r in s.recvs), n_slaves
 
     out = run_contexts(m, 2, body=body, ownership=ownership)
     assert out[0] == (0, 0, 0)  # rank 0 masters the whole interface
@@ -65,13 +67,8 @@ def test_three_rank_strip_schedules():
         out = {}
         for rel in Relation:
             s = ctx.mapper.schedules[rel]
-            assert np.all(np.diff(s.send_displ) >= 0)
-            assert np.array_equal(
-                s.send_displ, np.concatenate([[0], np.cumsum(s.send_counts)[:-1]])
-            )
-            assert np.array_equal(
-                s.recv_displ, np.concatenate([[0], np.cumsum(s.recv_counts)[:-1]])
-            )
+            assert len(s.sends) == len(s.recvs) == 3
+            assert np.array_equal(s.rcvd_dof, np.concatenate(s.recvs))
             slaves = ctx.classification.of_class(
                 {
                     Relation.IMS: DofClass.INTERFACE_SLAVE,
@@ -79,8 +76,8 @@ def test_three_rank_strip_schedules():
                     Relation.DH_BETA: DofClass.HALO_BETA,
                 }[rel]
             )
-            assert s.recv_counts.sum() == len(slaves)
-            out[rel] = (s.send_counts.copy(), s.recv_counts.copy())
+            assert len(s.rcvd_dof) == len(slaves)
+            out[rel] = ([len(d) for d in s.sends], [len(d) for d in s.recvs])
         return out
 
     out = run_contexts(m, 3, body=body, ownership=ownership)
@@ -88,10 +85,28 @@ def test_three_rank_strip_schedules():
     mid_ims_sends = out[1][Relation.IMS][0]
     assert mid_ims_sends[2] > 0  # right neighbour gets interface values
     assert out[0][Relation.IMS][0][1] > 0  # rank 0 serves the middle rank
-    # every sent interface value is received somewhere
-    total_sent = sum(o[Relation.IMS][0].sum() for o in out)
-    total_recv = sum(o[Relation.IMS][1].sum() for o in out)
+    # every value sent to a rank is received there, from the sender
+    for rel in Relation:
+        for p in range(3):
+            for q in range(3):
+                assert out[p][rel][0][q] == out[q][rel][1][p]
+    total_sent = sum(sum(o[Relation.IMS][0]) for o in out)
+    total_recv = sum(sum(o[Relation.IMS][1]) for o in out)
     assert total_sent == total_recv > 0
+
+
+def test_merge_schedules_keeps_part_order():
+    def lists(*per_rank):
+        return [np.array(d, dtype=np.int64) for d in per_rank]
+
+    a = Schedule(lists([0, 1], [], [2]), lists([10], [11, 12], []))
+    b = Schedule(lists([3], [4, 5], [6]), lists([20], [21], [22, 23]))
+    m = merge_schedules([a, b])
+    # each destination gets a's chunk, then b's; each source fills a's
+    # slots, then b's; arrivals come by ascending source rank
+    assert [d.tolist() for d in m.sends] == [[0, 1, 3], [4, 5], [2, 6]]
+    assert [d.tolist() for d in m.recvs] == [[10, 20], [11, 12, 21], [22, 23]]
+    assert m.rcvd_dof.tolist() == [10, 20, 11, 12, 21, 22, 23]
 
 
 def test_update_all_ones_unchanged():
@@ -232,7 +247,7 @@ def test_message_economy_in_strip():
     def body(ctx):
         sizes = {}
         for rel in Relation:
-            sizes[rel.value] = int(ctx.mapper.schedules[rel].send_counts.sum())
+            sizes[rel.value] = sum(len(d) for d in ctx.mapper.schedules[rel].sends)
         return sizes
 
     out = run_contexts(m, 4, body=body)

@@ -39,7 +39,6 @@ from parfem.multigrid import (
     prolongate,
     restrict_defect,
     v_cycle,
-    write_diagnostics,
 )
 from parfem.partition import DofClass, decompose
 
@@ -707,25 +706,6 @@ def test_ssor_preconditioner_reduces_iterations():
     # 24x24 finest: large enough that preconditioning beats spectral luck
     plain_its, ssor_its, conv = build_on_ranks(coarse, 3, 1, body)[0]
     assert conv and ssor_its < plain_its
-
-
-def test_diagnostics_csv(tmp_path):
-    coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
-
-    def body(hier):
-        hier.diagnostics = []
-        v_cycle(hier, hier.finest.rhs)
-        write_diagnostics(hier, tmp_path / "diag.csv")
-        return hier.diagnostics
-
-    diag = build_on_ranks(coarse, 3, 1, body)[0]
-    assert len(diag) == 2  # one record per smoothed level
-    text = (tmp_path / "diag.csv").read_text().splitlines()
-    assert text[0] == "entry,level,pre_residual,post_residual"
-    assert len(text) == 3
-    # smoothing reduces the residual on every level
-    for level, pre, post in diag:
-        assert post < pre
 
 
 def test_transfer_level_bounds():

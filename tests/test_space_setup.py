@@ -105,12 +105,10 @@ def test_mapper_and_interface_match_loop_oracles(name, elem, n_ranks):
             assert np.array_equal(ctx.true_keys, true_keys)
             for rel in Relation:
                 s = ctx.mapper.schedules[rel]
-                send_counts, sent, recv_counts, rcvd = schedules[rel]
-                assert s.send_counts.tolist() == send_counts
-                assert s.sent_dof.tolist() == sent
-                assert s.recv_counts.tolist() == recv_counts
-                assert s.rcvd_dof.tolist() == rcvd
-                assert s.sent_dof.dtype == s.rcvd_dof.dtype == np.int64
+                sends, recvs = schedules[rel]
+                assert [d.tolist() for d in s.sends] == sends
+                assert [d.tolist() for d in s.recvs] == recvs
+                assert all(d.dtype == np.int64 for d in s.sends + s.recvs)
             if_dofs, counts, shared_with = loop_interface_lists(
                 ocls, odm, ownership, n_ranks
             )
