@@ -272,9 +272,6 @@ def _rank_body(rank, transport, config, coarse, coeffs, supg):
         else:
             precond = CoarseSolver(ctx, matrix).solve
     want = {round(t / config.dt) for t in config.snapshot_times}
-    csv_path = None
-    if config.out_dir is not None:
-        csv_path = os.path.join(config.out_dir, "fgmres_trace.csv")
 
     repeats = []
     for _ in range(config.repeats):
@@ -295,7 +292,6 @@ def _rank_body(rank, transport, config, coarse, coeffs, supg):
                 restart=config.restart,
                 tol=config.tol,
                 maxit=config.maxit,
-                csv_path=csv_path if (label, t) == steps[-1] else None,
             )
             solve_time += time.perf_counter() - t0
             iterations += res.iterations

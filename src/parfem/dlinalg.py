@@ -15,10 +15,8 @@ restore is logged, which keeps solver code free of explicit communication.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import logging
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -193,7 +191,6 @@ def fgmres(
     restart: int = 50,
     tol: float = 1e-10,
     maxit: int = 1000,
-    csv_path=None,
 ) -> SolveResult:
     """Flexible restarted GMRES with one preconditioned direction per step.
 
@@ -214,78 +211,63 @@ def fgmres(
     Vm = np.empty((restart + 1, np.count_nonzero(masters)))  # its master columns
     allreduce = functools.partial(ctx.transport.allreduce_sum, ctx.rank)
 
-    log = csv_path is not None and ctx.rank == 0
-    with open(csv_path, "w") if log else contextlib.nullcontext() as csv:
-        if csv is not None:
-            csv.write("iteration,residual,wall_time_s\n")
-        t0 = time.perf_counter()
+    r = b.copy()
+    axpy(-1.0, matvec(A, x), r)
+    beta = norm2(r)
+    residuals = [beta]
+    total = 0
+    converged = beta < tol
 
-        def log_row(it, res):
-            if csv is not None:
-                csv.write(f"{it},{res:.16e},{time.perf_counter() - t0:.6f}\n")
-
+    while not converged and total < maxit:
+        np.multiply(r.values, 1.0 / beta, out=V[0])
+        Vm[0] = V[0, masters]
+        levels = [r.level]  # consistency level of each basis vector
+        Z = []
+        H = np.zeros((restart + 1, restart))
+        cs, sn, g = [], [], [beta]  # rotations on Python floats
+        j = -1
+        while j + 1 < restart and total < maxit:
+            j += 1
+            Z.append(precond(DistVector(ctx, V[j], levels[j])))
+            w = matvec(A, Z[j])
+            h1 = allreduce(Vm[: j + 1] @ w.values[masters])
+            w.values -= h1 @ V[: j + 1]
+            wm = w.values[masters]
+            h2ww = allreduce(np.append(Vm[: j + 1] @ wm, wm @ wm))
+            h2 = h2ww[:-1]
+            w.values -= h2 @ V[: j + 1]
+            H[: j + 1, j] = h1 + h2
+            H[j + 1, j] = np.sqrt(max(h2ww[-1] - h2 @ h2, 0.0))
+            h = H[: j + 2, j].tolist()
+            for i, (c, s) in enumerate(zip(cs, sn)):
+                h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
+            denom = float(np.hypot(h[j], h[j + 1]))
+            cs.append(h[j] / denom)
+            sn.append(h[j + 1] / denom)
+            h[j] = denom
+            H[: j + 2, j] = h
+            g.append(-sn[j] * g[j])
+            g[j] = cs[j] * g[j]
+            total += 1
+            est = abs(g[j + 1])
+            residuals.append(est)
+            lucky = h[j + 1] < 1e-14 * max(beta, 1.0)
+            if lucky or est < tol:
+                break
+            np.multiply(w.values, 1.0 / h[j + 1], out=V[j + 1])
+            Vm[j + 1] = V[j + 1, masters]
+            levels.append(min(w.level, levels[j]))
+        k = j + 1
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):
+            y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
+        for i in range(k):
+            axpy(y[i], Z[i], x)
         r = b.copy()
         axpy(-1.0, matvec(A, x), r)
-        beta = norm2(r)
-        residuals = [beta]
-        log_row(0, beta)
-        total = 0
+        previous, beta = beta, norm2(r)
+        residuals[-1] = beta  # replace the estimate by the true residual
         converged = beta < tol
-
-        while not converged and total < maxit:
-            np.multiply(r.values, 1.0 / beta, out=V[0])
-            Vm[0] = V[0, masters]
-            levels = [r.level]  # consistency level of each basis vector
-            Z = []
-            H = np.zeros((restart + 1, restart))
-            cs, sn, g = [], [], [beta]  # rotations on Python floats
-            j = -1
-            while j + 1 < restart and total < maxit:
-                j += 1
-                Z.append(precond(DistVector(ctx, V[j], levels[j])))
-                w = matvec(A, Z[j])
-                h1 = allreduce(Vm[: j + 1] @ w.values[masters])
-                w.values -= h1 @ V[: j + 1]
-                wm = w.values[masters]
-                h2ww = allreduce(np.append(Vm[: j + 1] @ wm, wm @ wm))
-                h2 = h2ww[:-1]
-                w.values -= h2 @ V[: j + 1]
-                H[: j + 1, j] = h1 + h2
-                H[j + 1, j] = np.sqrt(max(h2ww[-1] - h2 @ h2, 0.0))
-                h = H[: j + 2, j].tolist()
-                for i, (c, s) in enumerate(zip(cs, sn)):
-                    h[i], h[i + 1] = c * h[i] + s * h[i + 1], c * h[i + 1] - s * h[i]
-                denom = float(np.hypot(h[j], h[j + 1]))
-                cs.append(h[j] / denom)
-                sn.append(h[j + 1] / denom)
-                h[j] = denom
-                H[: j + 2, j] = h
-                g.append(-sn[j] * g[j])
-                g[j] = cs[j] * g[j]
-                total += 1
-                est = abs(g[j + 1])
-                residuals.append(est)
-                log_row(total, est)
-                lucky = h[j + 1] < 1e-14 * max(beta, 1.0)
-                if lucky or est < tol:
-                    break
-                np.multiply(w.values, 1.0 / h[j + 1], out=V[j + 1])
-                Vm[j + 1] = V[j + 1, masters]
-                levels.append(min(w.level, levels[j]))
-            k = j + 1
-            y = np.zeros(k)
-            for i in range(k - 1, -1, -1):
-                y[i] = (g[i] - H[i, i + 1 : k] @ y[i + 1 : k]) / H[i, i]
-            for i in range(k):
-                axpy(y[i], Z[i], x)
-            r = b.copy()
-            axpy(-1.0, matvec(A, x), r)
-            previous, beta = beta, norm2(r)
-            residuals[-1] = beta  # replace the estimate by the true residual
-            converged = beta < tol
-            if beta >= previous:  # the cycle stalled; another one would too
-                break
-
-        if csv is not None:
-            log_row(total, beta if residuals else 0.0)
+        if beta >= previous:  # the cycle stalled; another one would too
+            break
     return SolveResult(x=x, iterations=total, residuals=residuals, converged=converged)

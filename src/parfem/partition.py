@@ -2,18 +2,17 @@
 
 Coarse cells are distributed by recursive coordinate bisection of their
 barycenters.  Each rank keeps its own cells plus a one-layer halo of cells
-that share an edge or vertex with an own cell; own cells touching the halo
-are dependent, the rest independent.
+that share an edge or vertex with an own cell.
 
 Known d.o.f.s are split into masters and slaves: every d.o.f. of the whole
 problem is master on exactly one rank.  Interface mastership goes to the
 lowest owning rank, which every rank can evaluate locally from the
 replicated ownership table.
 
-Both steps are array operations: halo and dependent cells come from vertex
-masks, and the classes from per-d.o.f. flags scattered through the known
-cells' d.o.f. table (in an own, halo or dependent cell; the lowest owning
-rank; in a cell that also holds a master or a slave).
+Both steps are array operations: halo cells come from a vertex mask, and
+the classes from per-d.o.f. flags scattered through the known cells' d.o.f.
+table (in an own or halo cell; the lowest owning rank; in a cell that also
+holds a master).
 """
 
 from __future__ import annotations
@@ -28,21 +27,14 @@ from .mesh import Mesh
 
 
 class DofClass(enum.IntEnum):
-    INDEPENDENT = 0
-    DEPENDENT_ALPHA = 1
-    DEPENDENT_BETA = 2
-    INTERFACE_MASTER = 3
-    INTERFACE_SLAVE = 4
-    HALO_ALPHA = 5
-    HALO_BETA = 6
+    INNER = 0  # only own cells contain it
+    INTERFACE_MASTER = 1
+    INTERFACE_SLAVE = 2
+    HALO_ALPHA = 3
+    HALO_BETA = 4
 
 
-MASTER_CLASSES = (
-    DofClass.INDEPENDENT,
-    DofClass.DEPENDENT_ALPHA,
-    DofClass.DEPENDENT_BETA,
-    DofClass.INTERFACE_MASTER,
-)
+MASTER_CLASSES = (DofClass.INNER, DofClass.INTERFACE_MASTER)
 
 
 def decompose(mesh: Mesh, n_ranks: int) -> np.ndarray:
@@ -92,7 +84,6 @@ class RankCells:
     rank: int
     own: np.ndarray
     halo: np.ndarray
-    dependent: np.ndarray  # own cells touching the halo
     known: np.ndarray  # own and halo
 
 
@@ -102,14 +93,10 @@ def build_rank_cells(mesh: Mesh, ownership: np.ndarray, rank: int) -> RankCells:
     near = np.zeros(mesh.n_vertices, dtype=bool)
     near[cv[own]] = True
     halo = ~own & near[cv].any(axis=1)
-    near[:] = False
-    near[cv[halo]] = True
-    dependent = own & near[cv].any(axis=1)
     return RankCells(
         rank=rank,
         own=np.flatnonzero(own),
         halo=np.flatnonzero(halo),
-        dependent=np.flatnonzero(dependent),
         known=np.flatnonzero(own | halo),
     )
 
@@ -118,9 +105,7 @@ def build_rank_cells(mesh: Mesh, ownership: np.ndarray, rank: int) -> RankCells:
 class DofClassification:
     """Per-rank classes of all known d.o.f.s."""
 
-    rank: int
     classes: np.ndarray  # DofClass value per local dof
-    master_rank: np.ndarray  # responsible rank; filled for interface + own
     is_master: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -133,7 +118,11 @@ class DofClassification:
 def classify_dofs(
     rank_cells: RankCells, dof_map: DofMap, ownership: np.ndarray
 ) -> DofClassification:
-    """Assign location classes, interface mastership and the alpha/beta split."""
+    """Assign location classes, interface mastership and the halo alpha/beta split.
+
+    ParMooN's independent/dependent split of the inner d.o.f.s is not formed:
+    it overlaps halo messages with computation, and this transport cannot.
+    """
     rank, n, table = rank_cells.rank, dof_map.n_dofs, dof_map.table
 
     def touches(cell_mask):
@@ -145,29 +134,21 @@ def classify_dofs(
     cell_owner = ownership[dof_map.cells]
     own = cell_owner == rank
     in_own, in_halo = touches(own), touches(~own)
-    in_dependent = touches(np.isin(dof_map.cells, rank_cells.dependent))
     # every cell containing an interface d.o.f. is known here, so the lowest
     # owning rank is computable without negotiation
     lowest = np.full(n, np.iinfo(np.int64).max)
     np.minimum.at(lowest, table.ravel(), np.repeat(cell_owner, table.shape[1]))
 
     interface = in_halo & in_own
-    master_rank = np.where(in_halo, -1, rank)
-    master_rank[interface] = lowest[interface]
-    classes = np.where(in_dependent, DofClass.DEPENDENT_BETA, DofClass.INDEPENDENT)
-    classes[in_halo] = DofClass.HALO_BETA
+    classes = np.where(in_halo, DofClass.HALO_BETA, DofClass.INNER)
     classes[interface] = np.where(
         lowest[interface] == rank, DofClass.INTERFACE_MASTER, DofClass.INTERFACE_SLAVE
     )
-    # alpha/beta split: a halo d.o.f. coupled to a master is halo(alpha), a
-    # dependent d.o.f. coupled to a slave is dependent(alpha)
-    slave = (classes == DofClass.INTERFACE_SLAVE) | (classes == DofClass.HALO_BETA)
-    near_master = touches((~slave)[table].any(axis=1))
-    near_slave = touches(slave[table].any(axis=1))
+    # alpha/beta split: a halo d.o.f. coupled to a master is halo(alpha)
+    master = (classes == DofClass.INNER) | (classes == DofClass.INTERFACE_MASTER)
+    near_master = touches(master[table].any(axis=1))
     classes[(classes == DofClass.HALO_BETA) & near_master] = DofClass.HALO_ALPHA
-    dependent_alpha = (classes == DofClass.DEPENDENT_BETA) & near_slave
-    classes[dependent_alpha] = DofClass.DEPENDENT_ALPHA
-    return DofClassification(rank=rank, classes=classes, master_rank=master_rank)
+    return DofClassification(classes=classes)
 
 
 def global_master_census(rank_results, tol=1e-8):

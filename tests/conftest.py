@@ -612,7 +612,7 @@ def _loop_vertex_cells(mesh):
 
 
 def loop_build_rank_cells(mesh, ownership, rank):
-    """Per-cell oracle: (own, halo, dependent, independent) ascending id arrays."""
+    """Per-cell oracle: (own, halo) ascending id arrays."""
     vertex_cells = _loop_vertex_cells(mesh)
 
     def neighbors(g):
@@ -623,9 +623,7 @@ def loop_build_rank_cells(mesh, ownership, rank):
     halo = set()
     for g in own:
         halo.update(n for n in neighbors(g) if n not in own)
-    dependent = {g for g in own if any(n in halo for n in neighbors(g))}
-    cell_sets = (own, halo, dependent, own - dependent)
-    return tuple(np.array(sorted(c), dtype=np.int64) for c in cell_sets)
+    return tuple(np.array(sorted(c), dtype=np.int64) for c in (own, halo))
 
 
 class UnionFind:
@@ -743,30 +741,24 @@ def couplings(dof_map):
     return [np.array(sorted(c), dtype=np.int64) for c in coupled]
 
 
-def loop_classify_dofs(rank, own, halo, dependent, dof_map, ownership):
+def loop_classify_dofs(rank, own, halo, dof_map, ownership):
     """Per-d.o.f. oracle of the location classes and interface mastership.
 
-    `dof_map` is a `loop_build_dof_map` result; returns classes, master ranks
-    and the master mask.
+    `dof_map` is a `loop_build_dof_map` result; returns classes and the
+    master mask.
     """
-    own, halo, dependent = (set(c.tolist()) for c in (own, halo, dependent))
+    own, halo = (set(c.tolist()) for c in (own, halo))
     n = dof_map.n_dofs
     classes = np.empty(n, dtype=np.int64)
-    master_rank = np.full(n, -1, dtype=np.int64)
     coupled = couplings(dof_map)
     for g in range(n):
         cells = dof_map.cells_of_dof[g]
         in_own = any(c in own for c in cells)
         in_halo = any(c in halo for c in cells)
         if not in_halo:
-            if any(c in dependent for c in cells):
-                classes[g] = DofClass.DEPENDENT_BETA
-            else:
-                classes[g] = DofClass.INDEPENDENT
-            master_rank[g] = rank
+            classes[g] = DofClass.INNER
         elif in_own:
             mr = min(int(ownership[c]) for c in cells)
-            master_rank[g] = mr
             classes[g] = (
                 DofClass.INTERFACE_MASTER if mr == rank else DofClass.INTERFACE_SLAVE
             )
@@ -781,13 +773,8 @@ def loop_classify_dofs(rank, own, halo, dependent, dof_map, ownership):
         if classes[g] == DofClass.HALO_BETA:
             if any(d not in slaves for d in coupled[g] if d != g):
                 classes[g] = DofClass.HALO_ALPHA
-        elif classes[g] == DofClass.DEPENDENT_BETA:
-            if any(d in slaves for d in coupled[g]):
-                classes[g] = DofClass.DEPENDENT_ALPHA
     is_master = np.isin(classes, [int(c) for c in MASTER_CLASSES])
-    return SimpleNamespace(
-        classes=classes, master_rank=master_rank, is_master=is_master
-    )
+    return SimpleNamespace(classes=classes, is_master=is_master)
 
 
 def loop_fe_schedules(transport, rank, cls, dof_map):

@@ -97,7 +97,6 @@ def test_run_writes_artifacts(problem, labels, tmp_path):
     for name in (
         "report.csv",
         "residuals.csv",
-        "fgmres_trace.csv",
         "solution_merged.txt",
         "solution_rank0.vtk",
         "solution_rank1.vtk",
@@ -106,12 +105,12 @@ def test_run_writes_artifacts(problem, labels, tmp_path):
     text = (out / "report.csv").read_text()
     assert "aggregate" in text
     with open(out / "residuals.csv") as fh:
-        steps = [row["step"] for row in csv.DictReader(fh)]
-    assert sorted(set(steps), key=int) == labels
-    # the trace holds the last step's history: one row per residual + final
-    trace = (out / "fgmres_trace.csv").read_text().splitlines()
-    assert trace[0].startswith("iteration,residual")
-    assert len(trace) == len(rep.residuals[-1][1]) + 2
+        rows = list(csv.DictReader(fh))
+    assert sorted({row["step"] for row in rows}, key=int) == labels
+    # the last step's history: one row per residual, in iteration order
+    last = [row for row in rows if row["step"] == labels[-1]]
+    assert [int(row["iteration"]) for row in last] == list(range(len(last)))
+    assert [float(row["residual"]) for row in last] == rep.residuals[-1][1]
 
 
 def test_run_reproducible_bitwise():

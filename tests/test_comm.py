@@ -127,10 +127,13 @@ def test_update_propagates_master_rank():
     def body(ctx):
         v = DistVector(ctx, np.full(ctx.n_local, float(ctx.rank)), L0)
         v.restore(L3)
-        # every interface slave now holds its master's rank id
+        # every interface slave now holds its master's rank id: the lowest
+        # owner of the known cells that contain it
+        dm = ctx.dof_map
         ok = True
         for g in ctx.classification.of_class(DofClass.INTERFACE_SLAVE):
-            ok = ok and v.values[g] == float(ctx.classification.master_rank[g])
+            cells = dm.cells[(dm.table == g).any(axis=1)]
+            ok = ok and v.values[g] == float(ctx.ownership[cells].min())
         return ok
 
     assert all(run_contexts(m, 4, body=body))

@@ -316,44 +316,6 @@ def test_fgmres_maxit_returns_result():
     assert res.iterations == 3
 
 
-def test_fgmres_csv_log(tmp_path):
-    m = build_rect_mesh(0, 1, 0, 1, 4, 4)
-    ctx = seq_context(m)
-    A, b = poisson_system(ctx)
-    path = tmp_path / "log.csv"
-    res = fgmres(A, b, tol=1e-10, csv_path=path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "iteration,residual,wall_time_s"
-    assert len(lines) >= res.iterations + 1
-
-
-def test_fgmres_csv_log_closed_when_preconditioner_raises(tmp_path, monkeypatch):
-    import builtins
-
-    from parfem import dlinalg
-
-    handles = []
-
-    def recording_open(*args, **kwargs):
-        handles.append(builtins.open(*args, **kwargs))
-        return handles[-1]
-
-    monkeypatch.setattr(dlinalg, "open", recording_open, raising=False)
-    ctx = seq_context(build_rect_mesh(0, 1, 0, 1, 4, 4))
-    A, b = poisson_system(ctx)
-
-    def failing(r):
-        raise ArithmeticError("preconditioner failed")
-
-    path = tmp_path / "log.csv"
-    with pytest.raises(ArithmeticError):
-        fgmres(A, b, precond=failing, csv_path=path)
-    assert len(handles) == 1 and handles[0].closed
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,residual,wall_time_s"
-    assert lines[1].startswith("0,")
-
-
 def test_matrix_combine_levels_and_values():
     m = build_rect_mesh(0, 1, 0, 1, 2, 2)
     ctx = seq_context(m)

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import couplings
 from parfem.dof_manager import build_dof_map, dof_coordinates
 from parfem.mesh import build_rect_mesh, refine_uniform
 from parfem.partition import (
@@ -46,7 +45,7 @@ def test_decompose_single_rank():
     m = build_rect_mesh(0, 1, 0, 1, 3, 2)
     assert np.array_equal(decompose(m, 1), np.zeros(6, dtype=np.int64))
     rc = build_rank_cells(m, decompose(m, 1), 0)
-    assert rc.halo.size == 0 and rc.dependent.size == 0
+    assert rc.halo.size == 0
 
 
 def test_decompose_2x1_balanced():
@@ -85,8 +84,6 @@ def test_rank_cells_2x2_split():
     rc = build_rank_cells(m, ownership, 0)
     assert rc.own.tolist() == [0, 1]
     assert rc.halo.tolist() == [2, 3]
-    assert rc.dependent.tolist() == [0, 1]
-    assert np.setdiff1d(rc.own, rc.dependent).size == 0  # no independent cell
 
 
 def test_rank_cells_corner_rank_halo():
@@ -112,7 +109,6 @@ def test_classify_2x2_interface_masters_on_lowest_rank():
             DofClass.INTERFACE_MASTER if rank == 0 else DofClass.INTERFACE_SLAVE
         )
         assert all(cls.classes[g] == expected for g in on_line)
-        assert all(cls.master_rank[g] == 0 for g in on_line)
 
 
 def test_classify_single_rank_all_independent():
@@ -121,12 +117,11 @@ def test_classify_single_rank_all_independent():
     rc = build_rank_cells(m, ownership, 0)
     dm = build_dof_map(m, rc.known, "q1")
     cls = classify_dofs(rc, dm, ownership)
-    assert all(c == DofClass.INDEPENDENT for c in cls.classes)
+    assert all(c == DofClass.INNER for c in cls.classes)
 
 
 def test_classify_q2_two_rank_strip():
-    # master side sees halo(alpha) everywhere, the slave side halo(beta);
-    # dependent d.o.f.s mirror this: beta on the master side, alpha opposite
+    # master side sees halo(alpha) everywhere, the slave side halo(beta)
     m = build_rect_mesh(0, 4, 0, 1, 4, 1)
     ownership = np.array([0, 0, 1, 1])
     rc0 = build_rank_cells(m, ownership, 0)
@@ -135,16 +130,12 @@ def test_classify_q2_two_rank_strip():
     halo0 = cls0.of_class(DofClass.HALO_ALPHA, DofClass.HALO_BETA)
     assert len(halo0) > 0
     assert all(cls0.classes[g] == DofClass.HALO_ALPHA for g in halo0)
-    dep0 = cls0.of_class(DofClass.DEPENDENT_ALPHA, DofClass.DEPENDENT_BETA)
-    assert all(cls0.classes[g] == DofClass.DEPENDENT_BETA for g in dep0)
 
     rc1 = build_rank_cells(m, ownership, 1)
     dm1 = build_dof_map(m, rc1.known, "q2")
     cls1 = classify_dofs(rc1, dm1, ownership)
     halo1 = cls1.of_class(DofClass.HALO_ALPHA, DofClass.HALO_BETA)
     assert all(cls1.classes[g] == DofClass.HALO_BETA for g in halo1)
-    dep1 = cls1.of_class(DofClass.DEPENDENT_ALPHA, DofClass.DEPENDENT_BETA)
-    assert all(cls1.classes[g] == DofClass.DEPENDENT_ALPHA for g in dep1)
 
 
 def test_classify_q2_three_rank_strip_mixed_layers():
@@ -160,10 +151,6 @@ def test_classify_q2_three_rank_strip_mixed_layers():
         assert coords[g, 0] > 4.0  # beyond the mastered right interface
     for g in cls.of_class(DofClass.HALO_BETA):
         assert coords[g, 0] < 2.0
-    for g in cls.of_class(DofClass.DEPENDENT_ALPHA):
-        assert coords[g, 0] <= 3.0  # in the cell at the slave-side interface
-    for g in cls.of_class(DofClass.DEPENDENT_BETA):
-        assert coords[g, 0] > 3.0
     m_ims = cls.of_class(DofClass.INTERFACE_MASTER)
     assert all(abs(coords[g, 0] - 4.0) < 1e-12 for g in m_ims)
 
@@ -209,31 +196,14 @@ def test_cross_rank_class_symmetry(n_ranks):
             assert len(masters) == 1
             assert others <= {DofClass.INTERFACE_SLAVE, DofClass.HALO_ALPHA,
                               DofClass.HALO_BETA}
-        for r, c in view.items():
-            if c == DofClass.DEPENDENT_BETA:
-                # known elsewhere only as halo(beta)
-                assert all(
-                    other == DofClass.HALO_BETA
-                    for rr, other in view.items()
-                    if rr != r
-                )
-            if c == DofClass.DEPENDENT_ALPHA and len(view) > 1:
-                assert any(
-                    other == DofClass.HALO_ALPHA
-                    for rr, other in view.items()
-                    if rr != r
-                )
 
 
-def test_halo_never_master_and_independent_couplings():
+def test_halo_never_master():
     m = build_rect_mesh(0, 2, 0, 2, 4, 4)
     ownership = decompose(m, 4)
     for rank in range(4):
         rc = build_rank_cells(m, ownership, rank)
         dm = build_dof_map(m, rc.known, "q1")
         cls = classify_dofs(rc, dm, ownership)
-        coupled = couplings(dm)
         for g in cls.of_class(DofClass.HALO_ALPHA, DofClass.HALO_BETA):
             assert not cls.is_master[g]
-        for g in cls.of_class(DofClass.INDEPENDENT):
-            assert all(cls.is_master[d] for d in coupled[g])

@@ -65,12 +65,9 @@ def test_space_matches_loop_oracles(name, elem, n_ranks):
         ownership = ownership_on_level(coarse_owner, level)
         for rank in range(n_ranks):
             rc = build_rank_cells(mesh, ownership, rank)
-            own, halo, dependent, independent = loop_build_rank_cells(
-                mesh, ownership, rank
-            )
-            independent_cells = np.setdiff1d(rc.own, rc.dependent)
-            got = (rc.own, rc.halo, rc.dependent, independent_cells, rc.known)
-            want = (own, halo, dependent, independent, np.union1d(own, halo))
+            own, halo = loop_build_rank_cells(mesh, ownership, rank)
+            got = (rc.own, rc.halo, rc.known)
+            want = (own, halo, np.union1d(own, halo))
             for g, w in zip(got, want):
                 assert g.dtype == np.int64 and np.array_equal(g, w)
 
@@ -81,9 +78,8 @@ def test_space_matches_loop_oracles(name, elem, n_ranks):
             assert np.array_equal(dm.keys, odm.keys)
 
             cls = classify_dofs(rc, dm, ownership)
-            ocls = loop_classify_dofs(rank, own, halo, dependent, odm, ownership)
+            ocls = loop_classify_dofs(rank, own, halo, odm, ownership)
             assert np.array_equal(cls.classes, ocls.classes)
-            assert np.array_equal(cls.master_rank, ocls.master_rank)
             assert np.array_equal(cls.is_master, ocls.is_master)
 
 
@@ -98,9 +94,9 @@ def test_mapper_and_interface_match_loop_oracles(name, elem, n_ranks):
         for level, mesh in enumerate(meshes):
             ownership = ownership_on_level(coarse_owner, level)
             ctx = build_rank_context(mesh, ownership, elem, transport, rank)
-            own, halo, dependent, _ = loop_build_rank_cells(mesh, ownership, rank)
+            own, halo = loop_build_rank_cells(mesh, ownership, rank)
             odm = loop_build_dof_map(mesh, ctx.rank_cells.known, elem)
-            ocls = loop_classify_dofs(rank, own, halo, dependent, odm, ownership)
+            ocls = loop_classify_dofs(rank, own, halo, odm, ownership)
             schedules, true_keys = loop_fe_schedules(transport, rank, ocls, odm)
             assert np.array_equal(ctx.true_keys, true_keys)
             for rel in Relation:
