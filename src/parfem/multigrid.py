@@ -4,12 +4,13 @@ The level hierarchy starts from the decomposed coarse mesh and refines
 uniformly, so child cells inherit their parent's owner and all parent-child
 information is rank-local.  Each level mesh is refined once and shared by
 the rank threads (`Mesh.refined`).  Grid transfers are sparse matrices built
-once per level pair from the cellwise definition on own cells: the
-prolongation evaluates the coarse function at the fine nodes of the
-children, and the restriction is its transpose over the fine masters, so
-each fine master counts once.  A prolongated vector is restored to level 3
-in one exchange; a restricted defect carries the summed interface values on
-every sharing rank, so it is level-1-consistent without an update.
+once per level pair from the cellwise definition: the prolongation evaluates
+the coarse function at the fine nodes of every known cell, each a child of a
+known coarse cell, summed in ascending coarse key, so every rank forms a fine
+value the same way and a level-3 coarse vector prolongates to level 3 with no
+exchange.  The restriction is its transpose over the fine masters, so each
+fine master counts once; a restricted defect carries the summed interface
+values on every sharing rank, so it is level-1-consistent without an update.
 Smoothing, on every level but 0, is block-Jacobi over the rank blocks
 (masters plus interface slaves) with SSOR inside the block; after each sweep
 one all-to-all averages the interface values over their sharing ranks and
@@ -60,25 +61,23 @@ def transfer_matrices(elem) -> np.ndarray:
 def transfer_operators(coarse: RankContext, fine: RankContext, T: np.ndarray):
     """CSR prolongation P (fine x coarse) and restriction R (coarse x fine).
 
-    Row g of P is T[c][i] on the coarse cell's d.o.f.s, taken at the first
-    (own cell, child c, node i) holding fine d.o.f. g in ascending order; the
-    coarse function is continuous, so any other source agrees up to rounding.
-    R is the transpose of P's fine-master rows.
+    Row f of P is T[g % 4][i] on the d.o.f.s of coarse cell g // 4, the parent
+    of the first known fine cell g holding f (as its node i), in ascending
+    coarse key, so every rank forms a fine value from the same weights in the
+    same order.  R is the transpose of P's fine-master rows.
     """
-    own = coarse.rank_cells.own
-    children = (4 * own[:, None] + np.arange(4)).ravel()
-    cdofs = coarse.dof_map.rows(own)
-    fdofs = fine.dof_map.rows(children)
-    fine_dofs, first = np.unique(fdofs, return_index=True)
-    cell, child, node = np.unravel_index(first, (len(own), 4, T.shape[1]))
-    vals = T[child, node]
-    cols = cdofs[cell]
-    rows = np.broadcast_to(fine_dofs[:, None], cols.shape)
+    _, first = np.unique(fine.dof_map.table, return_index=True)
+    cell, node = np.divmod(first, T.shape[1])
+    parent, child = np.divmod(fine.dof_map.cells[cell], 4)
+    cols = coarse.dof_map.rows(parent)
+    order = np.argsort(coarse.true_keys[cols], axis=1)
+    cols = np.take_along_axis(cols, order, axis=1)
+    vals = np.take_along_axis(T[child, node], order, axis=1)
     nz = vals != 0.0
+    indptr = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
     shape = (fine.n_local, coarse.n_local)
-    P = sp.csr_matrix((vals[nz], (rows[nz], cols[nz])), shape=shape)
-    nz &= fine.master_mask[rows]
-    R = sp.csr_matrix((vals[nz], (cols[nz], rows[nz])), shape=shape[::-1])
+    P = sp.csr_matrix((vals[nz], cols[nz], indptr), shape=shape)
+    R = (sp.diags(fine.master_mask * 1.0) @ P).T.tocsr()
     return P, R
 
 
@@ -285,13 +284,13 @@ def build_hierarchy(
 
 
 def prolongate(hier: MgHierarchy, level: int, v_coarse: DistVector) -> DistVector:
-    """Evaluate the coarse function at the fine nodes of own cells' children."""
+    """Evaluate the level-3 coarse function at the fine nodes of every known
+    cell; each rank forms a value the same way, so the result is level 3."""
     if not 0 <= level < hier.n_levels - 1:
         raise IndexError(f"no fine level above {level}")
     fine = hier.levels[level + 1]
-    v_coarse.restore(L1)
-    v = DistVector(fine.ctx, spmv(fine.prolongation, v_coarse.values), L0)
-    return v.restore(L3)
+    v_coarse.restore(L3)
+    return DistVector(fine.ctx, spmv(fine.prolongation, v_coarse.values), L3)
 
 
 def restrict_defect(hier: MgHierarchy, level: int, d_fine: DistVector) -> DistVector:

@@ -231,27 +231,39 @@ def _key_values(ctx, shift):
 @pytest.mark.parametrize("n_ranks", [1, 2, 3])
 @pytest.mark.parametrize("elem", ["q1", "q2"])
 def test_csr_transfers_match_cellwise_oracles(elem, n_ranks):
-    # curved bilinear O-grid cells; level pairs 0-1 and 1-2
+    # curved bilinear O-grid cells; level pairs 0-1 and 1-2; the prolongation
+    # makes no all-to-all and gives a key the same bits on every rank
     coarse = build_hemker_mesh()
+    transport = CountingTransport(n_ranks)
 
     def close(got, want):
         return np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def body(hier):
-        ok = True
+        ok, bits = True, []
         for level in (0, 1):
             cc, fc = hier.levels[level].ctx, hier.levels[level + 1].ctx
             v = DistVector(cc, _key_values(cc, level), L3)
+            before = transport.all_to_alls[cc.rank]
             w = prolongate(hier, level, v.copy())
+            ok = ok and transport.all_to_alls[cc.rank] == before
+            as_int = w.values.view(np.int64)  # compare the bits
+            bits.append(dict(zip(fc.true_keys.tolist(), as_int.tolist())))
             w_loop = loop_prolongate(hier, level, v.copy())
             d = DistVector(fc, _key_values(fc, 0.5 + level), L3)
             r = restrict_defect(hier, level, d.copy())
             r_loop = loop_restrict_defect(hier, level, d.copy())
             ok = ok and close(w.values, w_loop.values) and w.level == L3
             ok = ok and close(r.values, r_loop.values) and r.level == L1
-        return ok
+        return ok, bits
 
-    assert all(build_on_ranks(coarse, 3, n_ranks, body, elem=elem))
+    results = build_on_ranks(coarse, 3, n_ranks, body, elem=elem, transport=transport)
+    assert all(ok for ok, _ in results)
+    for level in (0, 1):
+        first = {}
+        for _, bits in results:
+            for key, b in bits[level].items():
+                assert first.setdefault(key, b) == b, (level, key)
 
 
 def test_restrict_prolongate_diagonal_positive():
@@ -546,8 +558,8 @@ def test_v_cycle_from_the_solution_stays_there():
 
 def test_v_cycle_collective_count():
     # 3 levels, V(2,2) with a level-0 right-hand side: one IMS restore of b;
-    # per smoothed level 2 + 2 sweeps, one defect accumulation and one
-    # prolongation restore; one coarse right-hand-side all-gather
+    # per smoothed level 2 + 2 sweeps and one defect accumulation; one coarse
+    # right-hand-side all-gather; the prolongation makes none
     coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
     transport = CountingTransport(2)
 
@@ -557,13 +569,13 @@ def test_v_cycle_collective_count():
         v_cycle(hier, b)
         return transport.all_to_alls[hier.finest.ctx.rank] - before
 
-    assert build_on_ranks(coarse, 3, 2, body, transport=transport) == [14, 14]
+    assert build_on_ranks(coarse, 3, 2, body, transport=transport) == [12, 12]
 
 
 def test_v_cycle_collective_count_from_level_1():
     # the same V(2,2) on levels 1 and 2 alone: the IMS restore of b, 2 + 2
-    # sweeps, one defect accumulation and one prolongation restore on level 2,
-    # and the coarse right-hand-side all-gather on level 1
+    # sweeps and one defect accumulation on level 2, and the coarse
+    # right-hand-side all-gather on level 1; the prolongation makes none
     coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
     transport = CountingTransport(2)
 
@@ -575,7 +587,7 @@ def test_v_cycle_collective_count_from_level_1():
         return transport.all_to_alls[hier.finest.ctx.rank] - before
 
     counts = build_on_ranks(coarse, 3, 2, body, transport=transport, coarse_level=1)
-    assert counts == [8, 8]
+    assert counts == [7, 7]
 
 
 # global d.o.f.s on levels 0, 1, 2, and the level pick_coarse_level returns
