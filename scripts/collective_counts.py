@@ -5,8 +5,9 @@ from outside the library, runs one `RunConfig` and prints rank 0's
 all-to-alls per label, its reductions, its barrier waits and the CPUs its
 thread was allowed to run on (one CPU when the rank threads are pinned).
 A second run of the same `RunConfig`, with only `fgmres` wrapped, gives rank
-0's Python calls per FGMRES iteration: cProfile's call count inside `fgmres`
-divided by the iterations.  It is exact, so it does not move with host noise:
+0's Python calls per FGMRES iteration: cProfile's call count inside `fgmres`,
+less the barrier's lock calls, divided by the iterations.
+It is exact, so it does not move with host noise:
 
     python3 scripts/collective_counts.py --problem timedep2d --levels 3 \
         --ranks 2 --t-end 0.5
@@ -67,6 +68,12 @@ def count_collectives(config: bench_cli.RunConfig):
     return report, labels, counts["reductions"], counts["waits"], counts["cpus"]
 
 
+# A rank that reaches a barrier last releases the other ranks' gate locks,
+# any other rank acquires its own: how many lock calls rank 0 makes depends
+# on the order in which the rank threads arrive, so none is counted.
+BARRIER_LOCK = "of '_thread.lock' objects>"
+
+
 def calls_per_iteration(config: bench_cli.RunConfig) -> float | None:
     """Run `config`; returns rank 0's Python calls inside `fgmres` per FGMRES
     iteration, or None without an iteration.  No other wrapper is installed,
@@ -79,7 +86,12 @@ def calls_per_iteration(config: bench_cli.RunConfig) -> float | None:
             return orig(*args, **kwargs)
         profile = cProfile.Profile()  # profiles the calling thread only
         res = profile.runcall(orig, *args, **kwargs)
-        counts["calls"] += pstats.Stats(profile).total_calls - 1  # less fgmres
+        stats = pstats.Stats(profile)
+        lock_calls = sum(
+            calls for (_, _, name), (_, calls, *_) in stats.stats.items()
+            if name.endswith(BARRIER_LOCK)
+        )
+        counts["calls"] += stats.total_calls - lock_calls - 1  # less fgmres
         counts["iterations"] += res.iterations
         return res
 

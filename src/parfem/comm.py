@@ -19,8 +19,9 @@ is whichever rank holds the unique master of that d.o.f.:
 
 Masters are final at level 0 and never receive, so any set of relations is
 sent in one all-to-all over the union of their schedules: a restore makes
-at most one.  The schedules are negotiated once per finite element space by
-exchanging (cell id, local index) keys and are reused for every later update.
+at most one.  Every exchange of a finite element space is negotiated once,
+in one request and one reply of (cell id, local index) keys per rank pair,
+and is reused for every later update.
 """
 
 from __future__ import annotations
@@ -235,12 +236,15 @@ def merge_schedules(parts: list[Schedule]) -> Schedule:
 
 @dataclass
 class FeMapper:
-    """Reusable communication schedules for all three relations."""
+    """Every exchange schedule of a space, read from one negotiation."""
 
     schedules: dict[Relation, Schedule]
     true_keys: np.ndarray  # globally minimal (cell, index) key per local dof
-    # every block holder (master or interface slave) -> every halo d.o.f.
-    contributions: Schedule
+    contributions: Schedule  # every block holder -> every halo d.o.f.
+    if_dofs: np.ndarray  # interface d.o.f.s, in ascending key
+    shared_with: list[np.ndarray]  # per rank: the interface d.o.f.s it shares
+    slot_with: list[np.ndarray]  # per rank: their positions in if_dofs
+    counts: np.ndarray  # sharing ranks per interface d.o.f.
 
 
 def build_fe_mapper(
@@ -249,74 +253,73 @@ def build_fe_mapper(
     transport: Transport,
     rank: int,
 ) -> FeMapper:
-    """Negotiate the update schedules (collective over all ranks).
+    """Negotiate every exchange of the space (collective over all ranks).
 
-    Each rank broadcasts, per relation, the canonical keys of its slave
-    d.o.f.s.  A key names a (cell, local index) pair the slave's rank knows;
-    the master rank knows every cell containing its master d.o.f.s, so it can
-    answer any such key.  The master replies with the matched keys (and the
-    globally minimal key of the d.o.f.), fixing both send and receive
-    orderings deterministically.  A halo(alpha) or halo(beta) key is also
-    answered by every rank holding the d.o.f. in its block: an interface
-    slave's rank knows all cells containing it too.  Those replies give the
-    `contributions` schedule of the smoother's exchange.
+    Each rank sends every rank one request: the (key, class) rows of all its
+    slave d.o.f.s, in ascending key.  A key names a (cell, local index) pair
+    the slave's rank knows; a rank knows every cell containing a d.o.f. of
+    its block (masters plus interface slaves), so it answers each key another
+    rank requests that it holds there with one reply row: (requested key,
+    its own key, is-master).  The master's rows, split by the requested
+    class, give the three relation schedules and the globally minimal keys;
+    every row answering a halo key gives `contributions`.  A rank shares an
+    interface d.o.f. with rank q if q answered it as an interface slave here
+    or it answered q's interface slave, so both sides list the same d.o.f.s,
+    in ascending key.  Send and receive orders follow the requests.
     """
-    n_ranks = transport.n_ranks
-    local_keys = dof_map.keys
-
-    requests = {}
-    for rel, slave_class in RELATION_SLAVE_CLASS.items():
-        idx = classification.of_class(slave_class)
-        idx = idx[np.argsort(local_keys[idx], kind="stable")]
-        requests[rel] = (local_keys[idx], idx)
-
-    payload = {rel.value: requests[rel][0] for rel in Relation}
-    incoming = transport.all_to_all(
-        rank, [payload] * n_ranks, label="mapper-request"
-    )
-
+    n_ranks, keys, classes = transport.n_ranks, dof_map.keys, classification.classes
     is_master = classification.is_master
-    in_block = is_master | (classification.classes == DofClass.INTERFACE_SLAVE)
-    # (reply name, requested relation, answering d.o.f.s)
-    asked = [(rel, rel, is_master) for rel in Relation]
-    halo = (Relation.DH_ALPHA, Relation.DH_BETA)
-    asked += [(f"block-{rel.value}", rel, in_block) for rel in halo]
-    no_reply = np.empty((0, 2), dtype=np.int64)
-    replies = [{name: no_reply for name, *_ in asked} for _ in range(n_ranks)]
-    sent_lists = {name: [no_reply[:, 0]] * n_ranks for name, *_ in asked}
-    for src in range(n_ranks):
-        if src == rank:
-            continue
-        found = {r: dof_map.dofs_of_keys(incoming[src][r.value]) for r in Relation}
-        for name, rel, answering in asked:
-            keys, d = incoming[src][rel.value], found[rel]
-            hit = d >= 0
-            hit[hit] = answering[d[hit]]
-            replies[src][name] = np.stack([keys[hit], local_keys[d[hit]]], axis=1)
-            sent_lists[name][src] = d[hit]
+    slaves = np.flatnonzero(~is_master)
+    slaves = slaves[np.argsort(keys[slaves], kind="stable")]
+    request = np.stack([keys[slaves], classes[slaves]], axis=1)
+    incoming = transport.all_to_all(rank, [request] * n_ranks, label="mapper-request")
+    incoming[rank] = request[:0]  # a rank answers none of its own requests
+
+    # per rank: (local d.o.f., requested class, master answer) of each reply row
+    sent, replies = [], []
+    for asked in incoming:
+        d = dof_map.dofs_of_keys(asked[:, 0])
+        hit = d >= 0
+        hit[hit] = classification.in_block[d[hit]]
+        d = d[hit]
+        sent.append((d, asked[hit, 1], is_master[d]))
+        replies.append(np.stack([asked[hit, 0], keys[d], is_master[d]], axis=1))
 
     answered = transport.all_to_all(rank, replies, label="mapper-reply")
+    got = np.concatenate(answered)
+    at = slaves[np.searchsorted(request[:, 0], got[:, 0])]
+    from_master = got[:, 2] == 1
+    matched = np.bincount(at[from_master], minlength=dof_map.n_dofs)[slaves]
+    bad = np.flatnonzero(matched != 1)
+    if bad.size:
+        g, k = int(slaves[bad[0]]), int(matched[bad[0]])
+        raise RuntimeError(f"rank {rank}: slave dof {g} matched {k} masters")
+    true_keys = keys.copy()
+    true_keys[at[from_master]] = got[from_master, 1]
+    bounds = np.cumsum([len(a) for a in answered])[:-1]
+    rcvd = list(zip(*(np.split(x, bounds) for x in (at, classes[at], from_master))))
 
-    true_keys = local_keys.copy()
-    schedules = {}
-    for name, rel, answering in asked:
-        req_keys, req_idx = requests[rel]
-        got = [a[name] for a in answered]
-        recvs = [req_idx[np.searchsorted(req_keys, g[:, 0])] for g in got]
-        schedules[name] = Schedule(sent_lists[name], recvs)
-        if answering is in_block:
-            continue
-        rcvd = schedules[name].rcvd_dof
-        true_keys[rcvd] = np.concatenate(got)[:, 1]
-        matched = np.bincount(rcvd, minlength=dof_map.n_dofs)[req_idx]
-        bad = np.flatnonzero(matched != 1)
-        if bad.size:
-            raise RuntimeError(
-                f"rank {rank}: slave dof {int(req_idx[bad[0]])} in {rel.value} "
-                f"matched {int(matched[bad[0]])} masters"
-            )
-    contributions = merge_schedules([schedules.pop(f"block-{r.value}") for r in halo])
-    return FeMapper(schedules, true_keys, contributions)
+    def schedule(select) -> Schedule:
+        """The reply rows that `select(class, master answer)` keeps, both ways."""
+        return Schedule(*([d[select(c, m)] for d, c, m in s] for s in (sent, rcvd)))
+
+    relations = RELATION_SLAVE_CLASS.items()
+    schedules = {r: schedule(lambda c, m, k=k: m & (c == k)) for r, k in relations}
+    # halo(alpha) and halo(beta) are the classes above every interface class
+    contributions = schedule(lambda c, m: c >= DofClass.HALO_ALPHA)
+    shared = schedule(lambda c, m: c == DofClass.INTERFACE_SLAVE)
+    if_dofs = np.flatnonzero(classification.in_block & (classes != DofClass.INNER))
+    if_dofs = if_dofs[np.argsort(keys[if_dofs], kind="stable")]
+    slot = np.full(dof_map.n_dofs, -1)
+    slot[if_dofs] = np.arange(len(if_dofs))
+    pairs = zip(shared.sends, shared.recvs)
+    slot_with = [np.union1d(slot[s], slot[r]) for s, r in pairs]
+    slot_with[rank] = np.arange(len(if_dofs))
+    counts = np.bincount(np.concatenate(slot_with), minlength=len(if_dofs))
+    shared_with = [if_dofs[s] for s in slot_with]
+    return FeMapper(
+        schedules, true_keys, contributions, if_dofs, shared_with, slot_with, counts
+    )
 
 
 class Communicator:
@@ -363,8 +366,8 @@ class InterfaceExchange:
     Defect restriction sums the sharing ranks' partial values (`accumulate`).
     The multigrid smoother replaces interface values by their mean and
     refreshes every halo d.o.f. in the same all-to-all (`settle`).
-    Both sides of every rank pair derive the same key-sorted interface list
-    locally, so no negotiation is needed beyond the mapper's.  A rank sends
+    The interface lists are read from the mapper's reply, so both sides of
+    every rank pair list the same d.o.f.s in ascending key.  A rank sends
     rank q its values of `shared_with[q]`, and q's values fill the slots
     `slot_with[q]` of a buffer over `if_dofs`; `settle` appends one slot per
     halo d.o.f., filled by the mapper's `contributions`.  Every total starts
@@ -372,24 +375,11 @@ class InterfaceExchange:
     bitwise identical on every rank that forms it.
     """
 
-    def __init__(self, transport, rank, classification, dof_map, ownership, mapper):
+    def __init__(self, transport: Transport, rank: int, mapper: FeMapper):
         self.transport = transport
         self.rank = rank
-        n = transport.n_ranks
-        if_dofs = classification.of_class(
-            DofClass.INTERFACE_MASTER, DofClass.INTERFACE_SLAVE
-        )
-        self.if_dofs = if_dofs[np.argsort(dof_map.keys[if_dofs], kind="stable")]
-        # sharing ranks: owners of the known cells holding each interface dof
-        slot = np.full(dof_map.n_dofs, -1)
-        slot[self.if_dofs] = np.arange(len(self.if_dofs))
-        slots = slot[dof_map.table]
-        sharing = np.zeros((len(self.if_dofs), n), dtype=bool)
-        owners = np.broadcast_to(ownership[dof_map.cells][:, None], slots.shape)
-        sharing[slots[slots >= 0], owners[slots >= 0]] = True
-        self.counts = sharing.sum(axis=1).astype(float)
-        self.slot_with = [np.flatnonzero(sharing[:, q]) for q in range(n)]
-        self.shared_with = [self.if_dofs[s] for s in self.slot_with]
+        self.if_dofs, self.counts = mapper.if_dofs, mapper.counts
+        self.shared_with, self.slot_with = mapper.shared_with, mapper.slot_with
         # settle: interface slots, then one slot per halo d.o.f. fed by every
         # rank holding it in its block (several if it is interface there)
         c = mapper.contributions
@@ -399,7 +389,7 @@ class InterfaceExchange:
         # schedules into the slots, and the start values of their totals
         shared = Schedule(self.shared_with, self.slot_with)
         halo_slots = [len(self.if_dofs) + np.searchsorted(halo, r) for r in c.recvs]
-        self._accumulate = (shared, np.zeros(len(if_dofs)))
+        self._accumulate = (shared, np.zeros(len(self.if_dofs)))
         self._settle = (
             merge_schedules([shared, Schedule(c.sends, halo_slots)]),
             # -0.0 + v == v for every v: a single contribution passes unchanged
@@ -453,12 +443,10 @@ class RankContext:
     def master_mask(self) -> np.ndarray:
         return self.classification.is_master
 
-    @functools.cached_property
+    @property
     def block_mask(self) -> np.ndarray:
         """Masters plus interface slaves: the rows a rank smooths/owns."""
-        mask = self.classification.is_master.copy()
-        mask[self.classification.of_class(DofClass.INTERFACE_SLAVE)] = True
-        return mask
+        return self.classification.in_block
 
     @property
     def true_keys(self) -> np.ndarray:
@@ -483,9 +471,7 @@ def build_rank_context(
     classification = classify_dofs(rank_cells, dof_map, ownership)
     mapper = build_fe_mapper(classification, dof_map, transport, rank)
     comm = Communicator(transport, rank, mapper)
-    exchange = InterfaceExchange(
-        transport, rank, classification, dof_map, ownership, mapper
-    )
+    exchange = InterfaceExchange(transport, rank, mapper)
     return RankContext(
         transport=transport,
         rank=rank,

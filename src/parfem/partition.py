@@ -107,9 +107,11 @@ class DofClassification:
 
     classes: np.ndarray  # DofClass value per local dof
     is_master: np.ndarray = field(init=False)
+    in_block: np.ndarray = field(init=False)  # masters plus interface slaves
 
     def __post_init__(self):
         self.is_master = np.isin(self.classes, [int(c) for c in MASTER_CLASSES])
+        self.in_block = self.is_master | (self.classes == DofClass.INTERFACE_SLAVE)
 
     def of_class(self, *classes) -> np.ndarray:
         return np.flatnonzero(np.isin(self.classes, [int(c) for c in classes]))

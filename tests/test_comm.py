@@ -580,3 +580,22 @@ def test_unmatched_slave_detected():
 
     with pytest.raises(RuntimeError, match="matched 0 masters"):
         spmd_run(2, body, timeout=5.0)
+
+    strip = build_rect_mesh(0, 3, 0, 1, 3, 1)
+    strip_ownership = np.array([0, 1, 2])
+
+    def promote(rank, transport):
+        rc = build_rank_cells(strip, strip_ownership, rank)
+        dm = build_dof_map(strip, rc.known, "q1")
+        cls = classify_dofs(rc, dm, strip_ownership)
+        if rank == 1:
+            # promote the slaves of rank 0's interface: rank 2 sees them as
+            # halo(beta) d.o.f.s, and both rank 0 and rank 1 answer as master
+            cls.classes[cls.of_class(DofClass.INTERFACE_SLAVE)] = (
+                DofClass.INTERFACE_MASTER
+            )
+            cls.__post_init__()
+        build_fe_mapper(cls, dm, transport, rank)
+
+    with pytest.raises(RuntimeError, match="matched 2 masters"):
+        spmd_run(3, promote, timeout=5.0)
