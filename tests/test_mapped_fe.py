@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import broadcast_physical_gradients
 from parfem.mapped_fe import (
+    REF_VERTICES,
     CellGeometry,
     cell_geometry,
     gauss_rule,
@@ -75,6 +76,24 @@ def test_q2_center_node():
     expected = np.zeros(9)
     expected[4] = 1.0
     assert np.allclose(vals[0], expected)
+
+
+@pytest.mark.parametrize("kind", ["q1", "q2"])
+def test_node_maps_match_node_coordinates(kind):
+    # the d.o.f. manager and its loop oracle both read vertex_dof and
+    # edge_dofs, so they are checked here against the nodes themselves
+    elem = get_element(kind)
+    for k in range(4):
+        assert np.array_equal(elem.nodes[elem.vertex_dof[k]], REF_VERTICES[k])
+    on_edge = []
+    for e in range(4):
+        start, end = REF_VERTICES[e], REF_VERTICES[(e + 1) % 4]
+        for i, t in elem.edge_dofs[e]:
+            assert np.array_equal(elem.nodes[i], (1.0 - t) * start + t * end)
+            on_edge.append(i)
+    boundary = np.flatnonzero(np.abs(elem.nodes).max(axis=1) == 1.0)
+    corners = set(elem.vertex_dof.values())
+    assert sorted(on_edge) == [i for i in boundary if i not in corners]
 
 
 @pytest.mark.parametrize("kind", ["q1", "q2"])
