@@ -394,21 +394,13 @@ def main(argv=None) -> int:
         prog="parfem-bench",
         description="scalar convection-diffusion solver benchmarks",
     )
-    parser.add_argument("--problem", choices=PROBLEMS, default="poisson_mms")
-    parser.add_argument("--element", choices=ELEMENTS, default="q1")
-    parser.add_argument("--levels", type=int, default=3)
-    parser.add_argument("--ranks", type=int, default=1)
-    parser.add_argument("--solver", choices=SOLVERS, default="mg_fgmres")
-    parser.add_argument("--nu1", type=int, default=2)
-    parser.add_argument("--nu2", type=int, default=2)
-    parser.add_argument("--omega", type=float, default=1.0)
-    parser.add_argument("--restart", type=int, default=50)
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--maxit", type=int, default=500)
-    parser.add_argument("--dt", type=float, default=1e-2)
-    parser.add_argument("--t-end", type=float, default=3.0)
-    parser.add_argument("--repeats", type=int, default=1)
-    parser.add_argument("--out-dir", default="bench_out")
+    choices = dict(problem=PROBLEMS, element=ELEMENTS, solver=SOLVERS)
+    for f in dataclasses.fields(RunConfig):
+        if f.name == "snapshot_times":
+            continue
+        default = "bench_out" if f.name == "out_dir" else f.default
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(default),
+                            choices=choices.get(f.name), default=default)
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
 

@@ -41,16 +41,14 @@ class DistVector:
     start from zeros), never uninitialized memory.
     """
 
-    def __init__(self, ctx: RankContext, values=None, level=L3):
+    def __init__(self, ctx: RankContext, values=None, level: ConsistencyLevel = L3):
         self.ctx = ctx
         if values is None:
             values = np.zeros(ctx.n_local)
         self.values = np.asarray(values, dtype=float)
         if self.values.shape != (ctx.n_local,):
             raise ValueError("value array does not match the space")
-        self.level = (
-            level if isinstance(level, ConsistencyLevel) else ConsistencyLevel(level)
-        )
+        self.level = level
 
     def copy(self) -> "DistVector":
         return DistVector(self.ctx, self.values.copy(), self.level)

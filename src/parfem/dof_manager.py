@@ -51,6 +51,7 @@ class DofMap:
     cells: np.ndarray  # known cell ids, ascending
     table: np.ndarray  # (cells, elem.n_dofs) global d.o.f. of each local one
     keys: np.ndarray  # canonical (smallest) key per global dof, int64
+    first: np.ndarray  # flat `table` position of each global dof's smallest key
 
     @cached_property
     def cell_dofs(self) -> dict[int, np.ndarray]:
@@ -120,6 +121,7 @@ def build_dof_map(mesh, cells, elem_kind: str) -> DofMap:
         cells=cells,
         table=number[inverse].reshape(len(cells), elem.n_dofs),
         keys=encode_key(cells[smallest // elem.n_dofs], smallest % elem.n_dofs),
+        first=smallest,
     )
 
 
@@ -133,9 +135,7 @@ def dof_coordinates(dof_map: DofMap, mesh, tol=1e-12, geometry=None) -> np.ndarr
     geometry = geometry or cell_geometry(mesh, dof_map.cells)
     flat = dof_map.table.ravel()
     pts = geometry.map(dof_map.elem.nodes).reshape(-1, 2)
-    coords = np.full((dof_map.n_dofs, 2), np.nan)
-    dofs, first = np.unique(flat, return_index=True)
-    coords[dofs] = pts[first]
+    coords = pts[dof_map.first]
     scale = np.maximum(1.0, np.repeat(geometry.diameter, dof_map.elem.n_dofs))
     (bad,) = np.nonzero(np.linalg.norm(coords[flat] - pts, axis=1) > tol * scale)
     if bad.size:

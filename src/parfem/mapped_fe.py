@@ -22,7 +22,6 @@ REF_VERTICES = np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
 class QuadratureRule:
     points: np.ndarray  # (n, 2) reference coordinates
     weights: np.ndarray  # (n,)
-    degree: int  # exact for tensor polynomials up to this degree per direction
 
 
 def gauss_rule(order: int) -> QuadratureRule:
@@ -32,7 +31,7 @@ def gauss_rule(order: int) -> QuadratureRule:
     x, w = leggauss(order)
     pts = np.array([[xi, yj] for yj in x for xi in x])
     wts = np.array([wi * wj for wj in w for wi in w])
-    return QuadratureRule(pts, wts, 2 * order - 1)
+    return QuadratureRule(pts, wts)
 
 
 def _lagrange_1d(nodes, x):
@@ -62,10 +61,11 @@ class LocalElement:
     """Tensor-product Lagrange element on [-1,1]^2 with point functionals.
 
     Node ordering is row-major in (y, x), i.e. bottom row left to right first.
-    `locations` ties each node to the cell topology for the d.o.f. manager:
-    ("vertex", k) with k an index into the cell's counterclockwise vertex
-    list, ("edge", e, t) with e a local edge and t the position along it, or
-    ("interior", j).
+    Two maps tie the nodes to the cell topology for the d.o.f. manager:
+    `vertex_dof[k]` is the node on vertex k of the cell's counterclockwise
+    vertex list, and `edge_dofs[e]` lists (node, t) for the nodes inside local
+    edge e, from vertex e to vertex e+1, with t the position along it.  The
+    remaining nodes are interior.
     """
 
     def __init__(self, kind: str):
@@ -79,37 +79,14 @@ class LocalElement:
         n = len(nodes_1d)
         self.nodes = np.array([[x, y] for y in nodes_1d for x in nodes_1d])
         self.n_dofs = n * n
-        self.locations = self._make_locations(n)
-        self.vertex_dof = {
-            loc[1]: i for i, loc in enumerate(self.locations) if loc[0] == "vertex"
+        m = n - 1
+        corner = [0, m, n * n - 1, n * m]  # node on each counterclockwise vertex
+        self.vertex_dof = dict(enumerate(corner))
+        self.edge_dofs = {
+            e: [(corner[e] + j * (corner[(e + 1) % 4] - corner[e]) // m, j / m)
+                for j in range(1, m)]
+            for e in range(4)
         }
-        self.edge_dofs = {e: [] for e in range(4)}
-        for i, loc in enumerate(self.locations):
-            if loc[0] == "edge":
-                self.edge_dofs[loc[1]].append((i, loc[2]))
-
-    def _make_locations(self, n):
-        # corner (ix, iy) pairs -> counterclockwise vertex index
-        corner = {(0, 0): 0, (n - 1, 0): 1, (n - 1, n - 1): 2, (0, n - 1): 3}
-        # local edges in ccw order: bottom, right, top, left
-        locations = []
-        interior = 0
-        for iy in range(n):
-            for ix in range(n):
-                if (ix, iy) in corner:
-                    locations.append(("vertex", corner[(ix, iy)]))
-                elif iy == 0:
-                    locations.append(("edge", 0, ix / (n - 1)))
-                elif ix == n - 1:
-                    locations.append(("edge", 1, iy / (n - 1)))
-                elif iy == n - 1:
-                    locations.append(("edge", 2, 1.0 - ix / (n - 1)))
-                elif ix == 0:
-                    locations.append(("edge", 3, 1.0 - iy / (n - 1)))
-                else:
-                    locations.append(("interior", interior))
-                    interior += 1
-        return locations
 
     def eval(self, points):
         """Basis values and reference gradients at reference points.

@@ -18,7 +18,6 @@ import threading
 
 import numpy as np
 
-CIRCLE_FLAG = "circle"
 _REFINE_LOCK = threading.Lock()
 
 
@@ -40,10 +39,10 @@ class Mesh:
         edges: (n_edges, 2) int array of vertex-id pairs a < b, ascending.
         edge_counts: number of incident cells per edge.
         cell_edges: (n_cells, 4) edge id of each local edge (v_k, v_k+1).
-        vertex_flags: flag name -> set of vertex ids (e.g. circle boundary).
+        circle: ascending int64 ids of the vertices on the unit circle.
     """
 
-    def __init__(self, vertices, cells, level=0, vertex_flags=None):
+    def __init__(self, vertices, cells, level=0, circle=()):
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
@@ -57,7 +56,7 @@ class Mesh:
             raise MeshError(f"cell {bad[0]} has a vertex id outside [0, {nv})")
         self.cell_vertices = cells.astype(np.int64)
         self.level = level
-        self.vertex_flags = {k: set(v) for k, v in (vertex_flags or {}).items()}
+        self.circle = np.asarray(circle, dtype=np.int64)
         self._refined = None
         self._build_tables()
         self._validate()
@@ -164,7 +163,7 @@ def build_hemker_mesh() -> Mesh:
     """Coarse mesh of (-3,9)x(-3,3) minus the unit disk.
 
     The disk boundary is the polygon through 8 projected ring vertices; those
-    vertices are flagged ``circle`` so refinement can re-project midpoints.
+    vertices form ``circle`` so refinement can re-project midpoints.
     """
     coord_ids: dict[tuple[float, float], int] = {}
     verts: list[tuple[float, float]] = []
@@ -202,9 +201,7 @@ def build_hemker_mesh() -> Mesh:
             (vid(*circ[k]), vid(*square[k]), vid(*square[kn]), vid(*circ[kn]))
         )
 
-    return Mesh(
-        np.array(verts), cells, level=0, vertex_flags={CIRCLE_FLAG: set(circle_ids)}
-    )
+    return Mesh(np.array(verts), cells, level=0, circle=circle_ids)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
@@ -213,15 +210,14 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     Child global_id is ``4*parent + k`` with k enumerating the quadrant at
     parent vertex k.  Midpoint vertices are numbered after the parent's
     vertices in edge order, barycenters after them in cell order.  Midpoints
-    of edges between two circle-flagged vertices are re-projected onto the
-    unit circle.  The input mesh is not modified.
+    of edges between two ``circle`` vertices are re-projected onto the unit
+    circle and join it.  The input mesh is not modified.
     """
-    circle = mesh.vertex_flags.get(CIRCLE_FLAG, set())
     nv, ne = mesh.n_vertices, len(mesh.edges)
     a, b = mesh.edges.T
     mids = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
     flagged = np.zeros(nv, dtype=bool)
-    flagged[list(circle)] = True
+    flagged[mesh.circle] = True
     (on_circle,) = np.nonzero(flagged[a] & flagged[b])
     for k in on_circle.tolist():
         # math.hypot, not np.hypot: they differ in the last bit on some inputs
@@ -241,11 +237,9 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     )  # (child, corner, parent)
     children = quads.transpose(2, 0, 1).reshape(-1, 4)
 
-    flags = dict(mesh.vertex_flags)
-    if circle:
-        flags[CIRCLE_FLAG] = circle | set((nv + on_circle).tolist())
+    circle = np.concatenate([mesh.circle, nv + on_circle])
     verts = np.vstack([mesh.vertices, mids, bary])
-    return Mesh(verts, children, level=mesh.level + 1, vertex_flags=flags)
+    return Mesh(verts, children, level=mesh.level + 1, circle=circle)
 
 
 def write_vtk(mesh: Mesh, path, point_data=None, cell_ids=None):

@@ -66,8 +66,7 @@ def transfer_operators(coarse: RankContext, fine: RankContext, T: np.ndarray):
     coarse key, so every rank forms a fine value from the same weights in the
     same order.  R is the transpose of P's fine-master rows.
     """
-    _, first = np.unique(fine.dof_map.table, return_index=True)
-    cell, node = np.divmod(first, T.shape[1])
+    cell, node = np.divmod(fine.dof_map.first, T.shape[1])
     parent, child = np.divmod(fine.dof_map.cells[cell], 4)
     cols = coarse.dof_map.rows(parent)
     order = np.argsort(coarse.true_keys[cols], axis=1)

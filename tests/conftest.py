@@ -18,7 +18,7 @@ from parfem.comm import (
 from parfem.dlinalg import DistVector, axpy, dot, matvec, new_vector, norm2
 from parfem.dof_manager import encode_key
 from parfem.mapped_fe import cell_geometry, gauss_rule, get_element
-from parfem.mesh import CIRCLE_FLAG, Mesh
+from parfem.mesh import Mesh
 from parfem.multigrid import _QUADRANT_OFFSETS, transfer_matrices
 from parfem.partition import MASTER_CLASSES, DofClass
 
@@ -555,7 +555,7 @@ def restrict_function(hier, level, v_fine):
 
 def loop_refine_uniform(mesh):
     """Per-cell oracle: midpoints in sorted edge order, then barycenters."""
-    circle = mesh.vertex_flags.get(CIRCLE_FLAG, set())
+    circle = set(mesh.circle.tolist())
     edges = list(loop_edge_cells(mesh))
     new_circle = set(circle)
     nv = mesh.n_vertices
@@ -584,12 +584,10 @@ def loop_refine_uniform(mesh):
             (ctr, m12, v2, m23),
             (m30, ctr, m23, v3),
         ]
-    flags = dict(mesh.vertex_flags)
-    flags[CIRCLE_FLAG] = new_circle
-    if not circle:
-        flags.pop(CIRCLE_FLAG, None)
     verts = np.vstack([mesh.vertices, np.array(mid_coords), np.array(bary)])
-    return Mesh(verts, np.array(children), level=mesh.level + 1, vertex_flags=flags)
+    return Mesh(
+        verts, np.array(children), level=mesh.level + 1, circle=sorted(new_circle)
+    )
 
 
 def loop_edge_cells(mesh):

@@ -40,7 +40,7 @@ from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
 from parfem.dlinalg import DistVector, fgmres, from_keys, matvec
 from parfem.dof_manager import dof_coordinates, sorted_unique
 from parfem.mapped_fe import cell_geometry, get_element
-from parfem.mesh import CIRCLE_FLAG, build_hemker_mesh, build_rect_mesh, refine_uniform
+from parfem.mesh import build_hemker_mesh, build_rect_mesh, refine_uniform
 from parfem.partition import decompose
 
 L0, L1, L2, L3 = ConsistencyLevel
@@ -483,7 +483,7 @@ def test_hemker_cylinder_predicate_matches_circle_flags(elem):
         ctx = seq_context(mesh, elem)
         cell, edge = np.nonzero(mesh.edge_counts[mesh.cell_edges] == 1)
         ends = mesh.edges[mesh.cell_edges[cell, edge]]
-        flagged = np.isin(ends, list(mesh.vertex_flags[CIRCLE_FLAG])).all(axis=1)
+        flagged = np.isin(ends, mesh.circle).all(axis=1)
         x, y = mesh.vertices[ends].mean(axis=1).T
         assert np.array_equal(cylinder.where(x, y), flagged), level
         want = np.unique(ctx.dof_map.table[cell[:, None], local[edge]][flagged])

@@ -1,6 +1,9 @@
 import csv
+import dataclasses
 import os
+import re
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -343,6 +346,20 @@ def test_cli_main(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "cli" / "report.csv").exists()
+
+
+def test_cli_flags_are_the_config_fields(monkeypatch, capsys):
+    configs = []
+    report = SimpleNamespace(converged=True, iterations=0, time=0.0, exit_code=0)
+    monkeypatch.setattr(bench_cli, "run", lambda c: configs.append(c) or report)
+    assert main([]) == 0
+    assert configs == [RunConfig(out_dir="bench_out")]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    flags = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.M)
+    fields = dataclasses.fields(RunConfig)
+    want = ["--" + f.name.replace("_", "-") for f in fields]
+    assert flags == [w for w in want if w != "--snapshot-times"]
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parfem.mesh import (
-    CIRCLE_FLAG,
     Mesh,
     MeshError,
     build_hemker_mesh,
@@ -87,12 +86,11 @@ def test_refine_growth_and_ids():
 def test_refine_leaves_input_mesh_unchanged():
     m = refine_uniform(build_hemker_mesh())
     tables = ("vertices", "cell_vertices", "edges", "edge_counts", "cell_edges")
+    tables += ("circle",)
     before = [getattr(m, name).copy() for name in tables]
-    flags = {k: set(v) for k, v in m.vertex_flags.items()}
     refine_uniform(m)
     for name, table in zip(tables, before):
         assert np.array_equal(getattr(m, name), table), name
-    assert m.vertex_flags == flags
 
 
 UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
@@ -222,7 +220,7 @@ def test_neighbors():
 
 def test_hemker_circle_vertices():
     m = build_hemker_mesh()
-    circ = sorted(m.vertex_flags[CIRCLE_FLAG])
+    circ = m.circle
     assert len(circ) == 8
     radii = np.linalg.norm(m.vertices[circ], axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-12
@@ -239,7 +237,7 @@ def test_hemker_golden_cell_count():
 
 def test_hemker_refinement_reprojects():
     m = refine_uniform(build_hemker_mesh())
-    circ = sorted(m.vertex_flags[CIRCLE_FLAG])
+    circ = m.circle
     assert len(circ) == 16
     radii = np.linalg.norm(m.vertices[circ], axis=1)
     assert np.max(np.abs(radii - 1.0)) < 1e-12

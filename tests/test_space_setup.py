@@ -48,7 +48,8 @@ def test_refine_matches_loop_oracle(name):
         fine, oracle = refine_uniform(mesh), loop_refine_uniform(mesh)
         assert np.array_equal(fine.vertices, oracle.vertices)  # bitwise
         assert np.array_equal(fine.cell_vertices, oracle.cell_vertices)
-        assert fine.vertex_flags == oracle.vertex_flags
+        assert np.array_equal(fine.circle, oracle.circle)
+        assert fine.circle.dtype == np.int64
         assert fine.level == oracle.level
         for table in ("edges", "edge_counts", "cell_edges"):
             assert np.array_equal(getattr(fine, table), getattr(oracle, table))
