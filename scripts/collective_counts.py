@@ -12,15 +12,15 @@ It is exact, so it does not move with host noise:
     python3 scripts/collective_counts.py --problem timedep2d --levels 3 \
         --ranks 2 --t-end 0.5
 
-Every `RunConfig` field is a flag (underscores become dashes).  `--markdown`
-prints one table row instead, for a CI step summary.
+Every `RunConfig` field but `out_dir` and `snapshot_times` is a flag, as in
+`parfem-bench`.  `--markdown` prints one table row instead, for a CI step
+summary.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
-import dataclasses
 import os
 import pstats
 import sys
@@ -103,21 +103,10 @@ def calls_per_iteration(config: bench_cli.RunConfig) -> float | None:
     return counts["calls"] / counts["iterations"] if counts["iterations"] else None
 
 
-def _parse(argv):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    for f in dataclasses.fields(bench_cli.RunConfig):
-        if f.name in ("out_dir", "snapshot_times"):
-            continue
-        parser.add_argument("--" + f.name.replace("_", "-"), type=type(f.default),
-                            default=f.default)
-    parser.add_argument("--markdown", action="store_true")
-    return parser.parse_args(argv)
-
-
 def main(argv=None) -> int:
-    args = vars(_parse(argv))
-    markdown = args.pop("markdown")
-    config = bench_cli.RunConfig(**args)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--markdown", action="store_true")
+    config, args = bench_cli.parse_config(parser, argv, skip=("out_dir",))
     report, labels, reductions, waits, cpus = count_collectives(config)
     per_it = calls_per_iteration(config)
     a2a = sum(labels.values())
@@ -126,7 +115,7 @@ def main(argv=None) -> int:
             f"{config.solver}, {config.ranks} ranks")
     cpu_text = "n/a" if cpus is None else ",".join(map(str, cpus))
     calls_text = "n/a" if per_it is None else f"{per_it:,.0f}"
-    if markdown:
+    if args["markdown"]:
         print(f"| {name} | {report.iterations} | {reductions} | {a2a} "
               f"({per_label}) | {waits} | {cpu_text} | {calls_text} |")
     else:

@@ -389,25 +389,32 @@ def scaling_value(r_min, t_min, r, t):
     return (r_min * t_min) / (r * t)
 
 
+def parse_config(parser, argv=None, skip=()):
+    """Parse `argv` with one flag per `RunConfig` field but `snapshot_times`
+    and the fields in `skip` (underscores become dashes) beside the parser's
+    own flags.  Returns (config, the other arguments as a dict); a value that
+    `RunConfig` rejects is a usage error, as is an unknown choice."""
+    choices = dict(problem=PROBLEMS, element=ELEMENTS, solver=SOLVERS)
+    fields = [f for f in dataclasses.fields(RunConfig)
+              if f.name not in ("snapshot_times", *skip)]
+    for f in fields:
+        default = "bench_out" if f.name == "out_dir" else f.default
+        parser.add_argument("--" + f.name.replace("_", "-"), type=type(default),
+                            choices=choices.get(f.name), default=default)
+    args = vars(parser.parse_args(argv))
+    try:
+        return RunConfig(**{f.name: args.pop(f.name) for f in fields}), args
+    except ValueError as exc:
+        parser.error(str(exc))  # exits with code 2 and the usage line
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="parfem-bench",
         description="scalar convection-diffusion solver benchmarks",
     )
-    choices = dict(problem=PROBLEMS, element=ELEMENTS, solver=SOLVERS)
-    for f in dataclasses.fields(RunConfig):
-        if f.name == "snapshot_times":
-            continue
-        default = "bench_out" if f.name == "out_dir" else f.default
-        parser.add_argument("--" + f.name.replace("_", "-"), type=type(default),
-                            choices=choices.get(f.name), default=default)
-    args = parser.parse_args(argv)
+    config, _ = parse_config(parser, argv)
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s")
-
-    try:
-        config = RunConfig(**vars(args))
-    except ValueError as exc:
-        parser.error(str(exc))  # exits with code 2 and the usage line
     report = run(config)
     print(f"converged: {report.converged}  iterations: {report.iterations}  "
           f"solve time: {report.time:.4f}s")

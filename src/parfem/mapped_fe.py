@@ -9,6 +9,7 @@ cell is a batch of one (`cell_geometry(mesh, [gid])`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +25,16 @@ class QuadratureRule:
     weights: np.ndarray  # (n,)
 
 
+@functools.cache
 def gauss_rule(order: int) -> QuadratureRule:
-    """Tensor Gauss-Legendre rule with `order` points per direction."""
+    """Tensor Gauss-Legendre rule with `order` points per direction, built
+    once per order and shared, with read-only arrays."""
     if not 1 <= order <= 5:
         raise ValueError(f"unsupported quadrature order {order}")
     x, w = leggauss(order)
     pts = np.array([[xi, yj] for yj in x for xi in x])
     wts = np.array([wi * wj for wj in w for wi in w])
+    pts.flags.writeable = wts.flags.writeable = False
     return QuadratureRule(pts, wts)
 
 
@@ -118,13 +122,10 @@ def _tensor(fx, fy):
     return (fy[:, :, None] * fx[:, None, :]).reshape(len(fx), -1)
 
 
-_ELEMENTS: dict[str, LocalElement] = {}
-
-
+@functools.cache
 def get_element(kind: str) -> LocalElement:
-    if kind not in _ELEMENTS:
-        _ELEMENTS[kind] = LocalElement(kind)
-    return _ELEMENTS[kind]
+    """The shared `LocalElement` of each kind."""
+    return LocalElement(kind)
 
 
 class CellGeometry:

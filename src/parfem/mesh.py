@@ -8,7 +8,11 @@ and shared read-only by the ranks; `Mesh.refined` builds each level once.
 Topology is held in integer arrays only: the cells' vertex ids (the row
 number is the cell id), the edges as sorted vertex pairs with their
 incidence counts (one ``np.unique`` over pair codes) and each cell's edge
-ids.  Validation and refinement work on these arrays.
+ids.  Validation and refinement work on these arrays.  A mesh is admissible
+(two cells share an edge, one vertex or nothing) exactly when no cell's
+diagonal is another cell's edge or diagonal; an error names the lowest cell
+holding the lowest repeated vertex pair as a diagonal and the lowest other
+cell holding both of its vertices.
 """
 
 from __future__ import annotations
@@ -56,7 +60,9 @@ class Mesh:
             raise MeshError(f"cell {bad[0]} has a vertex id outside [0, {nv})")
         self.cell_vertices = cells.astype(np.int64)
         self.level = level
-        self.circle = np.asarray(circle, dtype=np.int64)
+        c = self.circle = np.asarray(circle, dtype=np.int64)
+        if np.any(c[1:] <= c[:-1]) or np.any(c[:1] < 0) or np.any(c[-1:] >= nv):
+            raise MeshError(f"circle ids must ascend strictly within [0, {nv})")
         self._refined = None
         self._build_tables()
         self._validate()
@@ -79,16 +85,15 @@ class Mesh:
 
     def _build_tables(self):
         cv = self.cell_vertices
-        ends = np.stack([cv, np.roll(cv, -1, axis=1)], axis=-1)
-        codes = ends.min(axis=-1) * self.n_vertices + ends.max(axis=-1)
         codes, inverse, self.edge_counts = np.unique(
-            codes, return_inverse=True, return_counts=True
+            _pair_codes(cv, np.roll(cv, -1, axis=1), self.n_vertices),
+            return_inverse=True, return_counts=True,
         )
         self.edges = np.stack(np.divmod(codes, self.n_vertices), axis=1)
         self.cell_edges = inverse.reshape(cv.shape)
 
     def _validate(self):
-        cv, n = self.cell_vertices, self.n_cells
+        cv, nv = self.cell_vertices, self.n_vertices
         ordered = np.sort(cv, axis=1)
         repeated = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
         # positive cross product at every corner: convex and counterclockwise,
@@ -107,37 +112,24 @@ class Mesh:
         if bad.size:
             key = tuple(self.edges[bad[0]].tolist())
             raise MeshError(f"edge {key} has {self.edge_counts[bad[0]]} incident cells")
-        # admissibility: two cells sharing >=2 vertices must share a full edge.
-        # (vertex, ci, cj) for every two cells ci < cj on a common vertex
-        order = np.argsort(cv.ravel(), kind="stable")
-        vert, cell = cv.ravel()[order], order // 4
-        triples = []
-        for d in range(1, len(vert)):
-            same = vert[d:] == vert[:-d]
-            if not same.any():
-                break
-            triples.append(np.stack([vert[d:], cell[:-d], cell[d:]])[:, same])
-        if not triples:
-            return
-        v, ci, cj = np.concatenate(triples, axis=1)
-        codes = ci * n + cj
-        pair, shared = np.unique(codes, return_counts=True)
-        two = (np.cumsum(self.edge_counts) - 2)[self.edge_counts == 2]
-        # incident cell ids grouped by edge, ascending within each edge
-        by_edge = np.argsort(self.cell_edges.ravel(), kind="stable") // 4
-        edge_pairs = np.sort(by_edge[two] * n + by_edge[two + 1])
-        if shared.max() <= 2 and np.array_equal(pair[shared >= 2], edge_pairs):
-            return
-        # the first offending pair in ascending (vertex, ci, cj) order
-        no_edge = (shared >= 2) & ~np.isin(pair, edge_pairs)
-        hit = np.isin(codes, pair[no_edge | (shared > 2)])
-        k = np.searchsorted(pair, codes[hit][np.lexsort((codes[hit], v[hit]))[0]])
-        ci, cj = divmod(int(pair[k]), n)
-        if no_edge[k]:
-            raise MeshError(
-                f"cells {ci} and {cj} share {shared[k]} vertices but no edge"
-            )
-        raise MeshError(f"cells {ci} and {cj} overlap in {shared[k]} vertices")
+        # admissibility (module docstring): two shared vertices that are no
+        # common edge are a diagonal of one of the cells; three include one
+        diagonals = _pair_codes(cv[:, :2], cv[:, 2:], nv)
+        codes = np.sort(np.append(_pair_codes(*self.edges.T, nv), diagonals))
+        twice = codes[1:][codes[1:] == codes[:-1]]
+        if twice.size:
+            ci = np.flatnonzero(np.any(diagonals == twice[0], axis=1))[0]
+            holds = np.isin(cv, divmod(twice[0], nv)).sum(axis=1) == 2
+            holds[ci] = False
+            ci, cj = sorted((int(ci), int(np.flatnonzero(holds)[0])))
+            k = len(np.intersect1d(cv[ci], cv[cj]))
+            if k == 2:
+                raise MeshError(f"cells {ci} and {cj} share 2 vertices but no edge")
+            raise MeshError(f"cells {ci} and {cj} overlap in {k} vertices")
+
+
+def _pair_codes(a, b, nv):
+    return np.minimum(a, b) * nv + np.maximum(a, b)
 
 
 def build_rect_mesh(x0, x1, y0, y1, nx, ny) -> Mesh:
@@ -188,13 +180,9 @@ def build_hemker_mesh() -> Mesh:
     # ring vertices: 8 points on the circle and 8 on the square |x|,|y| <= 2
     square = [(2.0, 0.0), (2.0, 2.0), (0.0, 2.0), (-2.0, 2.0),
               (-2.0, 0.0), (-2.0, -2.0), (0.0, -2.0), (2.0, -2.0)]
-    circle_ids = []
-    circ = []
-    for k in range(8):
-        a = k * math.pi / 4.0
-        c = (math.cos(a), math.sin(a))
-        circ.append(c)
-        circle_ids.append(vid(*c))
+    angles = [k * math.pi / 4.0 for k in range(8)]
+    circ = [(math.cos(a), math.sin(a)) for a in angles]
+    circle_ids = [vid(*c) for c in circ]
     for k in range(8):
         kn = (k + 1) % 8
         cells.append(

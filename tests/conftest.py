@@ -601,6 +601,56 @@ def loop_edge_cells(mesh):
     return dict(sorted(out.items()))
 
 
+def census_admissibility(cells):
+    """Cell-pair census of admissibility, as `Mesh._validate` formulated it
+    before the diagonal rule (oracle).
+
+    `cells` is an (n, 4) array of distinct vertex ids per row, no edge with
+    more than two cells.  Returns ({(ci, cj): shared vertices} for every
+    offending pair: two cells sharing 2 vertices but no edge, or more than 2
+    vertices; the census's message, naming the first offending pair in
+    ascending (vertex, ci, cj) order, or None if the cells are admissible).
+    """
+    cv = np.asarray(cells, dtype=np.int64)
+    n = len(cv)
+    ends = np.sort(np.stack([cv, np.roll(cv, -1, axis=1)], axis=-1), axis=-1)
+    _, cell_edges, edge_counts = np.unique(
+        ends[..., 0] * (cv.max() + 1) + ends[..., 1],
+        return_inverse=True, return_counts=True,
+    )
+    # (vertex, ci, cj) for every two cells ci < cj on a common vertex
+    order = np.argsort(cv.ravel(), kind="stable")
+    vert, cell = cv.ravel()[order], order // 4
+    triples = []
+    for d in range(1, len(vert)):
+        same = vert[d:] == vert[:-d]
+        if not same.any():
+            break
+        triples.append(np.stack([vert[d:], cell[:-d], cell[d:]])[:, same])
+    if not triples:
+        return {}, None
+    v, ci, cj = np.concatenate(triples, axis=1)
+    codes = ci * n + cj
+    pair, shared = np.unique(codes, return_counts=True)
+    two = (np.cumsum(edge_counts) - 2)[edge_counts == 2]
+    # incident cell ids grouped by edge, ascending within each edge
+    by_edge = np.argsort(cell_edges.ravel(), kind="stable") // 4
+    edge_pairs = np.sort(by_edge[two] * n + by_edge[two + 1])
+    no_edge = (shared >= 2) & ~np.isin(pair, edge_pairs)
+    offending = no_edge | (shared > 2)
+    offenders = {
+        divmod(int(p), n): int(s) for p, s in zip(pair[offending], shared[offending])
+    }
+    if not offenders:
+        return {}, None
+    hit = np.isin(codes, pair[offending])
+    k = np.searchsorted(pair, codes[hit][np.lexsort((codes[hit], v[hit]))[0]])
+    ci, cj = divmod(int(pair[k]), n)
+    if no_edge[k]:
+        return offenders, f"cells {ci} and {cj} share {shared[k]} vertices but no edge"
+    return offenders, f"cells {ci} and {cj} overlap in {shared[k]} vertices"
+
+
 def _loop_vertex_cells(mesh):
     out = [[] for _ in range(mesh.n_vertices)]
     for g, verts in enumerate(mesh.cell_vertices.tolist()):

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import importlib.util
 import os
 import re
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -380,6 +382,24 @@ def test_cli_main_out_of_range_flag_is_a_usage_error(argv, name, capsys):
     err = capsys.readouterr().err
     assert err.startswith("usage: parfem-bench")
     assert f"error: {name} = " in err
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [(["--problem", "foo"], "argument --problem: invalid choice: 'foo'"),
+     (["--ranks", "17"], "ranks = 17 must be at most 16")],
+)
+def test_collective_counts_bad_flag_is_a_usage_error(argv, error, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "collective_counts.py"
+    spec = importlib.util.spec_from_file_location("collective_counts", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ")
+    assert f"error: {error}" in err
 
 
 @pytest.mark.parametrize(

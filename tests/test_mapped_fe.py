@@ -224,6 +224,14 @@ def test_gauss_weights_sum_to_cell_measure(order):
     assert abs(gauss_rule(order).weights.sum() - 4.0) < 1e-13
 
 
+def test_gauss_rule_and_element_are_shared_read_only():
+    rule = gauss_rule(3)
+    assert gauss_rule(3) is rule and get_element("q2") is get_element("q2")
+    for table in (rule.points, rule.weights):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 0.0
+
+
 @pytest.mark.parametrize("order", [0, 6])
 def test_gauss_rule_rejects_order(order):
     with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
+import math
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import census_admissibility
 from parfem.mesh import (
     Mesh,
     MeshError,
@@ -131,6 +134,62 @@ UNIT_SQUARE = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
 def test_mesh_validation_rejects(verts, cells, message):
     with pytest.raises(MeshError, match=message):
         Mesh(np.array(verts), np.array(cells))
+
+
+@pytest.mark.parametrize(
+    "circle", [[0, 4], [-1, 2], [2, 1], [1, 1]], ids=["above", "below", "down", "twice"]
+)
+def test_mesh_rejects_bad_circle(circle):
+    message = r"circle ids must ascend strictly within \[0, 4\)"
+    with pytest.raises(MeshError, match=message):
+        Mesh(np.array(UNIT_SQUARE), np.array([(0, 1, 2, 3)]), circle=circle)
+
+
+@st.composite
+def cells_on_a_circle(draw):
+    """(nv, cells): cells of four distinct ids of nv vertices equally spaced
+    on a circle, ids in ascending angle and rotated.  Every cell is convex and
+    counterclockwise, so only the edge-count and admissibility checks can
+    reject."""
+    nv = draw(st.integers(4, 12))
+    cells = draw(st.lists(
+        st.tuples(st.sets(st.integers(0, nv - 1), min_size=4, max_size=4),
+                  st.integers(0, 3)),
+        min_size=1, max_size=4,
+    ))
+    return nv, np.array([np.roll(sorted(ids), -r) for ids, r in cells])
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells_on_a_circle())
+# 1-4 is the lowest repeated pair: an edge of cells 0 and 1, which share
+# nothing else, and a diagonal of cell 2, which overlaps both
+@example((6, np.array([(1, 2, 3, 4), (0, 1, 4, 5), (1, 2, 4, 5)])))
+def test_diagonal_rule_matches_census(mesh_arrays):
+    nv, cells = mesh_arrays
+    angles = 2.0 * math.pi * np.arange(nv) / nv
+    verts = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    ends = np.sort(np.stack([cells, np.roll(cells, -1, axis=1)], axis=-1), axis=-1)
+    _, counts = np.unique(ends[..., 0] * nv + ends[..., 1], return_counts=True)
+    try:
+        Mesh(verts, cells)
+        message = None
+    except MeshError as exc:
+        message = str(exc)
+    if counts.max() > 2:
+        assert message is not None and message.startswith("edge ")
+        return
+    offenders, census = census_admissibility(cells)
+    assert (message is None) == (census is None)
+    if message is None:
+        return
+    if len(offenders) == 1:
+        assert message == census
+    found = re.fullmatch(r"cells (\d+) and (\d+) (?:share (2) vertices but no edge"
+                         r"|overlap in (\d+) vertices)", message)
+    ci, cj, two, more = found.groups()
+    assert offenders[int(ci), int(cj)] == int(two or more)
+    assert more is None or int(more) > 2
 
 
 def test_refined_built_once_under_concurrent_access(monkeypatch):
