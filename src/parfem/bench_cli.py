@@ -270,7 +270,7 @@ def _rank_body(rank, transport, config, coarse, coeffs, supg):
         if config.solver == "ssor_fgmres":
             precond = SsorPreconditioner(BlockSsor(ctx, matrix, config.omega))
         else:
-            precond = CoarseSolver(ctx, matrix).solve
+            precond = CoarseSolver(ctx, matrix)
     want = {round(t / config.dt) for t in config.snapshot_times}
 
     repeats = []

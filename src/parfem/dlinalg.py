@@ -10,7 +10,8 @@ Operation rules for the consistency tags:
     them (all projections of one Gram-Schmidt pass) in one collective.
 
 Inputs below the level an operation needs are restored implicitly and the
-restore is logged, which keeps solver code free of explicit communication.
+restore is logged; this serves FGMRES and `matvec`.  Each preconditioner
+restores its input once, at its boundary, and runs on value arrays inside.
 """
 
 from __future__ import annotations

@@ -12,14 +12,15 @@ exchange.  The restriction is its transpose over the fine masters, so each
 fine master counts once; a restricted defect carries the summed interface
 values on every sharing rank, so it is level-1-consistent without an update.
 Smoothing, on every level but 0, is block-Jacobi over the rank blocks
-(masters plus interface slaves) with SSOR inside the block; after each sweep
-one all-to-all averages the interface values over their sharing ranks and
-refreshes every halo value, so the iterate stays level-3-consistent: the
-block rows of interface slaves, which couple to halo(beta) d.o.f.s, read
-current values in the next sweep.
-A sweep is x ← x + (U + D/ω)⁻¹·(2−ω)·(I + ωLD⁻¹)⁻¹·(b − A x) (Saad,
-§10.2); one from zero (SSOR preconditioner; V-cycle pre-smoothing without
-x0, on every level) skips the product: b − A·0 is b bit for bit.
+(masters plus interface slaves) with SSOR inside the block (`BlockSsor`);
+after each sweep one all-to-all averages the interface values over their
+sharing ranks and refreshes every halo value, so the iterate stays
+level-3-consistent: interface-slave rows, which couple to halo(beta)
+d.o.f.s, read current values in the next sweep.
+So the levels inside a V-cycle are fixed: b is level 1, the residual b − A·x
+and the restricted defect are level 1, and the smoother, the coarse solve and
+the prolongation leave level 3.  The cycle runs on value arrays; `v_cycle`
+and `SsorPreconditioner` restore their input once, at the boundary.
 The first level built is solved exactly, the same on every rank: each rank
 receives all master rows once and factorises the global matrix by sparse LU;
 a solve gives every rank all master values of the right-hand side in one
@@ -37,7 +38,7 @@ from scipy.sparse.linalg import splu
 from scipy.sparse.linalg._dsolve._superlu import gstrs
 
 from .comm import ConsistencyLevel, RankContext, Schedule, build_rank_context
-from .dlinalg import DistMatrix, DistVector, axpy, matvec, new_vector, spmv
+from .dlinalg import DistMatrix, DistVector, spmv
 from .dof_manager import sorted_unique
 from .mapped_fe import get_element
 from .partition import decompose, ownership_on_level
@@ -133,20 +134,18 @@ class BlockSsor:
     def _sweep(self, x: np.ndarray, b: np.ndarray):
         x[self.block] += self._solve(b[self.block] - spmv(self.A_rows, x))
 
-    def smooth(self, x: DistVector | None, b: DistVector, sweeps: int) -> DistVector:
-        """Sweeps from `x`, or from zero when `x` is None, each followed by one
-        exchange that averages the interface values and refreshes the halo
-        values; the result is level-3-consistent."""
-        b.restore(L1)  # interface-slave rows read the right-hand side
+    def smooth(self, x: np.ndarray | None, b: np.ndarray, sweeps: int) -> np.ndarray:
+        """Sweeps on level-3 values `x` in place, or from zero when `x` is
+        None, for level-1 values `b`; each is followed by one exchange that
+        averages the interface values and refreshes the halo values (level 3)."""
         zero = x is None
-        x = new_vector(self.ctx) if zero else x.restore(L3)  # rows read halo(beta)
+        x = np.zeros(self.ctx.n_local) if zero else x
         for k in range(sweeps):
             if zero and k == 0:
-                x.values[self.block] += self._solve(b.values[self.block])
+                x[self.block] += self._solve(b[self.block])
             else:
-                self._sweep(x.values, b.values)
-            self.ctx.exchange.settle(x.values)
-            x.level = L3
+                self._sweep(x, b)
+            self.ctx.exchange.settle(x)
         return x
 
 
@@ -191,12 +190,17 @@ class CoarseSolver:
         # right-hand side: every rank's master values to every rank
         self._rhs = Schedule([masters] * t.n_ranks, [index(g[0]) for g in gathered])
 
-    def solve(self, b: DistVector) -> DistVector:
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """The level-3 values of the solution; reads the master values of `b`."""
         rhs = np.empty(self._lu.shape[0])  # each key has one master row
         rhs[self._rhs.rcvd_dof] = self._rhs.send(
-            self.ctx.transport, self.ctx.rank, b.values, "coarse-rhs"
+            self.ctx.transport, self.ctx.rank, b, "coarse-rhs"
         )
-        return DistVector(self.ctx, self._lu.solve(rhs)[self._known], L3)
+        return self._lu.solve(rhs)[self._known]
+
+    def __call__(self, r: DistVector) -> DistVector:
+        """The preconditioner of `coarse_direct`: an exact solve."""
+        return DistVector(self.ctx, self.solve(r.values), L3)
 
 
 @dataclass
@@ -282,53 +286,46 @@ def build_hierarchy(
     return MgHierarchy(levels=levels, coarse=coarse, nu1=nu1, nu2=nu2)
 
 
-def prolongate(hier: MgHierarchy, level: int, v_coarse: DistVector) -> DistVector:
+def prolongate(hier: MgHierarchy, level: int, v_coarse: np.ndarray) -> np.ndarray:
     """Evaluate the level-3 coarse function at the fine nodes of every known
     cell; each rank forms a value the same way, so the result is level 3."""
     if not 0 <= level < hier.n_levels - 1:
         raise IndexError(f"no fine level above {level}")
-    fine = hier.levels[level + 1]
-    v_coarse.restore(L3)
-    return DistVector(fine.ctx, spmv(fine.prolongation, v_coarse.values), L3)
+    return spmv(hier.levels[level + 1].prolongation, v_coarse)
 
 
-def restrict_defect(hier: MgHierarchy, level: int, d_fine: DistVector) -> DistVector:
+def restrict_defect(hier: MgHierarchy, level: int, d_fine: np.ndarray) -> np.ndarray:
     """Transpose of prolongation over the fine masters.
 
     Each fine master is counted exactly once globally, and R reads no fine
-    slave, so `d_fine` needs no restore.  The per-rank partial sums at the
+    slave, so `d_fine` may be level 0.  The per-rank partial sums at the
     interface are accumulated on every sharing rank (level 1).
     """
     if not 0 <= level < hier.n_levels - 1:
         raise IndexError(f"no fine level above {level}")
-    coarse, fine = hier.levels[level], hier.levels[level + 1]
-    d = spmv(fine.restriction, d_fine.values)
-    coarse.ctx.exchange.accumulate(d)
-    return DistVector(coarse.ctx, d, L1)
+    d = spmv(hier.levels[level + 1].restriction, d_fine)
+    hier.levels[level].ctx.exchange.accumulate(d)
+    return d
 
 
-def _residual(lvl: MgLevel, x: DistVector, b: DistVector) -> DistVector:
-    """b − A x."""
-    r = b.copy()
-    axpy(-1.0, matvec(lvl.matrix, x), r)
-    return r
-
-
-def _cycle(hier: MgHierarchy, level: int, b: DistVector, x: DistVector | None):
+def _cycle(hier: MgHierarchy, level: int, b: np.ndarray, x: np.ndarray | None):
     if level == 0:
         return hier.coarse.solve(b)
     lvl = hier.levels[level]
     x = lvl.smoother.smooth(x, b, hier.nu1)
-    d = restrict_defect(hier, level - 1, _residual(lvl, x, b))
-    e = _cycle(hier, level - 1, d, None)
-    axpy(1.0, prolongate(hier, level - 1, e), x)
-    lvl.smoother.smooth(x, b, hier.nu2)
-    return x
+    d = restrict_defect(hier, level - 1, b - spmv(lvl.matrix.csr, x))
+    x += prolongate(hier, level - 1, _cycle(hier, level - 1, d, None))
+    return lvl.smoother.smooth(x, b, hier.nu2)
 
 
 def v_cycle(hier: MgHierarchy, b: DistVector, x0: DistVector | None = None):
-    """One V(nu1, nu2) cycle from `x0` or zero; the result is level-3-consistent."""
-    return _cycle(hier, hier.n_levels - 1, b, x0)
+    """One V(nu1, nu2) cycle from `x0` (updated in place) or zero, to level 3;
+    restores `b` to level 1 and `x0` to level 3, as the smoothers read them."""
+    top = hier.n_levels - 1
+    if top:  # a coarse solve alone reads only master values
+        b.restore(L1)
+    x = None if x0 is None else x0.restore(L3).values
+    return DistVector(b.ctx, _cycle(hier, top, b.values, x), L3)
 
 
 class MgPreconditioner:
@@ -348,4 +345,5 @@ class SsorPreconditioner:
         self.smoother = smoother
 
     def __call__(self, r: DistVector) -> DistVector:
-        return self.smoother.smooth(None, r, 1)
+        z = self.smoother.smooth(None, r.restore(L1).values, 1)
+        return DistVector(r.ctx, z, L3)

@@ -113,9 +113,6 @@ class DofClassification:
         self.is_master = np.isin(self.classes, [int(c) for c in MASTER_CLASSES])
         self.in_block = self.is_master | (self.classes == DofClass.INTERFACE_SLAVE)
 
-    def of_class(self, *classes) -> np.ndarray:
-        return np.flatnonzero(np.isin(self.classes, [int(c) for c in classes]))
-
 
 def classify_dofs(
     rank_cells: RankCells, dof_map: DofMap, ownership: np.ndarray

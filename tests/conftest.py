@@ -30,6 +30,11 @@ def seq_context(mesh, elem="q1"):
     return build_rank_context(mesh, ownership, elem, transport, 0)
 
 
+def of_class(classification, *classes):
+    """Local d.o.f.s of the given classes, ascending."""
+    return np.flatnonzero(np.isin(classification.classes, [int(c) for c in classes]))
+
+
 def geometric_dof_classes(mesh, cells, elem_kind, tol=1e-10):
     """Brute-force oracle: local d.o.f.s identified iff coordinates coincide."""
     elem = get_element(elem_kind)

@@ -287,7 +287,7 @@ def solve_on_hierarchy_finest(config):
         elif config.solver == "ssor_fgmres":
             precond = SsorPreconditioner(BlockSsor(fin.ctx, fin.matrix, config.omega))
         else:
-            precond = CoarseSolver(fin.ctx, fin.matrix).solve
+            precond = CoarseSolver(fin.ctx, fin.matrix)
         res = fgmres(
             fin.matrix, fin.rhs, precond=precond, x0=new_vector(fin.ctx),
             restart=config.restart, tol=config.tol, maxit=config.maxit,

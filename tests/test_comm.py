@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import CountingTransport
+from conftest import CountingTransport, of_class
 from parfem.comm import (
     CollectiveMismatch,
     ConsistencyLevel,
@@ -51,7 +51,7 @@ def test_2x2_ims_recv_counts():
 
     def body(ctx):
         s = ctx.mapper.schedules[Relation.IMS]
-        n_slaves = len(ctx.classification.of_class(DofClass.INTERFACE_SLAVE))
+        n_slaves = len(of_class(ctx.classification, DofClass.INTERFACE_SLAVE))
         return ctx.rank, sum(len(r) for r in s.recvs), n_slaves
 
     out = run_contexts(m, 2, body=body, ownership=ownership)
@@ -69,12 +69,13 @@ def test_three_rank_strip_schedules():
             s = ctx.mapper.schedules[rel]
             assert len(s.sends) == len(s.recvs) == 3
             assert np.array_equal(s.rcvd_dof, np.concatenate(s.recvs))
-            slaves = ctx.classification.of_class(
+            slaves = of_class(
+                ctx.classification,
                 {
                     Relation.IMS: DofClass.INTERFACE_SLAVE,
                     Relation.DH_ALPHA: DofClass.HALO_ALPHA,
                     Relation.DH_BETA: DofClass.HALO_BETA,
-                }[rel]
+                }[rel],
             )
             assert len(s.rcvd_dof) == len(slaves)
             out[rel] = ([len(d) for d in s.sends], [len(d) for d in s.recvs])
@@ -131,7 +132,7 @@ def test_update_propagates_master_rank():
         # owner of the known cells that contain it
         dm = ctx.dof_map
         ok = True
-        for g in ctx.classification.of_class(DofClass.INTERFACE_SLAVE):
+        for g in of_class(ctx.classification, DofClass.INTERFACE_SLAVE):
             cells = dm.cells[(dm.table == g).any(axis=1)]
             ok = ok and v.values[g] == float(ctx.ownership[cells].min())
         return ok
@@ -207,10 +208,10 @@ def test_restore_l2_leaves_halo_beta_untouched():
         v = DistVector(ctx, np.full(ctx.n_local, sentinel), L0)
         v.values[ctx.master_mask] = 1.0
         v.restore(L2)
-        beta = ctx.classification.of_class(DofClass.HALO_BETA)
+        beta = of_class(ctx.classification, DofClass.HALO_BETA)
         untouched = all(v.values[g] == sentinel for g in beta)
-        alpha = ctx.classification.of_class(
-            DofClass.HALO_ALPHA, DofClass.INTERFACE_SLAVE
+        alpha = of_class(
+            ctx.classification, DofClass.HALO_ALPHA, DofClass.INTERFACE_SLAVE
         )
         refreshed = all(v.values[g] == 1.0 for g in alpha)
         return untouched and refreshed and v.level == L2
@@ -573,7 +574,7 @@ def test_unmatched_slave_detected():
         cls = classify_dofs(rc, dm, ownership)
         if rank == 0:
             # demote one interface master: its slaves will find no owner
-            g = cls.of_class(DofClass.INTERFACE_MASTER)[0]
+            g = of_class(cls, DofClass.INTERFACE_MASTER)[0]
             cls.classes[g] = DofClass.INTERFACE_SLAVE
             cls.__post_init__()
         build_fe_mapper(cls, dm, transport, rank)
@@ -591,7 +592,7 @@ def test_unmatched_slave_detected():
         if rank == 1:
             # promote the slaves of rank 0's interface: rank 2 sees them as
             # halo(beta) d.o.f.s, and both rank 0 and rank 1 answer as master
-            cls.classes[cls.of_class(DofClass.INTERFACE_SLAVE)] = (
+            cls.classes[of_class(cls, DofClass.INTERFACE_SLAVE)] = (
                 DofClass.INTERFACE_MASTER
             )
             cls.__post_init__()

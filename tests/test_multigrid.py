@@ -13,6 +13,7 @@ from conftest import (
     loop_average_restore,
     loop_prolongate,
     loop_restrict_defect,
+    of_class,
     restrict_function,
     seq_context,
     tril_triu_ssor_stores,
@@ -26,8 +27,8 @@ from parfem.assembly import (
 )
 from parfem.assembly import assemble_mass, crank_nicolson_system
 from parfem.bench_cli import hemker_problem, timedep_problem
-from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
-from parfem.dlinalg import DistVector, axpy, dot, fgmres, matvec, new_vector, norm2
+from parfem.comm import Communicator, ConsistencyLevel, build_rank_context, spmd_run
+from parfem.dlinalg import DistVector, fgmres
 from parfem.mapped_fe import cell_geometry, get_element
 from parfem.mesh import build_hemker_mesh, build_rect_mesh, refine_uniform
 from parfem.multigrid import (
@@ -135,10 +136,9 @@ def test_prolongate_constant():
     coarse = build_rect_mesh(0, 1, 0, 1, 2, 2)
 
     def body(hier):
-        v = DistVector(hier.levels[0].ctx, np.ones(hier.levels[0].ctx.n_local), L3)
-        w = prolongate(hier, 0, v)
+        w = prolongate(hier, 0, np.ones(hier.levels[0].ctx.n_local))
         mask = hier.levels[1].ctx.block_mask
-        return np.allclose(w.values[mask], 1.0, atol=1e-14)
+        return np.allclose(w[mask], 1.0, atol=1e-14)
 
     assert all(build_on_ranks(coarse, 2, 2, body))
 
@@ -149,11 +149,11 @@ def test_prolongate_center_hat_pattern():
     def body(hier):
         cc = hier.levels[0].ctx
         fc = hier.levels[1].ctx
-        v = new_vector(cc)
+        v = np.zeros(cc.n_local)
         center = np.flatnonzero(
             np.all(np.abs(cc.dof_coords - 0.5) < 1e-12, axis=1)
         )[0]
-        v.values[center] = 1.0
+        v[center] = 1.0
         w = prolongate(hier, 0, v)
         expected = {
             (0.5, 0.5): 1.0,
@@ -168,7 +168,7 @@ def test_prolongate_center_hat_pattern():
         }
         for g, (x, y) in enumerate(fc.dof_coords):
             want = expected.get((round(x, 12), round(y, 12)), 0.0)
-            if abs(w.values[g] - want) > 1e-14:
+            if abs(w[g] - want) > 1e-14:
                 return False
         return True
 
@@ -180,11 +180,10 @@ def test_prolongate_reproduces_linears():
 
     def body(hier):
         cc, fc = hier.levels[0].ctx, hier.levels[1].ctx
-        v = DistVector(cc, cc.dof_coords @ np.array([1.0, 2.0]) + 3.0, L3)
-        w = prolongate(hier, 0, v)
+        w = prolongate(hier, 0, cc.dof_coords @ np.array([1.0, 2.0]) + 3.0)
         expected = fc.dof_coords @ np.array([1.0, 2.0]) + 3.0
         mask = fc.block_mask
-        return np.max(np.abs(w.values[mask] - expected[mask])) < 1e-13
+        return np.max(np.abs(w[mask] - expected[mask])) < 1e-13
 
     assert all(build_on_ranks(coarse, 2, 2, body))
 
@@ -212,13 +211,13 @@ def test_transfer_matches_geometric_oracle(elem, rng):
     def body(hier):
         cc, fc = hier.levels[0].ctx, hier.levels[1].ctx
         P = _geometric_prolongation(hier)
-        v = DistVector(cc, rng.normal(size=cc.n_local), L3)
+        v = rng.normal(size=cc.n_local)
         w = prolongate(hier, 0, v.copy())
-        up_ok = np.max(np.abs(w.values - P @ v.values)) < 1e-12
-        d = DistVector(fc, rng.normal(size=fc.n_local), L3)
+        up_ok = np.max(np.abs(w - P @ v)) < 1e-12
+        d = rng.normal(size=fc.n_local)
         r = restrict_defect(hier, 0, d.copy())
-        down_ok = np.max(np.abs(r.values - P.T @ d.values)) < 1e-13
-        return up_ok and down_ok and w.level == L3 and r.level == L1
+        down_ok = np.max(np.abs(r - P.T @ d)) < 1e-13
+        return up_ok and down_ok
 
     assert all(build_on_ranks(coarse, 2, 1, body, elem=elem))
 
@@ -232,7 +231,9 @@ def _key_values(ctx, shift):
 @pytest.mark.parametrize("elem", ["q1", "q2"])
 def test_csr_transfers_match_cellwise_oracles(elem, n_ranks):
     # curved bilinear O-grid cells; level pairs 0-1 and 1-2; the prolongation
-    # makes no all-to-all and gives a key the same bits on every rank
+    # makes no all-to-all and gives a key the same bits on every rank, and the
+    # restriction gives a key the same bits on every rank holding it in its
+    # block (level 1)
     coarse = build_hemker_mesh()
     transport = CountingTransport(n_ranks)
 
@@ -245,25 +246,29 @@ def test_csr_transfers_match_cellwise_oracles(elem, n_ranks):
             cc, fc = hier.levels[level].ctx, hier.levels[level + 1].ctx
             v = DistVector(cc, _key_values(cc, level), L3)
             before = transport.all_to_alls[cc.rank]
-            w = prolongate(hier, level, v.copy())
+            w = prolongate(hier, level, v.values.copy())
             ok = ok and transport.all_to_alls[cc.rank] == before
-            as_int = w.values.view(np.int64)  # compare the bits
-            bits.append(dict(zip(fc.true_keys.tolist(), as_int.tolist())))
             w_loop = loop_prolongate(hier, level, v.copy())
             d = DistVector(fc, _key_values(fc, 0.5 + level), L3)
-            r = restrict_defect(hier, level, d.copy())
+            r = restrict_defect(hier, level, d.values.copy())
             r_loop = loop_restrict_defect(hier, level, d.copy())
-            ok = ok and close(w.values, w_loop.values) and w.level == L3
-            ok = ok and close(r.values, r_loop.values) and r.level == L1
+            ok = ok and close(w, w_loop.values) and close(r, r_loop.values)
+            rkeys = cc.true_keys[cc.block_mask]  # the restriction is level 1
+            rbits = r[cc.block_mask].view(np.int64)  # compare the bits
+            bits.append((
+                dict(zip(fc.true_keys.tolist(), w.view(np.int64).tolist())),
+                dict(zip(rkeys.tolist(), rbits.tolist())),
+            ))
         return ok, bits
 
     results = build_on_ranks(coarse, 3, n_ranks, body, elem=elem, transport=transport)
     assert all(ok for ok, _ in results)
     for level in (0, 1):
-        first = {}
-        for _, bits in results:
-            for key, b in bits[level].items():
-                assert first.setdefault(key, b) == b, (level, key)
+        for transfer in (0, 1):  # prolongation, restriction
+            first = {}
+            for _, bits in results:
+                for key, b in bits[level][transfer].items():
+                    assert first.setdefault(key, b) == b, (level, transfer, key)
 
 
 def test_restrict_prolongate_diagonal_positive():
@@ -273,10 +278,10 @@ def test_restrict_prolongate_diagonal_positive():
         cc = hier.levels[0].ctx
         ok = True
         for j in range(cc.n_local):
-            e = new_vector(cc)
-            e.values[j] = 1.0
+            e = np.zeros(cc.n_local)
+            e[j] = 1.0
             r = restrict_defect(hier, 0, prolongate(hier, 0, e))
-            ok = ok and r.values[j] > 0.0
+            ok = ok and r[j] > 0.0
         return ok
 
     assert all(build_on_ranks(coarse, 2, 1, body))
@@ -294,10 +299,9 @@ def test_restrict_defect_parallel_matches_sequential(rng):
     def body(hier):
         fc, cc = hier.levels[1].ctx, hier.levels[0].ctx
         vals = np.array([fine_fn(int(k)) for k in fc.true_keys])
-        d = DistVector(fc, vals, L3)
-        r = restrict_defect(hier, 0, d)
+        r = restrict_defect(hier, 0, vals)
         return {
-            int(cc.true_keys[g]): r.values[g]
+            int(cc.true_keys[g]): r[g]
             for g in np.flatnonzero(cc.master_mask)
         }
 
@@ -313,7 +317,9 @@ def test_restrict_function_injection():
     def body(hier):
         cc, fc = hier.levels[0].ctx, hier.levels[1].ctx
         v = DistVector(cc, np.arange(float(cc.n_local)), L3)
-        back = restrict_function(hier, 0, prolongate(hier, 0, v))
+        back = restrict_function(
+            hier, 0, DistVector(fc, prolongate(hier, 0, v.values), L3)
+        )
         ok = np.max(np.abs(back.values - v.values)) < 1e-14
         const = restrict_function(
             hier, 0, DistVector(fc, np.ones(fc.n_local), L3)
@@ -342,9 +348,9 @@ def test_smoother_matches_dense_ssor():
         A, b = assemble_cdr(ctx, CdrCoefficients(eps=1.0, b=(3.0, -1.5), c=1.0, f=1.0))
         x0 = np.cos(np.arange(float(ctx.n_local)))
         for omega in (0.7, 1.0, 1.3, 1.9):
-            x = BlockSsor(ctx, A, omega=omega).smooth(DistVector(ctx, x0.copy(), L3), b, 1)
+            x = BlockSsor(ctx, A, omega=omega).smooth(x0.copy(), b.values, 1)
             oracle = dense_ssor_sweep(A.csr.toarray(), x0, b.values, omega)
-            assert np.max(np.abs(x.values - oracle)) < 1e-13
+            assert np.max(np.abs(x - oracle)) < 1e-13
 
 
 def test_smoother_fixed_point_at_solution():
@@ -358,12 +364,10 @@ def test_smoother_fixed_point_at_solution():
         ownership = decompose(coarse, transport.n_ranks)
         ctx = build_rank_context(coarse, ownership, "q1", transport, rank)
         A, b = discretize_poisson(ctx)
-        x = DistVector(
-            ctx, np.array([exact_of_key[int(k)] for k in ctx.true_keys]), L3
-        )
-        BlockSsor(ctx, A).smooth(x, b, sweeps=2)
+        x = np.array([exact_of_key[int(k)] for k in ctx.true_keys])
+        BlockSsor(ctx, A).smooth(x, b.values, sweeps=2)  # b is level 1
         want = np.array([exact_of_key[int(k)] for k in ctx.true_keys])
-        return np.max(np.abs((x.values - want)[ctx.master_mask]))
+        return np.max(np.abs((x - want)[ctx.master_mask]))
 
     for drift in spmd_run(2, body):
         assert drift < 1e-11
@@ -377,10 +381,9 @@ def test_smoother_diagonal_matrix_one_sweep():
     mesh = build_rect_mesh(0, 1, 0, 1, 2, 2)
     ctx = seq_context(mesh)
     D = DistMatrix(ctx, sp.diags(np.arange(1.0, 10.0)).tocsr())
-    b = DistVector(ctx, np.ones(9), L3)
-    x = new_vector(ctx)
-    BlockSsor(ctx, D, omega=1.0).smooth(x, b, sweeps=1)
-    assert np.allclose(x.values, 1.0 / np.arange(1.0, 10.0), atol=1e-15)
+    x = np.zeros(9)
+    BlockSsor(ctx, D, omega=1.0).smooth(x, np.ones(9), sweeps=1)
+    assert np.allclose(x, 1.0 / np.arange(1.0, 10.0), atol=1e-15)
 
 
 def test_smoother_rejects_zero_diagonal():
@@ -413,8 +416,8 @@ def test_smoother_matches_split_block_ssor(elem, n_ranks):
         apply_dirichlet(A, b, ctx, coeffs.dirichlet)
         b.restore(L1)
         x0 = np.cos(0.37 * (ctx.true_keys % 1009))  # the same on every rank
-        x = BlockSsor(ctx, A).smooth(DistVector(ctx, x0.copy(), L2), b, 2)
-        want = DistVector(ctx, x0.copy(), L2)
+        x = BlockSsor(ctx, A).smooth(x0.copy(), b.values, 2)
+        want = DistVector(ctx, x0.copy(), L3)
         SplitBlockSsor(ctx, A.csr).smooth(want, b, 2)
         scale = np.max(np.abs(want.values))
         textbook_dev = None
@@ -422,8 +425,8 @@ def test_smoother_matches_split_block_ssor(elem, n_ranks):
             textbook = x0
             for _ in range(2):
                 textbook = dense_ssor_sweep(A.csr.toarray(), textbook, b.values)
-            textbook_dev = np.max(np.abs(x.values - textbook)) / scale
-        return np.max(np.abs(x.values - want.values)) / scale, textbook_dev
+            textbook_dev = np.max(np.abs(x - textbook)) / scale
+        return np.max(np.abs(x - want.values)) / scale, textbook_dev
 
     out = spmd_run(n_ranks, body)
     assert all(dev <= 1e-14 for dev, _ in out)
@@ -445,15 +448,15 @@ def test_fused_sweep_matches_average_then_restore(elem):
         A, b = assemble_cdr(ctx, CdrCoefficients(eps=1.0, b=(1.0, 0.5), c=1.0, f=1.0))
         smoother = BlockSsor(ctx, A)
         ex = ctx.exchange
-        alpha = ctx.classification.of_class(DofClass.HALO_ALPHA)
+        alpha = of_class(ctx.classification, DofClass.HALO_ALPHA)
         two_holders = np.intersect1d(alpha, ex.settle_dofs[ex.settle_counts == 2])
         x0 = np.cos(0.37 * (ctx.true_keys % 1009) + rank)  # rank-dependent
-        x = DistVector(ctx, x0.copy(), L2)
-        smoother.smooth(x, b, sweeps=1)
-        want = DistVector(ctx, x0.copy(), L2).restore(L3).values
+        x = DistVector(ctx, x0.copy(), L2).restore(L3).values
+        want = x.copy()
+        smoother.smooth(x, b.values, sweeps=1)  # b is level 1
         smoother._sweep(want, b.values)
         loop_average_restore(ctx, want)
-        return two_holders.size, x.level == L3 and x.values.tobytes() == want.tobytes()
+        return two_holders.size, x.tobytes() == want.tobytes()
 
     out = spmd_run(3, body)
     assert out[0][0] > 0
@@ -474,11 +477,12 @@ def test_smoother_output_is_level_3_consistent(elem):
         smoother = BlockSsor(ctx, A)
         x0 = np.cos(0.37 * (ctx.true_keys % 1009) + rank)
         same = []
-        for start, sweeps in ((None, 2), (DistVector(ctx, x0, L2), 1)):
-            x = smoother.smooth(start, b, sweeps)
-            copy = DistVector(ctx, x.values.copy(), L0).restore(L3)
-            same.append(x.level == L3 and copy.values.tobytes() == x.values.tobytes())
-        halo = ctx.classification.of_class(DofClass.HALO_ALPHA, DofClass.HALO_BETA)
+        x0 = DistVector(ctx, x0, L2).restore(L3).values
+        for start, sweeps in ((None, 2), (x0, 1)):
+            x = smoother.smooth(start, b.values, sweeps)  # b is level 1
+            copy = DistVector(ctx, x.copy(), L0).restore(L3)
+            same.append(copy.values.tobytes() == x.tobytes())
+        halo = of_class(ctx.classification, DofClass.HALO_ALPHA, DofClass.HALO_BETA)
         return halo.size, all(same)
 
     out = spmd_run(3, body)
@@ -498,7 +502,7 @@ def test_smoother_one_all_to_all_per_sweep(sweeps):
         smoother = BlockSsor(ctx, A)
         b.restore(L1)
         before = transport.all_to_alls[rank]
-        smoother.smooth(new_vector(ctx, L3), b, sweeps)
+        smoother.smooth(np.zeros(ctx.n_local), b.values, sweeps)
         return transport.all_to_alls[rank] - before
 
     assert spmd_run(3, body, transport=transport) == [sweeps] * 3
@@ -525,14 +529,10 @@ def test_smoothing_from_none_skips_one_product(monkeypatch, sweeps):
         smoother = BlockSsor(ctx, A)
         name = threading.current_thread().name
         start = products[name]
-        want = smoother.smooth(new_vector(ctx), b, sweeps)
+        want = smoother.smooth(np.zeros(ctx.n_local), b.values, sweeps)
         mid = products[name]
-        got = smoother.smooth(None, b, sweeps)
-        return (
-            mid - start,
-            products[name] - mid,
-            got.level == want.level and got.values.tobytes() == want.values.tobytes(),
-        )
+        got = smoother.smooth(None, b.values, sweeps)  # b is level 1
+        return mid - start, products[name] - mid, got.tobytes() == want.tobytes()
 
     assert spmd_run(3, body) == [(sweeps, sweeps - 1, True)] * 3
 
@@ -588,6 +588,35 @@ def test_v_cycle_collective_count_from_level_1():
 
     counts = build_on_ranks(coarse, 3, 2, body, transport=transport, coarse_level=1)
     assert counts == [7, 7]
+
+
+def test_v_cycle_builds_one_vector_and_restores_nothing(monkeypatch):
+    # the cycle runs on value arrays: from a level-1 right-hand side and zero,
+    # a V-cycle constructs one DistVector, its result, and restores nothing
+    coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
+    built, restores = Counter(), Counter()  # per rank thread
+    init, restore = DistVector.__init__, Communicator.restore
+
+    def counting_init(self, *args, **kwargs):
+        built[threading.current_thread().name] += 1
+        init(self, *args, **kwargs)
+
+    def counting_restore(self, *args):
+        restores[threading.current_thread().name] += 1
+        return restore(self, *args)
+
+    monkeypatch.setattr(DistVector, "__init__", counting_init)
+    monkeypatch.setattr(Communicator, "restore", counting_restore)
+
+    def body(hier):
+        b = hier.finest.rhs
+        assert b.level == L1  # assembled on the halo cells too
+        name = threading.current_thread().name
+        before = built[name], restores[name]
+        x = v_cycle(hier, b)
+        return built[name] - before[0], restores[name] - before[1], x.level
+
+    assert build_on_ranks(coarse, 3, 2, body) == [(1, 0, L3)] * 2
 
 
 # global d.o.f.s on levels 0, 1, 2, and the level pick_coarse_level returns
@@ -677,10 +706,10 @@ def test_prolongation_reproduces_coarse_space(rng):
         Bc, Bf = basis_matrix(cc), basis_matrix(fc)
         worst = 0.0
         for j in range(cc.n_local):
-            e = new_vector(cc)
-            e.values[j] = 1.0
+            e = np.zeros(cc.n_local)
+            e[j] = 1.0
             w = prolongate(hier, 0, e)
-            worst = max(worst, np.max(np.abs(Bf @ w.values - Bc[:, j])))
+            worst = max(worst, np.max(np.abs(Bf @ w - Bc[:, j])))
         return worst
 
     assert build_on_ranks(coarse, 2, 1, body, elem="q2")[0] < 1e-12
@@ -724,7 +753,7 @@ def test_transfer_level_bounds():
     coarse = build_rect_mesh(0, 1, 0, 1, 2, 2)
 
     def body(hier):
-        v = new_vector(hier.levels[0].ctx)
+        v = np.zeros(hier.levels[0].ctx.n_local)
         with pytest.raises(IndexError):
             prolongate(hier, 1, v)
         with pytest.raises(IndexError):
@@ -768,9 +797,9 @@ def test_coarse_solver_matches_dense_sequential_solve(n_ranks):
     def body(rank, transport):
         ownership = decompose(coarse, transport.n_ranks)
         ctx = build_rank_context(coarse, ownership, "q2", transport, rank)
-        x = CoarseSolver(ctx, discretize(ctx)).solve(rhs(ctx))
+        x = CoarseSolver(ctx, discretize(ctx)).solve(rhs(ctx).values)
         want = np.array([expected[k] for k in ctx.true_keys.tolist()])
-        return x.level == L3 and np.max(np.abs(x.values - want)) <= 1e-12
+        return np.max(np.abs(x - want)) <= 1e-12
 
     assert all(spmd_run(n_ranks, body))
 
@@ -790,7 +819,7 @@ def test_coarse_solve_is_one_all_to_all_and_the_same_on_every_rank():
         solver = CoarseSolver(ctx, A)
         b = DistVector(ctx, np.cos(0.01 * ctx.true_keys), L3)
         before = transport.all_to_alls[rank]
-        x = solver.solve(b)
+        x = solver(b)  # the preconditioner of coarse_direct
         calls = transport.all_to_alls[rank] - before
         bits = x.values.view(np.int64)  # compare bit patterns, not values
         return calls, x.level, dict(zip(ctx.true_keys.tolist(), bits.tolist()))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import of_class
 from parfem.dof_manager import build_dof_map, dof_coordinates
 from parfem.mesh import build_rect_mesh, refine_uniform
 from parfem.partition import (
@@ -127,14 +128,14 @@ def test_classify_q2_two_rank_strip():
     rc0 = build_rank_cells(m, ownership, 0)
     dm0 = build_dof_map(m, rc0.known, "q2")
     cls0 = classify_dofs(rc0, dm0, ownership)
-    halo0 = cls0.of_class(DofClass.HALO_ALPHA, DofClass.HALO_BETA)
+    halo0 = of_class(cls0, DofClass.HALO_ALPHA, DofClass.HALO_BETA)
     assert len(halo0) > 0
     assert all(cls0.classes[g] == DofClass.HALO_ALPHA for g in halo0)
 
     rc1 = build_rank_cells(m, ownership, 1)
     dm1 = build_dof_map(m, rc1.known, "q2")
     cls1 = classify_dofs(rc1, dm1, ownership)
-    halo1 = cls1.of_class(DofClass.HALO_ALPHA, DofClass.HALO_BETA)
+    halo1 = of_class(cls1, DofClass.HALO_ALPHA, DofClass.HALO_BETA)
     assert all(cls1.classes[g] == DofClass.HALO_BETA for g in halo1)
 
 
@@ -147,11 +148,11 @@ def test_classify_q2_three_rank_strip_mixed_layers():
     dm = build_dof_map(m, rc.known, "q2")
     cls = classify_dofs(rc, dm, ownership)
     coords = dof_coordinates(dm, m)
-    for g in cls.of_class(DofClass.HALO_ALPHA):
+    for g in of_class(cls, DofClass.HALO_ALPHA):
         assert coords[g, 0] > 4.0  # beyond the mastered right interface
-    for g in cls.of_class(DofClass.HALO_BETA):
+    for g in of_class(cls, DofClass.HALO_BETA):
         assert coords[g, 0] < 2.0
-    m_ims = cls.of_class(DofClass.INTERFACE_MASTER)
+    m_ims = of_class(cls, DofClass.INTERFACE_MASTER)
     assert all(abs(coords[g, 0] - 4.0) < 1e-12 for g in m_ims)
 
 
@@ -205,5 +206,5 @@ def test_halo_never_master():
         rc = build_rank_cells(m, ownership, rank)
         dm = build_dof_map(m, rc.known, "q1")
         cls = classify_dofs(rc, dm, ownership)
-        for g in cls.of_class(DofClass.HALO_ALPHA, DofClass.HALO_BETA):
+        for g in of_class(cls, DofClass.HALO_ALPHA, DofClass.HALO_BETA):
             assert not cls.is_master[g]
