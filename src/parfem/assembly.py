@@ -68,8 +68,9 @@ class SupgParams:
     with h_K the cell diameter standing in for the streamwise width;
     tau_K = 0 in cells without convection.  Both methods see a batch of
     cells: `cell_size(geo)` returns a (cells,) array for a `CellGeometry`,
-    and `tau(geo, b_mean)` takes the (cells, 2) mean convection.  Subclass
-    and override `cell_size` to substitute a different width.
+    and `tau(geo, b_mean)` takes the (2, cells) mean convection and returns
+    (cells,).  Subclass and override `cell_size` to substitute a different
+    width.
     """
 
     eps: float
@@ -78,7 +79,7 @@ class SupgParams:
         return geo.diameter
 
     def tau(self, geo: CellGeometry, b_mean) -> np.ndarray:
-        bnorm = np.hypot(b_mean[:, 0], b_mean[:, 1])
+        bnorm = np.hypot(b_mean[0], b_mean[1])
         on = bnorm >= 1e-12
         bnorm = np.where(on, bnorm, 1.0)  # keeps Pe positive where tau is 0
         h = self.cell_size(geo)
@@ -126,10 +127,11 @@ def matrix_graph(ctx: RankContext):
 
 
 def _matrix(ctx, element_matrices) -> DistMatrix:
-    """Sum element matrices, in ascending cell order, on the space's sparsity."""
+    """Sum element matrices (n_dofs, n_dofs, cells), in ascending cell order,
+    on the space's sparsity."""
     indptr, indices, cell_pos = matrix_graph(ctx)
     data = np.zeros(len(indices))
-    np.add.at(data, cell_pos.ravel(), element_matrices.ravel())
+    np.add.at(data, cell_pos.ravel(), element_matrices.transpose(2, 0, 1).ravel())
     csr = sp.csr_matrix((data, indices.copy(), indptr.copy()), shape=(ctx.n_local,) * 2)
     return DistMatrix(ctx, csr)
 
@@ -137,19 +139,14 @@ def _matrix(ctx, element_matrices) -> DistMatrix:
 # Quadrature sums add over q in ascending order per entry, never over the cell
 # axis, so a cell's numbers do not depend on the rest of its batch.
 def _qsum(w, test, trial):
-    """sum_q w[c,q] test[c,q,i] trial[c,q,j] -> (cells, i, j): einsum without
+    """sum_q w[q,c] test[i,q,c] trial[j,q,c] -> (i, j, cells): einsum without
     `optimize` adds the products (w·test)·trial from zero over ascending q."""
-    return np.einsum("cq,cqi,cqj->cij", w, test, trial)
+    return np.einsum("qc,iqc,jqc->ijc", w, test, trial)
 
 
 def _qload(w, test):
-    """sum_q w[c,q] test[c,q,i] -> (cells, i)."""
-    return sum(w[:, q, None] * test[:, q] for q in range(w.shape[1]))
-
-
-def _interpolate(nodal, vals):
-    """Values at the points of functions with nodal values (cells, n_dofs)."""
-    return sum(nodal[:, i, None] * vals[:, i] for i in range(vals.shape[1]))
+    """sum_q w[q,c] test[i,q,c] -> (i, cells)."""
+    return sum(w[q] * test[:, q] for q in range(len(w)))
 
 
 def assemble_cdr(
@@ -168,19 +165,20 @@ def assemble_cdr(
     vals, grads = elem.eval(rule.points)
 
     geo = ctx.geometry
-    n_cells, n_q = len(geo.verts), len(rule.weights)
+    n_q, n_cells = len(rule.weights), len(geo.verts)
     w = geo.quadrature_weights(rule)
-    pg = geo.physical_gradients(rule.points, grads)  # (cells, q, dofs, 2)
-    xq = geo.map(rule.points).reshape(-1, 2)
-    bq = _at_points(coeffs.b, xq, (2,)).reshape(n_cells, n_q, 2)
-    cq = _at_points(coeffs.c, xq).reshape(n_cells, n_q)
-    fq = _at_points(coeffs.f, xq).reshape(n_cells, n_q)
-    phi = np.broadcast_to(vals, (n_cells,) + vals.shape)
+    pg = geo.physical_gradients(rule.points, grads)  # (2, dofs, q, cells)
+    xq = geo.map(rule.points).reshape(2, -1).T  # (n, 2), row q * cells + c
+    bq = _at_points(coeffs.b, xq, (2,)).T.reshape(2, n_q, n_cells)
+    cq = _at_points(coeffs.c, xq).reshape(n_q, n_cells)
+    fq = _at_points(coeffs.f, xq).reshape(n_q, n_cells)
+    vals_t = vals.T[:, :, None]  # (dofs, q, 1)
+    phi = np.broadcast_to(vals_t, vals_t.shape[:2] + (n_cells,))
 
-    pg_by_dir = pg.transpose(0, 1, 3, 2).reshape(n_cells, 2 * n_q, -1)
-    Ae = coeffs.eps * _qsum(np.repeat(w, 2, axis=1), pg_by_dir, pg_by_dir)
+    pg_by_dir = pg.transpose(1, 2, 0, 3).reshape(-1, 2 * n_q, n_cells)
+    Ae = coeffs.eps * _qsum(np.repeat(w, 2, axis=0), pg_by_dir, pg_by_dir)
     if supg or callable(coeffs.b) or np.any(coeffs.b):  # else the term adds +0.0
-        bgrad = bq[..., None, 0] * pg[..., 0] + bq[..., None, 1] * pg[..., 1]
+        bgrad = bq[0] * pg[0] + bq[1] * pg[1]
         Ae += _qsum(w, phi, bgrad)
     if callable(coeffs.c) or np.any(coeffs.c):  # else the term adds +0.0
         Ae += _qsum(w * cq, phi, phi)
@@ -193,13 +191,13 @@ def assemble_cdr(
         if on.size:
             hess = elem.eval_hessians(rule.points)
             ph = CellGeometry(geo.verts[on]).physical_hessians(rule.points, grads, hess)
-            lap = ph[..., 0, 0] + ph[..., 1, 1]
-            resid = -coeffs.eps * lap + bgrad[on] + cq[on, :, None] * vals
-            Ae[on] += tau[on, None, None] * _qsum(w[on], bgrad[on], resid)
-            be[on] += tau[on, None] * _qload(w[on] * fq[on], bgrad[on])
+            lap = ph[0, 0] + ph[1, 1]
+            resid = -coeffs.eps * lap + bgrad[..., on] + cq[:, on] * vals_t
+            Ae[..., on] += tau[on] * _qsum(w[:, on], bgrad[..., on], resid)
+            be[:, on] += tau[on] * _qload(w[:, on] * fq[:, on], bgrad[..., on])
 
     rhs = np.zeros(ctx.n_local)
-    np.add.at(rhs, ctx.dof_map.table.ravel(), be.ravel())
+    np.add.at(rhs, ctx.dof_map.table.ravel(), be.T.ravel())
     return _matrix(ctx, Ae), DistVector(ctx, rhs, ConsistencyLevel.L1)
 
 
@@ -207,7 +205,7 @@ def assemble_mass(ctx: RankContext) -> DistMatrix:
     rule = gauss_rule(DEFAULT_QUAD[ctx.elem_kind])
     vals, _ = get_element(ctx.elem_kind).eval(rule.points)
     w = ctx.geometry.quadrature_weights(rule)
-    phi = np.broadcast_to(vals, (len(w),) + vals.shape)
+    phi = np.broadcast_to(vals.T[:, :, None], vals.T.shape + w.shape[1:])
     return _matrix(ctx, _qsum(w, phi, phi))
 
 
@@ -314,9 +312,11 @@ def l2_error(ctx: RankContext, u: DistVector, exact, quad_order: int = 4) -> flo
     vals, _ = get_element(ctx.elem_kind).eval(rule.points)
     own = ctx.rank_cells.own
     geo = cell_geometry(ctx.mesh, own)
-    uh = _interpolate(u.values[ctx.dof_map.rows(own)], vals)
-    diff = uh - _at_points(exact, geo.map(rule.points).reshape(-1, 2)).reshape(uh.shape)
-    part = float(np.sum(geo.quadrature_weights(rule) * diff**2))
+    uh = _qload(u.values[ctx.dof_map.rows(own)].T, vals[:, :, None])  # (m, cells)
+    xq = geo.map(rule.points).reshape(2, -1).T
+    diff = uh - _at_points(exact, xq).reshape(uh.shape)
+    # summed in cell-major order, as a (cells, m) array is
+    part = float(np.sum((geo.quadrature_weights(rule) * diff**2).T.ravel()))
     return math.sqrt(ctx.transport.allreduce_sum(ctx.rank, part))
 
 

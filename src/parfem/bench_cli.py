@@ -40,7 +40,7 @@ from .assembly import (
     write_solution_vtk,
 )
 from .comm import ConsistencyLevel, spmd_run
-from .dlinalg import fgmres, new_vector
+from .dlinalg import DistVector, fgmres
 from .mesh import build_hemker_mesh, build_rect_mesh
 from .multigrid import (
     BlockSsor,
@@ -275,7 +275,7 @@ def _rank_body(rank, transport, config, coarse, coeffs, supg):
 
     repeats = []
     for _ in range(config.repeats):
-        u = new_vector(ctx)  # initial condition, matches the t=0 inflow of zero
+        u = DistVector(ctx)  # initial condition, matches the t=0 inflow of zero
         solve_time = 0.0
         iterations = 0
         converged = True

@@ -72,10 +72,6 @@ class DistVector:
             self.restore(required)
 
 
-def new_vector(ctx: RankContext, level=L3) -> DistVector:
-    return DistVector(ctx, None, level)
-
-
 def from_keys(ctx: RankContext, fn, level=L3) -> DistVector:
     """Vector with values given by a function of the global key (test helper)."""
     vals = np.array([fn(int(k)) for k in ctx.true_keys], dtype=float)
@@ -203,7 +199,7 @@ def fgmres(
     ctx = A.ctx
     if precond is None:
         precond = _identity_precond
-    x = x0.copy() if x0 is not None else new_vector(ctx)
+    x = x0.copy() if x0 is not None else DistVector(ctx)
     x.restore(L2)
     masters = ctx.master_mask
     V = np.empty((restart + 1, ctx.n_local))  # Krylov basis, one row per vector

@@ -134,13 +134,13 @@ def dof_coordinates(dof_map: DofMap, mesh, tol=1e-12, geometry=None) -> np.ndarr
     """
     geometry = geometry or cell_geometry(mesh, dof_map.cells)
     flat = dof_map.table.ravel()
-    pts = geometry.map(dof_map.elem.nodes).reshape(-1, 2)
-    coords = pts[dof_map.first]
+    pts = geometry.map(dof_map.elem.nodes).transpose(0, 2, 1).reshape(2, -1)
+    coords = pts[:, dof_map.first]
     scale = np.maximum(1.0, np.repeat(geometry.diameter, dof_map.elem.n_dofs))
-    (bad,) = np.nonzero(np.linalg.norm(coords[flat] - pts, axis=1) > tol * scale)
+    (bad,) = np.nonzero(np.hypot(*(coords[:, flat] - pts)) > tol * scale)
     if bad.size:
         k, g = bad[0], flat[bad[0]]
         raise RuntimeError(
-            f"dof {g}: cells disagree on its position ({coords[g]} vs {pts[k]})"
+            f"dof {g}: cells disagree on its position ({coords[:, g]} vs {pts[:, k]})"
         )
-    return coords
+    return coords.T.copy()

@@ -4,7 +4,9 @@ Everything is defined on the reference square [-1,1]^2 and transported to
 physical cells by an affine or bilinear map, so that basis evaluation and
 quadrature live on the reference cell only.  The maps exist only in batches:
 one `CellGeometry` holds every cell a rank knows on a level, and a single
-cell is a batch of one (`cell_geometry(mesh, [gid])`).
+cell is a batch of one (`cell_geometry(mesh, [gid])`).  Batched arrays put
+the cell axis last, so each elementwise operation's innermost loop runs over
+the batch; reference tables keep the point axis first.
 """
 
 from __future__ import annotations
@@ -133,71 +135,69 @@ class CellGeometry:
 
     Cell c is the image of x_c(xi) = a0 + a1*xi + a2*eta + a3*xi*eta; a3
     vanishes for parallelograms, whose map is affine with a constant
-    Jacobian.  Evaluations carry a leading cell axis and use elementwise
-    operations only, so a cell's numbers do not depend on the rest of the
-    batch.
+    Jacobian.  The coefficients a0..a3 have shape (2, cells), and every
+    evaluation at m reference points carries the cell axis last: `map` is
+    (2, m, cells), `jacobians` (2, 2, m, cells), `quadrature_weights`
+    (m, cells), `physical_gradients` (2, n_dofs, m, cells) and
+    `physical_hessians` (2, 2, n_dofs, m, cells).  Operations are elementwise
+    only, so a cell's numbers do not depend on the rest of the batch.
     """
 
     def __init__(self, verts):
         verts = np.asarray(verts, dtype=float)  # (cells, 4, 2), ccw
-        v0, v1, v2, v3 = (verts[:, k] for k in range(4))
+        v0, v1, v2, v3 = verts.transpose(1, 2, 0)  # (2, cells) each
         self.verts = verts
         self._last = (None,)  # (points' bytes, Jacobians) of the last evaluation
         self.a0 = 0.25 * (v0 + v1 + v2 + v3)
         self.a1 = 0.25 * (-v0 + v1 + v2 - v3)
         self.a2 = 0.25 * (-v0 - v1 + v2 + v3)
         self.a3 = 0.25 * (v0 - v1 + v2 - v3)
-        diagonals = verts[:, 2:] - verts[:, :2]
-        self.diameter = np.hypot(diagonals[..., 0], diagonals[..., 1]).max(axis=1)
-        self.affine = np.hypot(self.a3[:, 0], self.a3[:, 1]) <= 1e-14 * self.diameter
+        self.diameter = np.maximum(np.hypot(*(v2 - v0)), np.hypot(*(v3 - v1)))
+        self.affine = np.hypot(*self.a3) <= 1e-14 * self.diameter
         check = np.vstack([REF_VERTICES, [[0.0, 0.0]]])
-        (bad,) = np.nonzero(np.any(_det2(self.jacobians(check)) <= 0.0, axis=1))
+        (bad,) = np.nonzero(np.any(_det2(self.jacobians(check)) <= 0.0, axis=0))
         if bad.size:
             raise ValueError(f"degenerate or inverted cell at batch position {bad[0]}")
 
     def map(self, points):
-        """Physical images of reference points, shape (cells, m, 2)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))[None]
-        xi, eta = pts[..., 0:1], pts[..., 1:2]
+        """Physical images x[i, q, c] of reference points, shape (2, m, cells)."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        xi, eta = pts[:, 0:1], pts[:, 1:2]
         a0, a1, a2, a3 = (a[:, None] for a in (self.a0, self.a1, self.a2, self.a3))
         return a0 + xi * a1 + eta * a2 + (xi * eta) * a3
 
     def jacobians(self, points):
-        """J[c, m, i, j] = d x_i / d xi_j at each reference point, read-only.
+        """J[i, j, q, c] = d x_i / d xi_j at each reference point, read-only.
         Kept for the last points, so a rule's weights and inverses share it."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))[None]
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self._last[0] != pts.tobytes():
             a1, a2, a3 = (a[:, None] for a in (self.a1, self.a2, self.a3))
-            J = np.stack([a1 + pts[..., 1:2] * a3, a2 + pts[..., 0:1] * a3], axis=-1)
+            J = np.stack([a1 + pts[:, 1:2] * a3, a2 + pts[:, 0:1] * a3], axis=1)
             J.flags.writeable = False
             self._last = (pts.tobytes(), J)
         return self._last[1]
 
     def quadrature_weights(self, rule):
-        """Physical quadrature weights per cell, shape (cells, n)."""
-        return rule.weights * _det2(self.jacobians(rule.points))
+        """Physical quadrature weights, shape (n, cells)."""
+        return rule.weights[:, None] * _det2(self.jacobians(rule.points))
 
     def _inverse_jacobians(self, points):
-        """G[c, m, k, i] = d xi_k / d x_i; raises if a Jacobian is singular."""
+        """G[k, i, q, c] = d xi_k / d x_i; raises if a Jacobian is singular."""
         J = self.jacobians(points)
         det = _det2(J)
         if np.any(det <= 0.0):
             raise ValueError("singular Jacobian")
-        G = np.empty_like(J)
-        G[..., 0, 0], G[..., 0, 1] = J[..., 1, 1], -J[..., 0, 1]
-        G[..., 1, 0], G[..., 1, 1] = -J[..., 1, 0], J[..., 0, 0]
-        return G / det[..., None, None]
+        return np.array([[J[1, 1], -J[0, 1]], [-J[1, 0], J[0, 0]]]) / det
 
     def physical_gradients(self, points, ref_grads):
-        """J^{-T} grad: reference (m, n_dofs, 2) -> physical (cells, m, n_dofs, 2),
-        component i formed as G_0i·g_0 + G_1i·g_1 with the d.o.f. axis innermost."""
+        """J^{-T} grad: reference (m, n_dofs, 2) -> physical (2, n_dofs, m, cells),
+        component i formed as G_0i·g_0 + G_1i·g_1."""
         G = self._inverse_jacobians(points)[:, :, None]
-        g0, g1 = ref_grads[..., 0], ref_grads[..., 1]
-        pg = np.stack([G[..., 0, i] * g0 + G[..., 1, i] * g1 for i in (0, 1)], axis=2)
-        return pg.transpose(0, 1, 3, 2)
+        g0, g1 = (ref_grads[..., k].T[:, :, None] for k in (0, 1))
+        return np.stack([G[0, i] * g0 + G[1, i] * g1 for i in (0, 1)])
 
     def physical_hessians(self, points, ref_grads, ref_hess):
-        """Exact physical second derivatives, shape (cells, m, n_dofs, 2, 2).
+        """Exact physical second derivatives, shape (2, 2, n_dofs, m, cells).
 
         Includes the curvature term of the bilinear map: with G = J^{-1},
         d^2 xi_k / dx_i dx_j = -(G a3)_k (G_0i G_1j + G_1i G_0j), which
@@ -205,15 +205,15 @@ class CellGeometry:
         """
         G = self._inverse_jacobians(points)[:, :, None]
         out = sum(
-            ref_hess[..., k, l, None, None] * (G[..., k, :, None] * G[..., l, None, :])
+            ref_hess[..., k, l].T[:, :, None] * (G[k, :, None] * G[l, None, :])
             for k, l in np.ndindex(2, 2)
         )
         # grad(phi) . a3 equals ref_grad . (G a3)
-        a3 = np.where(self.affine[:, None], 0.0, self.a3)[:, None, None]
+        a3 = np.where(self.affine, 0.0, self.a3)
         pg = self.physical_gradients(points, ref_grads)
-        pg_a3 = pg[..., 0] * a3[..., 0] + pg[..., 1] * a3[..., 1]
-        S = G[..., 0, :, None] * G[..., 1, None, :]
-        return out - pg_a3[..., None, None] * (S + np.swapaxes(S, -1, -2))
+        pg_a3 = pg[0] * a3[0] + pg[1] * a3[1]
+        S = G[0, :, None] * G[1, None, :]
+        return out - pg_a3 * (S + S.swapaxes(0, 1))
 
 
 def cell_geometry(mesh, cell_ids) -> CellGeometry:
@@ -232,5 +232,5 @@ def make_reference_map(gid, mesh) -> CellGeometry:
 
 
 def _det2(J):
-    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+    return J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
 

@@ -98,10 +98,10 @@ class Mesh:
         repeated = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
         # positive cross product at every corner: convex and counterclockwise,
         # hence positive bilinear Jacobian on the whole reference cell
-        corners = self.vertices[cv]
-        e0 = np.roll(corners, -1, axis=1) - corners
-        e1 = np.roll(e0, -1, axis=1)
-        cross = e0[..., 0] * e1[..., 1] - e0[..., 1] * e1[..., 0]
+        x, y = (self.vertices[:, k][cv] for k in (0, 1))  # (cells, 4) each
+        nxt = [1, 2, 3, 0]
+        ex, ey = x[:, nxt] - x, y[:, nxt] - y  # edge from each corner
+        cross = ex * ey[:, nxt] - ey * ex[:, nxt]
         bad = np.flatnonzero(repeated | np.any(cross <= 0.0, axis=1))
         if bad.size:
             g = bad[0]

@@ -310,7 +310,10 @@ def restrict_defect(hier: MgHierarchy, level: int, d_fine: np.ndarray) -> np.nda
 
 def _cycle(hier: MgHierarchy, level: int, b: np.ndarray, x: np.ndarray | None):
     if level == 0:
-        return hier.coarse.solve(b)
+        if x is None:
+            return hier.coarse.solve(b)
+        x[:] = hier.coarse.solve(b)  # the exact solve replaces a given start
+        return x
     lvl = hier.levels[level]
     x = lvl.smoother.smooth(x, b, hier.nu1)
     d = restrict_defect(hier, level - 1, b - spmv(lvl.matrix.csr, x))

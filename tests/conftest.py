@@ -15,7 +15,7 @@ from parfem.comm import (
     Transport,
     build_rank_context,
 )
-from parfem.dlinalg import DistVector, axpy, dot, matvec, new_vector, norm2
+from parfem.dlinalg import DistVector, axpy, dot, matvec, norm2
 from parfem.dof_manager import encode_key
 from parfem.mapped_fe import cell_geometry, gauss_rule, get_element
 from parfem.mesh import Mesh
@@ -35,12 +35,22 @@ def of_class(classification, *classes):
     return np.flatnonzero(np.isin(classification.classes, [int(c) for c in classes]))
 
 
+def one_cell_map(geo, points):
+    """Images (m, 2) of reference points under a one-cell `CellGeometry`."""
+    return geo.map(points)[..., 0].T
+
+
+def one_cell_jacobians(geo, points):
+    """Jacobians (m, 2, 2) of a one-cell `CellGeometry`, J[q, i, j]."""
+    return geo.jacobians(points)[..., 0].transpose(2, 0, 1)
+
+
 def geometric_dof_classes(mesh, cells, elem_kind, tol=1e-10):
     """Brute-force oracle: local d.o.f.s identified iff coordinates coincide."""
     elem = get_element(elem_kind)
     groups = {}
     for gid in sorted(cells):
-        pts = cell_geometry(mesh, [gid]).map(elem.nodes)[0]
+        pts = one_cell_map(cell_geometry(mesh, [gid]), elem.nodes)
         for li in range(elem.n_dofs):
             key = (round(pts[li, 0] / tol), round(pts[li, 1] / tol))
             groups.setdefault(key, set()).add((gid, li))
@@ -127,7 +137,7 @@ def dense_gmres(A, b, x0=None, tol=1e-12, maxit=200):
 def loop_fgmres_mgs(A, b, precond, restart=50, tol=1e-10, maxit=1000):
     """Restarted FGMRES with modified Gram-Schmidt: one scalar reduction per
     projection and one for the norm.  Returns (x, iterations, residuals)."""
-    x = new_vector(A.ctx)
+    x = DistVector(A.ctx)
     x.restore(ConsistencyLevel.L2)
     r = b.copy()
     axpy(-1.0, matvec(A, x), r)
@@ -169,10 +179,10 @@ def invert_reference_map(geo, x, tol=1e-13):
     under the map of a one-cell `CellGeometry`."""
     xi = np.zeros(2)
     for _ in range(50):
-        f = geo.map([xi])[0, 0] - np.asarray(x, float)
+        f = one_cell_map(geo, [xi])[0] - np.asarray(x, float)
         if np.linalg.norm(f) < tol:
             break
-        J = geo.jacobians([xi])[0, 0]
+        J = one_cell_jacobians(geo, [xi])[0]
         xi = xi - np.linalg.solve(J, f)
     return xi
 
@@ -197,7 +207,7 @@ def eval_fe_function(ctx, values, points, tol=1e-9):
 def loop_physical_gradients(geo, points, ref_grads):
     """Per-point oracle on a one-cell `CellGeometry`: J^{-T} grad with a
     general matrix inverse."""
-    Jinv = np.linalg.inv(geo.jacobians(points)[0])
+    Jinv = np.linalg.inv(one_cell_jacobians(geo, points))
     return np.einsum("mji,mkj->mki", Jinv, ref_grads)
 
 
@@ -211,7 +221,7 @@ def loop_physical_hessians(geo, points, ref_grads, ref_hess):
     Txi[:, 1] = a3  # d J / d xi
     Teta[:, 0] = a3  # d J / d eta
     out = np.empty(ref_hess.shape)
-    for q, J in enumerate(geo.jacobians(points)[0]):
+    for q, J in enumerate(one_cell_jacobians(geo, points)):
         g = np.linalg.inv(J)
         xi_sec = np.zeros((2, 2, 2))  # d^2 xi_k / d x_i d x_j
         if not geo.affine[0]:
@@ -254,9 +264,9 @@ def loop_assemble_cdr(ctx, coeffs, supg=False):
     for gid in ctx.rank_cells.known:
         dofs = ctx.dof_map.cell_dofs[gid]
         geo = cell_geometry(ctx.mesh, [gid])
-        w = rule.weights * np.linalg.det(geo.jacobians(rule.points)[0])
+        w = rule.weights * np.linalg.det(one_cell_jacobians(geo, rule.points))
         pg = loop_physical_gradients(geo, rule.points, grads)
-        xq = geo.map(rule.points)[0]
+        xq = one_cell_map(geo, rule.points)
         bq = _field(coeffs.b, xq, (n_q, 2))
         cq = _field(coeffs.c, xq, (n_q,))
         fq = _field(coeffs.f, xq, (n_q,))
@@ -287,7 +297,7 @@ def loop_assemble_mass(ctx):
     for gid in ctx.rank_cells.known:
         dofs = ctx.dof_map.cell_dofs[gid]
         geo = cell_geometry(ctx.mesh, [gid])
-        w = rule.weights * np.linalg.det(geo.jacobians(rule.points)[0])
+        w = rule.weights * np.linalg.det(one_cell_jacobians(geo, rule.points))
         M[np.ix_(dofs, dofs)] += np.einsum("q,qi,qj->ij", w, vals, vals)
     return M
 
@@ -311,17 +321,68 @@ def loop_qload(w, test):
     return sum(w[:, q, None] * test[:, q] for q in range(w.shape[1]))
 
 
+class CellsFirstGeometry:
+    """The bilinear maps of `CellGeometry` evaluated with the cell axis first
+    and the x/y axes last: map (cells, m, 2), jacobians and their inverses
+    (cells, m, 2, 2), physical_hessians (cells, m, n_dofs, 2, 2).  Bitwise
+    oracle of the batch-last layout, built from the same vertices."""
+
+    def __init__(self, verts):
+        v0, v1, v2, v3 = (verts[:, k] for k in range(4))
+        self.a0 = 0.25 * (v0 + v1 + v2 + v3)
+        self.a1 = 0.25 * (-v0 + v1 + v2 - v3)
+        self.a2 = 0.25 * (-v0 - v1 + v2 + v3)
+        self.a3 = 0.25 * (v0 - v1 + v2 - v3)
+        diagonals = verts[:, 2:] - verts[:, :2]
+        self.diameter = np.hypot(diagonals[..., 0], diagonals[..., 1]).max(axis=1)
+        self.affine = np.hypot(self.a3[:, 0], self.a3[:, 1]) <= 1e-14 * self.diameter
+
+    def map(self, points):
+        pts = np.asarray(points, dtype=float)[None]
+        xi, eta = pts[..., 0:1], pts[..., 1:2]
+        a0, a1, a2, a3 = (a[:, None] for a in (self.a0, self.a1, self.a2, self.a3))
+        return a0 + xi * a1 + eta * a2 + (xi * eta) * a3
+
+    def jacobians(self, points):
+        pts = np.asarray(points, dtype=float)[None]
+        a1, a2, a3 = (a[:, None] for a in (self.a1, self.a2, self.a3))
+        return np.stack([a1 + pts[..., 1:2] * a3, a2 + pts[..., 0:1] * a3], axis=-1)
+
+    def inverse_jacobians(self, points):
+        J = self.jacobians(points)
+        G = np.empty_like(J)
+        G[..., 0, 0], G[..., 0, 1] = J[..., 1, 1], -J[..., 0, 1]
+        G[..., 1, 0], G[..., 1, 1] = -J[..., 1, 0], J[..., 0, 0]
+        return G / _det2_last(J)[..., None, None]
+
+    def physical_hessians(self, points, ref_grads, ref_hess):
+        G = self.inverse_jacobians(points)[:, :, None]
+        out = sum(
+            ref_hess[..., k, l, None, None] * (G[..., k, :, None] * G[..., l, None, :])
+            for k, l in np.ndindex(2, 2)
+        )
+        a3 = np.where(self.affine[:, None], 0.0, self.a3)[:, None, None]
+        pg = broadcast_physical_gradients(self, points, ref_grads)
+        pg_a3 = pg[..., 0] * a3[..., 0] + pg[..., 1] * a3[..., 1]
+        S = G[..., 0, :, None] * G[..., 1, None, :]
+        return out - pg_a3[..., None, None] * (S + np.swapaxes(S, -1, -2))
+
+
+def _det2_last(J):
+    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+
+
 def broadcast_physical_gradients(geo, points, ref_grads):
-    """J^{-T} grad broadcast over the length-2 component axis (oracle of
+    """J^{-T} grad on a `CellsFirstGeometry`, broadcast over the length-2
+    component axis: (cells, m, n_dofs, 2) (oracle of
     `CellGeometry.physical_gradients`)."""
-    G = geo._inverse_jacobians(points)[:, :, None]
+    G = geo.inverse_jacobians(points)[:, :, None]
     g0, g1 = ref_grads[..., 0, None], ref_grads[..., 1, None]
     return G[..., 0, :] * g0 + G[..., 1, :] * g1
 
 
 def _batch_weights(geo, rule):
-    J = geo.jacobians(rule.points)
-    return rule.weights * (J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0])
+    return rule.weights * _det2_last(geo.jacobians(rule.points))
 
 
 def three_term_assemble_cdr(ctx, coeffs, supg=False):
@@ -329,13 +390,13 @@ def three_term_assemble_cdr(ctx, coeffs, supg=False):
     always formed, by `loop_qsum` and the broadcast gradients (bitwise oracle
     of `assemble_cdr`).  Returns the CSR matrix and the right-hand side."""
     from parfem.assembly import DEFAULT_QUAD, SupgParams, _matrix
-    from parfem.mapped_fe import CellGeometry
 
     elem = get_element(ctx.elem_kind)
     rule = gauss_rule(DEFAULT_QUAD[ctx.elem_kind])
     vals, grads = elem.eval(rule.points)
-    geo = cell_geometry(ctx.mesh, ctx.rank_cells.known)
-    n_cells, n_q = len(geo.verts), len(rule.weights)
+    verts = ctx.mesh.vertices[ctx.mesh.cell_vertices[ctx.rank_cells.known]]
+    geo = CellsFirstGeometry(verts)
+    n_cells, n_q = len(verts), len(rule.weights)
     w = _batch_weights(geo, rule)
     pg = broadcast_physical_gradients(geo, rule.points, grads)
     xq = geo.map(rule.points).reshape(-1, 2)
@@ -350,18 +411,20 @@ def three_term_assemble_cdr(ctx, coeffs, supg=False):
     Ae += loop_qsum(w * cq, phi, phi)
     be = loop_qload(w * fq, phi)
     if supg:
-        tau = SupgParams(coeffs.eps).tau(geo, sum(bq[:, q] for q in range(n_q)) / n_q)
+        b_mean = sum(bq[:, q] for q in range(n_q)) / n_q
+        tau = SupgParams(coeffs.eps).tau(geo, b_mean.T)
         (on,) = np.nonzero(tau > 0.0)
         if on.size:
             hess = elem.eval_hessians(rule.points)
-            ph = CellGeometry(geo.verts[on]).physical_hessians(rule.points, grads, hess)
+            on_geo = CellsFirstGeometry(verts[on])
+            ph = on_geo.physical_hessians(rule.points, grads, hess)
             lap = ph[..., 0, 0] + ph[..., 1, 1]
             resid = -coeffs.eps * lap + bgrad[on] + cq[on, :, None] * vals
             Ae[on] += tau[on, None, None] * loop_qsum(w[on], bgrad[on], resid)
             be[on] += tau[on, None] * loop_qload(w[on] * fq[on], bgrad[on])
     rhs = np.zeros(ctx.n_local)
     np.add.at(rhs, ctx.dof_map.table.ravel(), be.ravel())
-    return _matrix(ctx, Ae).csr, rhs
+    return _matrix(ctx, Ae.transpose(1, 2, 0)).csr, rhs  # batch-last input
 
 
 def loop_qsum_mass(ctx):
@@ -370,9 +433,10 @@ def loop_qsum_mass(ctx):
 
     rule = gauss_rule(DEFAULT_QUAD[ctx.elem_kind])
     vals, _ = get_element(ctx.elem_kind).eval(rule.points)
-    w = _batch_weights(cell_geometry(ctx.mesh, ctx.rank_cells.known), rule)
+    verts = ctx.mesh.vertices[ctx.mesh.cell_vertices[ctx.rank_cells.known]]
+    w = _batch_weights(CellsFirstGeometry(verts), rule)
     phi = np.broadcast_to(vals, (len(w),) + vals.shape)
-    return _matrix(ctx, loop_qsum(w, phi, phi)).csr
+    return _matrix(ctx, loop_qsum(w, phi, phi).transpose(1, 2, 0)).csr
 
 
 def tril_triu_ssor_stores(ctx, csr, omega=1.0):
@@ -410,7 +474,7 @@ def loop_dof_coordinates(dof_map, mesh):
     """Per-cell oracle: each d.o.f. placed by its smallest containing cell."""
     coords = np.full((dof_map.n_dofs, 2), np.nan)
     for gid in sorted(dof_map.cell_dofs):
-        pts = cell_geometry(mesh, [gid]).map(dof_map.elem.nodes)[0]
+        pts = one_cell_map(cell_geometry(mesh, [gid]), dof_map.elem.nodes)
         for li, g in enumerate(dof_map.cell_dofs[gid]):
             if np.isnan(coords[g, 0]):
                 coords[g] = pts[li]

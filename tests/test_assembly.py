@@ -273,7 +273,7 @@ def test_supg_nodal_exactness_1d_oracle():
 
 def test_supg_tau_vanishes_without_convection():
     geo = cell_geometry(build_rect_mesh(0, 1, 0, 1, 2, 1), [0, 1])
-    tau = SupgParams(eps=1e-6).tau(geo, np.array([[0.0, 0.0], [1.0, 0.0]]))
+    tau = SupgParams(eps=1e-6).tau(geo, np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert tau[0] == 0.0 and tau[1] > 0.0
 
 
@@ -291,7 +291,7 @@ def test_batched_tau_matches_scalar_formula(pe_range):
         pe = np.geomspace(*pe_range, len(b_mean))
         speed = 2.0 * eps * pe / geo.diameter
         b_mean[:] = speed[:, None] * np.array([0.6, -0.8])
-    tau = SupgParams(eps).tau(geo, b_mean)
+    tau = SupgParams(eps).tau(geo, b_mean.T)
     want = np.array([scalar_supg_tau(eps, h, b) for h, b in zip(geo.diameter, b_mean)])
     ulp = np.spacing(np.abs(want))
     if pe_range == (1.0, 50.0):
@@ -504,18 +504,22 @@ def _csr_arrays(csr):
 
 
 def test_qsum_bitwise_equals_loop_over_q():
+    # batch-last operands (i, q, cells) against the cells-first loop oracle
     rng = np.random.default_rng(7)
     n = 29
     for n_q, n_i, n_j in ((4, 4, 4), (9, 9, 9), (18, 9, 9), (9, 4, 9)):
-        w = rng.random((n, n_q))
-        test = rng.standard_normal((n, n_q, n_i))
-        trial = rng.standard_normal((n, n_q, n_j))
-        shared = np.broadcast_to(rng.standard_normal((n_q, n_j)), (n, n_q, n_j))
-        for a, b in ((test, trial), (test, shared), (shared[..., :n_i], shared)):
+        w = rng.random((n_q, n))
+        test = rng.standard_normal((n_i, n_q, n))
+        trial = rng.standard_normal((n_j, n_q, n))
+        # stride 0 on the cell axis, as the basis values are in assembly
+        shared = np.broadcast_to(rng.standard_normal((n_j, n_q, 1)), (n_j, n_q, n))
+        for a, b in ((test, trial), (test, shared), (shared[:n_i], shared)):
             full = assembly._qsum(w, a, b)
-            assert _same_bytes([full], [loop_qsum(w, a, b)])
+            want = loop_qsum(w.T, a.transpose(2, 1, 0), b.transpose(2, 1, 0))
+            assert _same_bytes([full], [want.transpose(1, 2, 0)])
             # a cell's entries do not depend on the rest of its batch
-            assert _same_bytes([assembly._qsum(w[:7], a[:7], b[:7])], [full[:7]])
+            part = assembly._qsum(w[:, :7], a[..., :7], b[..., :7])
+            assert _same_bytes([part], [full[..., :7]])
 
 
 BITWISE_PROBLEMS = {

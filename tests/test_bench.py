@@ -27,7 +27,7 @@ from parfem.bench_cli import (
     scaling_value,
 )
 from parfem.comm import ConsistencyLevel, Transport, spmd_run
-from parfem.dlinalg import fgmres, new_vector
+from parfem.dlinalg import DistVector, fgmres
 from parfem.multigrid import (
     BlockSsor,
     CoarseSolver,
@@ -289,7 +289,7 @@ def solve_on_hierarchy_finest(config):
         else:
             precond = CoarseSolver(fin.ctx, fin.matrix)
         res = fgmres(
-            fin.matrix, fin.rhs, precond=precond, x0=new_vector(fin.ctx),
+            fin.matrix, fin.rhs, precond=precond, x0=DistVector(fin.ctx),
             restart=config.restart, tol=config.tol, maxit=config.maxit,
         )
         enforce_dirichlet_values(res.x, fin.ctx, coeffs.dirichlet)

@@ -18,7 +18,6 @@ from parfem.dlinalg import (
     fgmres,
     from_keys,
     matvec,
-    new_vector,
     norm2,
     spmv,
 )
@@ -131,7 +130,7 @@ def test_matvec_dimension_mismatch():
     A = DistMatrix(ctx, sp.identity(ctx.n_local, format="csr"))
     other = seq_context(build_rect_mesh(0, 1, 0, 1, 3, 3))
     with pytest.raises(ValueError):
-        matvec(A, new_vector(other))
+        matvec(A, DistVector(other))
 
 
 def _csr(dense, index_dtype):

@@ -3,7 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import broadcast_physical_gradients
+from conftest import (
+    CellsFirstGeometry,
+    broadcast_physical_gradients,
+    one_cell_jacobians,
+    one_cell_map,
+)
 from parfem.mapped_fe import (
     REF_VERTICES,
     CellGeometry,
@@ -25,23 +30,24 @@ def one_cell_mesh(verts):
 def test_map_vertices_in_order():
     geo = CellGeometry(UNIT_SQUARE[None])
     ref = np.array([[-1, -1], [1, -1], [1, 1], [-1, 1]], dtype=float)
-    assert np.allclose(geo.map(ref)[0], UNIT_SQUARE)
-    assert np.allclose(geo.map([[-1, -1]])[0, 0], [0, 0])
+    assert geo.map(ref).shape == (2, 4, 1)
+    assert np.allclose(one_cell_map(geo, ref), UNIT_SQUARE)
+    assert np.allclose(one_cell_map(geo, [[-1, -1]])[0], [0, 0])
 
 
 def test_affine_scaling():
     geo = CellGeometry(UNIT_SQUARE[None])
     assert geo.affine[0]
-    assert np.allclose(geo.map([[0, 0]])[0, 0], [0.5, 0.5])
-    J = geo.jacobians([[0.0, 0.0]])[0, 0]
+    assert np.allclose(one_cell_map(geo, [[0, 0]])[0], [0.5, 0.5])
+    J = one_cell_jacobians(geo, [[0.0, 0.0]])[0]
     assert np.isclose(np.linalg.det(J), 0.25)
 
 
 def test_bilinear_center_is_vertex_average():
     geo = CellGeometry(TRAPEZOID[None])
     assert not geo.affine[0]
-    assert np.allclose(geo.map([[0, 0]])[0, 0], TRAPEZOID.mean(axis=0))
-    assert np.allclose(geo.map([[0, 0]])[0, 0], [0.875, 0.5])
+    assert np.allclose(one_cell_map(geo, [[0, 0]])[0], TRAPEZOID.mean(axis=0))
+    assert np.allclose(one_cell_map(geo, [[0, 0]])[0], [0.875, 0.5])
 
 
 def test_parallelogram_detected_affine():
@@ -60,6 +66,7 @@ def test_make_reference_map_from_mesh():
     geo = make_reference_map(0, mesh)
     assert np.array_equal(geo.verts, TRAPEZOID[None])
     assert np.array_equal(geo.a3, cell_geometry(mesh, [0]).a3)
+    assert geo.a3.shape == (2, 1)
 
 
 def test_q1_nodal_values():
@@ -128,8 +135,8 @@ def test_physical_gradients_affine_halving():
     elem = get_element("q1")
     pts = np.array([[0.3, -0.2]])
     _, ref = elem.eval(pts)
-    phys = CellGeometry(UNIT_SQUARE[None]).physical_gradients(pts, ref)[0]
-    assert np.allclose(phys, 2.0 * ref)
+    phys = CellGeometry(UNIT_SQUARE[None]).physical_gradients(pts, ref)[..., 0]
+    assert np.allclose(phys.T, 2.0 * ref)
 
 
 def test_physical_gradients_identity_map():
@@ -137,7 +144,7 @@ def test_physical_gradients_identity_map():
     geo = CellGeometry(np.array([[[-1, -1], [1, -1], [1, 1], [-1, 1]]], float))
     pts = np.array([[0.1, 0.7]])
     _, ref = elem.eval(pts)
-    assert np.allclose(geo.physical_gradients(pts, ref)[0], ref)
+    assert np.allclose(geo.physical_gradients(pts, ref)[..., 0].T, ref)
 
 
 def _composed_basis(geo, elem, k, x):
@@ -154,8 +161,8 @@ def test_physical_gradients_fd_oracle(kind):
     geo = CellGeometry(TRAPEZOID[None])
     pts = np.array([[0.0, 0.0]])
     _, ref = elem.eval(pts)
-    phys = geo.physical_gradients(pts, ref)[0, 0]
-    x0 = geo.map(pts)[0, 0]
+    phys = geo.physical_gradients(pts, ref)[:, :, 0, 0].T  # (n_dofs, 2)
+    x0 = one_cell_map(geo, pts)[0]
     h = 1e-6
     for k in range(elem.n_dofs):
         for d in range(2):
@@ -175,8 +182,8 @@ def test_physical_hessians_fd_oracle(kind):
     pts = np.array([[0.1, -0.3]])
     _, ref = elem.eval(pts)
     hess_ref = elem.eval_hessians(pts)
-    hess = geo.physical_hessians(pts, ref, hess_ref)[0, 0]
-    x0 = geo.map(pts)[0, 0]
+    hess = geo.physical_hessians(pts, ref, hess_ref)[..., 0, 0].transpose(2, 0, 1)
+    x0 = one_cell_map(geo, pts)[0]
     h = 1e-5
 
     def grad_fd(k, x):
@@ -250,7 +257,7 @@ def test_quadrature_parallelogram_area():
     )
     for order in (1, 2, 3):
         rule = gauss_rule(order)
-        J = geo.jacobians(rule.points)[0]
+        J = one_cell_jacobians(geo, rule.points)
         det = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
         assert abs(np.sum(rule.weights * det) - area) < 1e-13
 
@@ -262,11 +269,11 @@ def test_affine_cell_reproduces_linears(rng):
     assert geo.affine[0]
     elem = get_element("q1")
     f = lambda p: 1.5 - 2.0 * p[..., 0] + 0.75 * p[..., 1]
-    nodal = f(geo.map(elem.nodes)[0])
+    nodal = f(one_cell_map(geo, elem.nodes))
     pts = rng.uniform(-1, 1, size=(50, 2))
     vals, _ = elem.eval(pts)
     interp = vals @ nodal
-    assert np.max(np.abs(interp - f(geo.map(pts)[0]))) < 1e-13
+    assert np.max(np.abs(interp - f(one_cell_map(geo, pts)))) < 1e-13
 
 
 def hemker_ring_mesh():
@@ -305,7 +312,7 @@ def test_batched_geometry_independent_of_batch(kind, rng):
     for c, gid in enumerate(cells):
         single = evaluate(cell_geometry(mesh, [gid]))
         for got, want in zip(batched, single):
-            assert np.array_equal(got[c], want[0])
+            assert np.array_equal(got[..., c], want[..., 0])
 
 
 @pytest.mark.parametrize("kind", ["q1", "q2"])
@@ -324,8 +331,10 @@ def test_batched_derivatives_match_per_point_oracle(kind, rng):
         one = cell_geometry(mesh, [gid])
         want_g = loop_physical_gradients(one, pts, grads)
         want_h = loop_physical_hessians(one, pts, grads, hess)
-        assert np.max(np.abs(pg[gid] - want_g)) <= 1e-12 * np.max(np.abs(want_g))
-        assert np.max(np.abs(ph[gid] - want_h)) <= 1e-12 * np.max(np.abs(want_h))
+        got_g = pg[..., gid].T  # (m, n_dofs, 2)
+        got_h = ph[..., gid].transpose(3, 2, 0, 1)  # (m, n_dofs, 2, 2)
+        assert np.max(np.abs(got_g - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+        assert np.max(np.abs(got_h - want_h)) <= 1e-12 * np.max(np.abs(want_h))
 
 
 def test_batched_geometry_rejects_a_degenerate_cell():
@@ -339,7 +348,7 @@ def test_batched_gradients_reject_singular_jacobian():
     # the bilinear map of this cell folds over outside the reference square
     geo = CellGeometry(TRAPEZOID[None])
     far = np.array([[0.0, 9.0]])
-    assert np.linalg.det(geo.jacobians(far))[0, 0] <= 0.0
+    assert np.linalg.det(one_cell_jacobians(geo, far))[0] <= 0.0
     _, grads = get_element("q1").eval(far)
     with pytest.raises(ValueError, match="singular"):
         geo.physical_gradients(far, grads)
@@ -352,10 +361,38 @@ def test_physical_gradients_bitwise_equal_broadcast_oracle(kind, order):
     geo = cell_geometry(mesh, range(mesh.n_cells))
     rule = gauss_rule(order)
     _, grads = get_element(kind).eval(rule.points)
-    got = geo.physical_gradients(rule.points, grads)
-    want = broadcast_physical_gradients(geo, rule.points, grads)
+    got = geo.physical_gradients(rule.points, grads).transpose(3, 2, 1, 0)
+    oracle = CellsFirstGeometry(geo.verts)
+    want = broadcast_physical_gradients(oracle, rule.points, grads)
     assert got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["q1", "q2"])
+def test_batch_last_geometry_bitwise_equals_cells_first_oracle(kind):
+    # the same formulas in the cells-first layout give the same bits
+    mesh = refine_uniform(build_hemker_mesh())
+    geo = cell_geometry(mesh, range(mesh.n_cells))
+    oracle = CellsFirstGeometry(geo.verts)
+    rule = gauss_rule(3)
+    _, grads = get_element(kind).eval(rule.points)
+    hess = get_element(kind).eval_hessians(rule.points)
+    pairs = [
+        (geo.map(rule.points).transpose(2, 1, 0), oracle.map(rule.points)),
+        (
+            geo.jacobians(rule.points).transpose(3, 2, 0, 1),
+            oracle.jacobians(rule.points),
+        ),
+        (
+            geo.physical_hessians(rule.points, grads, hess).transpose(4, 3, 2, 0, 1),
+            oracle.physical_hessians(rule.points, grads, hess),
+        ),
+        (geo.diameter, oracle.diameter),
+        (geo.affine, oracle.affine),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_jacobians_of_the_last_points_are_shared_and_read_only():
@@ -366,6 +403,6 @@ def test_jacobians_of_the_last_points_are_shared_and_read_only():
     assert geo.jacobians(rule.points.copy()) is J  # same points, one evaluation
     assert not J.flags.writeable
     other = geo.jacobians(gauss_rule(2).points)
-    assert other is not J and other.shape[1] == 4
+    assert other is not J and other.shape == (2, 2, 4, mesh.n_cells)
     fresh = cell_geometry(mesh, range(mesh.n_cells)).jacobians(rule.points)
     assert geo.jacobians(rule.points).tobytes() == fresh.tobytes()

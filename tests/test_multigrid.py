@@ -619,6 +619,17 @@ def test_v_cycle_builds_one_vector_and_restores_nothing(monkeypatch):
     assert build_on_ranks(coarse, 3, 2, body) == [(1, 0, L3)] * 2
 
 
+@pytest.mark.parametrize("n_levels", [1, 2])
+def test_v_cycle_updates_x0_in_place(n_levels):
+    # the result shares x0's array on every hierarchy, and x0 holds it
+    def body(hier):
+        x0 = DistVector(hier.finest.ctx, np.ones(hier.finest.ctx.n_local), L3)
+        x = v_cycle(hier, hier.finest.rhs, x0)
+        return x.values is x0.values and x.level == L3 and np.all(x.values != 1.0)
+
+    assert all(build_on_ranks(build_rect_mesh(0, 1, 0, 1, 4, 4), n_levels, 2, body))
+
+
 # global d.o.f.s on levels 0, 1, 2, and the level pick_coarse_level returns
 # for levels 1..5
 DOFS = {("rect", "q1"): (25, 81, 289), ("rect", "q2"): (81, 289),
