@@ -190,8 +190,7 @@ def assemble_cdr(
         (on,) = np.nonzero(tau > 0.0)
         if on.size:
             hess = elem.eval_hessians(rule.points)
-            ph = CellGeometry(geo.verts[on]).physical_hessians(rule.points, grads, hess)
-            lap = ph[0, 0] + ph[1, 1]
+            lap = geo.physical_laplacians(rule.points, hess, pg)[..., on]
             resid = -coeffs.eps * lap + bgrad[..., on] + cq[:, on] * vals_t
             Ae[..., on] += tau[on] * _qsum(w[:, on], bgrad[..., on], resid)
             be[:, on] += tau[on] * _qload(w[:, on] * fq[:, on], bgrad[..., on])
@@ -253,14 +252,15 @@ def dirichlet_dofs(ctx: RankContext, parts, t: float = 0.0):
 def apply_dirichlet(
     A: DistMatrix, rhs: DistVector | None, ctx: RankContext, parts, t: float = 0.0
 ):
-    """Replace Dirichlet rows by identity rows with the boundary value.
+    """Replace Dirichlet rows by identity rows and, when `rhs` is given, write
+    its boundary values by `enforce_dirichlet_values`.
 
     Applied on every rank knowing the d.o.f., so interface slave rows stay
     consistent with their masters.
     """
-    rows, values = dirichlet_dofs(ctx, parts, t)
-    A.set_dirichlet_rows(rows, values, rhs)
-    return rows, values
+    A.set_dirichlet_rows(_dirichlet_rows(ctx, parts)[0])
+    if rhs is not None:
+        enforce_dirichlet_values(rhs, ctx, parts, t)
 
 
 def enforce_dirichlet_values(u: DistVector, ctx: RankContext, parts, t: float = 0.0):

@@ -104,9 +104,10 @@ class DistMatrix:
     """CSR matrix over the rank-local known d.o.f.s.
 
     Rows of masters and interface slaves are sequentially correct by
-    construction (level-1-consistent); halo rows may be incomplete.  Column
-    entries are stored in ascending global-key order so that master rows
-    accumulate in exactly the sequential order.
+    construction (level-1-consistent); halo rows may be incomplete.  Every
+    matrix of a space is data in its graph's layout (`matrix_graph`): columns
+    in ascending global-key order, so that master rows accumulate in exactly
+    the sequential order, and explicit zeros kept.
     """
 
     level = L1
@@ -120,12 +121,17 @@ class DistMatrix:
         return self.csr.shape
 
     def combine(self, alpha: float, beta: float, other: "DistMatrix") -> "DistMatrix":
-        """alpha*self + beta*other on the union sparsity."""
+        """alpha*self + beta*other, entry by entry on the layout both must share."""
+        a, b = self.csr, other.csr
         if other.ctx is not self.ctx:
             raise ValueError("matrices live in different spaces")
-        return DistMatrix(self.ctx, (alpha * self.csr + beta * other.csr).tocsr())
+        if not all(map(np.array_equal, (a.indptr, a.indices), (b.indptr, b.indices))):
+            raise ValueError("matrices have different layouts")
+        layout = a.indices.copy(), a.indptr.copy()
+        csr = sp.csr_matrix((alpha * a.data + beta * b.data, *layout), shape=a.shape)
+        return DistMatrix(self.ctx, csr)
 
-    def set_dirichlet_rows(self, rows, values, rhs: DistVector | None = None):
+    def set_dirichlet_rows(self, rows):
         """Replace rows by identity rows; sparsity is kept (entries zeroed)."""
         rows = np.asarray(rows, dtype=np.int64)
         row_of = np.repeat(np.arange(self.shape[0]), np.diff(self.csr.indptr))
@@ -136,8 +142,6 @@ class DistMatrix:
             raise RuntimeError(f"no diagonal entry in row {rows[diag[rows] < 0][0]}")
         self.csr.data[np.bincount(rows, minlength=len(diag))[row_of] > 0] = 0.0
         self.csr.data[diag[rows]] = 1.0
-        if rhs is not None:
-            rhs.values[rows] = values
 
 
 def spmv(csr: sp.csr_matrix, x: np.ndarray) -> np.ndarray:

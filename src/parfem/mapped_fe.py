@@ -3,10 +3,11 @@
 Everything is defined on the reference square [-1,1]^2 and transported to
 physical cells by an affine or bilinear map, so that basis evaluation and
 quadrature live on the reference cell only.  The maps exist only in batches:
-one `CellGeometry` holds every cell a rank knows on a level, and a single
-cell is a batch of one (`cell_geometry(mesh, [gid])`).  Batched arrays put
-the cell axis last, so each elementwise operation's innermost loop runs over
-the batch; reference tables keep the point axis first.
+one `CellGeometry` holds every cell a rank knows on a level (`ctx.geometry`,
+read by every assembled operator); a single cell is a batch of one
+(`cell_geometry(mesh, [gid])`).  Batched arrays put the cell axis last, so
+each elementwise operation's innermost loop runs over the batch; reference
+tables keep the point axis first.
 """
 
 from __future__ import annotations
@@ -139,7 +140,7 @@ class CellGeometry:
     evaluation at m reference points carries the cell axis last: `map` is
     (2, m, cells), `jacobians` (2, 2, m, cells), `quadrature_weights`
     (m, cells), `physical_gradients` (2, n_dofs, m, cells) and
-    `physical_hessians` (2, 2, n_dofs, m, cells).  Operations are elementwise
+    `physical_laplacians` (n_dofs, m, cells).  Operations are elementwise
     only, so a cell's numbers do not depend on the rest of the batch.
     """
 
@@ -196,24 +197,23 @@ class CellGeometry:
         g0, g1 = (ref_grads[..., k].T[:, :, None] for k in (0, 1))
         return np.stack([G[0, i] * g0 + G[1, i] * g1 for i in (0, 1)])
 
-    def physical_hessians(self, points, ref_grads, ref_hess):
-        """Exact physical second derivatives, shape (2, 2, n_dofs, m, cells).
-
-        Includes the curvature term of the bilinear map: with G = J^{-1},
-        d^2 xi_k / dx_i dx_j = -(G a3)_k (G_0i G_1j + G_1i G_0j), which
-        vanishes on affine cells.
-        """
-        G = self._inverse_jacobians(points)[:, :, None]
-        out = sum(
-            ref_hess[..., k, l].T[:, :, None] * (G[k, :, None] * G[l, None, :])
-            for k, l in np.ndindex(2, 2)
-        )
-        # grad(phi) . a3 equals ref_grad . (G a3)
+    def physical_laplacians(self, points, ref_hess, pg):
+        """Exact physical Laplacians (n_dofs, m, cells) from the reference
+        Hessians (m, n_dofs, 2, 2) and the `physical_gradients` pg at points;
+        d^2 xi_k / dx_i^2 = -2 (G a3)_k G_0i G_1i, G = J^{-1}, is the
+        curvature term of the bilinear map, zero on affine cells."""
+        G = self._inverse_jacobians(points)
         a3 = np.where(self.affine, 0.0, self.a3)
-        pg = self.physical_gradients(points, ref_grads)
-        pg_a3 = pg[0] * a3[0] + pg[1] * a3[1]
-        S = G[0, :, None] * G[1, None, :]
-        return out - pg_a3 * (S + S.swapaxes(0, 1))
+        pg_a3 = pg[0] * a3[0] + pg[1] * a3[1]  # grad(phi) . a3 = ref_grad . (G a3)
+
+        def second(i):  # d^2 phi / dx_i^2
+            S = G[0, i] * G[1, i]
+            return sum(
+                ref_hess[..., k, l].T[:, :, None] * (G[k, i] * G[l, i])
+                for k, l in np.ndindex(2, 2)
+            ) - pg_a3 * (S + S)
+
+        return second(0) + second(1)
 
 
 def cell_geometry(mesh, cell_ids) -> CellGeometry:

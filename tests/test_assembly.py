@@ -37,10 +37,11 @@ from parfem.bench_cli import (
     timedep_problem,
 )
 from parfem.comm import ConsistencyLevel, build_rank_context, spmd_run
-from parfem.dlinalg import DistVector, fgmres, from_keys, matvec
+from parfem.dlinalg import DistMatrix, DistVector, fgmres, from_keys, matvec
 from parfem.dof_manager import dof_coordinates, sorted_unique
 from parfem.mapped_fe import cell_geometry, get_element
 from parfem.mesh import build_hemker_mesh, build_rect_mesh, refine_uniform
+from parfem.multigrid import ownership_on_level
 from parfem.partition import decompose
 
 L0, L1, L2, L3 = ConsistencyLevel
@@ -189,6 +190,7 @@ def test_crank_nicolson_zero_stiffness_keeps_state():
     ctx = seq_context(build_rect_mesh(0, 1, 0, 1, 2, 2))
     M = assemble_mass(ctx)
     Z = M.combine(0.0, 0.0, M)  # zero matrix on the mass sparsity
+    assert Z.csr.nnz == M.csr.nnz and not np.any(Z.csr.data)
     u0 = from_keys(ctx, lambda k: 1.0 + 0.25 * (k % 5))
     S, B = crank_nicolson_system(M, Z, 0.01)
     b, x0 = crank_nicolson_step(B, u0)
@@ -207,6 +209,54 @@ def test_crank_nicolson_scalar_decay():
     b, _ = crank_nicolson_step(B, u0)
     u1 = np.linalg.solve(S.csr.toarray(), b.values)
     assert np.allclose(u1, (1 - dt / 2) / (1 + dt / 2), atol=1e-14)
+
+
+def test_crank_nicolson_system_keeps_the_graph_layout():
+    # on the two-rank timedep2d L3 space, rank 1's local order is not key
+    # order; S and B must keep the columns of `matrix_graph` on every rank
+    coarse, coeffs, supg = timedep_problem()
+    mesh = coarse.refined.refined
+    ownership = ownership_on_level(decompose(coarse, 2), 2)
+
+    def body(rank, transport):
+        ctx = build_rank_context(mesh, ownership, "q1", transport, rank)
+        A, _ = assemble_cdr(ctx, coeffs, supg=supg)
+        S, B = crank_nicolson_system(assemble_mass(ctx), A, 0.01, coeffs.dirichlet)
+        graph = matrix_graph(ctx)[:2]  # int64; scipy stores them as int32
+        return [
+            all(map(np.array_equal, (m.csr.indptr, m.csr.indices), graph))
+            for m in (S, B)
+        ]
+
+    assert spmd_run(2, body) == [[True, True], [True, True]]
+
+
+def test_combine_rejects_a_different_layout():
+    ctx = seq_context(build_rect_mesh(0, 1, 0, 1, 2, 2))
+    M = assemble_mass(ctx)
+    fewer = M.csr.copy()
+    fewer.data[1] = 0.0
+    fewer.eliminate_zeros()  # one entry less
+    swapped = M.csr.copy()  # the same matrix, row 0's first two columns swapped
+    swapped.indices[:2], swapped.data[:2] = swapped.indices[1::-1], swapped.data[1::-1]
+    assert np.array_equal(swapped.toarray(), M.csr.toarray())
+    for csr in (fewer, swapped):
+        with pytest.raises(ValueError, match="layouts"):
+            M.combine(1.0, 1.0, DistMatrix(ctx, csr))
+
+
+def test_apply_dirichlet_drops_the_rhs_to_level_1():
+    # halo copies of boundary rows may be stale, as for a written solution
+    coarse, coeffs, _ = poisson_mms_problem()
+
+    def body(ctx):
+        A, _ = assemble_cdr(ctx, coeffs)
+        b = from_keys(ctx, lambda k: 1.0 + k % 7, level=L3)
+        apply_dirichlet(A, b, ctx, coeffs.dirichlet)
+        rows, values = dirichlet_dofs(ctx, coeffs.dirichlet)
+        return b.level, np.array_equal(b.values[rows], values)
+
+    assert run_ranks(refine_uniform(coarse), 2, body) == [(L1, True), (L1, True)]
 
 
 def test_crank_nicolson_rejects_bad_dt():
@@ -526,6 +576,8 @@ BITWISE_PROBLEMS = {
     "poisson_mms": poisson_mms_problem,  # constant zero b and c, no SUPG
     "timedep2d": timedep_problem,  # callable c, SUPG
     "hemker2d": hemker_problem,  # SUPG
+    # callable b, c and f; SUPG off for x < -2, so `on` is a strict subset
+    "variable_cdr": lambda: (build_hemker_mesh(), VARIABLE_CDR, True),
 }
 
 
@@ -580,6 +632,12 @@ def test_one_geometry_per_space(monkeypatch):
     # the shared geometry places every d.o.f. where a fresh one does
     want = dof_coordinates(ctx.dof_map, ctx.mesh)
     assert _same_bytes([ctx.dof_coords], [want])
+    # SUPG takes its Laplacians from the same geometry
+    coarse, coeffs, supg = hemker_problem()
+    ctx = seq_context(refine_uniform(coarse), "q2")
+    built.clear()
+    assemble_cdr(ctx, coeffs, supg=supg)
+    assert supg and built == [ctx.mesh.n_cells]
 
 
 @pytest.mark.parametrize("elem", ["q1", "q2"])
@@ -591,7 +649,7 @@ def test_set_dirichlet_rows_bitwise_equals_isin_oracle(elem, n_ranks):
         A, _ = assemble_cdr(ctx, coeffs, supg=supg)
         rows, values = dirichlet_dofs(ctx, coeffs.dirichlet)
         want = isin_dirichlet_rows(A.csr, rows)
-        A.set_dirichlet_rows(rows, values)
+        A.set_dirichlet_rows(rows)
         return rows.size, _same_bytes(_csr_arrays(A.csr), _csr_arrays(want))
 
     sizes, same = zip(*run_ranks(refine_uniform(coarse), n_ranks, body, elem))

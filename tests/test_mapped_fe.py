@@ -176,13 +176,13 @@ def test_physical_gradients_fd_oracle(kind):
 
 
 @pytest.mark.parametrize("kind", ["q1", "q2"])
-def test_physical_hessians_fd_oracle(kind):
+def test_physical_laplacians_fd_oracle(kind):
     elem = get_element(kind)
     geo = CellGeometry(TRAPEZOID[None])
     pts = np.array([[0.1, -0.3]])
     _, ref = elem.eval(pts)
-    hess_ref = elem.eval_hessians(pts)
-    hess = geo.physical_hessians(pts, ref, hess_ref)[..., 0, 0].transpose(2, 0, 1)
+    pg = geo.physical_gradients(pts, ref)
+    lap = geo.physical_laplacians(pts, elem.eval_hessians(pts), pg)[:, 0, 0]
     x0 = one_cell_map(geo, pts)[0]
     h = 1e-5
 
@@ -197,12 +197,14 @@ def test_physical_hessians_fd_oracle(kind):
             ) / (2 * h)
         return g
 
+    assert not geo.affine[0]  # the curvature term is part of the Laplacian
     for k in range(elem.n_dofs):
+        fd = 0.0
         for d in range(2):
             e = np.zeros(2)
             e[d] = h
-            fd = (grad_fd(k, x0 + e) - grad_fd(k, x0 - e)) / (2 * h)
-            assert np.max(np.abs(hess[k, :, d] - fd)) < 1e-4
+            fd += (grad_fd(k, x0 + e)[d] - grad_fd(k, x0 - e)[d]) / (2 * h)
+        assert abs(lap[k] - fd) < 1e-4
 
 
 def test_gauss_rule_order1():
@@ -298,11 +300,12 @@ def test_batched_geometry_independent_of_batch(kind, rng):
     hess = elem.eval_hessians(pts)
 
     def evaluate(geo):
+        pg = geo.physical_gradients(pts, grads)
         return (
             geo.map(pts),
             geo.jacobians(pts),
-            geo.physical_gradients(pts, grads),
-            geo.physical_hessians(pts, grads, hess),
+            pg,
+            geo.physical_laplacians(pts, hess, pg),
             geo.diameter,
             geo.affine,
         )
@@ -326,15 +329,16 @@ def test_batched_derivatives_match_per_point_oracle(kind, rng):
     hess = elem.eval_hessians(pts)
     geo = cell_geometry(mesh, range(mesh.n_cells))
     pg = geo.physical_gradients(pts, grads)
-    ph = geo.physical_hessians(pts, grads, hess)
+    lap = geo.physical_laplacians(pts, hess, pg)
     for gid in range(mesh.n_cells):
         one = cell_geometry(mesh, [gid])
         want_g = loop_physical_gradients(one, pts, grads)
         want_h = loop_physical_hessians(one, pts, grads, hess)
+        want_l = want_h[..., 0, 0] + want_h[..., 1, 1]  # (m, n_dofs)
         got_g = pg[..., gid].T  # (m, n_dofs, 2)
-        got_h = ph[..., gid].transpose(3, 2, 0, 1)  # (m, n_dofs, 2, 2)
+        got_l = lap[..., gid].T  # (m, n_dofs)
         assert np.max(np.abs(got_g - want_g)) <= 1e-12 * np.max(np.abs(want_g))
-        assert np.max(np.abs(got_h - want_h)) <= 1e-12 * np.max(np.abs(want_h))
+        assert np.max(np.abs(got_l - want_l)) <= 1e-12 * np.max(np.abs(want_h))
 
 
 def test_batched_geometry_rejects_a_degenerate_cell():
@@ -377,15 +381,17 @@ def test_batch_last_geometry_bitwise_equals_cells_first_oracle(kind):
     rule = gauss_rule(3)
     _, grads = get_element(kind).eval(rule.points)
     hess = get_element(kind).eval_hessians(rule.points)
+    pg = geo.physical_gradients(rule.points, grads)
+    want_h = oracle.physical_hessians(rule.points, grads, hess)
     pairs = [
         (geo.map(rule.points).transpose(2, 1, 0), oracle.map(rule.points)),
         (
             geo.jacobians(rule.points).transpose(3, 2, 0, 1),
             oracle.jacobians(rule.points),
         ),
-        (
-            geo.physical_hessians(rule.points, grads, hess).transpose(4, 3, 2, 0, 1),
-            oracle.physical_hessians(rule.points, grads, hess),
+        (  # the trace of the oracle's full Hessians
+            geo.physical_laplacians(rule.points, hess, pg).transpose(2, 1, 0),
+            want_h[..., 0, 0] + want_h[..., 1, 1],
         ),
         (geo.diameter, oracle.diameter),
         (geo.affine, oracle.affine),
