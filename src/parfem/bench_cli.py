@@ -7,7 +7,9 @@ harness hosts all logical ranks as threads over the in-process transport.
 Every rank runs one body: set up the solver, then solve a list of steps per
 repeat (one step for a steady problem, one per Crank-Nicolson step for
 timedep2d); `mg_fgmres` builds the multigrid levels from `pick_coarse_level`
-up, the others the finest level alone.  Timing wraps the linear solves only.
+up, `coarse_direct` the one-level multigrid of the finest level (its V-cycle
+is the coarse solve) and `ssor_fgmres` the finest level alone.  Timing wraps
+the linear solves only.
 With five repeats the reported time drops the fastest and slowest run and
 averages the remaining three.  `main` runs one configuration, writes its
 artifacts to the output directory and prints one summary line.
@@ -44,7 +46,6 @@ from .dlinalg import DistVector, fgmres
 from .mesh import build_hemker_mesh, build_rect_mesh
 from .multigrid import (
     BlockSsor,
-    CoarseSolver,
     MgPreconditioner,
     SsorPreconditioner,
     build_hierarchy,
@@ -254,23 +255,21 @@ def _rank_body(rank, transport, config, coarse, coeffs, supg):
         def step_system(u, t):
             return rhs, u
 
-    if config.solver == "mg_fgmres":
-        hier = build_hierarchy(
-            coarse, config.levels, config.element, discretize, transport, rank,
-            nu1=config.nu1, nu2=config.nu2, omega=config.omega,
-            coarse_level=pick_coarse_level(coarse, config.levels, config.element),
-        )
-        ctx, matrix, rhs = hier.finest.ctx, hier.finest.matrix, hier.finest.rhs
-        precond = MgPreconditioner(hier)
-    else:
+    if config.solver == "ssor_fgmres":
         own = decompose(coarse, transport.n_ranks)
         ctx, matrix, rhs = build_level(
             coarse, own, config.levels - 1, config.element, discretize, transport, rank
         )
-        if config.solver == "ssor_fgmres":
-            precond = SsorPreconditioner(BlockSsor(ctx, matrix, config.omega))
-        else:
-            precond = CoarseSolver(ctx, matrix)
+        precond = SsorPreconditioner(BlockSsor(ctx, matrix, config.omega))
+    else:
+        pick = pick_coarse_level(coarse, config.levels, config.element)
+        hier = build_hierarchy(
+            coarse, config.levels, config.element, discretize, transport, rank,
+            nu1=config.nu1, nu2=config.nu2, omega=config.omega,
+            coarse_level=pick if config.solver == "mg_fgmres" else config.levels - 1,
+        )
+        ctx, matrix, rhs = hier.finest.ctx, hier.finest.matrix, hier.finest.rhs
+        precond = MgPreconditioner(hier)
     want = {round(t / config.dt) for t in config.snapshot_times}
 
     repeats = []

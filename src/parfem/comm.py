@@ -209,7 +209,8 @@ class Schedule:
 
     `sends[q]` holds the local d.o.f.s whose values go to rank q;
     `recvs[q]` the local d.o.f.s (or the slots of a buffer) that the values
-    from rank q fill, in arrival order.
+    from rank q fill, in arrival order.  `send` overwrites, `sum` adds: every
+    rank that sums a slot over the same arrivals forms the same bits.
     """
 
     sends: list[np.ndarray]
@@ -220,10 +221,27 @@ class Schedule:
         """Every receiving d.o.f. (or slot), in ascending source rank."""
         return np.concatenate(self.recvs)
 
+    @functools.cached_property
+    def arrivals(self) -> np.ndarray:
+        """Arrivals per slot; every slot of the buffer receives one at least."""
+        return np.bincount(self.rcvd_dof)
+
+    @functools.cached_property
+    def _start(self) -> np.ndarray:
+        # -0.0 + v == v for every v: a single arrival passes unchanged
+        return np.where(self.arrivals > 1, 0.0, -0.0)
+
     def send(self, transport, rank: int, values: np.ndarray, label: str):
         """One all-to-all of values[sends[q]]; returns arrivals in rcvd_dof order."""
         chunks = [values[d] for d in self.sends]
         return np.concatenate(transport.all_to_all(rank, chunks, label=label))
+
+    def sum(self, transport, rank: int, values: np.ndarray, label: str):
+        """One all-to-all; per slot, the arrivals added in ascending source
+        rank from 0.0, or from -0.0 when it has one (`_start`)."""
+        totals = self._start.copy()
+        np.add.at(totals, self.rcvd_dof, self.send(transport, rank, values, label))
+        return totals
 
 
 def merge_schedules(parts: list[Schedule]) -> Schedule:
@@ -242,9 +260,7 @@ class FeMapper:
     true_keys: np.ndarray  # globally minimal (cell, index) key per local dof
     contributions: Schedule  # every block holder -> every halo d.o.f.
     if_dofs: np.ndarray  # interface d.o.f.s, in ascending key
-    shared_with: list[np.ndarray]  # per rank: the interface d.o.f.s it shares
-    slot_with: list[np.ndarray]  # per rank: their positions in if_dofs
-    counts: np.ndarray  # sharing ranks per interface d.o.f.
+    shared: Schedule  # per rank: the interface d.o.f.s it shares, slots in if_dofs
 
 
 def build_fe_mapper(
@@ -307,19 +323,16 @@ def build_fe_mapper(
     schedules = {r: schedule(lambda c, m, k=k: m & (c == k)) for r, k in relations}
     # halo(alpha) and halo(beta) are the classes above every interface class
     contributions = schedule(lambda c, m: c >= DofClass.HALO_ALPHA)
-    shared = schedule(lambda c, m: c == DofClass.INTERFACE_SLAVE)
+    if_slaves = schedule(lambda c, m: c == DofClass.INTERFACE_SLAVE)
     if_dofs = np.flatnonzero(classification.in_block & (classes != DofClass.INNER))
     if_dofs = if_dofs[np.argsort(keys[if_dofs], kind="stable")]
     slot = np.full(dof_map.n_dofs, -1)
     slot[if_dofs] = np.arange(len(if_dofs))
-    pairs = zip(shared.sends, shared.recvs)
+    pairs = zip(if_slaves.sends, if_slaves.recvs)
     slot_with = [np.union1d(slot[s], slot[r]) for s, r in pairs]
     slot_with[rank] = np.arange(len(if_dofs))
-    counts = np.bincount(np.concatenate(slot_with), minlength=len(if_dofs))
-    shared_with = [if_dofs[s] for s in slot_with]
-    return FeMapper(
-        schedules, true_keys, contributions, if_dofs, shared_with, slot_with, counts
-    )
+    shared = Schedule([if_dofs[s] for s in slot_with], slot_with)
+    return FeMapper(schedules, true_keys, contributions, if_dofs, shared)
 
 
 class Communicator:
@@ -368,44 +381,29 @@ class InterfaceExchange:
     refreshes every halo d.o.f. in the same all-to-all (`settle`).
     The interface lists are read from the mapper's reply, so both sides of
     every rank pair list the same d.o.f.s in ascending key.  A rank sends
-    rank q its values of `shared_with[q]`, and q's values fill the slots
-    `slot_with[q]` of a buffer over `if_dofs`; `settle` appends one slot per
-    halo d.o.f., filled by the mapper's `contributions`.  Every total starts
-    from zero and adds the contributions in ascending rank order, so it is
-    bitwise identical on every rank that forms it.
+    rank q its values of `shared.sends[q]`, and q's values fill the slots
+    `shared.recvs[q]` of a buffer over `if_dofs`; `settling` adds one slot
+    per halo d.o.f., fed by the mapper's `contributions`.  Both sum by
+    `Schedule.sum`, so a total is the same on every rank forming it.
     """
 
     def __init__(self, transport: Transport, rank: int, mapper: FeMapper):
         self.transport = transport
         self.rank = rank
-        self.if_dofs, self.counts = mapper.if_dofs, mapper.counts
-        self.shared_with, self.slot_with = mapper.shared_with, mapper.slot_with
+        self.if_dofs = mapper.if_dofs
+        self.shared = mapper.shared
         # settle: interface slots, then one slot per halo d.o.f. fed by every
         # rank holding it in its block (several if it is interface there)
         c = mapper.contributions
-        halo, holders = np.unique(c.rcvd_dof, return_counts=True)
+        halo = np.unique(c.rcvd_dof)
         self.settle_dofs = np.concatenate([self.if_dofs, halo])
-        self.settle_counts = np.concatenate([self.counts, holders])
-        # schedules into the slots, and the start values of their totals
-        shared = Schedule(self.shared_with, self.slot_with)
         halo_slots = [len(self.if_dofs) + np.searchsorted(halo, r) for r in c.recvs]
-        self._accumulate = (shared, np.zeros(len(self.if_dofs)))
-        self._settle = (
-            merge_schedules([shared, Schedule(c.sends, halo_slots)]),
-            # -0.0 + v == v for every v: a single contribution passes unchanged
-            np.where(self.settle_counts > 1, 0.0, -0.0),
-        )
-
-    def _sum(self, values, label, plan):
-        schedule, start = plan
-        received = schedule.send(self.transport, self.rank, values, label)
-        totals = start.copy()
-        np.add.at(totals, schedule.rcvd_dof, received)  # in ascending source rank
-        return totals
+        self.settling = merge_schedules([self.shared, Schedule(c.sends, halo_slots)])
 
     def accumulate(self, values: np.ndarray):
         """Replace interface values by the sum over all sharing ranks."""
-        values[self.if_dofs] = self._sum(values, "if-accumulate", self._accumulate)
+        total = self.shared.sum(self.transport, self.rank, values, "if-accumulate")
+        values[self.if_dofs] = total
 
     def settle(self, values: np.ndarray):
         """Interface values become the mean over the sharing ranks, halo values
@@ -414,8 +412,8 @@ class InterfaceExchange:
         from the same start, so each halo value equals its master's bit for
         bit (the master's own where it is the only holder): the vector is
         level-3-consistent."""
-        totals = self._sum(values, "if-average", self._settle)
-        values[self.settle_dofs] = totals / self.settle_counts
+        totals = self.settling.sum(self.transport, self.rank, values, "if-average")
+        values[self.settle_dofs] = totals / self.settling.arrivals
 
 
 @dataclass

@@ -9,23 +9,24 @@ the coarse function at the fine nodes of every known cell, each a child of a
 known coarse cell, summed in ascending coarse key, so every rank forms a fine
 value the same way and a level-3 coarse vector prolongates to level 3 with no
 exchange.  The restriction is its transpose over the fine masters, so each
-fine master counts once; a restricted defect carries the summed interface
-values on every sharing rank, so it is level-1-consistent without an update.
+fine master counts once; a defect restricted to any level but the first
+carries the interface values summed over the sharing ranks (level 1).
 Smoothing, on every level but 0, is block-Jacobi over the rank blocks
 (masters plus interface slaves) with SSOR inside the block (`BlockSsor`);
 after each sweep one all-to-all averages the interface values over their
 sharing ranks and refreshes every halo value, so the iterate stays
 level-3-consistent: interface-slave rows, which couple to halo(beta)
 d.o.f.s, read current values in the next sweep.
-So the levels inside a V-cycle are fixed: b is level 1, the residual b − A·x
-and the restricted defect are level 1, and the smoother, the coarse solve and
-the prolongation leave level 3.  The cycle runs on value arrays; `v_cycle`
-and `SsorPreconditioner` restore their input once, at the boundary.
+So the levels inside a V-cycle are fixed: b, the residual b − A·x and the
+restricted defect are level 1 (partial sums on the first level), and the
+smoother, the coarse solve and the prolongation leave level 3.  The cycle runs
+on value arrays; `v_cycle` and `SsorPreconditioner` restore their input once.
 The first level built is solved exactly, the same on every rank: each rank
 receives all master rows once and factorises the global matrix by sparse LU;
-a solve gives every rank all master values of the right-hand side in one
-all-to-all, and each rank keeps the values of its known keys.  `mg_fgmres`
-builds from the finest level of at most N_C d.o.f.s (`pick_coarse_level`).
+a solve sends every rank its block values, unsummed, in one all-to-all, and
+each rank adds them per key and keeps the solution at its known keys.
+`mg_fgmres` builds from the finest level of at most N_C d.o.f.s
+(`pick_coarse_level`), `coarse_direct` from the finest level alone.
 """
 
 from __future__ import annotations
@@ -153,8 +154,9 @@ class CoarseSolver:
     """Replicated sparse LU of the coarse system (collective).
 
     Every rank factorises the same global matrix, ordered by ascending master
-    key, and solves it from the same right-hand side, so the values of a key
-    are bitwise identical on every rank that knows it.
+    key, and solves it from the same right-hand side, each key's sum of every
+    rank's block values by `Schedule.sum`, so the values of a key are bitwise
+    identical on every rank that knows it.
     """
 
     def __init__(self, ctx: RankContext, matrix: DistMatrix):
@@ -162,13 +164,14 @@ class CoarseSolver:
         t = ctx.transport
         keys = ctx.true_keys
         masters = np.flatnonzero(ctx.master_mask)
+        block = np.flatnonzero(ctx.block_mask)
         entries = matrix.csr[masters].tocoo()
-        # master keys in row order and the rows' entries by key
-        mkeys = keys[masters]
-        payload = (mkeys, mkeys[entries.row], keys[entries.col], entries.data)
+        # block keys and the master rows' entries by key
+        row_keys = keys[masters[entries.row]]
+        payload = (keys[block], row_keys, keys[entries.col], entries.data)
         gathered = t.all_to_all(ctx.rank, [payload] * t.n_ranks, label="coarse-build")
-        row_keys = np.concatenate([g[0] for g in gathered])  # in rank order
-        all_keys = sorted_unique(row_keys)
+        rows, cols, vals = map(np.concatenate, zip(*(g[1:] for g in gathered)))
+        all_keys = sorted_unique(rows)  # every master row holds its diagonal
         n = len(all_keys)
 
         def index(k):
@@ -180,27 +183,19 @@ class CoarseSolver:
                 )
             return pos
 
-        rows, cols, vals = map(np.concatenate, zip(*(g[1:] for g in gathered)))
         A = sp.csc_matrix((vals, (index(rows), index(cols))), shape=(n, n))
         self._lu = splu(A)
         pivot_floor = n * np.finfo(float).eps * max(1.0, abs(A).max())
         if not np.all(np.abs(self._lu.U.diagonal()) >= pivot_floor):
             raise RuntimeError("coarse matrix is singular")
         self._known = index(keys)
-        # right-hand side: every rank's master values to every rank
-        self._rhs = Schedule([masters] * t.n_ranks, [index(g[0]) for g in gathered])
+        # right-hand side: every rank's block values to every rank, per key
+        self._rhs = Schedule([block] * t.n_ranks, [index(g[0]) for g in gathered])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """The level-3 values of the solution; reads the master values of `b`."""
-        rhs = np.empty(self._lu.shape[0])  # each key has one master row
-        rhs[self._rhs.rcvd_dof] = self._rhs.send(
-            self.ctx.transport, self.ctx.rank, b, "coarse-rhs"
-        )
+        """The level-3 values of the solution; reads the block values of `b`."""
+        rhs = self._rhs.sum(self.ctx.transport, self.ctx.rank, b, "coarse-rhs")
         return self._lu.solve(rhs)[self._known]
-
-    def __call__(self, r: DistVector) -> DistVector:
-        """The preconditioner of `coarse_direct`: an exact solve."""
-        return DistVector(self.ctx, self.solve(r.values), L3)
 
 
 @dataclass
@@ -297,14 +292,15 @@ def prolongate(hier: MgHierarchy, level: int, v_coarse: np.ndarray) -> np.ndarra
 def restrict_defect(hier: MgHierarchy, level: int, d_fine: np.ndarray) -> np.ndarray:
     """Transpose of prolongation over the fine masters.
 
-    Each fine master is counted exactly once globally, and R reads no fine
-    slave, so `d_fine` may be level 0.  The per-rank partial sums at the
-    interface are accumulated on every sharing rank (level 1).
+    Each fine master counts once globally, and R reads no fine slave, so
+    `d_fine` may be level 0.  Partial sums go to level 0, whose coarse solve
+    adds them; on any other level the sharing ranks sum them (level 1).
     """
     if not 0 <= level < hier.n_levels - 1:
         raise IndexError(f"no fine level above {level}")
     d = spmv(hier.levels[level + 1].restriction, d_fine)
-    hier.levels[level].ctx.exchange.accumulate(d)
+    if level:
+        hier.levels[level].ctx.exchange.accumulate(d)
     return d
 
 
@@ -323,12 +319,13 @@ def _cycle(hier: MgHierarchy, level: int, b: np.ndarray, x: np.ndarray | None):
 
 def v_cycle(hier: MgHierarchy, b: DistVector, x0: DistVector | None = None):
     """One V(nu1, nu2) cycle from `x0` (updated in place) or zero, to level 3;
-    restores `b` to level 1 and `x0` to level 3, as the smoothers read them."""
+    restores `b` to level 1 and `x0` to level 3, as the smoothers read them.
+    A coarse solve alone, which adds block values, takes `b`'s masters only."""
     top = hier.n_levels - 1
-    if top:  # a coarse solve alone reads only master values
-        b.restore(L1)
+    mask = b.ctx.master_mask
+    values = b.restore(L1).values if top else np.where(mask, b.values, 0.0)
     x = None if x0 is None else x0.restore(L3).values
-    return DistVector(b.ctx, _cycle(hier, top, b.values, x), L3)
+    return DistVector(b.ctx, _cycle(hier, top, values, x), L3)
 
 
 class MgPreconditioner:

@@ -592,6 +592,28 @@ def loop_restrict_defect(hier, level, d_fine):
     return DistVector(cc, out, ConsistencyLevel.L1)
 
 
+def accumulated_master_solve(solver, ctx, partial):
+    """Per-d.o.f. oracle of the coarse solve from partial sums (collective):
+    each interface value becomes the sum over the sharing ranks from 0.0, in
+    ascending rank (`accumulate`); then every rank receives every master
+    value, and `solver`'s LU solves them in ascending key."""
+    n = ctx.transport.n_ranks
+    interface = ctx.block_mask & (ctx.classification.classes != DofClass.INNER)
+    mine = dict(zip(ctx.true_keys[interface].tolist(), partial[interface]))
+    received = ctx.transport.all_to_all(ctx.rank, [mine] * n, label="oracle")
+    values = partial.copy()
+    for g in np.flatnonzero(interface):
+        key, total = int(ctx.true_keys[g]), 0.0
+        for q in range(n):
+            if key in received[q]:
+                total += received[q][key]
+        values[g] = total
+    mine = (ctx.true_keys[ctx.master_mask], values[ctx.master_mask])
+    received = ctx.transport.all_to_all(ctx.rank, [mine] * n, label="oracle")
+    keys, rhs = map(np.concatenate, zip(*received))
+    return solver._lu.solve(rhs[np.argsort(keys)])[solver._known]
+
+
 def injection_table(elem):
     """(child, fine node) holding each coarse node; coarse nodes are fine nodes."""
     table = []

@@ -31,6 +31,7 @@ from parfem.dlinalg import DistVector, fgmres
 from parfem.multigrid import (
     BlockSsor,
     CoarseSolver,
+    MgHierarchy,
     MgPreconditioner,
     SsorPreconditioner,
     build_hierarchy,
@@ -286,8 +287,9 @@ def solve_on_hierarchy_finest(config):
             precond = MgPreconditioner(hier)
         elif config.solver == "ssor_fgmres":
             precond = SsorPreconditioner(BlockSsor(fin.ctx, fin.matrix, config.omega))
-        else:
-            precond = CoarseSolver(fin.ctx, fin.matrix)
+        else:  # the finest level's one-level multigrid: its coarse solve
+            fin_only = MgHierarchy([fin], CoarseSolver(fin.ctx, fin.matrix))
+            precond = MgPreconditioner(fin_only)
         res = fgmres(
             fin.matrix, fin.rhs, precond=precond, x0=DistVector(fin.ctx),
             restart=config.restart, tol=config.tol, maxit=config.maxit,

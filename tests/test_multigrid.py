@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     CountingTransport,
     SplitBlockSsor,
+    accumulated_master_solve,
     cells_of_dof,
     dense_ssor_sweep,
     invert_reference_map,
@@ -233,7 +234,7 @@ def test_csr_transfers_match_cellwise_oracles(elem, n_ranks):
     # curved bilinear O-grid cells; level pairs 0-1 and 1-2; the prolongation
     # makes no all-to-all and gives a key the same bits on every rank, and the
     # restriction gives a key the same bits on every rank holding it in its
-    # block (level 1)
+    # block (level 1), once the partial sums it leaves on level 0 are summed
     coarse = build_hemker_mesh()
     transport = CountingTransport(n_ranks)
 
@@ -251,6 +252,8 @@ def test_csr_transfers_match_cellwise_oracles(elem, n_ranks):
             w_loop = loop_prolongate(hier, level, v.copy())
             d = DistVector(fc, _key_values(fc, 0.5 + level), L3)
             r = restrict_defect(hier, level, d.values.copy())
+            if level == 0:  # the coarse solve adds the partial sums
+                cc.exchange.accumulate(r)
             r_loop = loop_restrict_defect(hier, level, d.copy())
             ok = ok and close(w, w_loop.values) and close(r, r_loop.values)
             rkeys = cc.true_keys[cc.block_mask]  # the restriction is level 1
@@ -300,6 +303,7 @@ def test_restrict_defect_parallel_matches_sequential(rng):
         fc, cc = hier.levels[1].ctx, hier.levels[0].ctx
         vals = np.array([fine_fn(int(k)) for k in fc.true_keys])
         r = restrict_defect(hier, 0, vals)
+        cc.exchange.accumulate(r)  # level 0 holds the ranks' partial sums
         return {
             int(cc.true_keys[g]): r[g]
             for g in np.flatnonzero(cc.master_mask)
@@ -449,7 +453,7 @@ def test_fused_sweep_matches_average_then_restore(elem):
         smoother = BlockSsor(ctx, A)
         ex = ctx.exchange
         alpha = of_class(ctx.classification, DofClass.HALO_ALPHA)
-        two_holders = np.intersect1d(alpha, ex.settle_dofs[ex.settle_counts == 2])
+        two_holders = np.intersect1d(alpha, ex.settle_dofs[ex.settling.arrivals == 2])
         x0 = np.cos(0.37 * (ctx.true_keys % 1009) + rank)  # rank-dependent
         x = DistVector(ctx, x0.copy(), L2).restore(L3).values
         want = x.copy()
@@ -558,8 +562,9 @@ def test_v_cycle_from_the_solution_stays_there():
 
 def test_v_cycle_collective_count():
     # 3 levels, V(2,2) with a level-0 right-hand side: one IMS restore of b;
-    # per smoothed level 2 + 2 sweeps and one defect accumulation; one coarse
-    # right-hand-side all-gather; the prolongation makes none
+    # per smoothed level 2 + 2 sweeps; one defect accumulation on level 1;
+    # one coarse right-hand side, which sums the partial sums the restriction
+    # leaves on level 0; the prolongation makes none
     coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
     transport = CountingTransport(2)
 
@@ -569,13 +574,13 @@ def test_v_cycle_collective_count():
         v_cycle(hier, b)
         return transport.all_to_alls[hier.finest.ctx.rank] - before
 
-    assert build_on_ranks(coarse, 3, 2, body, transport=transport) == [12, 12]
+    assert build_on_ranks(coarse, 3, 2, body, transport=transport) == [11, 11]
 
 
 def test_v_cycle_collective_count_from_level_1():
     # the same V(2,2) on levels 1 and 2 alone: the IMS restore of b, 2 + 2
-    # sweeps and one defect accumulation on level 2, and the coarse
-    # right-hand-side all-gather on level 1; the prolongation makes none
+    # sweeps on level 2, and the coarse right-hand side on level 1, which
+    # sums the restriction's partial sums; the prolongation makes none
     coarse = build_rect_mesh(0, 1, 0, 1, 4, 4)
     transport = CountingTransport(2)
 
@@ -587,7 +592,7 @@ def test_v_cycle_collective_count_from_level_1():
         return transport.all_to_alls[hier.finest.ctx.rank] - before
 
     counts = build_on_ranks(coarse, 3, 2, body, transport=transport, coarse_level=1)
-    assert counts == [7, 7]
+    assert counts == [6, 6]
 
 
 def test_v_cycle_builds_one_vector_and_restores_nothing(monkeypatch):
@@ -808,17 +813,45 @@ def test_coarse_solver_matches_dense_sequential_solve(n_ranks):
     def body(rank, transport):
         ownership = decompose(coarse, transport.n_ranks)
         ctx = build_rank_context(coarse, ownership, "q2", transport, rank)
-        x = CoarseSolver(ctx, discretize(ctx)).solve(rhs(ctx).values)
+        b = np.where(ctx.master_mask, rhs(ctx).values, 0.0)  # summed per key
+        x = CoarseSolver(ctx, discretize(ctx)).solve(b)
         want = np.array([expected[k] for k in ctx.true_keys.tolist()])
         return np.max(np.abs(x - want)) <= 1e-12
 
     assert all(spmd_run(n_ranks, body))
 
 
+@pytest.mark.parametrize("n_ranks", [1, 2, 3, 4])
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+@pytest.mark.parametrize("mesh", ["rect", "hemker"])
+def test_coarse_solve_of_partial_sums_bitwise_equals_accumulated_masters(
+    mesh, elem, n_ranks
+):
+    # the coarse solve adds every rank's block values per key in ascending
+    # rank, from -0.0 where one rank holds the key, else from 0.0; the oracle
+    # sums the interface values from 0.0 first and then gathers the master
+    # values.  From -0.0 everywhere, a key of one holder keeps its -0.0 and a
+    # shared one sums to 0.0, and the solution shows the signs of its zeros
+    coarse = build_rect_mesh(0, 1, 0, 1, 4, 4) if mesh == "rect" else build_hemker_mesh()
+
+    def body(hier):
+        cc, fc = hier.levels[0].ctx, hier.levels[1].ctx
+        d = np.cos(0.37 * (fc.true_keys % 1009) + cc.rank)  # rank-dependent
+        same = []
+        for partial in (restrict_defect(hier, 0, d), np.full(cc.n_local, -0.0)):
+            want = accumulated_master_solve(hier.coarse, cc, partial)
+            got = hier.coarse.solve(partial)
+            same.append(got.tobytes() == want.tobytes())
+        return same
+
+    out = build_on_ranks(coarse, 2, n_ranks, body, elem=elem)
+    assert all(all(same) for same in out)
+
+
 def test_coarse_solve_is_one_all_to_all_and_the_same_on_every_rank():
     # every rank factorises and solves the same global system, so a key that
-    # several ranks know gets bitwise the same value on each of them (the
-    # result is tagged L3 without an exchange)
+    # several ranks know gets bitwise the same value on each of them (level 3
+    # without an exchange)
     coarse, coeffs, supg = hemker_problem()
     transport = CountingTransport(3)
 
@@ -828,19 +861,18 @@ def test_coarse_solve_is_one_all_to_all_and_the_same_on_every_rank():
         A, b = assemble_cdr(ctx, coeffs, supg=supg)
         apply_dirichlet(A, b, ctx, coeffs.dirichlet)
         solver = CoarseSolver(ctx, A)
-        b = DistVector(ctx, np.cos(0.01 * ctx.true_keys), L3)
+        b = np.where(ctx.master_mask, np.cos(0.01 * ctx.true_keys), 0.0)
         before = transport.all_to_alls[rank]
-        x = solver(b)  # the preconditioner of coarse_direct
+        x = solver.solve(b)
         calls = transport.all_to_alls[rank] - before
-        bits = x.values.view(np.int64)  # compare bit patterns, not values
-        return calls, x.level, dict(zip(ctx.true_keys.tolist(), bits.tolist()))
+        bits = x.view(np.int64)  # compare bit patterns, not values
+        return calls, dict(zip(ctx.true_keys.tolist(), bits.tolist()))
 
     out = spmd_run(3, body, transport=transport)
-    assert [calls for calls, _, _ in out] == [1, 1, 1]
-    assert all(level == L3 for _, level, _ in out)
+    assert [calls for calls, _ in out] == [1, 1, 1]
     seen = {}
     shared = 0
-    for _, _, bits in out:
+    for _, bits in out:
         for key, b in bits.items():
             shared += key in seen
             assert seen.setdefault(key, b) == b

@@ -111,10 +111,10 @@ def test_mapper_and_interface_match_loop_oracles(name, elem, n_ranks):
             )
             ex = ctx.exchange
             assert ex.if_dofs.tolist() == if_dofs
-            assert ex.counts.tolist() == counts
-            assert [s.tolist() for s in ex.shared_with] == shared_with
+            assert ex.shared.arrivals.tolist() == counts
+            assert [s.tolist() for s in ex.shared.sends] == shared_with
             for q in range(n_ranks):
-                assert np.array_equal(ex.if_dofs[ex.slot_with[q]], ex.shared_with[q])
+                assert np.array_equal(ex.if_dofs[ex.shared.recvs[q]], ex.shared.sends[q])
         return True
 
     assert all(spmd_run(n_ranks, body))
