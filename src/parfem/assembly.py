@@ -240,12 +240,19 @@ def _dirichlet_rows(ctx: RankContext, parts):
 
 
 def dirichlet_dofs(ctx: RankContext, parts, t: float = 0.0):
-    """Local Dirichlet rows and their boundary values, parts applied in order."""
+    """Local Dirichlet rows and their boundary values, parts applied in order;
+    the values of the latest (parts, t) are kept, read-only, beside the rows
+    (a time step enforces them on its right-hand side and on its solution)."""
     rows, plan = _dirichlet_rows(ctx, parts)
+    kept = ctx._cache.get("dirichlet_values", (None, None, None))
+    if kept[0] is parts and kept[1] == t:
+        return rows, kept[2]
     values = np.empty(len(rows))
     for part, part_rows, pos in plan:
         if part_rows.size:
             values[pos] = part.values_at(ctx.dof_coords[part_rows], t)
+    values.flags.writeable = False
+    ctx._cache["dirichlet_values"] = (parts, t, values)
     return rows, values
 
 

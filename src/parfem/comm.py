@@ -121,27 +121,24 @@ class Transport:
                 if gate.locked():  # a gate is only released under the mutex
                     gate.release()
 
-    def _wait(self, rank):
-        with self._mutex:
-            self._arrived += 1
-            if self._arrived == self.n_ranks and not self._broken:
-                self._arrived = 0
-                for gate in self._gates[:rank] + self._gates[rank + 1 :]:
-                    gate.release()
-                return
-        if not self._broken and not self._gates[rank].acquire(timeout=self.timeout):
-            self.abort()
-        if self._broken:
-            raise DeadlockError("collective aborted, or a rank did not enter it")
-
-    def _exchange(self, rank, label, row):
+    def _wait(self, rank, label, row):
         """Deposit `row`, wait once, check labels; returns every rank's row."""
         slots, labels = self._sets[self._count[rank] & 1]
         self._count[rank] += 1
         labels[rank] = label
         slots[rank] = row
-        self._wait(rank)
-        if any(lbl != label for lbl in labels):
+        with self._mutex:
+            self._arrived += 1
+            last = self._arrived == self.n_ranks and not self._broken
+            if last:
+                self._arrived = 0
+                for gate in self._gates[:rank] + self._gates[rank + 1 :]:
+                    gate.release()
+        if not (last or self._broken or self._gates[rank].acquire(timeout=self.timeout)):
+            self.abort()
+        if self._broken and not last:
+            raise DeadlockError("collective aborted, or a rank did not enter it")
+        if labels.count(label) != self.n_ranks:
             self.abort()
             raise CollectiveMismatch(f"ranks entered different collectives: {labels}")
         return slots
@@ -151,13 +148,13 @@ class Transport:
         if len(chunks) != self.n_ranks:
             raise ValueError("need one chunk per destination rank")
         self.trace.append((label, rank))
-        return [row[rank] for row in self._exchange(rank, label, list(chunks))]
+        return [row[rank] for row in self._wait(rank, label, list(chunks))]
 
     def allreduce_sum(self, rank: int, value: float) -> float:
         """Element-wise global sum; every rank adds all inputs in rank order,
         so the result is bitwise identical on every rank."""
         total = 0.0
-        for v in self._exchange(rank, "reduce", value):
+        for v in self._wait(rank, "reduce", value):
             total += v
         return total
 
@@ -433,11 +430,12 @@ class RankContext:
     exchange: InterfaceExchange
     _cache: dict = field(default_factory=dict)
 
-    @property
+    # cached: every vector and every scalar product reads them
+    @functools.cached_property
     def n_local(self) -> int:
         return self.dof_map.n_dofs
 
-    @property
+    @functools.cached_property
     def master_mask(self) -> np.ndarray:
         return self.classification.is_master
 

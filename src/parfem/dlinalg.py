@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvec
 
 from .comm import ConsistencyLevel, RankContext
 
@@ -56,8 +57,8 @@ class DistVector:
 
     def restore(self, target: ConsistencyLevel) -> "DistVector":
         """Lift the vector to `target`, sending only the missing relations."""
-        target = ConsistencyLevel(target)
         if self.level < target:
+            target = ConsistencyLevel(target)
             self.level = self.ctx.comm.restore(self.values, self.level, target)
         return self
 
@@ -148,9 +149,8 @@ def spmv(csr: sp.csr_matrix, x: np.ndarray) -> np.ndarray:
     """`csr @ x` for a float matrix by scipy's `csr_matvec`, the kernel `@` also
     reaches (bitwise equal), minus about 16 Python calls of dispatch per
     product, which outweigh the kernel on the solve phase's small matrices.
-    The kernel does not check bounds, so the length of `x` is checked here."""
-    from scipy.sparse._sparsetools import csr_matvec
-
+    The kernel is bound once, at import, and does not check bounds, so the
+    length of `x` is checked here."""
     n_rows, n_cols = csr.shape
     if x.shape != (n_cols,):
         raise ValueError(f"dimension mismatch: {x.shape} for {csr.shape}")
@@ -208,6 +208,7 @@ def fgmres(
     masters = ctx.master_mask
     V = np.empty((restart + 1, ctx.n_local))  # Krylov basis, one row per vector
     Vm = np.empty((restart + 1, np.count_nonzero(masters)))  # its master columns
+    H = np.empty((restart + 1, restart))  # a cycle reads only what it wrote
     allreduce = functools.partial(ctx.transport.allreduce_sum, ctx.rank)
 
     r = b.copy()
@@ -219,10 +220,9 @@ def fgmres(
 
     while not converged and total < maxit:
         np.multiply(r.values, 1.0 / beta, out=V[0])
-        Vm[0] = V[0, masters]
+        Vm[0] = V[0][masters]
         levels = [r.level]  # consistency level of each basis vector
         Z = []
-        H = np.zeros((restart + 1, restart))
         cs, sn, g = [], [], [beta]  # rotations on Python floats
         j = -1
         while j + 1 < restart and total < maxit:
@@ -232,7 +232,7 @@ def fgmres(
             h1 = allreduce(Vm[: j + 1] @ w.values[masters])
             w.values -= h1 @ V[: j + 1]
             wm = w.values[masters]
-            h2ww = allreduce(np.append(Vm[: j + 1] @ wm, wm @ wm))
+            h2ww = allreduce(np.concatenate((Vm[: j + 1] @ wm, [wm @ wm])))
             h2 = h2ww[:-1]
             w.values -= h2 @ V[: j + 1]
             H[: j + 1, j] = h1 + h2
@@ -254,7 +254,7 @@ def fgmres(
             if lucky or est < tol:
                 break
             np.multiply(w.values, 1.0 / h[j + 1], out=V[j + 1])
-            Vm[j + 1] = V[j + 1, masters]
+            Vm[j + 1] = V[j + 1][masters]
             levels.append(min(w.level, levels[j]))
         k = j + 1
         y = np.zeros(k)

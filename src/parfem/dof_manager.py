@@ -102,11 +102,13 @@ def _entity_codes(mesh, cells, elem: LocalElement) -> np.ndarray:
 def build_dof_map(mesh, cells, elem_kind: str) -> DofMap:
     """Number the d.o.f.s of the given set of known cells.
 
-    `cells` is any iterable of cell ids forming an admissible submesh (a
-    rank's own+halo cells, or all cells for a sequential run).
+    `cells` is an array, or any iterable, of cell ids forming an admissible
+    submesh (a rank's own+halo cells, or all cells for a sequential run).
     """
     elem = get_element(elem_kind)
-    cells = sorted_unique(np.fromiter(cells, dtype=np.int64))
+    if not isinstance(cells, np.ndarray):  # a Python loop over the iterable
+        cells = np.fromiter(cells, dtype=np.int64)
+    cells = sorted_unique(cells.astype(np.int64, copy=False))
     codes = _entity_codes(mesh, cells, elem).ravel()
     # the flattened table runs in ascending key order, so the first
     # occurrence of an entity is its class's smallest key

@@ -31,6 +31,7 @@ each rank adds them per key and keeps the solution at its known keys.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,16 +71,19 @@ def transfer_operators(coarse: RankContext, fine: RankContext, T: np.ndarray):
     """
     cell, node = np.divmod(fine.dof_map.first, T.shape[1])
     parent, child = np.divmod(fine.dof_map.cells[cell], 4)
-    cols = coarse.dof_map.rows(parent)
-    order = np.argsort(coarse.true_keys[cols], axis=1)
+    cols = coarse.dof_map.rows(parent)  # raises unless every parent is known
+    order = np.argsort(coarse.true_keys[coarse.dof_map.table], axis=1)  # per cell
+    order = order[np.searchsorted(coarse.dof_map.cells, parent)]
     cols = np.take_along_axis(cols, order, axis=1)
     vals = np.take_along_axis(T[child, node], order, axis=1)
-    nz = vals != 0.0
-    indptr = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
     shape = (fine.n_local, coarse.n_local)
-    P = sp.csr_matrix((vals[nz], cols[nz], indptr), shape=shape)
-    R = (sp.diags(fine.master_mask * 1.0) @ P).T.tocsr()
-    return P, R
+
+    def rows(keep):
+        indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+        return sp.csr_matrix((vals[keep], cols[keep], indptr), shape=shape)
+
+    nz = vals != 0.0
+    return rows(nz), rows(nz & fine.master_mask[:, None]).tocsc().T
 
 
 class BlockSsor:
@@ -118,34 +122,36 @@ class BlockSsor:
         lower.eliminate_zeros()
         upper_ptr = np.concatenate([[0], np.cumsum(at - start[:-1])])
         upper = (A_bb.data[up] * (1.0 / (2.0 - omega)), row[up], upper_ptr)
-        self._stores = []  # (n, nnz, data, indices, indptr) of each, CSC
+        stores = []  # (n, nnz, data, indices, indptr) of each, CSC
         for data, *index in ((lower.data, lower.indices, lower.indptr), upper):
-            self._stores += [n, len(data), data, *(a.astype(np.intc) for a in index)]
+            stores += [n, len(data), data, *(a.astype(np.intc) for a in index)]
+        self._gstrs = functools.partial(gstrs, "N", *stores)  # bound once
 
     def _solve(self, r: np.ndarray) -> np.ndarray:
-        """M⁻¹ r.  gstrs returns its `info` instead of raising, and a private
-        kernel's own argument checks are no contract, so both are checked."""
-        if r.shape != (len(self.block),):
-            raise ValueError(f"dimension mismatch: {r.shape} for {len(self.block)}")
-        z, info = gstrs("N", *self._stores, r)
+        """M⁻¹ r for block values `r` (a gather by `block` or a product by
+        `A_rows`, so of the block's length); gstrs returns its `info`
+        instead of raising, so that is checked."""
+        z, info = self._gstrs(r)
         if info:
             raise RuntimeError(f"triangular solve failed (gstrs info {info})")
         return z
 
-    def _sweep(self, x: np.ndarray, b: np.ndarray):
-        x[self.block] += self._solve(b[self.block] - spmv(self.A_rows, x))
+    def _sweep(self, x: np.ndarray, b_block: np.ndarray):
+        x[self.block] += self._solve(b_block - spmv(self.A_rows, x))
 
     def smooth(self, x: np.ndarray | None, b: np.ndarray, sweeps: int) -> np.ndarray:
         """Sweeps on level-3 values `x` in place, or from zero when `x` is
-        None, for level-1 values `b`; each is followed by one exchange that
-        averages the interface values and refreshes the halo values (level 3)."""
+        None, for level-1 values `b`, whose block is gathered once; each is
+        followed by one exchange that averages the interface values and
+        refreshes the halo values (level 3)."""
+        b_block = b[self.block]
         zero = x is None
         x = np.zeros(self.ctx.n_local) if zero else x
         for k in range(sweeps):
             if zero and k == 0:
-                x[self.block] += self._solve(b[self.block])
+                x[self.block] += self._solve(b_block)
             else:
-                self._sweep(x, b)
+                self._sweep(x, b_block)
             self.ctx.exchange.settle(x)
         return x
 
@@ -220,10 +226,6 @@ class MgHierarchy:
     def finest(self) -> MgLevel:
         return self.levels[-1]
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
 
 def build_level(coarse_mesh, ownership, level, elem_kind, discretize, transport, rank):
     """(ctx, matrix, rhs) on refinement `level` of the coarse mesh, whose cell
@@ -284,7 +286,7 @@ def build_hierarchy(
 def prolongate(hier: MgHierarchy, level: int, v_coarse: np.ndarray) -> np.ndarray:
     """Evaluate the level-3 coarse function at the fine nodes of every known
     cell; each rank forms a value the same way, so the result is level 3."""
-    if not 0 <= level < hier.n_levels - 1:
+    if not 0 <= level < len(hier.levels) - 1:
         raise IndexError(f"no fine level above {level}")
     return spmv(hier.levels[level + 1].prolongation, v_coarse)
 
@@ -296,7 +298,7 @@ def restrict_defect(hier: MgHierarchy, level: int, d_fine: np.ndarray) -> np.nda
     `d_fine` may be level 0.  Partial sums go to level 0, whose coarse solve
     adds them; on any other level the sharing ranks sum them (level 1).
     """
-    if not 0 <= level < hier.n_levels - 1:
+    if not 0 <= level < len(hier.levels) - 1:
         raise IndexError(f"no fine level above {level}")
     d = spmv(hier.levels[level + 1].restriction, d_fine)
     if level:
@@ -321,9 +323,8 @@ def v_cycle(hier: MgHierarchy, b: DistVector, x0: DistVector | None = None):
     """One V(nu1, nu2) cycle from `x0` (updated in place) or zero, to level 3;
     restores `b` to level 1 and `x0` to level 3, as the smoothers read them.
     A coarse solve alone, which adds block values, takes `b`'s masters only."""
-    top = hier.n_levels - 1
-    mask = b.ctx.master_mask
-    values = b.restore(L1).values if top else np.where(mask, b.values, 0.0)
+    top = len(hier.levels) - 1
+    values = b.restore(L1).values if top else np.where(b.ctx.master_mask, b.values, 0.0)
     x = None if x0 is None else x0.restore(L3).values
     return DistVector(b.ctx, _cycle(hier, top, values, x), L3)
 

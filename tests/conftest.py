@@ -554,7 +554,7 @@ def loop_average_restore(ctx, values):
 
 
 def _level_pair(hier, level):
-    if not 0 <= level < hier.n_levels - 1:
+    if not 0 <= level < len(hier.levels) - 1:
         raise IndexError(f"no fine level above {level}")
     coarse, fine = hier.levels[level], hier.levels[level + 1]
     return coarse.ctx, fine.ctx, transfer_matrices(get_element(coarse.ctx.elem_kind))
@@ -590,6 +590,24 @@ def loop_restrict_defect(hier, level, d_fine):
                 out[cdofs] += T[c][take].T @ d_fine.values[fdofs[take]]
     cc.exchange.accumulate(out)
     return DistVector(cc, out, ConsistencyLevel.L1)
+
+
+def argsort_per_fine_dof_transfers(coarse, fine, T):
+    """Oracle of `transfer_operators` as it stood before sorting each coarse
+    cell's row once: one argsort per fine d.o.f., and R formed by the product
+    diag(fine masters) @ P, transposed."""
+    cell, node = np.divmod(fine.dof_map.first, T.shape[1])
+    parent, child = np.divmod(fine.dof_map.cells[cell], 4)
+    cols = coarse.dof_map.rows(parent)
+    order = np.argsort(coarse.true_keys[cols], axis=1)
+    cols = np.take_along_axis(cols, order, axis=1)
+    vals = np.take_along_axis(T[child, node], order, axis=1)
+    nz = vals != 0.0
+    indptr = np.concatenate([[0], np.cumsum(nz.sum(axis=1))])
+    shape = (fine.n_local, coarse.n_local)
+    P = sp.csr_matrix((vals[nz], cols[nz], indptr), shape=shape)
+    R = (sp.diags(fine.master_mask * 1.0) @ P).T.tocsr()
+    return P, R
 
 
 def accumulated_master_solve(solver, ctx, partial):

@@ -24,6 +24,7 @@ from parfem.assembly import (
     crank_nicolson_step,
     crank_nicolson_system,
     dirichlet_dofs,
+    enforce_dirichlet_values,
     l2_error,
     matrix_graph,
     merge_master_values,
@@ -475,6 +476,39 @@ def test_dirichlet_rows_match_per_edge_oracle(elem, n_ranks):
             return ok
 
         assert all(run_ranks(mesh, n_ranks, body, elem))
+
+
+def test_dirichlet_values_evaluated_once_per_parts_and_time(monkeypatch):
+    # a time step enforces its boundary values twice at the same t (on the
+    # right-hand side and on the solution): the second call reuses them
+    calls = []
+    values_at = DirichletPart.values_at
+
+    def counting(self, points, t=0.0):
+        calls.append(t)
+        return values_at(self, points, t)
+
+    monkeypatch.setattr(DirichletPart, "values_at", counting)
+    _, timedep, _ = timedep_problem()
+    parts = timedep.dirichlet
+    ctx = seq_context(refine_uniform(refine_uniform(build_rect_mesh(0, 1, 0, 1, 4, 4))))
+    rows, first = dirichlet_dofs(ctx, parts, 0.5)
+    assert calls == [0.5, 0.5]  # once per part
+    again_rows, again = dirichlet_dofs(ctx, parts, 0.5)
+    assert len(calls) == 2
+    assert np.array_equal(again_rows, rows) and again.tobytes() == first.tobytes()
+    with pytest.raises(ValueError):
+        again[0] = 2.0  # the kept values are read-only
+    u = DistVector(ctx, np.zeros(ctx.n_local))
+    enforce_dirichlet_values(u, ctx, parts, 0.5)
+    assert len(calls) == 2 and u.values[rows].tobytes() == first.tobytes()
+    for ps, t, n_calls in ((parts, 0.7, 4), (parts[::-1], 0.7, 6), (parts, 0.7, 8)):
+        rows, values = dirichlet_dofs(ctx, ps, t)
+        assert len(calls) == n_calls and calls[-1] == t
+        rows_ref, values_ref = loop_dirichlet_dofs(ctx, ps, t)  # calls values_at
+        assert np.array_equal(rows, rows_ref) and np.array_equal(values, values_ref)
+        calls[n_calls:] = []
+    assert np.any(values != first)  # the inflow moved between t = 0.5 and 0.7
 
 
 def test_supg_cell_size_called_once_per_assembly():

@@ -1,8 +1,10 @@
+import builtins
 import csv
 import dataclasses
 import importlib.util
 import os
 import re
+import threading
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -170,6 +172,37 @@ def test_run_bitwise_equal_on_one_core_and_unpinned(cfg, monkeypatch):
     assert unpinned.iterations == pinned.iterations
     assert unpinned.residuals == pinned.residuals
     assert unpinned.merged == pinned.merged
+
+
+@pytest.mark.parametrize(
+    "problem, solver", [("timedep2d", "mg_fgmres"), ("poisson_mms", "ssor_fgmres")]
+)
+def test_solve_path_runs_no_import_statement(monkeypatch, problem, solver):
+    # an import statement in a function body runs on every call; none may
+    # run in a parfem function while a rank thread is inside FGMRES
+    solving = threading.local()
+    seen = []
+    real_import, real_fgmres = builtins.__import__, bench_cli.fgmres
+
+    def traced_import(name, globals=None, *args, **kwargs):
+        caller = (globals or {}).get("__name__", "")
+        if getattr(solving, "on", False) and caller.partition(".")[0] == "parfem":
+            seen.append((caller, name))
+        return real_import(name, globals, *args, **kwargs)
+
+    def fgmres(*args, **kwargs):
+        solving.on = True
+        try:
+            return real_fgmres(*args, **kwargs)
+        finally:
+            solving.on = False
+
+    monkeypatch.setattr(builtins, "__import__", traced_import)
+    monkeypatch.setattr(bench_cli, "fgmres", fgmres)
+    config = RunConfig(problem=problem, levels=3, ranks=2, solver=solver, t_end=0.05)
+    report = run(config)
+    assert report.converged and report.iterations > 0
+    assert seen == []
 
 
 def test_coarse_direct_solver():

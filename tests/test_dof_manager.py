@@ -103,6 +103,28 @@ def test_numbering_is_pure_function_of_cells():
     assert np.array_equal(a.keys, b.keys)
 
 
+@pytest.mark.parametrize("kind", ["q1", "q2"])
+def test_dof_map_same_from_array_list_and_generator(kind):
+    # an array is taken as it is (int32 and unsorted here), any other
+    # iterable through fromiter; all three number the d.o.f.s alike
+    m = build_rect_mesh(0, 1, 0, 1, 4, 3)
+    cells = np.array([7, 2, 11, 3, 6, 10, 2], dtype=np.int32)
+    maps = [
+        build_dof_map(m, cells, kind),
+        build_dof_map(m, cells.tolist(), kind),
+        build_dof_map(m, (int(c) for c in cells), kind),
+    ]
+    for dm in maps[1:]:
+        for got, want in zip(
+            (dm.n_dofs, dm.cells, dm.table, dm.keys, dm.first),
+            (maps[0].n_dofs, maps[0].cells, maps[0].table, maps[0].keys, maps[0].first),
+        ):
+            assert np.array_equal(got, want)
+            assert np.asarray(got).dtype == np.asarray(want).dtype
+    assert maps[0].cells.dtype == np.int64
+    assert maps[0].cells.tolist() == [2, 3, 6, 7, 10, 11]
+
+
 def test_union_order_does_not_change_classes(rng):
     pairs = [(0, 1), (2, 3), (1, 2), (5, 6), (4, 5)]
     reference = None
