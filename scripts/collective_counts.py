@@ -2,12 +2,16 @@
 
 Wraps `Transport.all_to_all`, `Transport.allreduce_sum` and the barrier wait
 from outside the library, runs one `RunConfig` and prints rank 0's
-all-to-alls per label, its reductions, its barrier waits and the CPUs its
-thread was allowed to run on (one CPU when the rank threads are pinned).
+all-to-alls per label, its reductions, its barrier waits, the CPUs its
+thread was allowed to run on (one CPU when the rank threads are pinned) and
+its context switches per barrier wait: the thread's voluntary plus
+involuntary switches (`getrusage(RUSAGE_THREAD)`, Linux) from the start of
+its first barrier wait to the end of its last, divided by its waits.
 A second run of the same `RunConfig`, with only `fgmres` wrapped, gives rank
 0's Python calls per FGMRES iteration: cProfile's call count inside `fgmres`,
 less the barrier's lock calls, divided by the iterations.
-It is exact, so it does not move with host noise:
+The counts are exact, so they do not move with host noise; the switches
+depend on the kernel's scheduler and on other load on the CPU:
 
     python3 scripts/collective_counts.py --problem timedep2d --levels 3 \
         --ranks 2 --t-end 0.5
@@ -23,6 +27,7 @@ import argparse
 import cProfile
 import os
 import pstats
+import resource
 import sys
 import threading
 from collections import Counter
@@ -34,11 +39,21 @@ from parfem import bench_cli  # noqa: E402
 from parfem.comm import Transport  # noqa: E402
 
 
+def _thread_switches() -> int | None:
+    """The calling thread's context switches so far; None where the platform
+    has no per-thread usage."""
+    if not hasattr(resource, "RUSAGE_THREAD"):
+        return None
+    usage = resource.getrusage(resource.RUSAGE_THREAD)
+    return usage.ru_nvcsw + usage.ru_nivcsw
+
+
 def count_collectives(config: bench_cli.RunConfig):
     """Run `config`; returns (report, a2a calls per label, reductions, waits,
-    rank 0's CPU set at its first barrier wait, or None without one)."""
+    rank 0's CPU set at its first barrier wait, or None without one, and its
+    context switches per wait, or None without a wait or `RUSAGE_THREAD`)."""
     labels: Counter = Counter()
-    counts = {"reductions": 0, "waits": 0, "cpus": None}
+    counts = {"reductions": 0, "waits": 0, "cpus": None, "switches": [None, None]}
     orig = Transport.all_to_all, Transport.allreduce_sum, Transport._wait
 
     def all_to_all(self, rank, chunks, label="a2a"):
@@ -52,11 +67,16 @@ def count_collectives(config: bench_cli.RunConfig):
         return orig[1](self, rank, value)
 
     def wait(self, *args):
-        if threading.current_thread().name == "rank0":
-            counts["waits"] += 1
-            if counts["cpus"] is None and hasattr(os, "sched_getaffinity"):
+        if threading.current_thread().name != "rank0":
+            return orig[2](self, *args)
+        counts["waits"] += 1
+        if counts["waits"] == 1:
+            counts["switches"][0] = _thread_switches()
+            if hasattr(os, "sched_getaffinity"):
                 counts["cpus"] = sorted(os.sched_getaffinity(0))
-        return orig[2](self, *args)
+        slots = orig[2](self, *args)
+        counts["switches"][1] = _thread_switches()  # kept from the last wait
+        return slots
 
     Transport.all_to_all, Transport.allreduce_sum, Transport._wait = (
         all_to_all, allreduce_sum, wait
@@ -65,7 +85,10 @@ def count_collectives(config: bench_cli.RunConfig):
         report = bench_cli.run(config)
     finally:
         Transport.all_to_all, Transport.allreduce_sum, Transport._wait = orig
-    return report, labels, counts["reductions"], counts["waits"], counts["cpus"]
+    first, last = counts["switches"]
+    waits = counts["waits"]
+    per_wait = None if first is None else (last - first) / waits
+    return report, labels, counts["reductions"], waits, counts["cpus"], per_wait
 
 
 # A rank that reaches a barrier last releases the other ranks' gate locks,
@@ -107,7 +130,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--markdown", action="store_true")
     config, args = bench_cli.parse_config(parser, argv, skip=("out_dir",))
-    report, labels, reductions, waits, cpus = count_collectives(config)
+    report, labels, reductions, waits, cpus, switches = count_collectives(config)
     per_it = calls_per_iteration(config)
     a2a = sum(labels.values())
     per_label = ", ".join(f"{k} {v}" for k, v in sorted(labels.items()))
@@ -115,9 +138,10 @@ def main(argv=None) -> int:
             f"{config.solver}, {config.ranks} ranks")
     cpu_text = "n/a" if cpus is None else ",".join(map(str, cpus))
     calls_text = "n/a" if per_it is None else f"{per_it:,.0f}"
+    switch_text = "n/a" if switches is None else f"{switches:.2f}"
     if args["markdown"]:
         print(f"| {name} | {report.iterations} | {reductions} | {a2a} "
-              f"({per_label}) | {waits} | {cpu_text} | {calls_text} |")
+              f"({per_label}) | {waits} | {cpu_text} | {switch_text} | {calls_text} |")
     else:
         print(f"run: {name}, {report.iterations} iterations")
         print(f"all-to-alls: {a2a}")
@@ -126,6 +150,7 @@ def main(argv=None) -> int:
         print(f"reductions: {reductions}")
         print(f"barrier waits: {waits}")
         print(f"rank-0 CPUs: {cpu_text}")
+        print(f"rank-0 switches per collective: {switch_text}")
         print(f"rank-0 calls per iteration: {calls_text}")
     return report.exit_code
 

@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .comm import ConsistencyLevel, RankContext
 from .dlinalg import DistMatrix, DistVector, matvec
-from .dof_manager import sorted_unique
+from .dof_manager import KEY_SHIFT, sorted_unique
 from .mapped_fe import CellGeometry, cell_geometry, gauss_rule, get_element
 
 DEFAULT_QUAD = {"q1": 2, "q2": 3}
@@ -211,28 +211,34 @@ def assemble_mass(ctx: RankContext) -> DistMatrix:
 def _dirichlet_rows(ctx: RankContext, parts):
     """Rows of each part and of their union, derived once per space and parts.
 
-    Only the known cells' boundary edges are visited, and each part's `where`
-    is called once, on the arrays of their midpoints.  The cache holds the
-    parts object itself, which it recognises by identity.
+    A known d.o.f. is on a part when its vertex or edge lies on a boundary
+    edge of the global mesh that the part's `where` selects, so every rank
+    knowing a Dirichlet d.o.f. marks it; `where` is called once per part, on
+    the arrays of all boundary-edge midpoints.  The cache holds the parts
+    object itself, which it recognises by identity.
     """
     cached = ctx._cache.get("dirichlet")
     if cached is not None and cached[0] is parts:
         return cached[1:]
-    mesh, elem = ctx.mesh, get_element(ctx.elem_kind)
-    edges = mesh.cell_edges[ctx.rank_cells.known]
-    cell, edge = np.nonzero(mesh.edge_counts[edges] == 1)
-    ends = mesh.edges[edges[cell, edge]]
-    local = [
-        [elem.vertex_dof[e], elem.vertex_dof[(e + 1) % 4]]
-        + [i for i, _ in elem.edge_dofs[e]]
-        for e in range(4)
-    ]
-    dofs = ctx.dof_map.table[cell[:, None], np.array(local)[edge]]
-    x, y = mesh.vertices[ends].mean(axis=1).T
+    mesh, elem, known = ctx.mesh, get_element(ctx.elem_kind), ctx.rank_cells.known
+    (edges,) = np.nonzero(mesh.edge_counts == 1)
+    x, y = mesh.vertices[mesh.edges[edges]].mean(axis=1).T
+    # entity of each known local d.o.f.: its vertex, n_vertices + its edge,
+    # or, for an interior node, the last slot, which no part marks
+    n_vertices = mesh.n_vertices
+    entity = np.full(ctx.dof_map.table.shape, n_vertices + len(mesh.edges))
+    for k, i in elem.vertex_dof.items():
+        entity[:, i] = mesh.cell_vertices[known, k]
+    for e, nodes in elem.edge_dofs.items():
+        for i, _ in nodes:
+            entity[:, i] = n_vertices + mesh.cell_edges[known, e]
     part_rows = []
     for part in parts:
         on = np.broadcast_to(np.asarray(part.where(x, y), dtype=bool), x.shape)
-        part_rows.append(sorted_unique(dofs[on]))
+        marked = np.zeros(n_vertices + len(mesh.edges) + 1, dtype=bool)
+        marked[mesh.edges[edges[on]]] = True
+        marked[n_vertices + edges[on]] = True
+        part_rows.append(sorted_unique(ctx.dof_map.table[marked[entity]]))
     rows = sorted_unique(np.concatenate([np.empty(0, np.int64), *part_rows]))
     plan = [(part, r, np.searchsorted(rows, r)) for part, r in zip(parts, part_rows)]
     ctx._cache["dirichlet"] = (parts, rows, plan)
@@ -240,19 +246,27 @@ def _dirichlet_rows(ctx: RankContext, parts):
 
 
 def dirichlet_dofs(ctx: RankContext, parts, t: float = 0.0):
-    """Local Dirichlet rows and their boundary values, parts applied in order;
-    the values of the latest (parts, t) are kept, read-only, beside the rows
-    (a time step enforces them on its right-hand side and on its solution)."""
+    """Local Dirichlet rows and their boundary values, parts applied in order.
+
+    Values are taken at each d.o.f.'s node in its true-key cell of the global
+    mesh: the same point, bit for bit, on every rank.  The points of the
+    latest parts and the read-only values of the latest (parts, t) are kept
+    beside the rows (a time step enforces the values twice at one t)."""
     rows, plan = _dirichlet_rows(ctx, parts)
-    kept = ctx._cache.get("dirichlet_values", (None, None, None))
+    kept = ctx._cache.get("dirichlet_values", (None, None, None, None))
     if kept[0] is parts and kept[1] == t:
-        return rows, kept[2]
+        return rows, kept[3]
+    points = kept[2]
+    if kept[0] is not parts:
+        cell, node = np.divmod(ctx.true_keys[rows], KEY_SHIFT)
+        nodes = get_element(ctx.elem_kind).nodes
+        points = cell_geometry(ctx.mesh, cell).map(nodes)[:, node, np.arange(len(rows))].T
     values = np.empty(len(rows))
     for part, part_rows, pos in plan:
         if part_rows.size:
-            values[pos] = part.values_at(ctx.dof_coords[part_rows], t)
+            values[pos] = part.values_at(points[pos], t)
     values.flags.writeable = False
-    ctx._cache["dirichlet_values"] = (parts, t, values)
+    ctx._cache["dirichlet_values"] = (parts, t, points, values)
     return rows, values
 
 
@@ -271,15 +285,14 @@ def apply_dirichlet(
 
 
 def enforce_dirichlet_values(u: DistVector, ctx: RankContext, parts, t: float = 0.0):
-    """Overwrite the solution's boundary rows with their exact data.
+    """Overwrite the vector's boundary rows with their exact data.
 
-    Every rank that can see a boundary edge writes the same value, so masters
-    and interface slaves stay consistent; halo copies may be stale, hence the
-    tag drops to level 1.
+    Every rank that knows a Dirichlet d.o.f., as master, interface slave or
+    halo copy, marks it and writes the same bits (`dirichlet_dofs`), so every
+    copy still equals its master and the vector keeps its level.
     """
     rows, values = dirichlet_dofs(ctx, parts, t)
     u.values[rows] = values
-    u.level = min(u.level, ConsistencyLevel.L1)
     return u
 
 

@@ -16,7 +16,7 @@ from parfem.comm import (
     build_rank_context,
 )
 from parfem.dlinalg import DistVector, axpy, dot, matvec, norm2
-from parfem.dof_manager import encode_key
+from parfem.dof_manager import KEY_SHIFT, encode_key
 from parfem.mapped_fe import cell_geometry, gauss_rule, get_element
 from parfem.mesh import Mesh
 from parfem.multigrid import _QUADRANT_OFFSETS, transfer_matrices
@@ -482,13 +482,27 @@ def loop_dof_coordinates(dof_map, mesh):
 
 
 def loop_dirichlet_dofs(ctx, parts, t=0.0):
-    """Per-edge oracle: scan every mesh edge, later parts win.
+    """Per-edge oracle: scan every boundary edge of the global mesh, later
+    parts win.
 
-    A part takes an edge whose midpoint its `where` holds at.
+    A part takes a boundary edge whose midpoint its `where` holds at, and
+    marks every known d.o.f. on its end vertices (in any known cell holding
+    one) and inside it (in its one cell, if known).  A d.o.f.'s value is
+    taken at its node in the cell of its true key.
     """
     mesh = ctx.mesh
     elem = get_element(ctx.elem_kind)
-    known = set(ctx.rank_cells.known)
+    cell_dofs = ctx.dof_map.cell_dofs
+    key_of = dict(zip(range(ctx.n_local), ctx.true_keys.tolist()))
+
+    def point(g):
+        cell, node = divmod(key_of[g], KEY_SHIFT)
+        return one_cell_map(cell_geometry(mesh, [cell]), elem.nodes)[node]
+
+    at_vertex = {}  # vertex id -> its d.o.f. in the known cells holding it
+    for gid, dofs in cell_dofs.items():
+        for k, v in enumerate(mesh.cell_vertices[gid].tolist()):
+            at_vertex[v] = int(dofs[elem.vertex_dof[k]])
     chosen = {}
     for part in parts:
         def on_part(a, b):
@@ -497,16 +511,16 @@ def loop_dirichlet_dofs(ctx, parts, t=0.0):
 
         part_dofs = set()
         for (a, b), inc in loop_edge_cells(mesh).items():
-            if len(inc) != 1 or inc[0] not in known or not on_part(a, b):
+            if len(inc) != 1 or not on_part(a, b):
                 continue
-            dofs = ctx.dof_map.cell_dofs[inc[0]]
-            e = _edge_index(mesh.cell_vertices[inc[0]].tolist(), a, b)
-            part_dofs.add(int(dofs[elem.vertex_dof[e]]))
-            part_dofs.add(int(dofs[elem.vertex_dof[(e + 1) % 4]]))
-            part_dofs.update(int(dofs[li]) for li, _ in elem.edge_dofs[e])
+            part_dofs.update(at_vertex[v] for v in (a, b) if v in at_vertex)
+            if inc[0] in cell_dofs:
+                e = _edge_index(mesh.cell_vertices[inc[0]].tolist(), a, b)
+                part_dofs.update(int(cell_dofs[inc[0]][li]) for li, _ in elem.edge_dofs[e])
         rows = sorted(part_dofs)
         if rows:
-            chosen.update(zip(rows, part.values_at(ctx.dof_coords[rows], t)))
+            points = np.array([point(g) for g in rows])
+            chosen.update(zip(rows, part.values_at(points, t)))
     rows = sorted(chosen)
     return np.array(rows, dtype=np.int64), np.array([chosen[r] for r in rows])
 

@@ -246,8 +246,10 @@ def test_combine_rejects_a_different_layout():
             M.combine(1.0, 1.0, DistMatrix(ctx, csr))
 
 
-def test_apply_dirichlet_drops_the_rhs_to_level_1():
-    # halo copies of boundary rows may be stale, as for a written solution
+def test_apply_dirichlet_keeps_the_rhs_level():
+    # every rank knowing a boundary row writes the same bits, so a level-3
+    # right-hand side stays level 3: restoring it from its masters changes
+    # no copy
     coarse, coeffs, _ = poisson_mms_problem()
 
     def body(ctx):
@@ -255,9 +257,12 @@ def test_apply_dirichlet_drops_the_rhs_to_level_1():
         b = from_keys(ctx, lambda k: 1.0 + k % 7, level=L3)
         apply_dirichlet(A, b, ctx, coeffs.dirichlet)
         rows, values = dirichlet_dofs(ctx, coeffs.dirichlet)
-        return b.level, np.array_equal(b.values[rows], values)
+        restored = DistVector(ctx, b.values.copy(), L0).restore(L3)
+        return b.level, np.array_equal(b.values[rows], values), (
+            restored.values.tobytes() == b.values.tobytes()
+        )
 
-    assert run_ranks(refine_uniform(coarse), 2, body) == [(L1, True), (L1, True)]
+    assert run_ranks(refine_uniform(coarse), 2, body) == [(L3, True, True)] * 2
 
 
 def test_crank_nicolson_rejects_bad_dt():
@@ -478,6 +483,70 @@ def test_dirichlet_rows_match_per_edge_oracle(elem, n_ranks):
         assert all(run_ranks(mesh, n_ranks, body, elem))
 
 
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+@pytest.mark.parametrize(
+    "problem",
+    [hemker_problem, timedep_problem, poisson_mms_problem],
+    ids=["hemker2d", "timedep2d", "poisson_mms"],
+)
+def test_dirichlet_rows_and_values_equal_the_one_rank_ones(problem, elem):
+    # every rank marks exactly the known d.o.f.s that are Dirichlet at one
+    # rank, and writes the one-rank value bit for bit
+    coarse, coeffs, _ = problem()
+    for level in (1, 2):
+        mesh = coarse.refined if level == 1 else coarse.refined.refined
+        seq = seq_context(mesh, elem)
+        rows, values = dirichlet_dofs(seq, coeffs.dirichlet, 0.5)
+        want = dict(zip(seq.true_keys[rows].tolist(), values.tolist()))
+        for n_ranks in (2, 3, 4):
+            ownership = ownership_on_level(decompose(coarse, n_ranks), level)
+
+            def body(rank, transport):
+                ctx = build_rank_context(mesh, ownership, elem, transport, rank)
+                rows, values = dirichlet_dofs(ctx, coeffs.dirichlet, 0.5)
+                keys = ctx.true_keys
+                expected = np.flatnonzero(np.isin(keys, list(want)))
+                expected_values = np.array([want[k] for k in keys[rows].tolist()])
+                return np.array_equal(rows, expected) and (
+                    values.tobytes() == expected_values.tobytes()
+                )
+
+            assert all(spmd_run(n_ranks, body)), (level, n_ranks)
+
+
+@pytest.mark.parametrize("elem", ["q1", "q2"])
+@pytest.mark.parametrize("n_ranks", [2, 3, 4])
+@pytest.mark.parametrize(
+    "problem", [poisson_mms_problem, hemker_problem], ids=["poisson_mms", "hemker2d"]
+)
+def test_space_dependent_boundary_values_keep_level_3(problem, elem, n_ranks):
+    # x + 2y differs from point to point, so every copy of a boundary d.o.f.
+    # equals its master only if every rank evaluates the same point; on the
+    # hemker2d mesh, unlike the dyadic unit square, a node's coordinates
+    # taken in two of its cells can differ in the last bits
+    parts = [DirichletPart(value=lambda p, t: p[:, 0] + 2.0 * p[:, 1],
+                           where=lambda x, y: True)]
+    coarse = problem()[0]
+    mesh = coarse.refined.refined
+    ownership = ownership_on_level(decompose(coarse, n_ranks), 2)
+
+    def body(rank, transport):
+        ctx = build_rank_context(mesh, ownership, elem, transport, rank)
+        u = from_keys(ctx, lambda k: 1.0 + k % 7, level=L3)
+        enforce_dirichlet_values(u, ctx, parts)
+        rows, values = dirichlet_dofs(ctx, parts)
+        exact = ctx.dof_coords[rows] @ np.array([1.0, 2.0])
+        restored = DistVector(ctx, u.values.copy(), L0).restore(L3)
+        return (
+            u.level == L3
+            and restored.values.tobytes() == u.values.tobytes()
+            and np.allclose(values, exact, rtol=1e-14, atol=1e-14)
+            and len(np.unique(values)) > 1
+        )
+
+    assert all(spmd_run(n_ranks, body))
+
+
 def test_dirichlet_values_evaluated_once_per_parts_and_time(monkeypatch):
     # a time step enforces its boundary values twice at the same t (on the
     # right-hand side and on the solution): the second call reuses them
@@ -662,7 +731,10 @@ def test_one_geometry_per_space(monkeypatch):
     monkeypatch.setattr(mapped_fe.CellGeometry, "__init__", counting)
     A, b = assemble_cdr(ctx, coeffs, supg=supg)
     apply_dirichlet(A, b, ctx, coeffs.dirichlet)
-    assert built == [ctx.mesh.n_cells]
+    # one of the known cells; the boundary values take one more, of the
+    # cells of the Dirichlet rows' true keys, on the global mesh
+    rows, _ = dirichlet_dofs(ctx, coeffs.dirichlet)
+    assert built == [ctx.mesh.n_cells, len(rows)]
     # the shared geometry places every d.o.f. where a fresh one does
     want = dof_coordinates(ctx.dof_map, ctx.mesh)
     assert _same_bytes([ctx.dof_coords], [want])

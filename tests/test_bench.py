@@ -1,9 +1,11 @@
 import builtins
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import os
 import re
+import struct
 import threading
 from collections import Counter
 from pathlib import Path
@@ -419,16 +421,62 @@ def test_cli_main_out_of_range_flag_is_a_usage_error(argv, name, capsys):
     assert f"error: {name} = " in err
 
 
+def _script(name):
+    """The module of scripts/<name>.py."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_fingerprint_digests_hash_key_value_pairs_and_histories():
+    script = _script("fingerprints")
+    merged = {5: 0.25, 1: -1.0, 3: 2.0}
+    pairs = b"".join(struct.pack("<qd", k, merged[k]) for k in sorted(merged))
+    assert script.solution_digest(merged) == hashlib.sha256(pairs).hexdigest()[:16]
+    residuals = [(1, [1.0, 0.5]), (2, [0.25])]
+    steps = b"".join(
+        struct.pack(f"<qq{len(h)}d", step, len(h), *h) for step, h in residuals
+    )
+    assert script.residual_digest(residuals) == hashlib.sha256(steps).hexdigest()[:16]
+    assert len(script.RUNS) == 11
+
+
+def test_fingerprints_src_without_parfem_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        _script("fingerprints").main(["--src", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert f"no parfem package under {tmp_path}" in capsys.readouterr().err
+
+
+def test_timedep_rank0_all_to_alls_pinned(monkeypatch):
+    # 400 smoother exchanges (4 per V-cycle), 100 coarse right-hand sides and
+    # 5 setup exchanges; the boundary values keep the solution at level 3, so
+    # no time step restores DHalpha+DHbeta before its Crank-Nicolson product
+    labels = Counter()
+    all_to_all = Transport.all_to_all
+
+    def counting_all_to_all(self, rank, chunks, label="a2a"):
+        if rank == 0:
+            labels[label] += 1
+        return all_to_all(self, rank, chunks, label)
+
+    monkeypatch.setattr(Transport, "all_to_all", counting_all_to_all)
+    report = run(RunConfig(problem="timedep2d", levels=3, ranks=2, t_end=0.5))
+    assert report.iterations == 100
+    assert sum(labels.values()) == 505
+    assert labels == Counter({"if-average": 400, "coarse-rhs": 100, "mapper-request": 2,
+                              "mapper-reply": 2, "coarse-build": 1})
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [(["--problem", "foo"], "argument --problem: invalid choice: 'foo'"),
      (["--ranks", "17"], "ranks = 17 must be at most 16")],
 )
 def test_collective_counts_bad_flag_is_a_usage_error(argv, error, capsys):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "collective_counts.py"
-    spec = importlib.util.spec_from_file_location("collective_counts", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _script("collective_counts")
     with pytest.raises(SystemExit) as exit_info:
         script.main(argv)
     assert exit_info.value.code == 2

@@ -481,6 +481,51 @@ def test_spmd_run_runs_unpinned_where_affinity_cannot_be_set(monkeypatch, broken
     assert [mask for _, mask in unpinned] == [before] * 3
 
 
+needs_policy = pytest.mark.skipif(
+    not hasattr(os, "sched_setscheduler"), reason="no scheduling policy on this platform"
+)
+
+
+def _sum_and_policy(rank, transport):
+    """One rank-ordered reduction, then this rank thread's scheduling policy."""
+    total = transport.allreduce_sum(rank, 0.1 * (rank + 1))
+    return total, os.sched_getscheduler(0)
+
+
+@needs_affinity
+@needs_policy
+def test_spmd_run_puts_every_rank_thread_under_sched_batch():
+    before = os.sched_getscheduler(0)
+    out = spmd_run(3, _sum_and_policy)
+    assert [policy for _, policy in out] == [os.SCHED_BATCH] * 3
+    assert os.sched_getscheduler(0) == before  # only the rank threads changed
+
+
+@needs_policy
+def test_spmd_run_leaves_a_single_rank_at_the_callers_policy():
+    before = os.sched_getscheduler(0)
+    assert spmd_run(1, _sum_and_policy) == [(0.1, before)]
+    assert os.sched_getscheduler(0) == before
+
+
+@needs_affinity
+@needs_policy
+@pytest.mark.parametrize("broken", ["raises", "missing"])
+def test_spmd_run_completes_where_the_policy_cannot_be_set(monkeypatch, broken):
+    before = os.sched_getscheduler(0)
+    batch = spmd_run(3, _sum_and_policy)
+    if broken == "raises":
+        def refuse(pid, policy, param):
+            raise OSError(1, "Operation not permitted")
+
+        monkeypatch.setattr(os, "sched_setscheduler", refuse)
+    else:
+        monkeypatch.delattr(os, "sched_setscheduler")
+    out = spmd_run(3, _sum_and_policy)
+    assert [total for total, _ in out] == [total for total, _ in batch]
+    assert [policy for _, policy in out] == [before] * 3
+
+
 def test_spmd_run_rejects_a_transport_of_another_size():
     entered = []
 
